@@ -353,6 +353,9 @@ class CampaignDriver:
         self.progress_interval = progress_interval
         self._pool = pool
         self._started = time.monotonic()
+        #: Seconds the serial path spent inside ``_run_unit``: its one
+        #: in-process "worker" (``campaign/worker0/utilisation``).
+        self._serial_busy = 0.0
 
     # -- pool lifecycle ------------------------------------------------------
 
@@ -454,6 +457,7 @@ class CampaignDriver:
             ukey = _unit_key(unit)
             attempt = attempts.get(ukey, 0) + 1
             attempts[ukey] = attempt
+            t0 = time.monotonic()
             try:
                 result = parallel._run_unit(unit)
             except Exception as exc:
@@ -481,6 +485,8 @@ class CampaignDriver:
                     stats.retries += 1
                     pending.append(unit)
                 continue
+            finally:
+                self._serial_busy += time.monotonic() - t0
             self._complete_unit(unit, result, results, store, stats)
             self._publish(len(pending), 0, results, stats)
 
@@ -638,13 +644,18 @@ class CampaignDriver:
         )
         reg.gauge("campaign/re_records", stats.re_records)
         pool = self._pool
+        since = self._started
         if pool is not None:
-            since = self._started
             for worker in pool.workers:
                 reg.gauge(
                     f"campaign/worker{worker.index}/utilisation",
                     worker.utilisation(now, since),
                 )
+        elif self.jobs <= 1:
+            reg.gauge(
+                "campaign/worker0/utilisation",
+                min(self._serial_busy / max(now - since, 1e-9), 1.0),
+            )
         if self.progress is not None and (force or now - self._started > 0):
             self.progress(reg.gauges())
 

@@ -20,6 +20,9 @@ exploits both:
   every window a pre-sliced :class:`~repro.hw.stall.ShareBatch` view --
   rows in the exact legacy order (per group: tier 0 then tier 1, ...),
   so solver, PEBS, CHA, and trace consumers see byte-identical inputs.
+  Runs whose consumers read only row columns get *misses-only*
+  batches built from the memoised :class:`EntryMetaPlan` instead of a
+  whole-trace argsort.
 * :func:`plan_pebs_batches` / :func:`plan_chmu_batches` precompute each
   window's sampled :class:`~repro.hw.pebs.PebsBatch` from the static
   split, walking the shares in the same order (and, for PEBS, drawing
@@ -43,6 +46,7 @@ Set ``REPRO_NO_DRAWPLAN=1`` to force the live per-window paths.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -120,23 +124,34 @@ def _empty_share_batch(num_tiers: int) -> ShareBatch:
 
 
 def build_static_batches(
-    data, placement: np.ndarray, num_tiers: int
+    data, placement: np.ndarray, num_tiers: int, meta: "Optional[EntryMetaPlan]" = None
 ) -> List[Optional[ShareBatch]]:
     """Pre-split every recorded window by a *frozen* placement.
 
-    One stable argsort of the whole trace's entries by (group, tier)
-    reproduces, per (group, tier), exactly the element order that the
-    per-window mask + ``np.compress`` split emits; segment offsets then
-    carve per-window :class:`ShareBatch` views straight out of the two
-    sorted whole-run buffers.  Returns one batch per recorded window
-    (``None`` for windows that emitted no groups -- the machine never
-    splits those).
+    Returns one batch per recorded window (``None`` for windows that
+    emitted no groups -- the machine never splits those).  Rows come in
+    (group, tier) order, exactly as the per-window split emits them.
+
+    Without ``meta`` the batches are *partitioned*: one stable argsort
+    of the whole trace's entries by (group, tier) reproduces, per
+    (group, tier), exactly the element order that the per-window mask +
+    ``np.compress`` split emits, and segment offsets carve per-window
+    views straight out of the two sorted whole-run buffers.  Only the
+    schema-1 PEBS/CHMU samplers walk those page lists.
+
+    With ``meta`` (the trace's :class:`EntryMetaPlan`) the batches are
+    *misses-only*, like the dynamic ``split_groups(misses_only=True)``:
+    no argsort and no sorted copies, ``pages_of`` fails loudly, and
+    every row column is bit-identical to the partitioned form.  Row
+    misses come from one count-weighted bincount over the packed
+    ``group * num_tiers + tier`` key; a *uniform* placement (every page
+    in one tier: the ideal and slow-only reference runs) needs not even
+    that -- each non-empty group is one row carrying the memoised
+    per-group miss total, so the plan is O(groups).
     """
     c = data.columns
     wgp = np.asarray(c["window_group_ptr"])
     gpp = np.asarray(c["group_page_ptr"])
-    pages = np.asarray(c["pages"])
-    counts = np.asarray(c["counts"])
     mlp_col = np.asarray(c["group_mlp"])
     lf_col = np.asarray(c["group_load_fraction"])
     lab_col = np.asarray(c["group_label"])
@@ -144,23 +159,39 @@ def build_static_batches(
     num_groups = gpp.size - 1
     T = num_tiers
 
-    group_of = np.repeat(np.arange(num_groups, dtype=np.int64), np.diff(gpp))
-    key = group_of * T + placement[pages].astype(np.int64)
-    order = np.argsort(key, kind="stable")
-    pages_s = np.ascontiguousarray(pages[order])
-    counts_s = np.ascontiguousarray(counts[order])
-
-    sizes = np.bincount(key, minlength=num_groups * T)
-    rows = np.flatnonzero(sizes)
-    row_offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(sizes[rows], dtype=np.int64)]
-    )
+    pages_s = counts_s = row_offsets = None
+    if meta is not None and placement.size and placement.min() == placement.max():
+        nonempty = np.flatnonzero(np.diff(gpp))
+        rows = nonempty * T + int(placement[0])
+        row_misses = meta.group_misses[nonempty]
+    else:
+        pages = np.asarray(c["pages"])
+        key = np.repeat(np.arange(num_groups, dtype=np.intp) * T, np.diff(gpp))
+        key += placement[pages]
+        if meta is not None:
+            cell_misses = np.bincount(key, weights=meta.counts_f, minlength=num_groups * T)
+            # A present cell sums to >= 1.0 when every count is >= 1;
+            # otherwise count-zero entries still make rows (as the
+            # partition does), so presence needs the unweighted count.
+            present = cell_misses if meta.counts_positive else np.bincount(key)
+            rows = np.flatnonzero(present)
+            row_misses = cell_misses[rows].astype(np.int64)
+        else:
+            counts = np.asarray(c["counts"])
+            order = np.argsort(key, kind="stable")
+            pages_s = np.ascontiguousarray(pages[order])
+            counts_s = np.ascontiguousarray(counts[order])
+            sizes = np.bincount(key, minlength=num_groups * T)
+            rows = np.flatnonzero(sizes)
+            row_offsets = np.concatenate(
+                [np.zeros(1, dtype=np.int64), np.cumsum(sizes[rows], dtype=np.int64)]
+            )
+            if rows.size:
+                row_misses = np.add.reduceat(counts_s, row_offsets[:-1])
+            else:
+                row_misses = np.empty(0, dtype=np.int64)
     row_group = rows // T
     row_tier = (rows % T).astype(np.intp)
-    if rows.size:
-        row_misses = np.add.reduceat(counts_s, row_offsets[:-1])
-    else:
-        row_misses = np.empty(0, dtype=np.int64)
     # Rows are group-ascending, groups are window-ascending, so each
     # window's rows are one contiguous range.
     row_window_ptr = np.searchsorted(row_group, wgp)
@@ -179,8 +210,14 @@ def build_static_batches(
             # Groups recorded, but every one of them was empty.
             batches.append(_empty_share_batch(T))
             continue
-        base = int(row_offsets[r0])
-        end = int(row_offsets[r1])
+        if row_offsets is None:
+            offsets = pages_buf = counts_buf = None
+        else:
+            base = int(row_offsets[r0])
+            end = int(row_offsets[r1])
+            offsets = row_offsets[r0 : r1 + 1] - base
+            pages_buf = pages_s[base:end]
+            counts_buf = counts_s[base:end]
         g = row_group[r0:r1]
         batches.append(
             ShareBatch(
@@ -190,9 +227,9 @@ def build_static_batches(
                 mlp=mlp_col[g],
                 load_fraction=lf_col[g],
                 misses=row_misses[r0:r1],
-                offsets=row_offsets[r0 : r1 + 1] - base,
-                pages_buf=pages_s[base:end],
-                counts_buf=counts_s[base:end],
+                offsets=offsets,
+                pages_buf=pages_buf,
+                counts_buf=counts_buf,
                 labels=[group_labels[int(gi)] for gi in g],
                 unit_stall_cycles=unit_all[r0:r1],
                 stall_scratch=stall_all[r0:r1],
@@ -203,29 +240,69 @@ def build_static_batches(
 
 
 class EntryMetaPlan:
-    """Prestaged trace-determined entry metadata for *dynamic* replay.
+    """Trace-determined entry metadata for replay, filled on first use.
 
     Dynamic policies re-split every window (placement moves), but most
     of the split's per-entry inputs never depend on placement at all:
     the packed ``group * num_tiers`` key base, the float view of the
     miss counts (weighted ``bincount`` wants float64 weights), and
-    whether any entry carries a zero count.
-    All of it is computed here once, at attach time, so the timed loop
-    keeps only the placement-dependent work: one gather, one add, one
-    weighted bincount.
+    whether any entry carries a zero count.  :meth:`prestage_split`
+    computes them at attach time, so the timed loop keeps only the
+    placement-dependent work: one gather, one add, one weighted
+    bincount.  Static misses-only splits read the float counts or just
+    the per-group miss totals; each field costs one pass over the trace
+    when first read, and only the fields a run reads are ever built.
     """
 
-    __slots__ = ("entry_ptr", "key_base", "counts_f", "counts_positive")
+    def __init__(self, data, num_tiers: int):
+        c = data.columns
+        self._wgp = np.asarray(c["window_group_ptr"])
+        self._gpp = np.asarray(c["group_page_ptr"])
+        self._counts = np.asarray(c["counts"])
+        self.num_tiers = num_tiers
+        self.entry_ptr = np.asarray(self._gpp[self._wgp], dtype=np.int64)
 
-    def __init__(self, entry_ptr, key_base, counts_f, counts_positive):
-        self.entry_ptr = entry_ptr
-        #: Flat per-entry ``group_index * num_tiers`` (None when no
-        #: recorded window has more than one group).
-        self.key_base = key_base
-        self.counts_f = counts_f
-        #: True when every recorded count is >= 1 (then cell presence
-        #: follows from the weighted bincount alone).
-        self.counts_positive = counts_positive
+    @cached_property
+    def key_base(self) -> Optional[np.ndarray]:
+        """Flat per-entry window-local ``group_index * num_tiers`` (None
+        when no recorded window has more than one group)."""
+        wgp, gpp = self._wgp, self._gpp
+        groups_per_window = np.diff(wgp)
+        if not groups_per_window.size or int(groups_per_window.max()) <= 1:
+            return None
+        # Window-local group index of every entry, flattened: subtract
+        # each window's first global group id, then expand per entry.
+        gi_local = np.arange(gpp.size - 1, dtype=np.intp) - np.repeat(
+            wgp[:-1].astype(np.intp), groups_per_window
+        )
+        return np.repeat(gi_local * self.num_tiers, np.diff(gpp))
+
+    @cached_property
+    def counts_f(self) -> np.ndarray:
+        return self._counts.astype(np.float64)
+
+    @cached_property
+    def counts_positive(self) -> bool:
+        """True when every recorded count is >= 1 (then cell presence
+        follows from the weighted bincount alone)."""
+        return bool(self._counts.min() >= 1) if self._counts.size else True
+
+    @cached_property
+    def group_misses(self) -> np.ndarray:
+        """Per-group (global index) int64 miss totals."""
+        gpp = self._gpp
+        out = np.zeros(gpp.size - 1, dtype=np.int64)
+        nonempty = np.flatnonzero(np.diff(gpp))
+        if nonempty.size:
+            # Empty groups share the next group's start, so each segment
+            # runs from one non-empty start to the next (the last one to
+            # the end of the trace).
+            out[nonempty] = np.add.reduceat(self._counts, gpp[nonempty], dtype=np.int64)
+        return out
+
+    def prestage_split(self) -> None:
+        """Fill the dynamic split's inputs now rather than in window 0."""
+        _ = (self.key_base, self.counts_f, self.counts_positive)
 
     def window(self, w: int):
         """``(key_base_slice|None, counts_f_slice)`` for window ``w``."""
@@ -235,26 +312,21 @@ class EntryMetaPlan:
         return kb, self.counts_f[e0:e1]
 
 
-def build_entry_meta(data, num_tiers: int) -> EntryMetaPlan:
-    """Precompute :class:`EntryMetaPlan` from recorded trace columns."""
-    c = data.columns
-    wgp = np.asarray(c["window_group_ptr"])
-    gpp = np.asarray(c["group_page_ptr"])
-    counts = np.asarray(c["counts"])
-    entry_ptr = np.asarray(gpp[wgp], dtype=np.int64)
-    groups_per_window = np.diff(wgp)
-    if groups_per_window.size and int(groups_per_window.max()) > 1:
-        # Window-local group index of every entry, flattened: subtract
-        # each window's first global group id, then expand per entry.
-        gi_local = np.arange(gpp.size - 1, dtype=np.intp) - np.repeat(
-            wgp[:-1].astype(np.intp), groups_per_window
-        )
-        key_base = np.repeat(gi_local * num_tiers, np.diff(gpp))
-    else:
-        key_base = None
-    counts_f = counts.astype(np.float64)
-    counts_positive = bool(counts.min() >= 1) if counts.size else True
-    return EntryMetaPlan(entry_ptr, key_base, counts_f, counts_positive)
+def entry_meta_for(data, num_tiers: int) -> EntryMetaPlan:
+    """The trace's :class:`EntryMetaPlan`, memoised on the trace data.
+
+    The plan depends only on (trace, ``num_tiers``), so every run that
+    replays the trace -- lockstep multi-run members, and the static and
+    dynamic runs of one sweep -- shares one.
+    """
+    cached = getattr(data, "_entry_meta_cache", None)
+    if cached is None or cached[0] != num_tiers:
+        cached = (num_tiers, EntryMetaPlan(data, num_tiers))
+        try:
+            data._entry_meta_cache = cached
+        except AttributeError:  # pragma: no cover - slotted data
+            pass
+    return cached[1]
 
 
 class PebsPosPlan:
@@ -549,7 +621,12 @@ def attach(machine) -> bool:
                 engaged = True
     policy = machine.policy
     if getattr(policy, "static_placement", False) and machine.memory.fully_allocated:
-        batches = build_static_batches(data, machine.memory.placement, machine.num_tiers)
+        # Only the schema-1 PEBS/CHMU plans walk per-share page lists;
+        # every other consumer reads row columns (see Machine).
+        meta = entry_meta_for(data, machine.num_tiers) if machine._misses_only_split else None
+        batches = build_static_batches(
+            data, machine.memory.placement, machine.num_tiers, meta=meta
+        )
         machine._split_plan = StaticSplitPlan(batches)
         engaged = True
         if (
@@ -595,16 +672,9 @@ def attach(machine) -> bool:
     if machine._split_plan is None:
         # Dynamic placement: the split itself stays in the loop, but its
         # trace-determined inputs (key bases, float counts, sortedness)
-        # leave it.  The plan depends only on (trace, num_tiers), so
-        # lockstep multi-run members replaying the same trace share one.
-        cached = getattr(data, "_entry_meta_cache", None)
-        if cached is None or cached[0] != machine.num_tiers:
-            cached = (machine.num_tiers, build_entry_meta(data, machine.num_tiers))
-            try:
-                data._entry_meta_cache = cached
-            except AttributeError:  # pragma: no cover - slotted data
-                pass
-        machine._entry_meta = cached[1]
+        # leave it.
+        machine._entry_meta = entry_meta_for(data, machine.num_tiers)
+        machine._entry_meta.prestage_split()
         engaged = True
         if (
             machine._keyed_pebs is not None
@@ -630,9 +700,9 @@ __all__ = [
     "WindowSamplePlan",
     "WindowSolvePlan",
     "attach",
-    "build_entry_meta",
     "build_pebs_pos",
     "build_static_batches",
+    "entry_meta_for",
     "plan_chmu_batches",
     "plan_keyed_pebs_batches",
     "plan_pebs_batches",

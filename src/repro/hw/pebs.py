@@ -83,6 +83,10 @@ class PebsSampler:
         #: Attach per-record exposed-latency reporting (TPEBS-style).
         self.report_latency = report_latency
         self._rng = rng if rng is not None else np.random.default_rng(0)
+        #: Stage-1 shortcut (see :meth:`draw`): PCG64's ``advance`` counts
+        #: 64-bit outputs, i.e. doubles; other bit generators keep the call.
+        bitgen = self._rng.bit_generator
+        self._advance = bitgen.advance if isinstance(bitgen, np.random.PCG64) else None
 
     def draw(
         self, shares: Sequence[GroupTierShare], tiers: "tuple[Tier, ...]" = (Tier.SLOW,)
@@ -98,17 +102,31 @@ class PebsSampler:
         (each share's exposed latency per load = effective latency /
         MLP = unit stall cost) is only collected when latency reporting
         is on -- nothing else reads it.
+
+        Stage-1 identity: ``binomial(n, 1.0)`` returns ``n`` after
+        consuming exactly one double per nonzero ``n`` (numpy takes the
+        inversion branch with ``q = 0``, whose single uniform always
+        lands under ``q**n = 1``).  All-load rows -- nearly every row --
+        therefore skip the call and just advance the generator by their
+        nonzero-entry count; the stage-2 draw then sees the same counts
+        and the same stream position.  ``tests/test_pebs_shortcut.py``
+        pins the numpy behaviour this relies on.
         """
         all_pages = []
         all_records = []
         share_units = []
         rng = self._rng
+        advance = self._advance
         rate_p = 1.0 / self.rate
         want_units = self.report_latency
         if self.loads_only:
             for pages, counts, load_fraction, unit in _tier_share_rows(shares, tiers):
                 # Thin writes out before the 1-in-N event sampling.
-                records = rng.binomial(rng.binomial(counts, load_fraction), rate_p)
+                if load_fraction == 1.0 and advance is not None:
+                    advance(int(np.count_nonzero(counts)))
+                    records = rng.binomial(counts, rate_p)
+                else:
+                    records = rng.binomial(rng.binomial(counts, load_fraction), rate_p)
                 all_pages.append(pages)
                 all_records.append(records)
                 if want_units:

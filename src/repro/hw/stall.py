@@ -164,7 +164,8 @@ class ShareBatch:
         #: share per window).
         self.misses = misses
         self.misses_f = misses.astype(np.float64) if misses_f is None else misses_f
-        #: ``None`` in a misses-only batch (see ``split_groups``):
+        #: ``None`` in a misses-only batch (see ``split_groups`` and
+        #: :func:`repro.hw.drawplan.build_static_batches`):
         #: ``pages_of``/``counts_of`` then fail loudly rather than
         #: returning wrong slices.
         self.offsets = offsets

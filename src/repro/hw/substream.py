@@ -124,10 +124,30 @@ class KeyedPebsSampler:
         counter position ``window``, so the draw depends only on the
         window's own entry set -- never on other windows, the order
         they are drawn in, or which run of a multi-run group asks.
+
+        On all-load entries the load thin is the stage-1 identity of
+        :meth:`repro.hw.pebs.PebsSampler.draw`: the counts pass through
+        and the stream moves one double per nonzero count.
+        ``rng.random(k)`` consumes exactly that (Philox's ``advance``
+        counts 256-bit counter blocks, not doubles).  numpy draws an
+        array binomial element by element from one stream, so thinning
+        the window run by run -- identity on all-load runs, binomial on
+        the rest -- matches one whole-window call.
         """
         rng = keyed_generator(self._key, window)
         if self.loads_only:
-            counts = rng.binomial(counts, lf_entries)
+            all_load = lf_entries == 1.0
+            if all_load.all():
+                rng.random(int(np.count_nonzero(counts)))
+            else:
+                counts = counts.copy()
+                edges = np.flatnonzero(all_load[1:] != all_load[:-1]) + 1
+                bounds = [0, *edges.tolist(), counts.size]
+                for a, b in zip(bounds[:-1], bounds[1:]):
+                    if all_load[a]:
+                        rng.random(int(np.count_nonzero(counts[a:b])))
+                    else:
+                        counts[a:b] = rng.binomial(counts[a:b], lf_entries[a:b])
         return rng.binomial(counts, self._rate_p)
 
     def merge_window(

@@ -267,6 +267,18 @@ class TestCampaignEquivalence:
         assert gauges["campaign/re_records"] == 0
         assert 0.0 <= gauges["campaign/cache_hit_rate"] <= 1.0
 
+    def test_serial_campaign_reports_worker0_utilisation(self, isolated_stores):
+        # `repro campaign --jobs 1` averages the */utilisation gauges; with
+        # no pool the serial driver must still publish its one worker.
+        seen = []
+        driver = CampaignDriver(jobs=1, progress=seen.append)
+        result = driver.run(small_grid().expand())
+        assert result.ok and driver.pool is None
+        util = driver.registry.gauges()["campaign/worker0/utilisation"]
+        # Simulating is nearly all a serial campaign does.
+        assert 0.2 < util <= 1.0
+        assert seen[-1]["campaign/worker0/utilisation"] == util
+
 
 # ---------------------------------------------------------------------------
 # Campaign driver: failure isolation.

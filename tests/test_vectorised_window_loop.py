@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 import repro.hw.stall as stall_mod
 from repro.common.units import CXL_SPEC, DRAM_SPEC
 from repro.hw.access import AccessGroup
-from repro.hw.drawplan import build_entry_meta, build_pebs_pos
+from repro.hw.drawplan import EntryMetaPlan, build_pebs_pos
 from repro.hw.stall import StallModel
 from repro.hw.substream import KeyedPebsSampler, PebsRecordPlan
 from repro.mem.page import Tier
@@ -424,7 +424,7 @@ class TestPrestagedPlans:
         rng = np.random.default_rng(seed)
         cols = random_trace_columns(rng)
         num_tiers = 2
-        meta = build_entry_meta(_FakeTrace(cols), num_tiers)
+        meta = EntryMetaPlan(_FakeTrace(cols), num_tiers)
         wgp = cols["window_group_ptr"]
         gpp = cols["group_page_ptr"]
         assert meta.counts_positive  # every generated count is >= 1
