@@ -4,10 +4,12 @@ Every bench regenerates one table or figure of the paper's evaluation
 (§5) and prints the corresponding rows/series.  Output also lands in
 ``benchmarks/out/<bench>.txt`` so results survive quiet pytest runs.
 
-Benches declare their grids through :mod:`repro.exp`; results are
-content-addressed and persisted under ``benchmarks/.cache`` so running
-any two figure benches back-to-back (even in separate processes) reuses
-every shared ideal/slow-only baseline.  Knobs:
+Benches declare their grids through :mod:`repro.exp`, which runs them
+through the campaign driver; results are content-addressed and
+persisted in ``benchmarks/.cache/results.sqlite`` so running any two
+figure benches back-to-back (even in separate processes) reuses every
+shared ideal/slow-only baseline -- and a ``repro campaign`` or
+``repro bench`` over the same cache directory shares them too.  Knobs:
 
 * ``REPRO_BENCH_WORK`` -- misses per run (fidelity vs. runtime),
 * ``REPRO_JOBS`` -- worker processes for cache misses (default serial),
@@ -24,6 +26,7 @@ import pytest
 
 from repro.exp.cache import ResultStore, reset_default_store, set_default_store
 from repro.exp.spec import WorkloadSpec
+from repro.exp.store import SqliteResultStore
 from repro.sim.config import MachineConfig, PAPER_RATIOS
 from repro.workloads import make_workload
 
@@ -78,9 +81,12 @@ def config():
 @pytest.fixture(scope="session", autouse=True)
 def bench_store():
     """Install the persistent bench store for the whole session."""
-    directory = None if os.environ.get("REPRO_NO_CACHE") else CACHE_DIR
-    store = set_default_store(ResultStore(directory))
+    if os.environ.get("REPRO_NO_CACHE"):
+        store = set_default_store(ResultStore())
+    else:
+        store = set_default_store(SqliteResultStore(CACHE_DIR))
     yield store
+    store.close()
     reset_default_store()
 
 

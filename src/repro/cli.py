@@ -12,9 +12,10 @@ Examples::
 
 All subcommands print plain-text tables; ``--work`` scales the per-run
 miss budget (larger = higher fidelity, slower).  Experiment subcommands
-take ``--jobs N`` (fan cache misses out over N worker processes),
-``--cache-dir PATH`` (persist results in a content-addressed JSON cache;
-``bench`` defaults to ``benchmarks/.cache``), and ``--no-cache``.
+run their grids through the campaign driver and take ``--jobs N`` (fan
+cache misses out over N worker processes), ``--cache-dir PATH``
+(persist results in ``PATH/results.sqlite``; ``bench`` and
+``campaign`` default to ``benchmarks/.cache``), and ``--no-cache``.
 
 Traffic replay is on by default: each workload's access stream is
 recorded once and replayed (bit-identically) for every policy, ratio,
@@ -41,8 +42,8 @@ from repro.exp import report as exp_report
 from repro.exp import service
 from repro.exp.cache import ResultStore, reset_default_store, set_default_store
 from repro.exp.runner import run_experiment
-from repro.exp.store import open_store
 from repro.exp.spec import ExperimentSpec, WorkloadSpec
+from repro.exp.store import SqliteResultStore
 from repro.mem.page import Tier, tier_label
 from repro.mem.topology import DEMOTION_MODES, TOPOLOGY_NAMES, make_topology
 from repro.obs import DEFAULT_TRACE_CAPACITY, Observability
@@ -109,10 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp_p.add_argument("--ratios", nargs="+", default=list(PAPER_RATIOS))
     camp_p.add_argument("--seeds", nargs="+", type=int, default=[0])
-    camp_p.add_argument(
-        "--store", choices=("sqlite", "json"), default="sqlite", dest="store_backend",
-        help="result-store backend (default: sqlite with batched commits)",
-    )
     camp_p.add_argument(
         "--retries", type=int, default=service.DEFAULT_RETRIES,
         help="re-dispatches per failed request before giving up (default: %(default)s)",
@@ -256,7 +253,8 @@ def _common_args(p: argparse.ArgumentParser, cache_dir_default: Optional[str] = 
     )
     p.add_argument(
         "--cache-dir", default=cache_dir_default,
-        help="directory for the persistent result cache (default: %(default)s)",
+        help="directory for the persistent result cache, PATH/results.sqlite "
+        "(default: %(default)s)",
     )
     p.add_argument(
         "--no-cache", action="store_true",
@@ -307,11 +305,7 @@ def _experiment_store(args):
     directory = None
     if not getattr(args, "no_cache", False):
         directory = getattr(args, "cache_dir", None)
-    backend = getattr(args, "store_backend", "json")
-    if directory is not None:
-        store = open_store(directory, backend=backend)
-    else:
-        store = ResultStore(None)  # memory-only; backend needs a directory
+    store = SqliteResultStore(directory) if directory is not None else ResultStore()
     set_default_store(store)
     trace_dir = getattr(args, "trace_dir", None)
     if trace_dir is None and directory is not None:
@@ -323,9 +317,7 @@ def _experiment_store(args):
     try:
         yield store
     finally:
-        close = getattr(store, "close", None)
-        if callable(close):
-            close()  # flush any batched sqlite commits
+        store.close()  # commit the last batch
         reset_default_store()
         tracestore.reset_default_trace_store()
         tracestore.set_replay_override(previous_replay)
@@ -447,10 +439,10 @@ def cmd_bench(args, out) -> int:
 
 def cmd_campaign(args, out) -> int:
     """Stream a (workload x policy x ratio x seed) grid through the
-    persistent worker-pool service with live progress and a failure
-    ledger.  Unlike ``bench`` the pool is spawned once and fed over a
-    work queue, results land in the campaign store (SQLite by default),
-    and a crashed/hung worker costs one request, not the campaign.
+    campaign driver with live progress and a failure ledger.  Unlike
+    ``bench`` it defaults to every core, retries failed requests, can
+    kill hung workers (``--timeout``), and reports failures instead of
+    raising: a crashed/hung worker costs one request, not the campaign.
     """
     config = _config(args)
     spec = ExperimentSpec(

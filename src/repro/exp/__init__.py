@@ -1,17 +1,20 @@
-"""Unified experiment orchestration: specs, caching, parallel sweeps.
+"""Unified experiment orchestration: specs, caching, sweeps.
 
-The layer every consumer of the simulator goes through:
+The layer every consumer of the simulator goes through.  Every grid
+takes one path -- spec -> ``CampaignDriver`` -> result store:
 
 * :mod:`repro.exp.spec` -- declarative grids (``ExperimentSpec``) and
   single runs (``RunRequest``) with content fingerprints,
-* :mod:`repro.exp.cache` -- on-disk content-addressed result store,
-  shared with the engine's ideal/slow-only baseline helpers,
-* :mod:`repro.exp.parallel` -- process-pool fan-out for cache misses,
-* :mod:`repro.exp.runner` -- dedup + cache + execute + indexed results,
-* :mod:`repro.exp.store` -- SQLite result-store backend for
-  campaign-scale sweeps (batched commits, WAL, JSON-cache compatible),
-* :mod:`repro.exp.service` -- persistent worker pool + streaming
-  campaign driver with per-request failure isolation,
+* :mod:`repro.exp.cache` -- fingerprints, cache keys and the in-process
+  result store, shared with the engine's ideal/slow-only baseline
+  helpers,
+* :mod:`repro.exp.store` -- the on-disk result store: one SQLite
+  database per cache directory (batched commits, WAL),
+* :mod:`repro.exp.service` -- the campaign driver, the one executor of
+  experiment grids: in-process or over a persistent worker pool, with
+  per-request failure isolation,
+* :mod:`repro.exp.runner` -- ``run_requests``/``run_experiment`` (the
+  driver with no retries), the request executors, and indexed results,
 * :mod:`repro.exp.report` -- the paper's recurring table shapes.
 """
 
@@ -24,7 +27,6 @@ from repro.exp.cache import (
     set_default_store,
     workload_fingerprint,
 )
-from repro.exp.parallel import RequestExecutionError, resolve_jobs
 from repro.exp.runner import (
     ExperimentResult,
     execute_request,
@@ -35,7 +37,9 @@ from repro.exp.service import (
     CampaignDriver,
     CampaignResult,
     FailureRecord,
+    RequestExecutionError,
     WorkerPool,
+    resolve_jobs,
     run_campaign,
 )
 from repro.exp.spec import (
@@ -45,7 +49,7 @@ from repro.exp.spec import (
     RunRequest,
     WorkloadSpec,
 )
-from repro.exp.store import SqliteResultStore, open_store
+from repro.exp.store import SqliteResultStore
 
 __all__ = [
     "CACHE_VERSION",
@@ -65,7 +69,6 @@ __all__ = [
     "content_hash",
     "execute_request",
     "get_default_store",
-    "open_store",
     "reset_default_store",
     "resolve_jobs",
     "run_campaign",

@@ -6,11 +6,13 @@ the full :class:`MachineConfig`, policy identity and kwargs, seed,
 contender bandwidth parameters, the window budget, and whether tracing
 was on.  The SHA-256 of that document is the run's content address.
 
-:class:`ResultStore` layers an in-process dict over an optional on-disk
-JSON directory (one file per hash, written atomically), so baselines
-computed by one bench process are reused by the next.  The store is
-shared with :mod:`repro.sim.engine`'s baseline helpers, which makes the
-old module-global ``_baseline_cache`` a strict subset of this layer.
+:class:`ResultStore` is the in-process layer: a dict from content
+address to result.  Its one on-disk subclass,
+:class:`~repro.exp.store.SqliteResultStore`, persists into
+``<cache-dir>/results.sqlite`` so baselines computed by one bench
+process are reused by the next.  The default store (on disk when
+``REPRO_CACHE_DIR`` is set) is shared with :mod:`repro.sim.engine`'s
+baseline helpers, so engine-level and runner-level runs share entries.
 
 Bump :data:`CACHE_VERSION` whenever the simulator's behaviour changes in
 a result-visible way; stale entries are then ignored (and benches can
@@ -26,8 +28,6 @@ import enum
 import hashlib
 import json
 import os
-import tempfile
-from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.mem.page import tier_from_label, tier_label
@@ -222,19 +222,18 @@ def result_from_dict(doc: Dict[str, Any]) -> RunResult:
 
 
 class ResultStore:
-    """Two-tier (memory + optional disk) content-addressed result cache."""
+    """Content-addressed result cache: the in-process layer.
 
-    def __init__(self, directory: Optional[os.PathLike] = None):
-        self.directory = Path(directory) if directory else None
+    Subclasses persist by overriding the ``_load``/``_publish`` hooks
+    (and ``flush``/``close``); ``get``/``put`` stay the same for all.
+    """
+
+    def __init__(self):
         self._memory: Dict[str, RunResult] = {}
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
         self.puts = 0
-
-    def _path(self, key: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{key}.json"
 
     def get(self, key: str) -> Optional[RunResult]:
         cached = self._memory.get(key)
@@ -250,43 +249,8 @@ class ResultStore:
         return None
 
     def _load(self, key: str) -> Optional[RunResult]:
-        """Read ``key`` from the persistent layer (None = miss).
-
-        Unreadable, corrupt, stale-version, or schema-incomplete files
-        are all misses -- and all except transiently-unreadable ones are
-        unlinked on detection, so a bad file is parsed (at most) once
-        instead of on every lookup until something overwrites it.
-        """
-        if self.directory is None:
-            return None
-        path = self._path(key)
-        if not path.is_file():
-            return None
-        try:
-            doc = json.loads(path.read_text())
-        except OSError:
-            return None  # transient (perms, races); leave the file alone
-        except json.JSONDecodeError:
-            self._discard(path)
-            return None
-        if not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION:
-            self._discard(path)  # stale version: never readable again
-            return None
-        try:
-            return result_from_dict(doc["result"])
-        except (AttributeError, KeyError, TypeError, ValueError):
-            # Valid JSON but not a complete result document (foreign
-            # file, interrupted by an old non-atomic writer): a miss,
-            # not a KeyError out of get().
-            self._discard(path)
-            return None
-
-    @staticmethod
-    def _discard(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        """Read ``key`` from the persistent layer (None = miss)."""
+        return None
 
     def put(self, key: str, result: RunResult, fingerprint: Optional[dict] = None) -> None:
         self._memory[key] = result
@@ -296,47 +260,21 @@ class ResultStore:
     def _publish(
         self, key: str, result: RunResult, fingerprint: Optional[dict]
     ) -> None:
-        """Write ``key`` to the persistent layer (no-op when memory-only)."""
-        if self.directory is None:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "version": CACHE_VERSION,
-            "fingerprint": fingerprint,
-            "result": result_to_dict(result),
-        }
-        # Atomic publish: concurrent writers of the same key race benignly.
-        # I/O errors (full disk, read-only cache dir) degrade to a cache
-        # that simply does not persist; anything else -- e.g. a TypeError
-        # from an unserialisable metrics value -- surfaces to the caller.
-        # Either way the temp file never outlives the attempt.
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(doc, fh)
-                os.replace(tmp, self._path(key))
-            except OSError:
-                pass
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        """Write ``key`` to the persistent layer (no-op in memory)."""
+
+    def flush(self) -> None:
+        """Make every put durable (no-op in memory)."""
+
+    def close(self) -> None:
+        """Flush and release the persistent layer (no-op in memory)."""
 
     def clear_memory(self) -> None:
-        """Drop the in-process layer (disk entries survive)."""
+        """Drop the in-process layer (persisted entries survive)."""
         self._memory.clear()
 
     def clear(self) -> None:
-        """Drop both layers, deleting on-disk entries."""
+        """Drop every entry, persisted ones included."""
         self.clear_memory()
-        if self.directory is not None and self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -347,7 +285,9 @@ class ResultStore:
         }
 
     def summary(self) -> str:
-        where = str(self.directory) if self.directory else "memory-only"
+        return self._summary("memory-only")
+
+    def _summary(self, where: str) -> str:
         s = self.stats()
         return (
             f"cache [{where}]: {s['memory_hits']} memory hits, "
@@ -361,13 +301,21 @@ _default_store: Optional[ResultStore] = None
 
 
 def get_default_store() -> ResultStore:
-    """The process-wide store used by engine baselines and the runner."""
+    """The process-wide store used by engine baselines and the runner.
+
+    A :class:`~repro.exp.store.SqliteResultStore` under
+    ``REPRO_CACHE_DIR`` when that is set (and ``REPRO_NO_CACHE`` is
+    not); the in-process layer otherwise.
+    """
     global _default_store
     if _default_store is None:
-        directory = None
-        if not os.environ.get(NO_CACHE_ENV):
-            directory = os.environ.get(CACHE_DIR_ENV) or None
-        _default_store = ResultStore(directory)
+        directory = None if os.environ.get(NO_CACHE_ENV) else os.environ.get(CACHE_DIR_ENV)
+        if directory:
+            from repro.exp.store import SqliteResultStore  # builds on this module
+
+            _default_store = SqliteResultStore(directory)
+        else:
+            _default_store = ResultStore()
     return _default_store
 
 

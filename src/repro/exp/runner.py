@@ -1,11 +1,15 @@
-"""Experiment runner: dedup, cache lookup, fan-out, result indexing.
+"""Experiment runner: request execution, lockstep grouping, result indexing.
 
-``run_experiment``/``run_requests`` are the single entry point every
-bench, the CLI, and ``analysis.sweep`` drive: expand a spec, drop
-duplicate requests (shared baselines collapse here), serve what the
-content-addressed store already has, execute the misses -- serially or
-across worker processes -- and hand back an :class:`ExperimentResult`
-that knows how to look runs up by (workload, policy, ratio, seed).
+``run_experiment``/``run_requests`` are the entry point every bench,
+the CLI, and ``analysis.*`` drive.  They run the grid through
+:class:`~repro.exp.service.CampaignDriver` -- the one executor of
+experiment grids -- with no retries: expand a spec, drop duplicate
+requests (shared baselines collapse here), serve what the
+content-addressed store already has, execute the misses (in-process or
+across worker processes), store every result, and hand back an
+:class:`ExperimentResult` that knows how to look runs up by (workload,
+policy, ratio, seed).  This module also holds the executors the driver
+calls: :func:`execute_request` and :func:`execute_request_group`.
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.exp import parallel
-from repro.exp.cache import ResultStore, get_default_store
+from repro.exp.cache import ResultStore
 from repro.exp.spec import (
     KIND_IDEAL,
     KIND_POLICY,
@@ -37,73 +40,63 @@ def _replay_requested(request: RunRequest) -> bool:
     return replay_enabled()
 
 
-def _replay_workload(request: RunRequest, workload):
-    """Swap the live workload for a replay of its recorded stream.
+def _replay_data(request: RunRequest):
+    """The recorded stream a replayed request runs on.
 
-    Prefers the pre-recorded ``trace_path`` the runner attached before
+    Prefers the pre-recorded ``trace_path`` the driver attached before
     fan-out (one memory-mapped copy shared across worker processes via
     the page cache); unreadable/corrupt paths fall back to the trace
     store, which re-records.  ``OSError`` covers a ``.npt`` deleted or
     evicted mid-campaign -- without it one vanished file would crash a
-    worker instead of costing one re-record.  Bit-identity makes this
-    swap invisible to results and cache keys alike.
+    worker instead of costing one re-record.  The live workload is built
+    only when the stream has to be recorded.
     """
     from repro.workloads import tracestore
 
     if request.trace_path:
         try:
-            return tracestore.ReplayWorkload(tracestore.read_npt(request.trace_path))
+            return tracestore.read_npt(request.trace_path)
         except (tracestore.TraceFormatError, OSError):
             pass
     store = tracestore.get_default_trace_store()
-    return store.replay(workload, max_windows=request.max_windows)
+    _, data = store.ensure_spec(
+        request.workload.descriptor(), request.workload.build, request.max_windows
+    )
+    return data
 
 
 def execute_request(request: RunRequest) -> RunResult:
-    """Run one request from scratch (no cache involvement)."""
-    workload = request.workload.build()
+    """Run one request from scratch (no cache involvement).
+
+    A replayed request runs on its recorded stream; bit-identity makes
+    the swap invisible to results and cache keys alike.
+    """
+    from repro.workloads.tracestore import ReplayWorkload
+
     if _replay_requested(request):
-        workload = _replay_workload(request, workload)
-    config = request.config if request.config is not None else MachineConfig()
+        workload = ReplayWorkload(_replay_data(request))
+    else:
+        workload = request.workload.build()
+    if request.kind == KIND_POLICY:
+        policy, ratio, fast_capacity = request.policy.build(), request.ratio, None
+    elif request.kind == KIND_IDEAL:
+        policy, ratio, fast_capacity = NoTierPolicy(), "1:1", workload.footprint_pages
+    else:  # slow-only reference run
+        policy, ratio, fast_capacity = SlowOnlyPolicy(), "1:1", 0
     # Requests asking for telemetry get a fresh bundle (with a bounded
     # trace ring when tracing too); otherwise the machine resolves the
     # plain trace flag itself, exactly as before the obs layer.
-    obs = Observability(trace=request.trace) if request.obs else None
-    if request.kind == KIND_IDEAL:
-        machine = Machine(
-            workload=workload,
-            policy=NoTierPolicy(),
-            config=config,
-            ratio="1:1",
-            fast_capacity_override=workload.footprint_pages,
-            contender=request.contender,
-            seed=request.seed,
-            trace=request.trace,
-            obs=obs,
-        )
-    elif request.kind == KIND_SLOW_ONLY:
-        machine = Machine(
-            workload=workload,
-            policy=SlowOnlyPolicy(),
-            config=config,
-            ratio="1:1",
-            fast_capacity_override=0,
-            contender=request.contender,
-            seed=request.seed,
-            trace=request.trace,
-            obs=obs,
-        )
-    else:
-        machine = Machine(
-            workload=workload,
-            policy=request.policy.build(),
-            config=config,
-            ratio=request.ratio,
-            contender=request.contender,
-            seed=request.seed,
-            trace=request.trace,
-            obs=obs,
-        )
+    machine = Machine(
+        workload=workload,
+        policy=policy,
+        config=request.config if request.config is not None else MachineConfig(),
+        ratio=ratio,
+        fast_capacity_override=fast_capacity,
+        contender=request.contender,
+        seed=request.seed,
+        trace=request.trace,
+        obs=Observability(trace=request.trace) if request.obs else None,
+    )
     return machine.run(max_windows=request.max_windows)
 
 
@@ -126,27 +119,17 @@ def execute_request_group(requests: Sequence[RunRequest]) -> List[RunResult]:
     lockstep executor rejects fall back to serial execution.
     """
     from repro.sim.runbatch import MultiMachine
-    from repro.workloads import tracestore
+    from repro.workloads.tracestore import ReplayWorkload
 
     requests = list(requests)
     if len(requests) == 1:
         return [execute_request(requests[0])]
     first = requests[0]
-    data = None
-    if first.trace_path:
-        try:
-            data = tracestore.read_npt(first.trace_path)
-        except (tracestore.TraceFormatError, OSError):
-            data = None
-    if data is None:
-        store = tracestore.get_default_trace_store()
-        _, data = store.ensure_spec(
-            first.workload.descriptor(), first.workload.build, first.max_windows
-        )
+    data = _replay_data(first)
     try:
         machines = [
             Machine(
-                workload=tracestore.ReplayWorkload(data),
+                workload=ReplayWorkload(data),
                 policy=req.policy.build(),
                 config=req.config if req.config is not None else MachineConfig(),
                 ratio=req.ratio,
@@ -353,40 +336,21 @@ def run_requests(
     store: Optional[ResultStore] = None,
     use_cache: bool = True,
 ) -> ExperimentResult:
-    """Execute a request list through the cache + process pool."""
-    requests = list(requests)
-    store = store if store is not None else get_default_store()
+    """Execute a request list through the campaign driver, no retries.
 
-    unique: List[RunRequest] = []
-    seen: Dict[str, RunRequest] = {}
-    for req in requests:
-        if req.key not in seen:
-            seen[req.key] = req
-            unique.append(req)
+    A request that fails does not stop the sweep: every other request
+    still runs and is stored, and then :class:`RequestExecutionError`
+    names the failures.
+    """
+    from repro.exp.service import CampaignDriver, RequestExecutionError
 
-    results: Dict[str, RunResult] = {}
-    misses: List[RunRequest] = []
-    for req in unique:
-        cached = store.get(req.key) if use_cache else None
-        if cached is not None:
-            results[req.key] = cached
-        else:
-            misses.append(req)
-
-    _prepare_replay(misses)
-    # Multi-run fast path: seed/ratio siblings of one (workload, policy)
-    # collapse into lockstep groups; each member still fans back out as
-    # its own result and cache entry.
-    units = group_requests(misses)
-    for unit, result in zip(units, parallel.execute_units(units, jobs=jobs)):
-        members = unit if isinstance(unit, list) else [unit]
-        run_results = result if isinstance(unit, list) else [result]
-        for req, run in zip(members, run_results):
-            results[req.key] = run
-            if use_cache:
-                store.put(req.key, run, fingerprint=req.fingerprint())
-
-    return ExperimentResult(requests, results)
+    with CampaignDriver(jobs=jobs, store=store, use_cache=use_cache, retries=0) as driver:
+        result = driver.run(requests)
+    if result.failed:
+        raise RequestExecutionError(
+            "; ".join(f"request {rec.display} failed: {rec.error}" for rec in result.failed)
+        )
+    return result
 
 
 def run_experiment(

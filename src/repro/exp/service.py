@@ -1,55 +1,52 @@
-"""Fleet-scale campaign service: persistent workers, streaming driver.
+"""Campaign service: the one executor of experiment grids.
 
-``run_requests`` fans each sweep out over a fresh ``ProcessPoolExecutor``
--- fine for one figure, wasteful for a campaign of many specs (pool
-spin-up per sweep, chunked ``pool.map`` with all-or-nothing error
-semantics, one JSON file per result).  This module is the campaign-scale
-path the ROADMAP's "simulator as a backend" story runs on:
+Every grid -- a figure bench, ``repro bench|sweep|compare|campaign``,
+``analysis.*`` -- runs through :class:`CampaignDriver`;
+``run_requests``/``run_experiment`` are the driver with no retries.
 
-* :class:`WorkerPool` spawns workers **once per campaign** and feeds
+* :class:`WorkerPool` spawns workers **once per driver** and feeds
   them one request at a time over per-worker pipes.  Workers replay
   ``.npt`` traces memory-mapped from the shared trace store, so a
-  thousand runs over one workload touch one page-cache-warm copy.
-* :class:`CampaignDriver` streams any number of request lists (or
-  whole :class:`ExperimentSpec` grids) through one pool.  Every request
-  carries per-request failure isolation: a worker exception, crash, or
-  hang loses *that request* -- recorded in a failure ledger with the
-  request's display identity -- never the campaign.  Failed requests
-  are retried (fresh worker, same request) up to ``retries`` times.
-* Results stream into any :class:`~repro.exp.cache.ResultStore`;
-  campaigns default to the SQLite backend
-  (:class:`~repro.exp.store.SqliteResultStore`) whose batched commits
-  absorb 100k-run write rates.
+  thousand runs over one workload touch one page-cache-warm copy.  With
+  ``jobs <= 1`` the driver runs every request in-process instead, under
+  the same failure semantics.
+* Every request carries per-request failure isolation: a worker
+  exception, crash, or hang loses *that request* -- recorded in a
+  failure ledger with the request's display identity -- never the
+  campaign.  Failed requests are retried (fresh worker, same request)
+  up to ``retries`` times.
+* Results stream into a :class:`~repro.exp.cache.ResultStore`: the
+  in-process layer, or :class:`~repro.exp.store.SqliteResultStore`
+  on disk, whose batched commits absorb 100k-run write rates.
 * Progress is published into a :class:`~repro.obs.MetricsRegistry`
   (queue depth, in-flight count, per-worker utilisation, cache hit
   rate, trace re-record count) that front ends poll for live display.
 
-Results are bit-identical to serial ``run_requests`` on the same
-request list: workers run the exact ``execute_request`` path, and the
-driver performs the same dedup + cache + replay-preparation steps.
+Results are bit-identical serial or pooled: each request carries its
+own seed and full configuration, and workers run the same
+``execute_request`` path as the in-process loop.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.exp import parallel
+from repro.exp import runner
 from repro.exp.cache import ResultStore, get_default_store
-from repro.exp.runner import (
-    ExperimentResult,
-    RequestUnit,
-    _prepare_replay,
-    execute_request,
-    execute_request_group,
-    group_requests,
-)
+from repro.exp.runner import ExperimentResult, RequestUnit, _prepare_replay
 from repro.exp.spec import ExperimentSpec, RunRequest
 from repro.obs import MetricsRegistry
 from repro.sim.metrics import RunResult
+
+#: Environment variable supplying the default worker count.
+JOBS_ENV = "REPRO_JOBS"
 
 #: Default per-request retry budget (a retry runs on a fresh worker).
 DEFAULT_RETRIES = 1
@@ -60,10 +57,36 @@ DEFAULT_PROGRESS_INTERVAL = 2.0
 #: Event-loop poll granularity (seconds).
 _TICK = 0.1
 
+#: Seconds an idle worker waits for work before checking for a dead driver.
+_ORPHAN_CHECK = 1.0
+
 #: Failure kinds recorded in the ledger.
 FAILURE_EXCEPTION = "exception"  # the request raised inside a worker
 FAILURE_CRASH = "crash"          # the worker process died mid-request
 FAILURE_TIMEOUT = "timeout"      # the request exceeded the deadline
+
+
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """Effective worker count: explicit arg, else ``REPRO_JOBS``, else 1."""
+    if jobs is None:
+        try:
+            jobs = int(os.environ.get(JOBS_ENV, "1"))
+        except ValueError:
+            jobs = 1
+    if jobs <= 0:  # 0 = "all cores", mirroring make -j conventions
+        jobs = os.cpu_count() or 1
+    return jobs
+
+
+class RequestExecutionError(RuntimeError):
+    """A request failed for good; the message names which one.
+
+    ``run_requests`` raises it once every other request has finished
+    and been stored, so a failure inside a many-thousand-run sweep costs
+    that request alone and identifies it.  The message carries the
+    original exception's type and text (it may have been raised in a
+    worker process).
+    """
 
 
 def _unit_key(unit: RequestUnit) -> str:
@@ -77,6 +100,59 @@ def _unit_display(unit: RequestUnit) -> str:
     if isinstance(unit, list):
         return f"group[{len(unit)}] {unit[0].display} ..."
     return unit.display
+
+
+def _execute(unit: RequestUnit):
+    """Run one unit: a request's result, or a group's in member order.
+
+    The executors are looked up on :mod:`repro.exp.runner` at call time,
+    so anything patched there (tests, the sweep benchmark's tracer) is
+    what runs.
+    """
+    if isinstance(unit, list):
+        return runner.execute_request_group(unit)
+    return runner.execute_request(unit)
+
+
+def _error_text(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+#: Offender identities already warned about in this process; repeated
+#: sweeps over the same lambda-factory workload warn once, not once per
+#: request.
+_WARNED_UNPICKLABLE: set = set()
+
+
+def _offender_key(unit: RequestUnit) -> str:
+    """Identity of an un-picklable unit's *type* of offence.
+
+    The culprit is almost always the workload factory (a lambda or
+    closure), so key on its qualified name: a sweep expanding one
+    factory into hundreds of requests is one offence, not hundreds.
+    """
+    request = unit[0] if isinstance(unit, list) else unit
+    factory = request.workload.factory
+    if factory is not None:
+        return f"factory:{getattr(factory, '__qualname__', repr(factory))}"
+    return f"type:{type(request).__qualname__}"
+
+
+def reset_unpicklable_warnings() -> None:
+    """Forget which offenders were warned about (test isolation)."""
+    _WARNED_UNPICKLABLE.clear()
+
+
+def _warn_unpicklable(unit: RequestUnit) -> None:
+    key = _offender_key(unit)
+    if key not in _WARNED_UNPICKLABLE:
+        _WARNED_UNPICKLABLE.add(key)
+        warnings.warn(
+            f"request {_unit_display(unit)} is not picklable (lambda/closure "
+            f"workload factory?); running it in-process",
+            RuntimeWarning,
+            stacklevel=4,
+        )
 
 
 @dataclass
@@ -144,7 +220,7 @@ class CampaignResult(ExperimentResult):
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(conn, worker_index: int) -> None:
+def _worker_main(conn, driver_pid: int) -> None:
     """Long-lived worker loop: recv request, execute, send result.
 
     The per-result payload carries the worker-local trace-store record
@@ -164,22 +240,24 @@ def _worker_main(conn, worker_index: int) -> None:
 
     while True:
         try:
+            # A driver killed with SIGKILL closes nothing this worker
+            # would see: the worker itself, and every sibling forked
+            # after it, hold copies of the driver's pipe end.  So an idle
+            # worker checks now and then whether it has been orphaned.
+            if not conn.poll(_ORPHAN_CHECK):
+                if os.getppid() != driver_pid:
+                    break
+                continue
             item = conn.recv()
         except (EOFError, OSError):
             break
         if item is None:
             break
-        task_key, request = item
+        task_key, unit = item
         try:
-            # A list is a multi-run unit: one lockstep simulation whose
-            # payload is the members' results in member order.
-            if isinstance(request, list):
-                result = execute_request_group(request)
-            else:
-                result = execute_request(request)
-            payload = (task_key, True, result, records_delta())
+            payload = (task_key, True, _execute(unit), records_delta())
         except BaseException as exc:  # noqa: BLE001 - isolate *any* failure
-            payload = (task_key, False, f"{type(exc).__name__}: {exc}", records_delta())
+            payload = (task_key, False, _error_text(exc), records_delta())
         try:
             conn.send(payload)
         except (BrokenPipeError, OSError):
@@ -188,7 +266,7 @@ def _worker_main(conn, worker_index: int) -> None:
             try:
                 conn.send(
                     (task_key, False,
-                     f"result not sendable: {type(exc).__name__}: {exc}",
+                     f"result not sendable: {_error_text(exc)}",
                      records_delta())
                 )
             except Exception:
@@ -211,7 +289,7 @@ class _Worker:
         self.index = index
         self.process = process
         self.conn = conn
-        self.task: Optional[RunRequest] = None
+        self.task: Optional[RequestUnit] = None
         self.busy_since = 0.0
         self.completed = 0
         self.busy_seconds = 0.0
@@ -231,14 +309,18 @@ class _Worker:
 class WorkerPool:
     """A fixed-size pool of persistent request-executing processes.
 
-    Workers are spawned once (fork-preferred, exactly as
-    :mod:`repro.exp.parallel`) and survive across requests and across
+    Workers are spawned once and survive across requests and across
     driver runs; a crashed or killed worker is respawned transparently.
+    The fork start method is preferred so factory-form workload specs
+    defined in bench modules unpickle in workers.
     """
 
-    def __init__(self, jobs: Optional[int] = None, context=None):
-        self.jobs = max(1, parallel.resolve_jobs(jobs))
-        self._ctx = context if context is not None else parallel._mp_context()
+    def __init__(self, jobs: Optional[int] = None):
+        self.jobs = max(1, resolve_jobs(jobs))
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+        #: Respawns and worker-side trace re-records since the driver
+        #: last collected them (it does so at the end of every run).
         self.respawns = 0
         self.worker_re_records = 0
         self._next_index = 0
@@ -250,7 +332,7 @@ class WorkerPool:
         self._next_index += 1
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
-            target=_worker_main, args=(child_conn, index), daemon=True,
+            target=_worker_main, args=(child_conn, os.getpid()), daemon=True,
             name=f"repro-campaign-worker-{index}",
         )
         process.start()
@@ -319,14 +401,15 @@ class CampaignDriver:
 
     One driver serves a whole campaign: call :meth:`run` (or
     :meth:`run_specs`) as many times as the campaign has phases; the
-    pool spins up on first use and is reused until :meth:`close`.
+    pool spins up on first use and is reused until :meth:`close`.  With
+    ``jobs <= 1`` no pool is spawned and requests run in-process.
 
-    Failure semantics, per request: an exception inside the worker, a
-    worker crash, or a timeout records a :class:`FailureRecord` and --
-    while attempts remain -- requeues the request (crashes and timeouts
-    get a fresh worker; the dead one is respawned).  A request that
-    exhausts ``retries`` is a *final* failure: it is absent from the
-    result mapping (lookups raise ``KeyError``) and listed in
+    Failure semantics, per request: an exception, a worker crash, or a
+    timeout records a :class:`FailureRecord` and -- while attempts
+    remain -- requeues the request (crashes and timeouts get a fresh
+    worker; the dead one is respawned).  A request that exhausts
+    ``retries`` is a *final* failure: it is absent from the result
+    mapping (lookups raise ``KeyError``) and listed in
     ``CampaignResult.failed``.  Nothing a single request does can lose
     any other request's result.
     """
@@ -341,9 +424,8 @@ class CampaignDriver:
         registry: Optional[MetricsRegistry] = None,
         progress: Optional[Callable[[Dict[str, float]], None]] = None,
         progress_interval: float = DEFAULT_PROGRESS_INTERVAL,
-        pool: Optional[WorkerPool] = None,
     ):
-        self.jobs = max(1, parallel.resolve_jobs(jobs))
+        self.jobs = max(1, resolve_jobs(jobs))
         self.store = store
         self.use_cache = use_cache
         self.retries = max(0, int(retries))
@@ -351,10 +433,10 @@ class CampaignDriver:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.progress = progress
         self.progress_interval = progress_interval
-        self._pool = pool
+        self._pool: Optional[WorkerPool] = None
         self._started = time.monotonic()
-        #: Seconds the serial path spent inside ``_run_unit``: its one
-        #: in-process "worker" (``campaign/worker0/utilisation``).
+        #: Seconds the in-process loop spent executing units: its one
+        #: "worker" (``campaign/worker0/utilisation``).
         self._serial_busy = 0.0
 
     # -- pool lifecycle ------------------------------------------------------
@@ -389,6 +471,7 @@ class CampaignDriver:
         return self.run(requests)
 
     def run(self, requests: Sequence[RunRequest]) -> CampaignResult:
+        """Dedup, serve cache hits, execute the misses, store every result."""
         from repro.workloads import tracestore
 
         t0 = time.monotonic()
@@ -396,20 +479,18 @@ class CampaignDriver:
         store = self.store if self.store is not None else get_default_store()
         stats = CampaignStats(total_requests=len(requests))
 
-        unique: List[RunRequest] = []
-        seen: Dict[str, RunRequest] = {}
+        # Duplicate requests (shared baselines) collapse onto the first.
+        unique: Dict[str, RunRequest] = {}
         for req in requests:
-            if req.key not in seen:
-                seen[req.key] = req
-                unique.append(req)
+            unique.setdefault(req.key, req)
         stats.unique_requests = len(unique)
 
         results: Dict[str, RunResult] = {}
         misses: List[RunRequest] = []
-        for req in unique:
-            cached = store.get(req.key) if self.use_cache else None
+        for key, req in unique.items():
+            cached = store.get(key) if self.use_cache else None
             if cached is not None:
-                results[req.key] = cached
+                results[key] = cached
             else:
                 misses.append(req)
         stats.cache_hits = len(unique) - len(misses)
@@ -426,68 +507,64 @@ class CampaignDriver:
             # lockstep groups (one simulation each); a failed group is
             # retried as independent single requests, so grouping never
             # costs failure isolation.
-            units = group_requests(misses)
+            units = runner.group_requests(misses)
             if self.jobs <= 1:
                 self._run_serial(units, results, store, ledger, stats)
             else:
                 self._run_pooled(units, results, store, ledger, stats)
-
-        flush = getattr(store, "flush", None)
-        if callable(flush):
-            flush()
+        store.flush()
 
         stats.re_records = trace_store.records - records_at_execution
-        if self._pool is not None:
-            stats.re_records += self._pool.worker_re_records
-            self._pool.worker_re_records = 0
-            stats.respawns = self._pool.respawns
+        pool = self._pool
+        if pool is not None:
+            stats.re_records += pool.worker_re_records
+            stats.respawns = pool.respawns
+            pool.worker_re_records = pool.respawns = 0
         stats.failures = len(ledger)
         stats.failed_requests = sum(1 for rec in ledger if rec.final)
         stats.elapsed_seconds = time.monotonic() - t0
         self._publish(0, 0, results, stats, force=True)
         return CampaignResult(requests, results, ledger, stats)
 
-    # -- serial path (jobs=1): same semantics, no processes ------------------
+    def _fail(self, unit, kind, error, attempts, pending, ledger, stats) -> None:
+        """Record one failed attempt; requeue the unit while attempts remain.
+
+        ``attempts`` counts each unit's failed attempts so far in this
+        run.  A group failure is never final: its members requeue as
+        independent singles with their own attempt budgets.
+        """
+        ukey = _unit_key(unit)
+        attempt = attempts[ukey] = attempts.get(ukey, 0) + 1
+        group = isinstance(unit, list)
+        final = not group and attempt > self.retries
+        ledger.append(
+            FailureRecord(
+                key=ukey, display=_unit_display(unit), kind=kind,
+                error=error, attempt=attempt, final=final,
+            )
+        )
+        if not final:
+            stats.retries += 1
+            pending.extend(unit if group else [unit])
+
+    # -- in-process path (jobs <= 1) -----------------------------------------
 
     def _run_serial(self, units, results, store, ledger, stats) -> None:
         pending = deque(units)
         attempts: Dict[str, int] = {}
         while pending:
             unit = pending.popleft()
-            ukey = _unit_key(unit)
-            attempt = attempts.get(ukey, 0) + 1
-            attempts[ukey] = attempt
             t0 = time.monotonic()
             try:
-                result = parallel._run_unit(unit)
+                payload = _execute(unit)
             except Exception as exc:
-                if isinstance(unit, list):
-                    # A group failure is never final: its members requeue
-                    # as independent singles with their own attempts.
-                    ledger.append(
-                        FailureRecord(
-                            key=ukey, display=_unit_display(unit),
-                            kind=FAILURE_EXCEPTION, error=str(exc),
-                            attempt=attempt, final=False,
-                        )
-                    )
-                    stats.retries += 1
-                    pending.extend(unit)
-                    continue
-                final = attempt > self.retries
-                ledger.append(
-                    FailureRecord(
-                        key=ukey, display=unit.display, kind=FAILURE_EXCEPTION,
-                        error=str(exc), attempt=attempt, final=final,
-                    )
+                self._fail(
+                    unit, FAILURE_EXCEPTION, _error_text(exc), attempts, pending, ledger, stats
                 )
-                if not final:
-                    stats.retries += 1
-                    pending.append(unit)
                 continue
             finally:
                 self._serial_busy += time.monotonic() - t0
-            self._complete_unit(unit, result, results, store, stats)
+            self._complete_unit(unit, payload, results, store, stats)
             self._publish(len(pending), 0, results, stats)
 
     # -- pooled path ---------------------------------------------------------
@@ -498,37 +575,17 @@ class CampaignDriver:
         attempts: Dict[str, int] = {}
         in_flight: Dict[int, RequestUnit] = {}  # worker index -> unit
 
-        def fail(worker, unit, kind, error, requeue_ok=True):
-            ukey = _unit_key(unit)
-            attempt = attempts[ukey]
-            if isinstance(unit, list):
-                # A group failure is never final: its members requeue as
-                # independent singles with their own attempt budgets.
-                ledger.append(
-                    FailureRecord(
-                        key=ukey, display=_unit_display(unit), kind=kind,
-                        error=error, attempt=attempt, final=False,
-                    )
-                )
-                stats.retries += 1
-                pending.extend(unit)
-                return
-            final = attempt > self.retries or not requeue_ok
-            ledger.append(
-                FailureRecord(
-                    key=ukey, display=unit.display, kind=kind,
-                    error=error, attempt=attempt, final=final,
-                )
-            )
-            if not final:
-                stats.retries += 1
-                pending.append(unit)
+        def fail(unit, kind, error):
+            self._fail(unit, kind, error, attempts, pending, ledger, stats)
 
         def release(worker, now):
             worker.busy_seconds += now - worker.busy_since
             worker.completed += 1
             in_flight.pop(worker.index, None)
             worker.task = None
+
+        def crashed(worker):
+            return f"worker died mid-request (exit code {worker.process.exitcode})"
 
         while pending or in_flight:
             now = time.monotonic()
@@ -537,27 +594,24 @@ class CampaignDriver:
                 if worker.busy or not pending:
                     continue
                 unit = pending.popleft()
-                ukey = _unit_key(unit)
-                attempts[ukey] = attempts.get(ukey, 0) + 1
                 try:
-                    worker.conn.send((ukey, unit))
+                    worker.conn.send((_unit_key(unit), unit))
                 except (BrokenPipeError, OSError):
                     # Worker died between requests; replace and requeue
                     # without charging the unit an attempt.
-                    attempts[ukey] -= 1
                     pending.appendleft(unit)
                     pool.respawn(worker)
                     continue
                 except Exception:
-                    # Unpicklable request (lambda factory): run it here,
-                    # in-process, exactly like parallel's serial fallback.
-                    parallel._warn_unpicklable([unit])
+                    # Unpicklable request (lambda factory): it cannot
+                    # cross the pipe, so run it here, in-process.
+                    _warn_unpicklable(unit)
                     try:
-                        result = parallel._run_unit(unit)
+                        payload = _execute(unit)
                     except Exception as exc:
-                        fail(worker, unit, FAILURE_EXCEPTION, str(exc))
+                        fail(unit, FAILURE_EXCEPTION, _error_text(exc))
                     else:
-                        self._complete_unit(unit, result, results, store, stats)
+                        self._complete_unit(unit, payload, results, store, stats)
                     continue
                 worker.task = unit
                 worker.busy_since = now
@@ -575,16 +629,14 @@ class CampaignDriver:
                 except (EOFError, OSError):
                     release(worker, now)
                     pool.respawn(worker)
-                    fail(worker, unit, FAILURE_CRASH,
-                         f"worker died mid-request (exit code "
-                         f"{worker.process.exitcode})")
+                    fail(unit, FAILURE_CRASH, crashed(worker))
                     continue
                 pool.note_records(worker, records)
                 release(worker, now)
                 if ok:
                     self._complete_unit(unit, payload, results, store, stats)
                 else:
-                    fail(worker, unit, FAILURE_EXCEPTION, payload)
+                    fail(unit, FAILURE_EXCEPTION, payload)
 
             # 3. Liveness + deadline sweep over the still-busy workers.
             for worker in list(pool.workers):
@@ -594,35 +646,29 @@ class CampaignDriver:
                 if not worker.process.is_alive():
                     release(worker, now)
                     pool.respawn(worker)
-                    fail(worker, unit, FAILURE_CRASH,
-                         f"worker died mid-request (exit code "
-                         f"{worker.process.exitcode})")
+                    fail(unit, FAILURE_CRASH, crashed(worker))
                 elif (
                     self.timeout is not None
                     and now - worker.busy_since > self.timeout
                 ):
                     release(worker, now)
                     pool.respawn(worker)
-                    fail(worker, unit, FAILURE_TIMEOUT,
+                    fail(unit, FAILURE_TIMEOUT,
                          f"no result within {self.timeout:.1f}s; worker killed")
 
             self._publish(len(pending), len(in_flight), results, stats)
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _complete(self, req, result, results, store, stats) -> None:
-        results[req.key] = result
-        stats.executed += 1
-        if self.use_cache:
-            store.put(req.key, result, fingerprint=req.fingerprint())
-
-    def _complete_unit(self, unit, result, results, store, stats) -> None:
+    def _complete_unit(self, unit, payload, results, store, stats) -> None:
         """Fan a unit's payload out: every member gets its own entry."""
-        if isinstance(unit, list):
-            for req, run in zip(unit, result):
-                self._complete(req, run, results, store, stats)
-        else:
-            self._complete(unit, result, results, store, stats)
+        members, runs = (unit, payload) if isinstance(unit, list) else ([unit], [payload])
+        for req, run in zip(members, runs):
+            key = req.key
+            results[key] = run
+            stats.executed += 1
+            if self.use_cache:
+                store.put(key, run, fingerprint=req.fingerprint())
 
     _last_publish = 0.0
 
@@ -687,6 +733,8 @@ __all__ = [
     "FAILURE_EXCEPTION",
     "FAILURE_TIMEOUT",
     "FailureRecord",
+    "RequestExecutionError",
     "WorkerPool",
+    "resolve_jobs",
     "run_campaign",
 ]

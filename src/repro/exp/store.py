@@ -1,26 +1,17 @@
-"""SQLite-backed result store for campaign-scale sweeps.
+"""The on-disk result store: one SQLite database per cache directory.
 
-The JSON-directory :class:`~repro.exp.cache.ResultStore` is fine for
-hundreds of results, but a 100k-run campaign turns one-file-per-hash
-into a filesystem stress test: every lookup is an ``open``+``parse``,
-every put a ``mkstemp``+``rename``, and a directory listing becomes
-unusable.  :class:`SqliteResultStore` keeps the exact ``ResultStore``
-contract (and its in-process memory layer) but persists into a single
-SQLite database:
+:class:`SqliteResultStore` keeps the :class:`~repro.exp.cache.ResultStore`
+contract (and its in-process memory layer) and persists into
+``<directory>/results.sqlite``:
 
 * **WAL mode** so campaign writers and readers (e.g. a live dashboard
   or a second campaign over the same store) never block each other,
 * **batched commits** -- puts accumulate in an in-memory pending batch
-  and are flushed every ``batch_size`` puts (and on ``flush``/``close``
-  /interpreter exit), amortising fsync cost across the campaign,
-* **read-compatibility** with existing JSON caches: a store pointed at
-  a directory that already holds ``<hash>.json`` entries serves them as
-  disk hits and migrates them into the database on first touch, so
-  switching backends never re-simulates what a previous bench computed.
+  and are committed every ``batch_size`` puts, on ``flush``/``close``,
+  and at interpreter exit, amortising fsync cost across the campaign.
 
-Results are stored as the same versioned JSON documents the directory
-backend writes; stale-version and corrupt rows are deleted on detection
-exactly as :meth:`ResultStore._load` unlinks bad files.
+Each row holds one versioned result document; stale-version and corrupt
+rows are deleted on detection, so a bad row is parsed at most once.
 """
 
 from __future__ import annotations
@@ -30,7 +21,7 @@ import os
 import sqlite3
 import weakref
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exp.cache import (
     CACHE_VERSION,
@@ -40,7 +31,7 @@ from repro.exp.cache import (
 )
 from repro.sim.metrics import RunResult
 
-#: Default database filename inside a cache directory.
+#: Database filename inside a cache directory.
 DB_FILENAME = "results.sqlite"
 
 #: Puts buffered before an automatic commit.
@@ -57,31 +48,21 @@ CREATE TABLE IF NOT EXISTS results (
 
 
 class SqliteResultStore(ResultStore):
-    """Content-addressed result store over one SQLite database.
+    """Content-addressed result store over ``<directory>/results.sqlite``.
 
-    ``directory`` keeps its :class:`ResultStore` meaning -- the cache
-    directory -- and doubles as the home of ``results.sqlite`` plus any
-    legacy ``<hash>.json`` entries, which remain readable.  Workers in
-    a campaign never touch the database: all puts happen in the driver
-    process, so SQLite's single-writer model is never contended from
-    within one campaign.
+    Workers in a campaign never touch the database: all puts happen in
+    the driver process, so SQLite's single-writer model is never
+    contended from within one campaign.
     """
 
-    def __init__(
-        self,
-        directory: os.PathLike,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        db_filename: str = DB_FILENAME,
-    ):
-        super().__init__(directory)
-        if self.directory is None:
-            raise ValueError("SqliteResultStore needs a directory")
+    def __init__(self, directory: os.PathLike, batch_size: int = DEFAULT_BATCH_SIZE):
+        super().__init__()
+        self.directory = Path(directory)
         self.batch_size = max(1, int(batch_size))
-        self.db_path = self.directory / db_filename
+        self.db_path = self.directory / DB_FILENAME
         self.directory.mkdir(parents=True, exist_ok=True)
         self._pending: List[Tuple[str, int, Optional[str], str]] = []
         self.commits = 0
-        self.json_migrations = 0
         self._conn: Optional[sqlite3.Connection] = sqlite3.connect(
             str(self.db_path), timeout=30.0
         )
@@ -92,50 +73,40 @@ class SqliteResultStore(ResultStore):
         # Forked sweep workers inherit the connection object but must
         # never use it; remember who opened it so we can tell.
         self._owner_pid = os.getpid()
-        weakref.finalize(self, _finalize_connection, self._conn, self._owner_pid)
+        # A store nobody closes still commits its last batch: at
+        # collection or interpreter exit, in the opening process only.
+        self._finalizer = weakref.finalize(
+            self, _commit_and_close, self._conn, self._pending, self._owner_pid
+        )
 
     # -- persistence hooks ---------------------------------------------------
 
     def _load(self, key: str) -> Optional[RunResult]:
         conn = self._usable_conn()
-        if conn is not None:
-            row = conn.execute(
-                "SELECT version, result FROM results WHERE key = ?", (key,)
-            ).fetchone()
-            if row is not None:
-                version, blob = row
-                doc: Any = None
-                try:
-                    doc = json.loads(blob)
-                except (TypeError, json.JSONDecodeError):
-                    pass
-                if version == CACHE_VERSION and isinstance(doc, dict):
-                    try:
-                        return result_from_dict(doc)
-                    except (AttributeError, KeyError, TypeError, ValueError):
-                        pass
-                # Stale-version or corrupt row: delete on detection so it
-                # is never parsed again (mirrors ResultStore._discard).
-                conn.execute("DELETE FROM results WHERE key = ?", (key,))
-                conn.commit()
-        # Legacy JSON-directory entry?  Serve it, and migrate it into
-        # the database so the next cold process finds it with one query.
-        result = super()._load(key)
-        if result is not None and conn is not None:
-            self._enqueue(key, result, fingerprint=None)
-            self.json_migrations += 1
-        return result
+        if conn is None:
+            return None
+        row = conn.execute(
+            "SELECT version, result FROM results WHERE key = ?", (key,)
+        ).fetchone()
+        if row is None:
+            return None
+        version, blob = row
+        if version == CACHE_VERSION:
+            try:
+                return result_from_dict(json.loads(blob))
+            except (AttributeError, KeyError, TypeError, ValueError):
+                pass  # torn, foreign or wrong-shape document
+        # Stale-version or corrupt row: delete on detection so it is
+        # never parsed again.
+        conn.execute("DELETE FROM results WHERE key = ?", (key,))
+        conn.commit()
+        return None
 
     def _publish(
         self, key: str, result: RunResult, fingerprint: Optional[dict]
     ) -> None:
         if self._usable_conn() is None:
             return
-        self._enqueue(key, result, fingerprint)
-
-    def _enqueue(
-        self, key: str, result: RunResult, fingerprint: Optional[dict]
-    ) -> None:
         # Serialisation errors must surface (and leave no partial row):
         # dumps happens before the row joins the batch.
         blob = json.dumps(result_to_dict(result))
@@ -149,16 +120,9 @@ class SqliteResultStore(ResultStore):
     def flush(self) -> None:
         """Commit the pending batch (no-op when empty)."""
         conn = self._usable_conn()
-        if conn is None or not self._pending:
-            self._pending.clear()
-            return
-        conn.executemany(
-            "INSERT OR REPLACE INTO results (key, version, fingerprint, result) "
-            "VALUES (?, ?, ?, ?)",
-            self._pending,
-        )
-        conn.commit()
-        self.commits += 1
+        if conn is not None and self._pending:
+            _commit(conn, self._pending)
+            self.commits += 1
         self._pending.clear()
 
     def close(self) -> None:
@@ -168,15 +132,8 @@ class SqliteResultStore(ResultStore):
         try:
             self.flush()
         finally:
-            if os.getpid() == self._owner_pid:
-                self._conn.close()
+            self._finalizer()  # closes the connection in the owner process
             self._conn = None
-
-    def __enter__(self) -> "SqliteResultStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _usable_conn(self) -> Optional[sqlite3.Connection]:
         """The connection, unless closed or inherited across a fork."""
@@ -187,7 +144,7 @@ class SqliteResultStore(ResultStore):
     # -- maintenance ---------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop both layers: memory, the table, and legacy JSON files."""
+        """Drop both layers: memory and every stored row."""
         self._pending.clear()
         conn = self._usable_conn()
         if conn is not None:
@@ -196,7 +153,7 @@ class SqliteResultStore(ResultStore):
         super().clear()
 
     def count(self) -> int:
-        """Stored rows, pending batch included (legacy JSON files aren't)."""
+        """Stored rows, pending batch included."""
         conn = self._usable_conn()
         if conn is None:
             return 0
@@ -206,33 +163,29 @@ class SqliteResultStore(ResultStore):
     def stats(self) -> Dict[str, int]:
         s = super().stats()
         s["commits"] = self.commits
-        s["json_migrations"] = self.json_migrations
         return s
 
     def summary(self) -> str:
-        s = self.stats()
-        return (
-            f"cache [sqlite:{self.db_path}]: {s['memory_hits']} memory hits, "
-            f"{s['disk_hits']} disk hits, {s['misses']} misses, "
-            f"{s['puts']} stored in {s['commits']} commits"
-        )
+        return self._summary(f"sqlite:{self.db_path}") + f" in {self.commits} commits"
 
 
-def _finalize_connection(conn: sqlite3.Connection, owner_pid: int) -> None:
+def _commit(conn: sqlite3.Connection, rows) -> None:
+    conn.executemany(
+        "INSERT OR REPLACE INTO results (key, version, fingerprint, result) "
+        "VALUES (?, ?, ?, ?)",
+        rows,
+    )
+    conn.commit()
+
+
+def _commit_and_close(conn: sqlite3.Connection, pending: list, owner_pid: int) -> None:
+    """Commit rows still pending, then close (the store's finalizer)."""
     if os.getpid() != owner_pid:
-        return  # never close a connection inherited through fork
+        return  # a forked copy: the batch and connection are the parent's
     try:
+        if pending:
+            _commit(conn, pending)
+            pending.clear()
         conn.close()
     except sqlite3.Error:  # pragma: no cover - interpreter-exit best effort
         pass
-
-
-def open_store(
-    directory: os.PathLike, backend: str = "json", batch_size: int = DEFAULT_BATCH_SIZE
-) -> ResultStore:
-    """A result store over ``directory`` with the named backend."""
-    if backend == "sqlite":
-        return SqliteResultStore(directory, batch_size=batch_size)
-    if backend == "json":
-        return ResultStore(directory)
-    raise ValueError(f"unknown result-store backend {backend!r}")

@@ -3,9 +3,11 @@
 Covers the contracts the benches and CLI rely on:
 
 * the same declared grid executed twice performs zero simulations the
-  second time, even from a *fresh* store instance reading the same disk
-  directory (the cross-process bench scenario);
+  second time, even from a *fresh* store instance reading the same
+  SQLite database (the cross-process bench scenario);
 * parallel execution is bit-identical to serial execution;
+* a failing request costs only itself: the rest of the sweep runs and
+  is stored before ``RequestExecutionError`` names it;
 * any MachineConfig change invalidates cached entries;
 * cache keys cover the window budget and the contender's full parameter
   set (regression: the old engine-local key omitted both);
@@ -25,7 +27,9 @@ from repro.exp.cache import (
     reset_default_store,
 )
 from repro.exp.runner import run_experiment, run_requests
+from repro.exp.service import RequestExecutionError, reset_unpicklable_warnings
 from repro.exp.spec import ExperimentSpec, PolicySpec, RunRequest, WorkloadSpec
+from repro.exp.store import SqliteResultStore
 from repro.sim.config import MachineConfig
 from repro.sim.engine import ideal_baseline, slow_only_run
 from repro.sim.machine import Machine
@@ -87,7 +91,7 @@ class TestCaching:
     def test_second_run_recomputes_nothing(self, tmp_path, count_runs):
         spec = small_grid()
         try:
-            first_store = set_default_store(ResultStore(tmp_path / "cache"))
+            first_store = set_default_store(SqliteResultStore(tmp_path / "cache"))
             first = run_experiment(spec)
             n_unique = len({r.key for r in spec.expand()})
             assert len(count_runs) == n_unique
@@ -95,7 +99,7 @@ class TestCaching:
 
             # Fresh store over the same directory: what a second bench
             # process sees.  Zero new simulations.
-            second_store = set_default_store(ResultStore(tmp_path / "cache"))
+            second_store = set_default_store(SqliteResultStore(tmp_path / "cache"))
             count_runs.clear()
             second = run_experiment(spec)
             assert len(count_runs) == 0
@@ -227,12 +231,12 @@ class TestParallel:
     def test_parallel_fills_shared_disk_cache(self, tmp_path):
         spec = small_grid()
         try:
-            store = set_default_store(ResultStore(tmp_path / "cache"))
+            store = set_default_store(SqliteResultStore(tmp_path / "cache"))
             run_experiment(spec, jobs=2)
             n_unique = len({r.key for r in spec.expand()})
             assert store.puts == n_unique
             # A later serial run over the same directory is all hits.
-            second = set_default_store(ResultStore(tmp_path / "cache"))
+            second = set_default_store(SqliteResultStore(tmp_path / "cache"))
             run_experiment(spec, jobs=1)
             assert second.misses == 0
         finally:
@@ -255,9 +259,16 @@ class TestFindSemantics:
         assert one.ratio == "1:2"
 
 
-def failing_factory():
-    """Module-level factory (picklable) that always fails to build."""
-    raise ValueError("boom at build")
+class DoomedWorkload(TinyWorkload):
+    """Builds (so it fingerprints) but fails once simulation starts."""
+
+    def _emit(self, budget, rng):
+        raise ValueError("boom in run")
+
+
+def doomed_factory():
+    """Module-level (hence picklable) factory of a failing workload."""
+    return DoomedWorkload(total_misses=60_000, misses_per_window=30_000)
 
 
 def fake_result(**overrides):
@@ -273,63 +284,59 @@ def fake_result(**overrides):
 
 
 class TestCacheFailurePaths:
-    """Corrupt, partial, and stale cache files are misses, not crashes.
+    """Corrupt, partial, and stale stored rows are misses, not crashes.
 
-    Each bad file is also unlinked on detection, so it is parsed once
+    Each bad row is also deleted on detection, so it is parsed once
     rather than on every lookup for the rest of the campaign.
     """
 
-    def test_valid_json_missing_result_key_is_miss_and_unlinked(self, tmp_path):
-        import json
-
+    @staticmethod
+    def _store_with_row(tmp_path, key, blob, version=None):
         from repro.exp.cache import CACHE_VERSION
 
-        store = ResultStore(tmp_path)
-        path = tmp_path / "deadbeef.json"
-        path.write_text(json.dumps({"version": CACHE_VERSION, "fingerprint": None}))
-        assert store.get("deadbeef") is None  # a miss, not a KeyError
-        assert not path.exists()
+        store = SqliteResultStore(tmp_path)
+        store._conn.execute(
+            "INSERT INTO results (key, version, fingerprint, result) VALUES (?, ?, ?, ?)",
+            (key, CACHE_VERSION if version is None else version, None, blob),
+        )
+        store._conn.commit()
+        return store
 
-    def test_stale_version_file_is_miss_and_unlinked(self, tmp_path):
+    def test_result_missing_keys_is_miss_and_deleted(self, tmp_path):
+        import json
+
+        store = self._store_with_row(tmp_path, "deadbeef", json.dumps({"workload": "w"}))
+        assert store.get("deadbeef") is None  # a miss, not a KeyError
+        assert store.count() == 0
+
+    def test_stale_version_row_is_miss_and_deleted(self, tmp_path):
         import json
 
         from repro.exp.cache import CACHE_VERSION, result_to_dict
 
-        store = ResultStore(tmp_path)
-        path = tmp_path / "cafe.json"
-        path.write_text(
-            json.dumps(
-                {"version": CACHE_VERSION - 1, "result": result_to_dict(fake_result())}
-            )
+        store = self._store_with_row(
+            tmp_path, "cafe", json.dumps(result_to_dict(fake_result())),
+            version=CACHE_VERSION - 1,
         )
         assert store.get("cafe") is None
-        assert not path.exists()
+        assert store.count() == 0
 
-    def test_corrupt_json_is_miss_and_unlinked(self, tmp_path):
-        store = ResultStore(tmp_path)
-        path = tmp_path / "f00d.json"
-        path.write_text('{"version": 2, "result": {tru')  # torn write
+    def test_corrupt_json_is_miss_and_deleted(self, tmp_path):
+        store = self._store_with_row(tmp_path, "f00d", '{"workload": "w", "pol')  # torn
         assert store.get("f00d") is None
-        assert not path.exists()
+        assert store.count() == 0
 
-    def test_result_field_of_wrong_shape_is_miss_and_unlinked(self, tmp_path):
-        import json
-
-        from repro.exp.cache import CACHE_VERSION
-
-        store = ResultStore(tmp_path)
-        path = tmp_path / "0ddb.json"
-        path.write_text(json.dumps({"version": CACHE_VERSION, "result": [1, 2, 3]}))
+    def test_result_of_wrong_shape_is_miss_and_deleted(self, tmp_path):
+        store = self._store_with_row(tmp_path, "0ddb", "[1, 2, 3]")
         assert store.get("0ddb") is None
-        assert not path.exists()
+        assert store.count() == 0
 
-    def test_unserialisable_put_surfaces_and_leaves_no_tmp(self, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_unserialisable_put_surfaces_and_leaves_no_row(self, tmp_path):
+        store = SqliteResultStore(tmp_path)
         bad = fake_result(workload_metrics={"x": object()})
         with pytest.raises(TypeError):
             store.put("bad", bad)
-        assert list(tmp_path.glob("*.tmp")) == []
-        assert not (tmp_path / "bad.json").exists()
+        assert store.count() == 0
         # The memory layer still serves it within this process.
         assert store.get("bad") is bad
 
@@ -345,7 +352,7 @@ class TestVanishedTraceFallback:
     def test_deleted_npt_re_records(self, tmp_path):
         import os
 
-        from repro.exp.runner import _prepare_replay, _replay_workload
+        from repro.exp.runner import _prepare_replay, _replay_data
         from repro.workloads import tracestore
 
         try:
@@ -361,14 +368,14 @@ class TestVanishedTraceFallback:
             fresh = tracestore.set_default_trace_store(
                 tracestore.TraceStore(tmp_path / "traces")
             )
-            replayed = _replay_workload(req, req.workload.build())
-            assert isinstance(replayed, tracestore.ReplayWorkload)
+            data = _replay_data(req)
+            assert data.num_windows > 0
             assert fresh.records == 1
         finally:
             tracestore.reset_default_trace_store()
 
     def test_read_error_falls_back_to_store(self, tmp_path, monkeypatch):
-        from repro.exp.runner import _replay_workload
+        from repro.exp.runner import _replay_data
         from repro.workloads import tracestore
 
         def denied(path):
@@ -379,8 +386,8 @@ class TestVanishedTraceFallback:
             store = tracestore.set_default_trace_store(tracestore.TraceStore())
             req = self._request()
             req.trace_path = str(tmp_path / "unreadable.npt")
-            replayed = _replay_workload(req, req.workload.build())
-            assert isinstance(replayed, tracestore.ReplayWorkload)
+            data = _replay_data(req)
+            assert data.num_windows > 0
             assert store.records == 1
         finally:
             tracestore.reset_default_trace_store()
@@ -391,31 +398,40 @@ class TestWorkerFailureIdentity:
 
     def _doomed(self):
         return RunRequest(
-            workload=WorkloadSpec.from_factory(failing_factory, label="doomed"),
+            workload=WorkloadSpec.from_factory(doomed_factory, label="doomed"),
             policy=PolicySpec("NoTier"),
             replay=False,
         )
 
-    def test_serial_failure_names_request(self):
-        from repro.exp import parallel
+    def test_serial_failure_names_request(self, isolated_store):
+        with pytest.raises(RequestExecutionError, match="doomed/NoTier"):
+            run_requests([self._doomed()], jobs=1)
 
-        with pytest.raises(parallel.RequestExecutionError, match="doomed/NoTier"):
-            parallel.execute_many([self._doomed()], jobs=1)
-
-    def test_pool_failure_names_request(self):
-        from repro.exp import parallel
-
+    def test_pool_failure_names_request(self, isolated_store):
         ok = RunRequest(
             workload=tiny_spec(), policy=PolicySpec("NoTier"), replay=False
         )
-        with pytest.raises(parallel.RequestExecutionError) as excinfo:
-            parallel.execute_many([ok, self._doomed()], jobs=2)
+        with pytest.raises(RequestExecutionError) as excinfo:
+            run_requests([ok, self._doomed()], jobs=2)
         assert "doomed" in str(excinfo.value)
         assert "ValueError" in str(excinfo.value)  # original type rides along
 
-    def test_unpicklable_requests_fall_back_serially(self):
-        from repro.exp import parallel
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_keeps_every_healthy_result(self, tmp_path, jobs):
+        # One doomed request in a sweep: the rest still runs, and is
+        # stored before the error names the failure.
+        requests = small_grid().expand() + [self._doomed()]
+        store = SqliteResultStore(tmp_path)
+        with pytest.raises(RequestExecutionError, match="doomed/NoTier") as excinfo:
+            run_requests(requests, jobs=jobs, store=store)
+        assert "tiny" not in str(excinfo.value)
+        fresh = SqliteResultStore(tmp_path)
+        healthy = {req.key for req in requests[:-1]}
+        assert fresh.count() == len(healthy)
+        assert all(fresh.get(key) is not None for key in healthy)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unpicklable_requests_run(self, isolated_store, jobs):
         lam = WorkloadSpec.from_factory(
             lambda: TinyWorkload(total_misses=60_000, misses_per_window=30_000),
             label="lam",
@@ -426,8 +442,11 @@ class TestWorkerFailureIdentity:
                 workload=lam, policy=PolicySpec("NoTier"), ratio="1:2", replay=False
             ),
         ]
-        parallel.reset_unpicklable_warnings()
-        with pytest.warns(RuntimeWarning, match="lam"):
-            results = parallel.execute_many(reqs, jobs=2)
-        assert len(results) == 2
-        assert all(r.runtime_cycles > 0 for r in results)
+        reset_unpicklable_warnings()
+        if jobs > 1:
+            # The pool cannot ship a lambda: those requests run in-process.
+            with pytest.warns(RuntimeWarning, match="lam"):
+                result = run_requests(reqs, jobs=jobs)
+        else:
+            result = run_requests(reqs, jobs=jobs)
+        assert all(result[req].runtime_cycles > 0 for req in reqs)

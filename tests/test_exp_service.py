@@ -3,9 +3,10 @@
 The contracts the 10k-run campaign story rests on:
 
 * a campaign through the worker-pool service is bit-identical to serial
-  ``run_requests`` on the same request list, for both store backends;
-* the SQLite store round-trips results exactly, batches commits, reads
-  legacy JSON-directory entries, and discards stale-version rows;
+  ``run_requests`` on the same request list, and both share one store;
+* the SQLite store round-trips results exactly, batches commits,
+  commits its last batch at interpreter exit even when nobody closes
+  it, and discards stale-version rows;
 * a worker exception, crash, or hang loses only the affected request:
   the failure ledger names it, a retry completes it, and every other
   request's result is unaffected;
@@ -17,6 +18,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
 from functools import partial
 from pathlib import Path
@@ -39,7 +43,7 @@ from repro.exp.service import (
     run_campaign,
 )
 from repro.exp.spec import ExperimentSpec, PolicySpec, RunRequest, WorkloadSpec
-from repro.exp.store import SqliteResultStore, open_store
+from repro.exp.store import SqliteResultStore
 from repro.sim.metrics import RunResult
 from repro.workloads import tracestore
 
@@ -101,6 +105,13 @@ def isolated_stores():
     tracestore.reset_default_trace_store()
 
 
+def _src_env() -> dict:
+    """Environment for a child interpreter that imports this checkout."""
+    import repro
+
+    return dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+
+
 def fake_result(**overrides) -> RunResult:
     base = dict(
         workload="w", policy="p", ratio="1:1", runtime_cycles=10.0, windows=2,
@@ -138,17 +149,26 @@ class TestSqliteStore:
         store.close()
         assert SqliteResultStore(tmp_path).get("k") is not None
 
-    def test_reads_legacy_json_entries(self, tmp_path):
-        ResultStore(tmp_path).put("legacy", fake_result(windows=7))
-        store = SqliteResultStore(tmp_path)
-        got = store.get("legacy")
-        assert got is not None and got.windows == 7
-        assert store.json_migrations == 1
-        store.flush()
-        # Migrated: a fresh store finds it in the table even after the
-        # JSON file disappears.
-        (tmp_path / "legacy.json").unlink()
-        assert SqliteResultStore(tmp_path).get("legacy") is not None
+    def test_pending_batch_committed_at_interpreter_exit(self, tmp_path):
+        # Stores nobody closes (the bench fixture's, the REPRO_CACHE_DIR
+        # default store) must not lose their last batch at exit.
+        code = (
+            "import sys\n"
+            "from repro.exp.store import SqliteResultStore\n"
+            "from repro.sim.metrics import RunResult\n"
+            "store = SqliteResultStore(sys.argv[1], batch_size=100)\n"
+            "store.put('k', RunResult(workload='w', policy='p', ratio='1:1',\n"
+            "    runtime_cycles=10.0, windows=2, promoted=1, demoted=0,\n"
+            "    migration_cost_cycles=1.0, total_stall_cycles=2.0,\n"
+            "    total_misses=100.0, tier_misses={}))\n"
+            "assert store.commits == 0\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], env=_src_env(), check=True, timeout=60
+        )
+        reopened = SqliteResultStore(tmp_path)
+        assert reopened.count() == 1
+        assert result_to_dict(reopened.get("k")) == result_to_dict(fake_result())
 
     def test_stale_version_row_deleted_on_detection(self, tmp_path):
         store = SqliteResultStore(tmp_path)
@@ -166,14 +186,6 @@ class TestSqliteStore:
             store.put("bad", fake_result(workload_metrics={"x": object()}))
         store.flush()
         assert store.count() == 0
-
-    def test_open_store_backends(self, tmp_path):
-        assert isinstance(open_store(tmp_path, "sqlite"), SqliteResultStore)
-        json_store = open_store(tmp_path, "json")
-        assert isinstance(json_store, ResultStore)
-        assert not isinstance(json_store, SqliteResultStore)
-        with pytest.raises(ValueError):
-            open_store(tmp_path, "parquet")
 
 
 # ---------------------------------------------------------------------------
@@ -209,38 +221,10 @@ class TestCampaignEquivalence:
         # the process boundary.
         assert campaign.stats.re_records == 0
 
-    def test_sqlite_and_json_stores_equivalent_on_replayed_sweep(self, tmp_path):
+    def test_campaign_serves_run_requests_results(self, tmp_path, isolated_stores):
+        # Figures (run_requests) and campaigns share one on-disk store.
         spec = small_grid()
-        requests = spec.expand()
-        try:
-            tracestore.set_default_trace_store(
-                tracestore.TraceStore(tmp_path / "traces")
-            )
-            json_store = ResultStore(tmp_path / "json-cache")
-            via_json = run_campaign(requests, jobs=1, store=json_store)
-
-            sqlite_store = SqliteResultStore(tmp_path / "sqlite-cache")
-            via_sqlite = run_campaign(requests, jobs=1, store=sqlite_store)
-            sqlite_store.flush()
-
-            # Both campaigns replayed the same recorded stream...
-            assert via_json.stats.re_records == 0
-            assert via_sqlite.stats.re_records == 0
-            assert via_sqlite.stats.warmup_records == 0  # stream shared
-            # ...and a fresh store over either backend serves identical
-            # results with zero simulations.
-            reread = SqliteResultStore(tmp_path / "sqlite-cache")
-            for req in requests:
-                a = result_to_dict(via_json[req])
-                assert a == result_to_dict(via_sqlite[req])
-                assert a == result_to_dict(reread.get(req.key))
-        finally:
-            tracestore.reset_default_trace_store()
-
-    def test_campaign_serves_existing_json_cache(self, tmp_path, isolated_stores):
-        spec = small_grid()
-        json_store = ResultStore(tmp_path / "cache")
-        run_requests(spec.expand(), jobs=1, store=json_store)
+        run_requests(spec.expand(), jobs=1, store=SqliteResultStore(tmp_path / "cache"))
 
         sqlite_store = SqliteResultStore(tmp_path / "cache")
         campaign = run_campaign(spec.expand(), jobs=2, store=sqlite_store)
@@ -335,6 +319,18 @@ class TestFailureIsolation:
         for req in requests[:-1]:
             assert campaign[req].runtime_cycles > 0
 
+    def test_respawns_counted_per_run(self, tmp_path, isolated_stores):
+        # A clean run after one that respawned a crashed worker reports
+        # no respawns of its own, like every other per-run stat.
+        requests = self._grid(misbehaving_spec("crash", tmp_path / "crashed.flag", "crashy"))
+        with CampaignDriver(jobs=2, retries=1, use_cache=False) as driver:
+            first = driver.run(requests)
+            second = driver.run(requests[:-1])
+        assert first.ok and first.stats.respawns >= 1
+        assert second.ok and second.stats.failures == 0
+        assert second.stats.executed == len(requests) - 1
+        assert second.stats.respawns == 0
+
     def test_hung_worker_killed_on_timeout(self, tmp_path, isolated_stores):
         requests = self._grid(misbehaving_spec("hang", tmp_path / "hung.flag", "hangy"))
         campaign = run_campaign(requests, jobs=2, retries=0, timeout=2.0)
@@ -368,3 +364,38 @@ class TestFailureIsolation:
         assert len(campaign.ledger) == 1
         assert campaign.ledger[0].kind == FAILURE_EXCEPTION
         assert "flaky" in campaign.ledger[0].display
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not exited, not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, IndexError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process state from /proc")
+def test_workers_exit_when_the_driver_is_killed():
+    # A campaign killed with SIGKILL closes nothing; its idle workers
+    # must still notice and exit instead of waiting forever.
+    code = (
+        "import time\n"
+        "from repro.exp.service import WorkerPool\n"
+        "pool = WorkerPool(jobs=2)\n"
+        "print(' '.join(str(w.process.pid) for w in pool.workers), flush=True)\n"
+        "time.sleep(120)\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", code], env=_src_env(), stdout=subprocess.PIPE, text=True
+    ) as driver:
+        workers = [int(pid) for pid in driver.stdout.readline().split()]
+        driver.kill()
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and any(map(_running, workers)):
+        time.sleep(0.05)
+    orphans = [pid for pid in workers if _running(pid)]
+    for pid in orphans:
+        os.kill(pid, signal.SIGKILL)
+    assert len(workers) == 2 and not orphans

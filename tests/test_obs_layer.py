@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.core.pact import PactPolicy
@@ -22,6 +21,7 @@ from repro.exp.cache import ResultStore, result_from_dict, result_to_dict
 from repro.exp.runner import run_requests
 from repro.exp.report import metrics_table
 from repro.exp.spec import RunRequest, WorkloadSpec
+from repro.exp.store import SqliteResultStore
 from repro.hw.access import WindowTraffic
 from repro.mem.page import Tier
 from repro.obs import (
@@ -402,9 +402,9 @@ class TestExpTelemetry:
 
     def test_telemetry_survives_disk_cache(self, tmp_path):
         requests = _obs_requests()
-        first = run_requests(requests, store=ResultStore(tmp_path / "cache"))
-        # A fresh store instance reading the same directory: pure disk hit.
-        store = ResultStore(tmp_path / "cache")
+        first = run_requests(requests, store=SqliteResultStore(tmp_path / "cache"))
+        # A fresh store instance reading the same database: pure disk hit.
+        store = SqliteResultStore(tmp_path / "cache")
         second = run_requests(requests, store=store)
         assert store.disk_hits == len(requests)
         for req in requests:

@@ -5,7 +5,7 @@ Covers the ``.npt`` on-disk format (round-trip, corruption handling),
 :class:`TraceStore` (dedup, disk persistence, corrupt-file recovery),
 the batched ``Workload.next_windows`` contract, runner integration
 (replay on/off produce identical results and cache keys), and the
-once-per-offender un-picklable warning in ``execute_many``.
+once-per-offender un-picklable warning of pooled sweeps.
 """
 
 from __future__ import annotations
@@ -452,25 +452,40 @@ class TestUnpicklableWarning:
             for policy in ("PACT", "NoTier")
         ]
 
+    def _sweep(self, jobs):
+        from repro.exp.cache import ResultStore
+        from repro.exp.runner import run_requests
+
+        run_requests(self._lambda_requests(), jobs=jobs, store=ResultStore(), use_cache=False)
+
     def test_warns_once_per_offending_factory(self):
-        from repro.exp.parallel import execute_many, reset_unpicklable_warnings
+        from repro.exp.service import reset_unpicklable_warnings
 
         reset_unpicklable_warnings()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            execute_many(self._lambda_requests(), jobs=2)
-            execute_many(self._lambda_requests(), jobs=2)
+            self._sweep(jobs=2)
+            self._sweep(jobs=2)
         relevant = [w for w in caught if "not picklable" in str(w.message)]
         assert len(relevant) == 1
 
     def test_reset_allows_warning_again(self):
-        from repro.exp.parallel import execute_many, reset_unpicklable_warnings
+        from repro.exp.service import reset_unpicklable_warnings
 
         reset_unpicklable_warnings()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            execute_many(self._lambda_requests(), jobs=2)
+            self._sweep(jobs=2)
             reset_unpicklable_warnings()
-            execute_many(self._lambda_requests(), jobs=2)
+            self._sweep(jobs=2)
         relevant = [w for w in caught if "not picklable" in str(w.message)]
         assert len(relevant) == 2
+
+    def test_in_process_sweep_never_warns(self):
+        from repro.exp.service import reset_unpicklable_warnings
+
+        reset_unpicklable_warnings()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self._sweep(jobs=1)
+        assert not [w for w in caught if "not picklable" in str(w.message)]
