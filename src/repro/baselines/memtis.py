@@ -115,7 +115,7 @@ class MemtisPolicy(TieringPolicy):
             if self._thp:
                 # Decisions are per-2MB unit; a unit consumes 512 pages
                 # of budget.
-                units = np.unique(self._unit_of(candidates))
+                units = sorted_unique(self._unit_of(candidates))
                 unit_budget = max(budget >> HUGE_SHIFT, 1)
                 if units.size > unit_budget:
                     hot = self._hotness[units]

@@ -54,7 +54,8 @@ class NbtPolicy(TieringPolicy):
             return Decision.none()
         scanned = touched[self._rng.random(touched.size) < self.scan_fraction]
         # Two-touch: promote pages that also faulted in the last window.
-        promote = np.intersect1d(scanned, self._faulted_last, assume_unique=False)
+        # Both are masked subsets of a sorted-unique touched set.
+        promote = np.intersect1d(scanned, self._faulted_last, assume_unique=True)
         self._faulted_last = scanned
         limit = max(int(obs.memory.capacity[Tier.FAST] * self.rate_limit_fraction), 1)
         if promote.size > limit:

@@ -56,7 +56,8 @@ class NomadPolicy(TieringPolicy):
 
     def observe(self, obs: Observation) -> Decision:
         touched = obs.touched_slow
-        promote = np.intersect1d(touched, self._touched_last)
+        # Both are masked subsets of a sorted-unique touched set.
+        promote = np.intersect1d(touched, self._touched_last, assume_unique=True)
         self._touched_last = touched
         if promote.size == 0:
             return Decision.none()

@@ -33,6 +33,7 @@ class _ObjectProfiler(TieringPolicy):
 
     name = "soar-profiler"
     synchronous_migration = False
+    needs_touched_pages = False  # reads only PEBS and lower-tier counters
 
     def __init__(self, footprint_pages: int, coefficients: PacModelCoefficients):
         self.page_stalls = np.zeros(footprint_pages, dtype=float)
@@ -108,7 +109,7 @@ class SoarPolicy(TieringPolicy):
         plan = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         if plan.size != workload.footprint_pages:
             missing = np.setdiff1d(
-                np.arange(workload.footprint_pages, dtype=np.int64), plan
+                np.arange(workload.footprint_pages, dtype=np.int64), plan, assume_unique=True
             )
             plan = np.concatenate([plan, missing])
         return plan

@@ -1,14 +1,14 @@
-"""Sort-based set primitives for the window loop's hot paths.
+"""Sort-based set primitives: the only kind of set algebra ``repro`` uses.
 
-numpy's ``np.unique`` routes through a hash table on this numpy
-version; at the window loop's typical sizes (a few hundred to a few
-tens of thousands of int64 page ids) an explicit sort + run-flag pass
-is several times faster while producing the *identical* sorted-unique
-array.  The helpers here are drop-in replacements used by the tracker,
-the PEBS merge, and the migration engine -- every caller relies on the
-output being bit-for-bit what ``np.unique`` would return, which holds
-by construction: a sorted unique sequence of a given multiset is
-unique.
+Since numpy 2.3 a plain ``np.unique`` (and the ``np.*1d`` set operations,
+which call it) hashes; at window-loop sizes that is ~17x slower than one
+sort + run-flag pass, which returns the same array.  So sorted-unique sets
+come from the helpers below; ``np.intersect1d``/``np.setdiff1d``/
+``np.setxor1d`` pass ``assume_unique=True`` where their operands are
+sorted-unique by construction (masked subsets of a ``sorted_unique``
+result, or an ``np.arange``); and ``np.union1d`` is not used.
+``tests/test_set_algebra.py`` checks each rewrite against numpy and fails
+on any call in ``src/repro`` that can take the hash path.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique(values)`` for 1-D integer arrays, via sort + run flags."""
+    """``np.unique(values)`` for integer arrays, via sort + run flags."""
+    values = np.ravel(values)
     if values.size <= 1:
         return values.copy()
     ordered = np.sort(values)

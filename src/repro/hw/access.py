@@ -17,6 +17,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.common.arrays import sorted_unique
+
 
 @dataclass
 class AccessGroup:
@@ -77,4 +79,4 @@ class WindowTraffic:
         """Unique pages accessed this window (feeds the LRU clock)."""
         if not self.groups:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([g.pages[g.counts > 0] for g in self.groups]))
+        return sorted_unique(np.concatenate([g.pages[g.counts > 0] for g in self.groups]))

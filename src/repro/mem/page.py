@@ -12,6 +12,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from repro.common.arrays import sorted_unique
 from repro.common.units import PAGES_PER_HUGE_PAGE
 
 
@@ -77,7 +78,7 @@ def expand_huge_pages(huge_ids: np.ndarray, footprint_pages: int) -> np.ndarray:
     Used by THP-aware migration: when a critical 4KB page is selected and
     THP is enabled, the whole surrounding 2MB region migrates (§5.2).
     """
-    huge_ids = np.unique(np.asarray(huge_ids, dtype=np.int64))
+    huge_ids = sorted_unique(np.asarray(huge_ids, dtype=np.int64))
     base = huge_ids << HUGE_SHIFT
     offsets = np.arange(PAGES_PER_HUGE_PAGE, dtype=np.int64)
     pages = (base[:, None] + offsets[None, :]).ravel()

@@ -421,7 +421,7 @@ class TieredMemory:
             movable = movable[: self._admit_count(dst_i, movable)]
         if movable.size:
             src_place = self.placement[movable]
-            for s in np.unique(src_place):
+            for s in sorted_unique(src_place):
                 s = int(s)
                 sub = movable[src_place == s]
                 self.used[s] -= sub.size

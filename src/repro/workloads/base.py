@@ -175,7 +175,7 @@ class Workload(abc.ABC):
         order = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         if order.size != self.footprint_pages:
             missing = np.setdiff1d(
-                np.arange(self.footprint_pages, dtype=np.int64), order
+                np.arange(self.footprint_pages, dtype=np.int64), order, assume_unique=True
             )
             order = np.concatenate([order, missing])
         return order

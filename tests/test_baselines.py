@@ -15,6 +15,8 @@ from repro.mem.page import Tier
 from repro.sim.config import MachineConfig
 from repro.sim.engine import clear_baseline_cache, ideal_baseline, run_policy
 from repro.sim.machine import Machine
+from repro.workloads import make_workload
+from repro.workloads.tracestore import TraceStore
 
 from conftest import TinyWorkload
 
@@ -185,6 +187,23 @@ class TestSoar:
         # is placed, the tail spills.
         fast = machine.memory.pages_in_tier(Tier.FAST)
         assert fast.max() < workload.footprint_pages // 2
+
+    def test_profiler_builds_no_touched_sets(self, monkeypatch):
+        # The offline profiler reads only PEBS records and the lower-tier
+        # counters, so its machine must skip the per-window touched-page
+        # set once the footprint is allocated.
+        received = []
+        observe = Machine._observe
+
+        def spy(self, pebs_batch, touched, duration):
+            if self.policy.name == "soar-profiler":
+                received.append(touched is not None)
+            return observe(self, pebs_batch, touched, duration)
+
+        monkeypatch.setattr(Machine, "_observe", spy)
+        workload = TraceStore().replay(make_workload("gups", total_misses=2_000_000))
+        run_policy(workload, make_policy("Soar"), ratio="1:4", config=MachineConfig())
+        assert received and not any(received)
 
     def test_measured_run_starts_fresh_after_profiling(self, config):
         workload = TinyWorkload()

@@ -44,6 +44,21 @@ GOLDEN_DIGESTS = {
     ("NoTier", "gups", False, 0): "8c351e95f6c5f2f16f6ffdaf99cb1398e3d5987d5910a8b8b342b5fb0ae499a2",
     ("NoTier", "gups", True, 0): "8c351e95f6c5f2f16f6ffdaf99cb1398e3d5987d5910a8b8b342b5fb0ae499a2",
     ("NoTier", "gups", False, 2): "8409211002a91ba06c6f4dd5157946d432030e1f050b90ac8e5e05ae6915bfe3",
+    # The remaining six policies were pinned later, recorded at commit
+    # 1985920 (before the touched-set build and the NBT/Nomad
+    # intersections moved to sort-based set algebra).
+    ("NBT", "bc-kron", False, 0): "8b59c263fe8b0d3f375dfd986e949daa803af8328987a3feb1fde862f5baec69",
+    ("NBT", "gups", False, 0): "acfe03468f426f36945f860e029f25f5a496c77746ef263f17dc99201c07221c",
+    ("TPP", "bc-kron", False, 0): "352375c8cc8679d4401629856a309d321c1e9a82c66c12a6e3e1c97f261aa4cb",
+    ("TPP", "gups", False, 0): "6cf7311b5cc8a3f1786470d85ea8eaf4984b3dac1db666482fc70f382d02fed8",
+    ("Nomad", "bc-kron", False, 0): "4bbf687c9f489386a51a613503df68c34f7f981e2deb8b7ea3f4669168150a7e",
+    ("Nomad", "gups", False, 0): "314a96aa4d40414011110768b267e3f0d42f80fc3d0f36359ff43078f4980585",
+    ("Colloid", "bc-kron", False, 0): "90f42773da57661375becf4116285fb02fd20fb04749d750e813e70f75619da3",
+    ("Colloid", "gups", False, 0): "880065ccf5b5c433107d868d4fb916a6a90175edf531b83d3cc6b51b43f4aea3",
+    ("Alto", "bc-kron", False, 0): "9f41e99e8054e0867366618257e2d70e51971de909e0082a3c6b95c30c338ef2",
+    ("Alto", "gups", False, 0): "84768a54fd2020d176cdc43988b50972901828c56ac8a2ccf9e09a917455514a",
+    ("Soar", "bc-kron", False, 0): "7d5fdb91f77611ab62898971206216d2ee51a11480fb96f032b1972d4ed29b67",
+    ("Soar", "gups", False, 0): "6eb3d4ef170a481698d2f506e766dcd4e3c526aafe385dedc671a5db5b6ed158",
 }
 
 #: The same matrix under RNG schema 2 (counter-keyed substreams,
