@@ -5,23 +5,14 @@ from repro.hw.cha import ChaTorCounters, TorSnapshot, littles_law_mlp
 from repro.hw.chmu import ChmuSampler
 from repro.hw.pebs import DEFAULT_PEBS_RATE, PebsBatch, PebsSampler
 from repro.hw.perf import PerfCounters, PerfDelta, PerfSnapshot
-from repro.hw.stall import (
-    GroupTierShare,
-    ShareBatch,
-    StallModel,
-    TierLoad,
-    WindowHardware,
-    split_groups_legacy,
-)
+from repro.hw.stall import ShareBatch, StallModel, TierLoad, WindowHardware
 
 __all__ = [
     "AccessGroup",
     "ChaTorCounters",
     "ChmuSampler",
     "DEFAULT_PEBS_RATE",
-    "GroupTierShare",
     "ShareBatch",
-    "split_groups_legacy",
     "PebsBatch",
     "PebsSampler",
     "PerfCounters",

@@ -21,12 +21,12 @@ pipeline downstream is exercised with realistic counter jitter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.common.units import CACHE_LINE_SIZE
-from repro.hw.stall import GroupTierShare, ShareBatch
+from repro.hw.stall import ShareBatch
 from repro.mem.page import Tier, tier_key
 
 #: Default relative standard deviation of counter measurement noise.
@@ -71,9 +71,7 @@ class ChaTorCounters:
     def attach_jitter_stream(self, stream) -> None:
         self._jitter_stream = stream
 
-    def advance(
-        self, shares: Sequence[GroupTierShare], jitter: Optional[np.ndarray] = None
-    ) -> None:
+    def advance(self, batch: ShareBatch, jitter: Optional[np.ndarray] = None) -> None:
         """Account one window's traffic into the cumulative counters.
 
         ``jitter``, when given, supplies the window's multiplicative
@@ -81,26 +79,13 @@ class ChaTorCounters:
         place of this counter's own stream draws -- the schema-2 keyed
         path (:mod:`repro.hw.substream`) computes factors per
         (group, tier) cell and gathers the rows' pairs.
-        """
-        if isinstance(shares, ShareBatch):
-            self._advance_batch(shares, jitter=jitter)
-            return
-        for share in shares:
-            occ = share.misses * _share_latency(share)
-            busy = occ / share.mlp
-            self._occupancy[share.tier] += occ * self._jitter()
-            self._busy[share.tier] += busy * self._jitter()
-
-    def _advance_batch(self, batch: ShareBatch, jitter: Optional[np.ndarray] = None) -> None:
-        """Columnar path: vectorised math and jitter draws, ordered sums.
 
         The elementwise arithmetic and the noise draws are batched (one
-        ``normal`` call covers the per-share scalar draws: numpy's
-        generator consumes its stream identically either way, occ/busy
-        interleaved row-major).  The final accumulation stays a scalar
-        per-share loop in row order: the counters are *cumulative*, so
-        summing a window's contribution first and adding it once would
-        round differently from the legacy one-share-at-a-time adds.
+        ``normal`` call covers the window, occ/busy interleaved
+        row-major).  The final accumulation stays a scalar per-share
+        loop in row order: the counters are *cumulative*, so summing a
+        window's contribution first and adding it once would round
+        differently from one-share-at-a-time adds.
         """
         n = batch.n
         if n == 0:
@@ -131,13 +116,6 @@ class ChaTorCounters:
         """Snapshot the cumulative counters (as perf would read them)."""
         return TorSnapshot(occupancy=dict(self._occupancy), busy_cycles=dict(self._busy))
 
-    def _jitter(self) -> float:
-        if self.noise <= 0.0:
-            return 1.0
-        if self._jitter_stream is not None:
-            return float(self._jitter_stream.take(1)[0])
-        return float(np.exp(self._rng.normal(0.0, self.noise)))
-
 
 def littles_law_mlp(bytes_on_link: float, latency_ns: float, duration_ns: float) -> float:
     """AMD-path MLP estimate: ``MLP ~ latency * bandwidth / 64B`` (§4.2.2).
@@ -151,8 +129,3 @@ def littles_law_mlp(bytes_on_link: float, latency_ns: float, duration_ns: float)
         return 1.0
     lines_per_ns = bytes_on_link / CACHE_LINE_SIZE / duration_ns
     return max(lines_per_ns * latency_ns, 1.0)
-
-
-def _share_latency(share: GroupTierShare) -> float:
-    """Effective per-request latency in cycles for a solved share."""
-    return share.unit_stall_cycles * share.mlp

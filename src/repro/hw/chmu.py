@@ -35,7 +35,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.hw.pebs import PebsBatch
-from repro.hw.stall import GroupTierShare, ShareBatch
+from repro.hw.stall import ShareBatch
 from repro.mem.page import Tier
 
 #: Cycles to drain the hotlist at an epoch boundary (MMIO reads).
@@ -68,7 +68,7 @@ class ChmuSampler:
         self.rate = 1  # exact counts (PebsBatch-compatible attribute)
 
     def sample(
-        self, shares: Sequence[GroupTierShare], tiers: "tuple[Tier, ...]" = (Tier.SLOW,)
+        self, shares: ShareBatch, tiers: "tuple[Tier, ...]" = (Tier.SLOW,)
     ) -> PebsBatch:
         """Accumulate one window; emit the hotlist at epoch boundaries.
 
@@ -82,20 +82,12 @@ class ChmuSampler:
         # default one-window epochs the drain below consumes them before
         # the scratch is reused, so no copy is needed.
         keep = self.epoch_windows > 1
-        if isinstance(shares, ShareBatch):
-            for i in shares.rows_in_tier(self.tier):
-                pages = shares.pages_of(i)
-                if pages.size:
-                    self._epoch_pages.append(pages.copy() if keep else pages)
-                    counts = shares.counts_of(i)
-                    self._epoch_counts.append(counts.copy() if keep else counts)
-        else:
-            for share in shares:
-                if share.tier != self.tier:
-                    continue
-                if share.pages.size:
-                    self._epoch_pages.append(share.pages.copy() if keep else share.pages)
-                    self._epoch_counts.append(share.counts.copy() if keep else share.counts)
+        for i in shares.rows_in_tier(self.tier):
+            pages = shares.pages_of(i)
+            if pages.size:
+                self._epoch_pages.append(pages.copy() if keep else pages)
+                counts = shares.counts_of(i)
+                self._epoch_counts.append(counts.copy() if keep else counts)
         self._window_in_epoch += 1
         if self._window_in_epoch < self.epoch_windows:
             return PebsBatch.empty(rate=1)

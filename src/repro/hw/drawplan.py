@@ -18,7 +18,7 @@ exploits both:
 * :func:`build_static_batches` pre-splits the *whole run's* recorded
   CSR columns by (window, group, tier) in one vectorised pass and hands
   every window a pre-sliced :class:`~repro.hw.stall.ShareBatch` view --
-  rows in the exact legacy order (per group: tier 0 then tier 1, ...),
+  rows in share order (per group: tier 0 then tier 1, ...),
   so solver, PEBS, CHA, and trace consumers see byte-identical inputs.
   Runs whose consumers read only row columns get *misses-only*
   batches built from the memoised :class:`EntryMetaPlan` instead of a
@@ -118,7 +118,6 @@ def _empty_share_batch(num_tiers: int) -> ShareBatch:
         counts_buf=np.empty(0, dtype=np.int64),
         labels=[],
         unit_stall_cycles=np.empty(0, dtype=np.float64),
-        stall_scratch=np.empty(0, dtype=np.float64),
         num_tiers=num_tiers,
     )
 
@@ -197,7 +196,6 @@ def build_static_batches(
     row_window_ptr = np.searchsorted(row_group, wgp)
     group_labels = [data.labels[int(code)] for code in lab_col]
     unit_all = np.empty(rows.size, dtype=np.float64)
-    stall_all = np.empty(rows.size, dtype=np.float64)
 
     batches: List[Optional[ShareBatch]] = []
     for w in range(num_windows):
@@ -232,7 +230,6 @@ def build_static_batches(
                 counts_buf=counts_buf,
                 labels=[group_labels[int(gi)] for gi in g],
                 unit_stall_cycles=unit_all[r0:r1],
-                stall_scratch=stall_all[r0:r1],
                 num_tiers=T,
             )
         )

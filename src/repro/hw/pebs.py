@@ -14,11 +14,11 @@ overhead -- the trade-off probed by the Figure 10a sensitivity study.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.hw.stall import GroupTierShare, ShareBatch
+from repro.hw.stall import ShareBatch
 from repro.mem.page import Tier
 
 #: Default PEBS sampling rate: one record per 400 qualifying events (§4.3.5).
@@ -89,19 +89,17 @@ class PebsSampler:
         self._advance = bitgen.advance if isinstance(bitgen, np.random.PCG64) else None
 
     def draw(
-        self, shares: Sequence[GroupTierShare], tiers: "tuple[Tier, ...]" = (Tier.SLOW,)
+        self, shares: ShareBatch, tiers: "tuple[Tier, ...]" = (Tier.SLOW,)
     ) -> "tuple[list, list, list]":
         """The RNG stage: thinning draws per share, merge inputs out.
 
         The two binomial draws must stay sequenced per share (the
         record draw thins the load draw's result), so the RNG stream
-        -- and thus every sampled record -- matches the original
-        per-share loop exactly.  A ShareBatch is walked by row over its
-        column views, so the draws see the same count values in the
-        same order without materialising share objects.  ``share_units``
-        (each share's exposed latency per load = effective latency /
-        MLP = unit stall cost) is only collected when latency reporting
-        is on -- nothing else reads it.
+        -- and thus every sampled record -- matches a per-share loop
+        exactly.  The batch is walked by row over its column views.
+        ``share_units`` (each share's exposed latency per load =
+        effective latency / MLP = unit stall cost) is only collected
+        when latency reporting is on -- nothing else reads it.
 
         Stage-1 identity: ``binomial(n, 1.0)`` returns ``n`` after
         consuming exactly one double per nonzero ``n`` (numpy takes the
@@ -191,7 +189,7 @@ class PebsSampler:
         )
 
     def sample(
-        self, shares: Sequence[GroupTierShare], tiers: "tuple[Tier, ...]" = (Tier.SLOW,)
+        self, shares: ShareBatch, tiers: "tuple[Tier, ...]" = (Tier.SLOW,)
     ) -> PebsBatch:
         """Draw one window's PEBS records from the given tier(s).
 
@@ -212,29 +210,17 @@ def _strictly_increasing(pages: np.ndarray) -> bool:
     return bool(np.all(pages[1:] > pages[:-1]))
 
 
-def _tier_share_rows(shares, tiers: "tuple[Tier, ...]"):
+def _tier_share_rows(batch: ShareBatch, tiers: "tuple[Tier, ...]"):
     """Yield ``(pages, counts, load_fraction, unit_stall_cycles)`` for
-    the shares in ``tiers``, in share order, from either a columnar
-    :class:`ShareBatch` (views, no object churn) or a share sequence."""
-    if isinstance(shares, ShareBatch):
-        codes = tuple(int(t) for t in tiers)
-        tier_codes = shares.tier_codes
-        for i in range(shares.n):
-            if int(tier_codes[i]) not in codes:
-                continue
-            yield (
-                shares.pages_of(i),
-                shares.counts_of(i),
-                float(shares.load_fraction[i]),
-                float(shares.unit_stall_cycles[i]),
-            )
-        return
-    for share in shares:
-        if share.tier not in tiers:
+    the shares in ``tiers``, in row order, as column views."""
+    codes = tuple(int(t) for t in tiers)
+    tier_codes = batch.tier_codes
+    for i in range(batch.n):
+        if int(tier_codes[i]) not in codes:
             continue
-        yield share.pages, share.counts, _load_fraction(share), share.unit_stall_cycles
-
-
-def _load_fraction(share: GroupTierShare) -> float:
-    """Fraction of a share's misses that are loads (PEBS-qualifying)."""
-    return share.load_fraction
+        yield (
+            batch.pages_of(i),
+            batch.counts_of(i),
+            float(batch.load_fraction[i]),
+            float(batch.unit_stall_cycles[i]),
+        )

@@ -14,7 +14,7 @@ case).  It owns:
   hierarchy), which is also the paper's NoTier baseline.
 
 Tier accounting is incremental: mutators (``allocate_first_touch``,
-``move``, ``touch``) maintain per-tier resident counts and activity sums
+``apply_moves``, ``touch``) maintain per-tier resident counts and activity sums
 in O(pages changed), and the derived queries (``pages_in_tier``,
 ``mean_activity``, ``resident_fraction``) are served from
 generation-stamped caches instead of rescanning ``placement`` on every
@@ -388,57 +388,19 @@ class TieredMemory:
 
     # -- migration primitives -------------------------------------------------
 
-    def move(
-        self, pages: np.ndarray, dst: Tier, src: Optional[int] = None
-    ) -> np.ndarray:
-        """Move pages to ``dst``, honouring capacity; returns pages moved.
+    def move(self, pages: np.ndarray, dst: Tier, src: Tier) -> np.ndarray:
+        """Move the ``pages`` resident in ``src`` to ``dst``; returns pages moved.
 
-        ``src`` optionally restricts the move to pages currently in that
-        tier (multi-hop migration moves per source tier); by default any
-        allocated page not already in ``dst`` is eligible.  Pages
-        already in ``dst``, unallocated pages, and pages beyond the
-        destination's free capacity are silently skipped (the kernel's
-        ``move_pages()`` likewise partially succeeds).
+        One migration hop, planned on an overlay and committed with
+        :meth:`apply_moves` -- the select/clip arithmetic the migration
+        engine's window plans use.  Pages outside ``src``, pinned pages
+        on a demotion, and pages beyond the destination's free capacity
+        are silently skipped (the kernel's ``move_pages()`` likewise
+        partially succeeds).
         """
-        # Sort-based dedupe: identical array to np.unique, several times
-        # faster at migration batch sizes (see repro.common.arrays).
-        pages = sorted_unique(np.asarray(pages, dtype=np.int64))
-        dst_i = int(dst)
-        place = self.placement[pages]
-        if src is None:
-            movable = pages[(place != dst_i) & (place != UNALLOCATED)]
-        else:
-            movable = pages[place == int(src)]
-        if dst_i != int(Tier.FAST):
-            # Demotions away from the top tier skip pinned pages.
-            movable = movable[~self._pinned[movable]]
-        cost = self._page_frame_cost[dst_i]
-        if cost is None:
-            room = self.capacity[dst_i] - self.used[dst_i]
-            if movable.size > room:
-                movable = movable[:room]
-        else:
-            movable = movable[: self._admit_count(dst_i, movable)]
-        if movable.size:
-            src_place = self.placement[movable]
-            for s in sorted_unique(src_place):
-                s = int(s)
-                sub = movable[src_place == s]
-                self.used[s] -= sub.size
-                self._charge_frames(s, sub, -1.0)
-                if not self._activity_sums_stale:
-                    moved_activity = float(self.activity[sub].sum())
-                    self._activity_sum[s] -= moved_activity
-                    self._activity_sum[dst_i] += moved_activity
-            self.placement[movable] = dst_i
-            self.used[dst_i] += movable.size
-            self._charge_frames(dst_i, movable, +1.0)
-            self._placement_gen += 1
-            self._arrival_counter += 1
-            self.arrival[movable] = self._arrival_counter
-            if self.debug_accounting:
-                self.check_accounting()
-        return movable
+        moved = self.overlay().clip_move(pages, dst, src)
+        self.apply_moves([(moved, src, dst)])
+        return moved
 
     def apply_moves(self, moves: Sequence[Tuple[np.ndarray, int, int]]) -> None:
         """Apply pre-clipped migration hops with one fused scatter.
@@ -446,14 +408,11 @@ class TieredMemory:
         ``moves`` is an ordered sequence of ``(pages, src, dst)`` hops
         in which every page array is sorted, deduped, currently
         resident in ``src``, and already clipped to what ``dst`` can
-        admit -- i.e. exactly the arrays a sequence of :meth:`move`
-        calls would have returned hop by hop.  The planner's
+        admit at that point of the sequence.  The planner's
         :class:`PlacementOverlay` produces such hops by construction.
 
-        Bit-exactness vs. the per-hop path: the float accounting
-        (activity sums, compressed-tier frame charges) runs per hop in
-        the same operation order :meth:`move` used, so every
-        intermediate float is identical; the placement and arrival
+        The float accounting (activity sums, compressed-tier frame
+        charges) runs per hop in hop order; the placement and arrival
         writes -- pure scatters whose final value per page is the last
         hop touching it, exactly as sequential scatters would leave
         them -- are fused into one concatenated store each.
@@ -630,16 +589,16 @@ class TieredMemory:
 class PlacementOverlay:
     """Scratch placement/capacity state for planning a window's migrations.
 
-    The fused migration engine replays the legacy per-hop control flow
-    against this overlay *before* touching the real memory: the overlay
-    copies the placement array and the per-tier used/frame counters, and
-    :meth:`clip_move` reproduces :meth:`TieredMemory.move`'s exact
-    select/clip arithmetic (same dedupe, same pinned filter, same
-    capacity/frame clipping, same float charge order) while mutating
-    only the scratch state.  The hop page arrays it returns are
-    therefore, by construction, exactly what the sequence of real
-    ``move`` calls would have returned -- ready for
-    :meth:`TieredMemory.apply_moves`'s single fused scatter.
+    The migration engine plans a whole window's hops against this
+    overlay *before* touching the real memory: the overlay copies the
+    placement array and the per-tier used/frame counters, and
+    :meth:`clip_move` -- the one implementation of a hop's
+    select/clip arithmetic (dedupe, source filter, pinned filter,
+    capacity/frame clipping) -- mutates only the scratch state.  The
+    hop page arrays it returns are ready for
+    :meth:`TieredMemory.apply_moves`'s single fused scatter;
+    :meth:`TieredMemory.move` is the one-hop case of the same
+    plan-then-apply.
 
     Activity and pinning are read straight from the underlying memory:
     neither changes during migration application, so no copy is needed.
@@ -711,18 +670,19 @@ class PlacementOverlay:
     def clip_move(self, pages: np.ndarray, dst: int, src: int) -> np.ndarray:
         """Select/clip one migration hop and commit it to the overlay.
 
-        Mirrors :meth:`TieredMemory.move` with an explicit ``src`` (the
-        only form the migration engine uses): sorted dedupe, source
-        filter against the planned placement, pinned filter on
-        demotions, then capacity (or exact per-page frame) clipping
-        against the planned occupancy.  Returns the pages the real move
-        would have moved.
+        Sorted dedupe, source filter against the planned placement,
+        pinned filter on demotions, then capacity (or exact per-page
+        frame) clipping against the planned occupancy.  Returns the
+        pages the hop moves.
         """
+        # Sort-based dedupe: identical array to np.unique, several times
+        # faster at migration batch sizes (see repro.common.arrays).
         pages = sorted_unique(np.asarray(pages, dtype=np.int64))
         dst_i = int(dst)
         place = self.placement[pages]
         movable = pages[place == int(src)]
         if dst_i != int(Tier.FAST):
+            # Demotions away from the top tier skip pinned pages.
             movable = movable[~self._memory._pinned[movable]]
         cost = self._memory._page_frame_cost[dst_i]
         if cost is None:

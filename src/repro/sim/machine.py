@@ -29,7 +29,7 @@ from repro.hw import drawplan
 from repro.hw.cha import ChaTorCounters
 from repro.hw.pebs import PebsBatch, PebsSampler
 from repro.hw.perf import PerfCounters
-from repro.hw.stall import ShareBatch, StallModel
+from repro.hw.stall import StallModel
 from repro.obs import Observability, resolve as resolve_obs
 from repro.mem.page import Tier, tier_key
 from repro.mem.tiered import TieredMemory
@@ -224,17 +224,24 @@ class Machine:
         all_pages, all_counts, touched, shares, extra_bytes, extra_cycles = (
             self._prepare_window(traffic)
         )
-        if self._solve_plan is not None and extra_cycles == 0.0 and not extra_bytes:
-            # Static no-PEBS replay: the whole run was solved up front
-            # (extra inputs are provably zero every window -- checked
-            # anyway so a surprise carry-over falls back to a live solve).
-            outcome = self._solve_plan.outcome_for(self._window)
-        else:
+        outcome = self._planned_outcome(extra_bytes, extra_cycles)
+        if outcome is None:
             with self.obs.profile("stall_solve"):
                 outcome = self.stall_model.solve(
                     shares, traffic.compute_cycles, extra_bytes=extra_bytes, extra_cycles=extra_cycles
                 )
         self._finish_window(traffic, all_pages, all_counts, touched, outcome)
+
+    def _planned_outcome(self, extra_bytes, extra_cycles):
+        """This window's pre-solved hardware outcome, or None to solve live.
+
+        Static no-PEBS replay solves the whole run up front: the extra
+        inputs are provably zero every window, and are checked anyway
+        so that a surprise carry-over falls back to a live solve.
+        """
+        if self._solve_plan is not None and extra_cycles == 0.0 and not extra_bytes:
+            return self._solve_plan.outcome_for(self._window)
+        return None
 
     def _prepare_window(self, traffic):
         """Everything before the stall solve: traffic concat, first-touch
@@ -598,15 +605,10 @@ class Machine:
             slow_misses += loads[tier].misses
         label_stalls: Dict[str, float] = {}
         shares = outcome.shares
-        if isinstance(shares, ShareBatch):
-            stalls = shares.misses_f * shares.unit_stall_cycles
-            for i, label in enumerate(shares.labels):
-                prefix = label.split(":", 1)[0] if label else ""
-                label_stalls[prefix] = label_stalls.get(prefix, 0.0) + float(stalls[i])
-        else:
-            for share in shares:
-                prefix = share.label.split(":", 1)[0] if share.label else ""
-                label_stalls[prefix] = label_stalls.get(prefix, 0.0) + share.stall_cycles()
+        stalls = shares.misses_f * shares.unit_stall_cycles
+        for i, label in enumerate(shares.labels):
+            prefix = label.split(":", 1)[0] if label else ""
+            label_stalls[prefix] = label_stalls.get(prefix, 0.0) + float(stalls[i])
         self.obs.recorder.append_window(
             window=self._window,
             duration_cycles=duration,

@@ -15,20 +15,17 @@ hook), and its copy traffic is charged to the two tiers it actually
 touches.  Both modes reduce to the single fast->slow hop on the default
 two-tier pair.
 
-The window hot path is a fused plan/apply split
-(:meth:`MigrationEngine.apply_window`): the plan phase replays the
-per-hop control flow against a :class:`~repro.mem.tiered.PlacementOverlay`
--- one ``tier_of`` gather per order batch, victim selection and capacity
-clipping against the *planned* placement -- and resolves the whole
-window (reclaim, explicit demotions, cascades, promotions) into a single
+A window's decision is applied by one plan/apply split
+(:meth:`MigrationEngine.apply_window`): the plan phase walks reclaim,
+explicit demotions, cascades and promotions against a
+:class:`~repro.mem.tiered.PlacementOverlay` -- one ``tier_of`` gather
+per order batch, victim selection and capacity clipping against the
+*planned* placement -- and resolves the whole window into a single
 :class:`MovePlan`; the apply phase commits the plan with one fused
 placement scatter (:meth:`~repro.mem.tiered.TieredMemory.apply_moves`)
-and then accounts every hop in order.  The per-hop methods
-(:meth:`~MigrationEngine.demote_lru` / :meth:`~MigrationEngine.demote` /
-:meth:`~MigrationEngine.promote`, reachable together through
-:meth:`~MigrationEngine.apply_window_legacy`) stay importable as the
-exactness reference -- the property tests pin the two paths
-bit-identical.
+and then accounts every hop in order.  The property tests compare it
+with a per-hop reference that lives in ``tests/``, and the N-tier
+golden digests pin its cascades.
 """
 
 from __future__ import annotations
@@ -128,18 +125,17 @@ class MovePlan:
     """One window's migrations resolved into ordered, pre-clipped hops.
 
     Each hop is ``(pages, src, dst, promoted)`` with the page array
-    sorted, deduped, and clipped exactly as the corresponding live
-    :meth:`TieredMemory.move` call would have returned it; hop order is
-    the live path's execution order (cascades ahead of the hop that
-    triggered them).
+    sorted, deduped, and clipped to what ``dst`` admits at that point
+    of the window; hop order is execution order (cascades ahead of the
+    hop that triggered them).
 
-    ``program`` mirrors the per-hop path's *outcome merge tree*: a
-    nested list whose leaves are hop indices and whose inner lists are
-    the sub-outcomes (phases, cascade chains) the legacy path summed
-    before merging upward.  Replaying it keeps the float association of
-    ``cost_cycles`` -- the one outcome field whose per-hop terms are
-    inexact -- bit-identical to the reference, where a flat left fold
-    over the hops can drift by an ulp on multi-hop windows.
+    ``program`` is the window's *outcome merge tree*: a nested list
+    whose leaves are hop indices and whose inner lists are the
+    sub-outcomes (phases, cascade chains) summed before merging upward.
+    Replaying it fixes the float association of ``cost_cycles`` -- the
+    one outcome field whose per-hop terms are inexact -- where a flat
+    left fold over the hops can drift by an ulp on multi-hop windows;
+    the N-tier golden digests pin it.
     """
 
     hops: List[Tuple[np.ndarray, int, int, bool]] = field(default_factory=list)
@@ -206,119 +202,6 @@ class MigrationEngine:
             return pages
         return np.asarray(self.admission(src, dst, pages), dtype=np.int64)
 
-    # -- operations -------------------------------------------------------------
-
-    def demote_lru(
-        self, count: int, protect: np.ndarray, victim_mode: str = "cold"
-    ) -> MigrationOutcome:
-        """Demote up to ``count`` reclaim victims from the fast tier.
-
-        ``victim_mode`` selects the reclaim walker (see
-        :class:`repro.sim.policy_api.Decision`): ``"cold"`` only touches
-        genuinely inactive pages, ``"lru_tail"`` takes the coldest pages
-        unconditionally, and ``"fifo"`` walks arrival order -- evicting
-        hot pages and causing refault ping-pong, as simple watermark
-        reclaim does.
-        """
-        if victim_mode not in ("cold", "lru_tail", "fifo"):
-            raise ValueError(f"unknown victim mode {victim_mode!r}")
-        if count <= 0:
-            # Nothing to reclaim: skip the mean-activity threshold and
-            # the victim walk entirely.
-            return MigrationOutcome()
-        max_activity = None
-        if victim_mode == "cold":
-            max_activity = (
-                self.config.cold_activity_fraction * self.memory.mean_activity(Tier.FAST)
-            )
-        victims = self.memory.lru_victims(
-            Tier.FAST,
-            count,
-            protect=protect,
-            max_activity=max_activity,
-            fifo=victim_mode == "fifo",
-        )
-        return self.demote(victims)
-
-    def demote(self, pages: np.ndarray) -> MigrationOutcome:
-        """Demote pages one hop down (or straight to the bottom tier).
-
-        Pages are routed per source tier; a hop into a *full*
-        intermediate tier first cascades that tier's own LRU victims
-        further down to make room (demote-through semantics).
-        """
-        pages = self._expand_thp(np.asarray(pages, dtype=np.int64))
-        outcome = MigrationOutcome()
-        if pages.size == 0:
-            return outcome
-        place = self.memory.tier_of(pages)
-        for src in range(self.num_tiers - 1):
-            sub = pages[place == src]
-            if sub.size == 0:
-                continue
-            dst = self._demote_dst(src)
-            sub = self._admit(src, dst, sub)
-            if sub.size == 0:
-                continue
-            if dst < self.num_tiers - 1:
-                deficit = sub.size - self.memory.free_pages(dst)
-                if deficit > 0:
-                    outcome.merge(self._cascade(dst, deficit, protect=sub))
-            moved = self.memory.move(sub, dst, src=src)
-            outcome.merge(self._account(moved, promoted=False, src=src, dst=dst))
-        return outcome
-
-    def _cascade(self, tier: int, count: int, protect: np.ndarray) -> MigrationOutcome:
-        """Push ``count`` LRU victims out of an intermediate tier.
-
-        Recursion depth is bounded by the tier chain: each level demotes
-        one hop further down, and the bottom tier always has room.
-        """
-        outcome = MigrationOutcome()
-        victims = self.memory.lru_victims(tier, count, protect=protect)
-        if victims.size == 0:
-            return outcome
-        dst = self._demote_dst(tier)
-        victims = self._admit(tier, dst, victims)
-        if victims.size == 0:
-            return outcome
-        if dst < self.num_tiers - 1:
-            deficit = victims.size - self.memory.free_pages(dst)
-            if deficit > 0:
-                outcome.merge(self._cascade(dst, deficit, protect=victims))
-        moved = self.memory.move(victims, dst, src=tier)
-        outcome.merge(self._account(moved, promoted=False, src=tier, dst=dst))
-        return outcome
-
-    def promote(self, pages: np.ndarray, make_room: bool = False) -> MigrationOutcome:
-        """Promote pages to tier 0; optionally demote LRU victims first.
-
-        ``make_room`` models policies that reclaim on-demand (TPP's
-        watermark-based demotion); PACT instead reserves space ahead of
-        time through its eager-demotion rule.  Pages are promoted per
-        source tier, nearest tier first.
-        """
-        pages = self._expand_thp(np.asarray(pages, dtype=np.int64))
-        outcome = MigrationOutcome()
-        if pages.size == 0:
-            return outcome
-        if make_room:
-            deficit = pages.size - self.memory.free_pages(Tier.FAST)
-            if deficit > 0:
-                outcome.merge(self.demote_lru(deficit, protect=pages))
-        place = self.memory.tier_of(pages)
-        top = int(Tier.FAST)
-        for src in range(1, self.num_tiers):
-            sub = pages[place == src]
-            if sub.size == 0:
-                continue
-            sub = self._admit(src, top, sub)
-            if sub.size == 0:
-                continue
-            moved = self.memory.move(sub, Tier.FAST, src=src)
-            outcome.merge(self._account(moved, promoted=True, src=src, dst=top))
-        return outcome
-
     # -- fused window apply ------------------------------------------------------
 
     def apply_window(self, decision) -> MigrationOutcome:
@@ -329,11 +212,8 @@ class MigrationEngine:
         into a :class:`MovePlan` against a placement overlay without
         touching live state; ``migrate_move`` commits the plan with one
         fused scatter; ``migrate_account`` charges costs and counters
-        hop by hop in plan order.  Bit-identical to
-        :meth:`apply_window_legacy` (the per-hop reference): the plan
-        phase replays its exact control flow and clipping arithmetic,
-        and the account phase runs the same float accumulations in the
-        same hop order.
+        hop by hop in plan order.  Promotions pull from every lower
+        tier, nearest first.
         """
         with self._profile("migrate_plan"):
             plan = self.plan_window(decision)
@@ -356,29 +236,6 @@ class MigrationEngine:
             out.merge(self._account_node(child, plan))
         return out
 
-    def apply_window_legacy(self, decision) -> MigrationOutcome:
-        """Per-hop reference implementation of :meth:`apply_window`.
-
-        Applies the decision through the mutate-as-you-go ``demote_lru``
-        / ``demote`` / ``promote`` path (one ``memory.move`` per hop).
-        Kept importable as the exactness oracle for the fused path's
-        property tests, like ``split_groups_legacy`` in the stall model.
-        """
-        total = MigrationOutcome()
-        if decision.demote_lru > 0:
-            total.merge(
-                self.demote_lru(
-                    decision.demote_lru,
-                    protect=decision.promote,
-                    victim_mode=decision.demote_victim_mode,
-                )
-            )
-        if decision.demote.size:
-            total.merge(self.demote(decision.demote))
-        if decision.promote.size:
-            total.merge(self.promote(decision.promote, make_room=False))
-        return total
-
     def plan_window(self, decision) -> MovePlan:
         """Resolve a decision into ordered pre-clipped hops (no mutation).
 
@@ -386,8 +243,7 @@ class MigrationEngine:
         the first order batch (always the LRU reclaim, which is what
         consults activity state) sees exactly the live state, and every
         later batch sees the placement its predecessors will have
-        produced -- the same intermediate states the per-hop path
-        marches through.
+        produced.
         """
         plan = MovePlan()
         overlay = self.memory.overlay()
@@ -420,7 +276,7 @@ class MigrationEngine:
         max_activity = None
         if victim_mode == "cold":
             # Reclaim is planned first, against a pristine overlay, so
-            # the live mean is exactly the mean the per-hop path uses.
+            # the live mean is the mean of the window's starting state.
             max_activity = (
                 self.config.cold_activity_fraction * self.memory.mean_activity(Tier.FAST)
             )
@@ -467,6 +323,11 @@ class MigrationEngine:
         count: int,
         protect: np.ndarray,
     ) -> List:
+        """Push ``count`` LRU victims out of an intermediate tier.
+
+        Recursion depth is bounded by the tier chain: each level demotes
+        one hop further down, and the bottom tier always has room.
+        """
         node: List = []
         victims = overlay.lru_victims(tier, count, protect=protect)
         if victims.size == 0:

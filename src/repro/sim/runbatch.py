@@ -14,6 +14,9 @@ across runs at all.
 each machine's prepare/finish phases (placement, counters, RNG streams,
 policy) exactly as they run solo, but fusing the R per-window stall
 solves into one :meth:`~repro.hw.stall.StallModel.solve_many` call.
+Members whose whole run was pre-solved at construction (static no-PEBS
+replay, :func:`repro.hw.drawplan.plan_window_solves`) take their
+window from that plan, as they do solo, and stay out of the batch.
 Every run's result is **bit-identical** to running its machine alone --
 the property tests assert it -- so multi-run execution is purely an
 execution strategy, invisible to caches and digests.
@@ -79,7 +82,10 @@ class MultiMachine:
                 raise ValueError("all runs must share one tier topology and clock")
 
     def step(self) -> None:
-        """Advance every run by one window (one batched solve)."""
+        """Advance every run by one window.
+
+        Members without a whole-run solve plan share one batched solve.
+        """
         machines = self.machines
         traffics = [m.workload.next_window() for m in machines]
         # One trace drives all runs, so windows are empty together.
@@ -88,12 +94,17 @@ class MultiMachine:
                 m._step_empty_window()
             return
         preps = [m._prepare_window(t) for m, t in zip(machines, traffics)]
-        outcomes = machines[0].stall_model.solve_many(
-            [p[3] for p in preps],
-            [t.compute_cycles for t in traffics],
-            [p[4] for p in preps],
-            [p[5] for p in preps],
-        )
+        outcomes = [m._planned_outcome(p[4], p[5]) for m, p in zip(machines, preps)]
+        live = [r for r, outcome in enumerate(outcomes) if outcome is None]
+        if live:
+            solved = machines[0].stall_model.solve_many(
+                [preps[r][3] for r in live],
+                [traffics[r].compute_cycles for r in live],
+                [preps[r][4] for r in live],
+                [preps[r][5] for r in live],
+            )
+            for r, outcome in zip(live, solved):
+                outcomes[r] = outcome
         for m, traffic, prep, outcome in zip(machines, traffics, preps, outcomes):
             m._finish_window(traffic, prep[0], prep[1], prep[2], outcome)
 

@@ -7,18 +7,20 @@ from repro.baselines import make_policy
 from repro.common.units import CXL_SPEC, DRAM_SPEC
 from repro.core.pact import PactPolicy
 from repro.hw.chmu import ChmuSampler
-from repro.hw.stall import GroupTierShare, StallModel
+from repro.hw.stall import StallModel
 from repro.mem.page import Tier
 from repro.sim.config import MachineConfig
 from repro.sim.engine import clear_baseline_cache, ideal_baseline, run_policy
 from repro.workloads import make_workload
 
+from oracles import Share, make_batch
+
 
 def solved_shares(tier=Tier.SLOW, misses=8_000):
     pages = np.arange(16)
     counts = np.full(16, misses // 16, dtype=np.int64)
-    share = GroupTierShare(0, tier, pages, counts, mlp=4.0)
-    return StallModel(DRAM_SPEC, CXL_SPEC).solve([share], 1e6).shares
+    share = Share(0, tier, pages, counts, mlp=4.0)
+    return StallModel(DRAM_SPEC, CXL_SPEC).solve(make_batch([share]), 1e6).shares
 
 
 class TestChmuSampler:
@@ -45,8 +47,8 @@ class TestChmuSampler:
         chmu = ChmuSampler(footprint_pages=64, hotlist_size=4)
         pages = np.arange(16)
         counts = np.arange(1, 17, dtype=np.int64) * 100
-        share = GroupTierShare(0, Tier.SLOW, pages, counts, mlp=4.0)
-        shares = StallModel(DRAM_SPEC, CXL_SPEC).solve([share], 1e6).shares
+        share = Share(0, Tier.SLOW, pages, counts, mlp=4.0)
+        shares = StallModel(DRAM_SPEC, CXL_SPEC).solve(make_batch([share]), 1e6).shares
         batch = chmu.sample(shares)
         assert batch.pages.size == 4
         # The hotlist keeps the hottest pages.

@@ -137,6 +137,34 @@ GOLDEN_CHMU_DIGEST_SCHEMA2 = "74826f45978e894750e2b0058c63adadf8153d459d133023f0
 GOLDEN_COLOCATION_DIGEST_SCHEMA2 = "af7298151612fc9e08c45918bec6df99a0fcacece78ad1ae8c3a3df4b2f53ca6"
 
 
+#: Three-tier runs on ``dram-cxlz-nvme`` (DRAM -> compressed CXL ->
+#: NVMe) at 1:4:16, keyed by (policy, workload, topology, demotion,
+#: thp).  Recorded at commit 4803497, while the per-hop migration
+#: reference still shipped beside the fused apply.  The two
+#: ``"through"`` runs plan nested cascade nodes in 7-8 of their 8
+#: windows, so these digests pin the cascade path and the float
+#: association of ``cost_cycles`` that ``MovePlan.program`` fixes.
+GOLDEN_NTIER_DIGESTS = {
+    ("PACT", "gups", "dram-cxlz-nvme", "through", False): "439654946c8b34b3b97a4d33daa35383547a8fbf4cfff5e661e97ff15a1184aa",
+    ("TPP", "bc-kron", "dram-cxlz-nvme", "through", False): "45d9ac8fc3654cd9bd42fda28298847d071f06f40b05ea9dd1b4d79c30100ae5",
+    ("PACT", "gups", "dram-cxlz-nvme", "direct", False): "eee5f81599e2c365ffacfd0f2106219cb6f0df369a8b79133d2e4da6e7d3d923",
+    ("Memtis", "silo", "dram-cxlz-nvme", "through", True): "ea92a39ac756c746407c8468ec9bbfff5a1c99ba6b6a6aa2c813cca748cdbbcc",
+}
+
+
+def ntier_digest(policy, workload, topology, demotion, thp, trace_store=None):
+    from repro.mem.topology import make_topology
+
+    config = MachineConfig(thp=thp, topology=make_topology(topology, demotion=demotion))
+    instance = make_workload(workload, total_misses=2_000_000)
+    if trace_store is not None:
+        instance = trace_store.replay(instance)
+    result = run_policy(
+        instance, make_policy(policy), ratio="1:4:16", config=config, seed=0
+    )
+    return content_hash(canonical(result_to_dict(result)))
+
+
 def chmu_digest(trace_store=None, rng_schema=None):
     workload = make_workload("gups", total_misses=2_000_000)
     if trace_store is not None:
@@ -199,6 +227,10 @@ class TestGoldenDigests:
     def test_colocation_traced_bit_identical(self):
         assert colocation_digest() == GOLDEN_COLOCATION_DIGEST
 
+    @pytest.mark.parametrize("key", sorted(GOLDEN_NTIER_DIGESTS), ids=lambda v: str(v))
+    def test_ntier_bit_identical(self, key):
+        assert ntier_digest(*key) == GOLDEN_NTIER_DIGESTS[key]
+
     def test_cache_version_pinned(self):
         # The digests above were recorded against CACHE_VERSION 2; a
         # version bump must come with re-recorded digests (and vice
@@ -248,6 +280,10 @@ class TestGoldenDigestsReplayed:
 
     def test_colocation_traced_replay_bit_identical(self, trace_store):
         assert colocation_digest(trace_store=trace_store) == GOLDEN_COLOCATION_DIGEST
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_NTIER_DIGESTS), ids=lambda v: str(v))
+    def test_ntier_replay_bit_identical(self, key, trace_store):
+        assert ntier_digest(*key, trace_store=trace_store) == GOLDEN_NTIER_DIGESTS[key]
 
     def test_store_records_each_workload_once(self, trace_store):
         # Re-running a scenario must hit the existing recording, not

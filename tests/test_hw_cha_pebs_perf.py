@@ -7,19 +7,21 @@ from repro.common.units import CXL_SPEC, DRAM_SPEC
 from repro.hw.cha import ChaTorCounters, littles_law_mlp
 from repro.hw.pebs import PebsBatch, PebsSampler
 from repro.hw.perf import PerfCounters
-from repro.hw.stall import GroupTierShare, StallModel
+from repro.hw.stall import StallModel
 from repro.mem.page import Tier
+
+from oracles import Share, make_batch
 
 
 def solved_shares(mlp=4.0, misses=40_000, tier=Tier.SLOW, load_fraction=1.0):
     pages = np.arange(64)
     counts = np.full(64, misses // 64, dtype=np.int64)
-    share = GroupTierShare(
+    share = Share(
         group_index=0, tier=tier, pages=pages, counts=counts, mlp=mlp,
         load_fraction=load_fraction,
     )
     model = StallModel(DRAM_SPEC, CXL_SPEC)
-    return model.solve([share], compute_cycles=1e6).shares
+    return model.solve(make_batch([share]), compute_cycles=1e6).shares
 
 
 class TestTorCounters:
@@ -115,7 +117,7 @@ class TestPebs:
         batch = sampler.sample(shares)
         assert batch.latencies is not None
         # Exposed latency = effective latency / MLP = unit stall cost.
-        assert batch.latencies[0] == pytest.approx(shares[0].unit_stall_cycles, rel=1e-6)
+        assert batch.latencies[0] == pytest.approx(shares.unit_stall_cycles[0], rel=1e-6)
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
@@ -124,10 +126,10 @@ class TestPebs:
     def test_merges_duplicate_pages_across_groups(self):
         model = StallModel(DRAM_SPEC, CXL_SPEC)
         pages = np.arange(8)
-        shares = [
-            GroupTierShare(0, Tier.SLOW, pages, np.full(8, 5000, dtype=np.int64), 2.0),
-            GroupTierShare(1, Tier.SLOW, pages, np.full(8, 5000, dtype=np.int64), 8.0),
-        ]
+        shares = make_batch([
+            Share(0, Tier.SLOW, pages, np.full(8, 5000, dtype=np.int64), 2.0),
+            Share(1, Tier.SLOW, pages, np.full(8, 5000, dtype=np.int64), 8.0),
+        ])
         solved = model.solve(shares, 1e6).shares
         batch = PebsSampler(rate=10, rng=np.random.default_rng(0)).sample(solved)
         assert np.unique(batch.pages).size == batch.pages.size
@@ -226,7 +228,7 @@ class TestPebsVectorisedEquivalence:
             pages = rng.choice(footprint, size=size, replace=False)
             counts = rng.integers(0, 2000, size=size)
             shares.append(
-                GroupTierShare(
+                Share(
                     group_index=i,
                     tier=Tier.SLOW if rng.random() < 0.7 else Tier.FAST,
                     pages=np.sort(pages),
@@ -251,7 +253,7 @@ class TestPebsVectorisedEquivalence:
                 loads_only=loads_only,
                 report_latency=report_latency,
             )
-            got = sampler.sample(shares, tiers=tiers)
+            got = sampler.sample(make_batch(shares), tiers=tiers)
             oracle_rng = np.random.default_rng(trial)
             want = _legacy_pebs_sample(
                 oracle_rng, shares, tiers, rate=7,
@@ -271,10 +273,10 @@ class TestPebsVectorisedEquivalence:
             assert sampler._rng.integers(0, 1 << 62) == oracle_rng.integers(0, 1 << 62)
 
     def test_all_zero_counts_yield_empty_batch(self):
-        share = GroupTierShare(
+        share = Share(
             group_index=0, tier=Tier.SLOW, pages=np.arange(10),
             counts=np.zeros(10, dtype=np.int64), mlp=1.0,
         )
-        batch = PebsSampler(rate=4, rng=np.random.default_rng(0)).sample([share])
+        batch = PebsSampler(rate=4, rng=np.random.default_rng(0)).sample(make_batch([share]))
         assert batch.pages.size == 0
         assert batch.overhead_cycles == 0.0

@@ -66,28 +66,28 @@ class TestFirstTouch:
 class TestMove:
     def test_promote_and_demote_roundtrip(self, memory):
         memory.allocate_first_touch(np.arange(256))
-        moved = memory.move(np.array([200, 201]), Tier.FAST)
+        moved = memory.move(np.array([200, 201]), Tier.FAST, Tier.SLOW)
         assert moved.size == 0  # fast tier is full
-        freed = memory.move(np.array([0, 1]), Tier.SLOW)
+        freed = memory.move(np.array([0, 1]), Tier.SLOW, Tier.FAST)
         assert freed.size == 2
-        moved = memory.move(np.array([200, 201]), Tier.FAST)
+        moved = memory.move(np.array([200, 201]), Tier.FAST, Tier.SLOW)
         assert set(moved) == {200, 201}
         assert_placement_consistent(memory)
 
     def test_move_skips_pages_already_there(self, memory):
         memory.allocate_first_touch(np.arange(256))
-        moved = memory.move(np.array([0]), Tier.FAST)  # already fast
+        moved = memory.move(np.array([0]), Tier.FAST, Tier.SLOW)  # already fast
         assert moved.size == 0
 
     def test_move_clips_to_capacity(self, memory):
         memory.allocate_first_touch(np.arange(256))
-        memory.move(np.arange(0, 10), Tier.SLOW)
-        moved = memory.move(np.arange(128, 148), Tier.FAST)
+        memory.move(np.arange(0, 10), Tier.SLOW, Tier.FAST)
+        moved = memory.move(np.arange(128, 148), Tier.FAST, Tier.SLOW)
         assert moved.size == 10
         assert_placement_consistent(memory)
 
     def test_move_ignores_unallocated(self, memory):
-        moved = memory.move(np.array([5]), Tier.FAST)
+        moved = memory.move(np.array([5]), Tier.FAST, Tier.SLOW)
         assert moved.size == 0
 
 
@@ -141,16 +141,16 @@ class TestLruAndActivity:
 class TestPinning:
     def test_pinned_pages_resist_demotion(self, memory):
         memory.allocate_first_touch(np.arange(256))
-        memory.move(np.arange(0, 4), Tier.SLOW)
-        memory.move(np.arange(128, 132), Tier.FAST)
+        memory.move(np.arange(0, 4), Tier.SLOW, Tier.FAST)
+        memory.move(np.arange(128, 132), Tier.FAST, Tier.SLOW)
         memory.pin(np.array([128]))
         # 128 is in FAST; pin prevents demotion of slow copies... move it
         # back to SLOW should be blocked.
-        moved = memory.move(np.array([128, 129]), Tier.SLOW)
+        moved = memory.move(np.array([128, 129]), Tier.SLOW, Tier.FAST)
         assert 128 not in moved
         assert 129 in moved
         memory.unpin(np.array([128]))
-        moved = memory.move(np.array([128]), Tier.SLOW)
+        moved = memory.move(np.array([128]), Tier.SLOW, Tier.FAST)
         assert 128 in moved
 
 
@@ -176,7 +176,8 @@ def test_random_moves_preserve_invariants(ops):
     memory = make_memory()
     memory.allocate_first_touch(np.arange(256))
     for page, to_fast in ops:
-        memory.move(np.array([page]), Tier.FAST if to_fast else Tier.SLOW)
+        src, dst = (Tier.SLOW, Tier.FAST) if to_fast else (Tier.FAST, Tier.SLOW)
+        memory.move(np.array([page]), dst, src)
     assert_placement_consistent(memory)
     # Every page remains allocated exactly once.
     assert (memory.placement != UNALLOCATED).all()
@@ -200,9 +201,9 @@ class TestIncrementalAccounting:
             memory.touch(pages, window, counts=counts)
             memory.allocate_first_touch(rng.integers(0, 256, size=8))
             if window % 3 == 0:
-                memory.move(rng.integers(0, 256, size=16), Tier.FAST)
+                memory.move(rng.integers(0, 256, size=16), Tier.FAST, Tier.SLOW)
             else:
-                memory.move(rng.integers(0, 256, size=16), Tier.SLOW)
+                memory.move(rng.integers(0, 256, size=16), Tier.SLOW, Tier.FAST)
             # check_accounting ran after every mutation (debug mode);
             # also assert the public aggregates against full scans here.
             for tier in (Tier.FAST, Tier.SLOW):
@@ -221,7 +222,7 @@ class TestIncrementalAccounting:
         memory.allocate_first_touch(np.arange(200))
         first = memory.pages_in_tier(Tier.FAST)
         assert memory.pages_in_tier(Tier.FAST) is first  # served from cache
-        memory.move(np.array([0, 1]), Tier.SLOW)
+        memory.move(np.array([0, 1]), Tier.SLOW, Tier.FAST)
         second = memory.pages_in_tier(Tier.FAST)
         assert second is not first
         assert 0 not in second and 1 not in second
@@ -249,7 +250,7 @@ class TestIncrementalAccounting:
         memory.allocate_first_touch(np.arange(200))
         memory.touch(np.arange(200), window=1, counts=np.arange(200).astype(float))
         before = memory.mean_activity(Tier.FAST)
-        memory.move(np.arange(0, 40), Tier.SLOW)
+        memory.move(np.arange(0, 40), Tier.SLOW, Tier.FAST)
         after = memory.mean_activity(Tier.FAST)
         assert after != before
         resident = memory.pages_in_tier(Tier.FAST)

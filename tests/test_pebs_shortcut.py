@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from repro.common.rngutil import keyed_generator, philox_key
 from repro.hw.pebs import PebsSampler
-from repro.hw.stall import GroupTierShare
 from repro.hw.substream import KeyedPebsSampler
 from repro.mem.page import Tier
+
+from oracles import Share, make_batch
 
 #: Above this ``n * p`` numpy's stage-2 binomial switches from the
 #: inversion sampler to BTPE (``p * n > 30`` at ``p = 1/400``).
@@ -90,7 +91,7 @@ row_strategy = st.tuples(counts_strategy, st.sampled_from([1.0, 1.0, 1.0, 0.7, 0
 def test_schema1_shortcut_matches_two_stage_draws(rows, seed, loads_only, rate):
     rows = [(np.asarray(c, dtype=np.int64), lf) for c, lf in rows]
     shares = [
-        GroupTierShare(
+        Share(
             group_index=i, tier=Tier.SLOW, pages=np.arange(c.size, dtype=np.int64),
             counts=c, mlp=4.0, load_fraction=lf,
         )
@@ -98,12 +99,12 @@ def test_schema1_shortcut_matches_two_stage_draws(rows, seed, loads_only, rate):
     ]
     # A fast-tier share in between is skipped, as the sampler only walks
     # the requested tiers.
-    shares.insert(0, GroupTierShare(
+    shares.insert(0, Share(
         group_index=99, tier=Tier.FAST, pages=np.arange(3, dtype=np.int64),
         counts=np.array([5, 0, 9], dtype=np.int64), mlp=1.0, load_fraction=0.5,
     ))
     sampler = PebsSampler(rate=rate, rng=np.random.default_rng(seed), loads_only=loads_only)
-    _, records, _ = sampler.draw(shares, tiers=(Tier.SLOW,))
+    _, records, _ = sampler.draw(make_batch(shares), tiers=(Tier.SLOW,))
     twin = np.random.default_rng(seed)
     expected = reference_draw(twin, rows, rate, loads_only)
     assert len(records) == len(expected)

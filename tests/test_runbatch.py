@@ -27,6 +27,7 @@ from repro.exp.runner import (
 )
 from repro.exp.service import CampaignDriver
 from repro.exp.spec import ExperimentSpec, PolicySpec, RunRequest, WorkloadSpec
+from repro.hw.stall import StallModel
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.runbatch import MultiMachine
@@ -87,6 +88,33 @@ class TestMultiMachine:
             [build_machine(data, policy_name, r, s) for s, r in grid]
         ).run()
         assert len(multi) == len(serial)
+        for lock, solo in zip(multi, serial):
+            assert result_to_dict(lock) == result_to_dict(solo)
+
+    def test_presolved_members_stay_out_of_the_batched_solve(self, monkeypatch):
+        # NoTier replay solves its whole run at construction; in a group
+        # only the members without such a plan may reach solve_many.
+        data = record_stream(
+            make_workload("gups", total_misses=600_000, seed=4), max_windows=512
+        )
+        grid = [("NoTier", s, r) for s in SEEDS for r in RATIOS] + [
+            ("PACT", s, "1:4") for s in SEEDS[:2]
+        ]
+        serial = [build_machine(data, p, r, s).run() for p, s, r in grid]
+        machines = [build_machine(data, p, r, s) for p, s, r in grid]
+        assert [m._solve_plan is not None for m in machines] == [
+            p == "NoTier" for p, _, _ in grid
+        ]
+        batch_sizes = []
+        solve_many = StallModel.solve_many
+
+        def spy(model, batches, *args):
+            batch_sizes.append(len(batches))
+            return solve_many(model, batches, *args)
+
+        monkeypatch.setattr(StallModel, "solve_many", spy)
+        multi = MultiMachine(machines).run()
+        assert batch_sizes and set(batch_sizes) == {2}
         for lock, solo in zip(multi, serial):
             assert result_to_dict(lock) == result_to_dict(solo)
 

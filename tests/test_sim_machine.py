@@ -157,26 +157,26 @@ class TestMigrationEngineThp:
 
     def test_thp_expands_to_whole_huge_page(self):
         engine, memory = self._engine(thp=True)
-        memory.move(np.arange(0, 512), Tier.SLOW)  # free half the fast tier
-        outcome = engine.promote(np.array([1030]))
-        # Page 1030 lives in huge page 2 -> pages 1024..1535 move; only
-        # those currently slow actually migrate.
-        assert outcome.promoted == 0 or outcome.promoted % 1 == 0
-        moved_fast = memory.placement[1024:1536] == int(Tier.FAST)
-        assert moved_fast.all() or outcome.promoted == 0
+        memory.move(np.arange(0, 512), Tier.SLOW, Tier.FAST)  # free half the fast tier
+        outcome = engine.apply_window(Decision(promote=np.array([1030])))
+        # Page 1030 lives in huge page 2, so all of pages 1024..1535
+        # (slow-resident, and fitting the freed room) move together.
+        assert outcome.promoted == 512
+        np.testing.assert_array_equal(outcome.promoted_pages, np.arange(1024, 1536))
+        assert (memory.placement[1024:1536] == int(Tier.FAST)).all()
 
     def test_thp_cost_cheaper_than_page_wise(self):
         engine_thp, mem_thp = self._engine(thp=True)
         engine_4k, mem_4k = self._engine(thp=False)
         # Demote one full fast-resident huge page (pages 512..1023) each way.
-        thp_out = engine_thp.demote(np.array([600]))
-        pagewise = engine_4k.demote(np.arange(512, 1024))
+        thp_out = engine_thp.apply_window(Decision(demote=np.array([600])))
+        pagewise = engine_4k.apply_window(Decision(demote=np.arange(512, 1024)))
         assert thp_out.demoted == pagewise.demoted == 512
         assert thp_out.cost_cycles < pagewise.cost_cycles / 3
 
     def test_4k_mode_moves_only_selected(self):
         engine, memory = self._engine(thp=False)
-        memory.move(np.arange(0, 4), Tier.SLOW)
-        outcome = engine.promote(np.array([1030, 1031]))
+        memory.move(np.arange(0, 4), Tier.SLOW, Tier.FAST)
+        outcome = engine.apply_window(Decision(promote=np.array([1030, 1031])))
         assert outcome.promoted == 2
         assert memory.placement[1032] == int(Tier.SLOW)

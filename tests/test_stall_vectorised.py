@@ -1,12 +1,17 @@
-"""Property tests for the columnar stall pipeline (ISSUE 4).
+"""Property tests for the columnar stall pipeline.
 
-Three solver properties the vectorisation must preserve:
+Four solver properties the columnar pipeline must preserve:
 
-* **bit-identity**: the :class:`~repro.hw.stall.ShareBatch` path and the
-  legacy object-per-share path (``split_groups_legacy`` + the ordered
-  accumulation loop) produce *exactly* equal floats on randomized
-  windows -- same shares, same unit costs, same tier loads, same
-  duration;
+* **bit-identity**: the :class:`~repro.hw.stall.ShareBatch` split and
+  solve and the object-per-share references in ``oracles.py``
+  (``reference_split`` + the ordered per-share fixed point) produce
+  *exactly* equal floats on randomized windows -- same shares, same
+  unit costs, same tier loads, same duration;
+* **model invariants**: checks derived from the model itself --
+  conservation of misses, duration bounds, non-negative stalls, capped
+  utilisation, latency never below its unloaded value, per-tier MLP
+  inside the range of its rows -- and ``solve_many`` at whole-run width
+  equal to per-window ``solve``;
 * **monotonicity**: injected link traffic (``extra_bytes``) can only
   lengthen the window -- duration is monotone non-decreasing;
 * **convergence health**: after ``_FIXED_POINT_ITERATIONS`` damped
@@ -20,14 +25,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import make_policy
-from repro.common.units import CXL_SPEC, DRAM_SPEC
+from repro.common.units import CXL_SPEC, DRAM_SPEC, ns_to_cycles
 from repro.hw.access import AccessGroup
-from repro.hw.stall import ShareBatch, StallModel, split_groups_legacy
+from repro.hw.stall import MAX_UTILISATION, ShareBatch, StallModel
 from repro.mem.page import Tier
 from repro.obs import Observability
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.workloads import ALL_WORKLOADS, make_workload
+
+from oracles import reference_solve, reference_split
 
 
 def make_model():
@@ -69,9 +76,9 @@ class TestBatchMatchesLegacy:
         groups, placement = random_window(seed)
         model = make_model()
         batch = model.split_groups(groups, placement)
-        legacy = split_groups_legacy(groups, placement)
+        legacy = reference_split(groups, placement)
         assert isinstance(batch, ShareBatch)
-        assert len(batch) == len(legacy)
+        assert batch.n == len(legacy)
         for i, share in enumerate(legacy):
             assert int(batch.group_index[i]) == share.group_index
             assert batch.tiers[i] == share.tier
@@ -98,17 +105,17 @@ class TestBatchMatchesLegacy:
         vec = model.solve(batch, compute, extra_bytes=extra_bytes, extra_cycles=extra_cycles)
         vec_units = [float(u) for u in batch.unit_stall_cycles]
 
-        legacy_shares = split_groups_legacy(groups, placement)
-        ref = model.solve(
-            legacy_shares, compute, extra_bytes=extra_bytes, extra_cycles=extra_cycles
+        legacy_shares = reference_split(groups, placement)
+        ref_loads, ref_duration = reference_solve(
+            model, legacy_shares, compute, extra_bytes=extra_bytes, extra_cycles=extra_cycles
         )
 
         # Exact float equality everywhere -- this is the bit-identity
         # contract that keeps the golden digests green.
-        assert vec.duration_cycles == ref.duration_cycles
-        assert vec.total_stall_cycles == ref.total_stall_cycles
+        assert vec.duration_cycles == ref_duration
+        assert vec.total_stall_cycles == sum(load.stall_cycles for load in ref_loads.values())
         for tier in (Tier.FAST, Tier.SLOW):
-            v, r = vec.tier_loads[tier], ref.tier_loads[tier]
+            v, r = vec.tier_loads[tier], ref_loads[tier]
             assert v.misses == r.misses
             assert v.bytes == r.bytes
             assert v.stall_cycles == r.stall_cycles
@@ -121,10 +128,81 @@ class TestBatchMatchesLegacy:
         model = make_model()
         batch = model.split_groups([], np.empty(0, dtype=np.int8))
         vec = model.solve(batch, 1e6)
-        ref = model.solve([], 1e6)
-        assert vec.duration_cycles == ref.duration_cycles
+        ref_loads, ref_duration = reference_solve(model, [], 1e6)
+        assert vec.duration_cycles == ref_duration
         for tier in (Tier.FAST, Tier.SLOW):
-            assert vec.tier_loads[tier].mlp == ref.tier_loads[tier].mlp == 1.0
+            assert vec.tier_loads[tier].mlp == ref_loads[tier].mlp == 1.0
+
+
+def random_extras(rng):
+    compute = float(rng.uniform(1e5, 1e7))
+    extra_cycles = float(rng.uniform(0.0, 1e5))
+    extra_bytes = {
+        Tier.FAST: float(rng.uniform(0.0, 1e9)),
+        Tier.SLOW: float(rng.uniform(0.0, 1e9)),
+    }
+    return compute, extra_bytes, extra_cycles
+
+
+class TestModelInvariants:
+    """Checks derived from the model itself, not from a reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_window_invariants(self, seed):
+        groups, placement = random_window(seed)
+        compute, extra_bytes, extra_cycles = random_extras(np.random.default_rng(seed + 3))
+        model = make_model()
+        batch = model.split_groups(groups, placement)
+        hw = model.solve(batch, compute, extra_bytes=extra_bytes, extra_cycles=extra_cycles)
+
+        # Every miss on an allocated page lands in exactly one tier.
+        allocated = sum(int(g.counts[placement[g.pages] >= 0].sum()) for g in groups)
+        assert sum(load.misses for load in hw.tier_loads.values()) == allocated
+        assert hw.duration_cycles >= compute + extra_cycles
+        for tier, load in hw.tier_loads.items():
+            unloaded = ns_to_cycles(model.spec[tier].latency_ns, model.freq_ghz)
+            assert load.stall_cycles >= 0.0
+            assert 0.0 <= load.utilisation <= MAX_UTILISATION
+            assert load.effective_latency_cycles >= unloaded
+            rows = batch.rows_in_tier(tier)
+            if rows:
+                # A miss-weighted harmonic mean, to within float rounding.
+                mlp = batch.mlp[rows]
+                assert mlp.min() * (1 - 1e-12) <= load.mlp <= mlp.max() * (1 + 1e-12)
+            else:
+                assert load.mlp == 1.0
+
+    @settings(max_examples=2, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_solve_many_matches_solve_at_whole_run_width(self, seed):
+        # plan_window_solves hands solve_many a whole run's windows at once.
+        rng = np.random.default_rng(seed)
+        R = int(rng.integers(200, 241))
+        # One splitting model per window: a batch aliases its model's scratch.
+        models = [make_model() for _ in range(R)]
+        batches = [
+            m.split_groups(*random_window(int(s)))
+            for m, s in zip(models, rng.integers(0, 10**9, size=R))
+        ]
+        inputs = [random_extras(rng) for _ in range(R)]
+        many = models[0].solve_many(
+            batches,
+            [compute for compute, _, _ in inputs],
+            [extra_bytes if r % 3 else None for r, (_, extra_bytes, _) in enumerate(inputs)],
+            [extra_cycles for _, _, extra_cycles in inputs],
+        )
+        units = [b.unit_stall_cycles.copy() for b in batches]
+        for r, (batch, (compute, extra_bytes, extra_cycles)) in enumerate(zip(batches, inputs)):
+            one = models[r].solve(
+                batch,
+                compute,
+                extra_bytes=extra_bytes if r % 3 else None,
+                extra_cycles=extra_cycles,
+            )
+            assert one.duration_cycles == many[r].duration_cycles
+            assert one.tier_loads == many[r].tier_loads
+            np.testing.assert_array_equal(batch.unit_stall_cycles, units[r])
 
 
 class TestDurationMonotoneInExtraBytes:

@@ -33,6 +33,7 @@ from repro.mem.topology import (
 from repro.sim.config import MachineConfig, parse_ratio, parse_ratio_parts
 from repro.sim.engine import run_policy
 from repro.sim.migration import MigrationEngine
+from repro.sim.policy_api import Decision
 from repro.workloads import make_workload
 
 from test_golden_digests import GOLDEN_DIGESTS
@@ -269,7 +270,7 @@ class TestMultiHopMigration:
         memory.allocate_first_touch(np.arange(200), prefer=Tier.FAST)
         assert memory.used == [100, 100, 0]
         engine = _engine(memory, demotion="through")
-        outcome = engine.demote(np.arange(30))
+        outcome = engine.apply_window(Decision(demote=np.arange(30)))
         # 30 pages moved fast->middle; the full middle tier first pushed
         # 30 of its own victims middle->bottom.
         assert outcome.demoted == 60
@@ -281,7 +282,7 @@ class TestMultiHopMigration:
         memory = _three_tier_memory(footprint=200, caps=(100, 100, 400))
         memory.allocate_first_touch(np.arange(200), prefer=Tier.FAST)
         engine = _engine(memory, demotion="direct")
-        outcome = engine.demote(np.arange(30))
+        outcome = engine.apply_window(Decision(demote=np.arange(30)))
         assert outcome.demoted == 30
         assert memory.used == [70, 100, 30]
         # Only the fast and bottom links carried traffic.
@@ -293,7 +294,7 @@ class TestMultiHopMigration:
         memory.move(np.arange(100), 2, src=0)  # leave tier0 half-empty
         engine = _engine(memory)
         pages = np.concatenate([np.arange(150, 170), np.arange(250, 270)])
-        outcome = engine.promote(pages)
+        outcome = engine.apply_window(Decision(promote=pages))
         assert outcome.promoted == 40
         assert _used_total(memory) == 300
         assert (memory.tier_of(pages) == 0).all()
@@ -303,7 +304,7 @@ class TestMultiHopMigration:
         memory.allocate_first_touch(np.arange(200), prefer=Tier.FAST)
         engine = _engine(memory, demotion="direct")
         engine.admission = lambda src, dst, pages: pages[pages % 2 == 0]
-        outcome = engine.demote(np.arange(30))
+        outcome = engine.apply_window(Decision(demote=np.arange(30)))
         assert outcome.demoted == 15
         assert (memory.tier_of(np.arange(1, 30, 2)) == 0).all()
 
@@ -311,7 +312,7 @@ class TestMultiHopMigration:
         memory = TieredMemory(200, 100, 400, DRAM_SPEC, CXL_SPEC)
         memory.allocate_first_touch(np.arange(150), prefer=Tier.FAST)
         engine = MigrationEngine(memory, MachineConfig())
-        outcome = engine.demote(np.arange(20))
+        outcome = engine.apply_window(Decision(demote=np.arange(20)))
         assert outcome.link_bytes == {
             0: outcome.bytes_moved / 2.0,
             1: outcome.bytes_moved / 2.0,

@@ -1,14 +1,13 @@
-"""Property tests for the vectorised policy window loop (ISSUE 10).
+"""Property tests for the vectorised policy window loop.
 
-Every optimisation in this PR is gated on exactness, and each gets an
-explicit oracle here:
+Every optimisation of the window loop is gated on exactness, and each
+gets an explicit oracle here:
 
 * the fused plan/apply migration path (:meth:`MigrationEngine.apply_window`)
-  against the per-hop reference (:meth:`apply_window_legacy`) over
-  randomised placements, multi-tier cascades, direct demotion, THP
-  expansion, and admission-hook trimming;
-* the scalar small-batch stall solves against the vectorised paths they
-  shortcut (bit-identity, not closeness);
+  against the per-hop reference (``PerHopMigrator`` in ``oracles.py``)
+  over randomised placements, multi-tier cascades, direct demotion, THP
+  expansion, and admission-hook trimming -- plus the invariants the
+  model itself implies (conservation, capacity bounds, link bytes);
 * the lazily-recomputed per-tier activity sums against a from-scratch
   masked sum after arbitrary touch/move/first-touch interleavings;
 * the tracker's incrementally-merged tracked-page list against a
@@ -25,11 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.hw.stall as stall_mod
 from repro.common.units import CXL_SPEC, DRAM_SPEC
-from repro.hw.access import AccessGroup
 from repro.hw.drawplan import EntryMetaPlan, build_pebs_pos
-from repro.hw.stall import StallModel
 from repro.hw.substream import KeyedPebsSampler, PebsRecordPlan
 from repro.mem.page import Tier
 from repro.mem.tiered import TieredMemory
@@ -38,14 +34,17 @@ from repro.sim.config import MachineConfig
 from repro.sim.migration import MigrationEngine
 from repro.sim.policy_api import Decision
 
+from oracles import PerHopMigrator
+
 
 # -- randomised state builders ---------------------------------------------------
 
 
-def make_config(num_tiers=2, thp=False, demotion="through"):
+def make_config(num_tiers=2, thp=False, demotion="through", compressed=False):
     topology = None
     if num_tiers == 3:
-        topology = make_topology("dram-cxl-nvme", demotion=demotion)
+        name = "dram-cxlz-nvme" if compressed else "dram-cxl-nvme"
+        topology = make_topology(name, demotion=demotion)
     return MachineConfig(thp=thp, topology=topology)
 
 
@@ -135,7 +134,7 @@ def run_fused_vs_legacy(seed, num_tiers=2, thp=False, demotion="through", admiss
     for trial in range(3):
         decision = random_decision(rng, footprint)
         fused = eng_a.apply_window(decision)
-        legacy = eng_b.apply_window_legacy(decision)
+        legacy = PerHopMigrator(eng_b).apply_window(decision)
         assert_outcomes_equal(fused, legacy)
         np.testing.assert_array_equal(mem_a.placement, mem_b.placement)
         assert mem_a.used == mem_b.used
@@ -192,105 +191,60 @@ class TestFusedApplyMatchesLegacy:
         assert outcome.cost_cycles == 0.0
         np.testing.assert_array_equal(memory.placement, before)
 
-    def test_demote_lru_nonpositive_skips_victim_walk(self):
-        config = make_config()
-        memory = make_memory(config, 128, 64)
-        randomise_state(memory, np.random.default_rng(1))
-        engine = MigrationEngine(memory, config)
-        outcome = engine.demote_lru(0, protect=np.empty(0, dtype=np.int64))
-        assert outcome.demoted == 0 and outcome.cost_cycles == 0.0
 
-
-# -- scalar stall solves ---------------------------------------------------------
-
-
-def random_groups(rng, footprint, n_groups):
-    groups = []
-    for gi in range(n_groups):
-        n = int(rng.integers(1, 64))
-        pages = rng.choice(footprint, size=min(n, footprint), replace=False).astype(np.int64)
-        counts = rng.integers(1, 500, size=pages.size).astype(np.int64)
-        groups.append(
-            AccessGroup(
-                pages=pages,
-                counts=counts,
-                mlp=float(rng.uniform(1.0, 12.0)),
-                load_fraction=float(rng.uniform(0.1, 1.0)),
-                label=f"g{gi}",
-            )
+def check_apply_invariants(seed, num_tiers=2, thp=False, demotion="through", compressed=False):
+    rng = np.random.default_rng(seed)
+    footprint = int(rng.integers(96, 512))
+    fast = int(rng.integers(16, footprint))
+    mid = int(rng.integers(8, footprint)) if num_tiers == 3 else None
+    config = make_config(num_tiers=num_tiers, thp=thp, demotion=demotion, compressed=compressed)
+    memory = make_memory(config, footprint, fast, mid=mid)
+    randomise_state(memory, rng)
+    engine = MigrationEngine(memory, config)
+    resident = sum(memory.used)
+    for trial in range(3):
+        outcome = engine.apply_window(random_decision(rng, footprint))
+        # Each hop charges half its copy traffic to either endpoint link.
+        assert sum(outcome.link_bytes.values()) == outcome.bytes_moved
+        assert sum(memory.used) == resident
+        np.testing.assert_array_equal(
+            np.bincount(memory.placement, minlength=memory.num_tiers), memory.used
         )
-    return groups
+        for tier in memory.tiers:
+            if memory._page_frame_cost[tier] is None:
+                assert memory.used[tier] <= memory.capacity[tier]
+            else:
+                assert memory.frames_used(tier) <= memory.capacity[tier] + 1e-6
+        assert outcome.promoted_pages.size == outcome.promoted
+        assert outcome.demoted_pages.size == outcome.demoted
+        # Promotions run last in a window, so nothing moves them again.
+        assert (memory.placement[outcome.promoted_pages] == int(Tier.FAST)).all()
+        pages = np.unique(rng.integers(0, footprint, size=30))
+        memory.touch(pages, window=10 + trial, counts=rng.integers(1, 9, size=pages.size))
 
 
-def assert_hw_equal(a, b):
-    assert a.duration_cycles == b.duration_cycles
-    for tier in a.tier_loads:
-        va, vb = a.tier_loads[tier], b.tier_loads[tier]
-        assert va.stall_cycles == vb.stall_cycles
-        assert va.effective_latency_cycles == vb.effective_latency_cycles
-        assert va.utilisation == vb.utilisation
-        assert va.mlp == vb.mlp
-
-
-class TestScalarSolveMatchesVectorised:
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_solve_batch(self, seed):
-        rng = np.random.default_rng(seed)
-        footprint = 256
-        placement = rng.choice(np.array([0, 1], dtype=np.int8), size=footprint)
-        groups = random_groups(rng, footprint, int(rng.integers(1, 8)))
-        compute = float(rng.uniform(1e5, 1e7))
-        extra = {Tier.FAST: float(rng.uniform(0, 1e8)), Tier.SLOW: float(rng.uniform(0, 1e8))}
-
-        model = StallModel(DRAM_SPEC, CXL_SPEC)
-        batch = model.split_groups(groups, placement)
-        assert batch.n <= stall_mod._SCALAR_SOLVE_ROWS
-        scalar = model.solve(batch, compute, extra_bytes=extra)
-        scalar_units = batch.unit_stall_cycles.copy()
-
-        saved = stall_mod._SCALAR_SOLVE_ROWS
-        try:
-            stall_mod._SCALAR_SOLVE_ROWS = -1
-            batch2 = model.split_groups(groups, placement)
-            vector = model.solve(batch2, compute, extra_bytes=extra)
-        finally:
-            stall_mod._SCALAR_SOLVE_ROWS = saved
-        assert_hw_equal(scalar, vector)
-        np.testing.assert_array_equal(scalar_units, batch2.unit_stall_cycles)
+class TestApplyWindowInvariants:
+    """Conservation and capacity bounds implied by the model itself."""
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**9))
-    def test_solve_many(self, seed):
-        rng = np.random.default_rng(seed)
-        footprint = 256
-        model = StallModel(DRAM_SPEC, CXL_SPEC)
-        R = int(rng.integers(2, 6))
-        windows = []
-        for _ in range(R):
-            placement = rng.choice(np.array([0, 1], dtype=np.int8), size=footprint)
-            windows.append((random_groups(rng, footprint, int(rng.integers(1, 6))), placement))
-        computes = [float(rng.uniform(1e5, 1e7)) for _ in range(R)]
-        extras = [None] * R
-        extra_cycles = [float(rng.uniform(0, 1e5)) for _ in range(R)]
+    def test_two_tier(self, seed):
+        check_apply_invariants(seed)
 
-        # One splitting model per run, as the multi-run driver holds:
-        # split_groups hands out views of per-model scratch columns.
-        models = [StallModel(DRAM_SPEC, CXL_SPEC) for _ in range(R)]
-        batches = [m.split_groups(g, p) for m, (g, p) in zip(models, windows)]
-        scalar = model.solve_many(batches, computes, extras, extra_cycles)
-        scalar_units = [b.unit_stall_cycles.copy() for b in batches]
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10**9), demotion=st.sampled_from(["through", "direct"]))
+    def test_three_tier(self, seed, demotion):
+        check_apply_invariants(seed, num_tiers=3, demotion=demotion)
 
-        saved = stall_mod._SCALAR_SOLVE_ROWS
-        try:
-            stall_mod._SCALAR_SOLVE_ROWS = -1
-            batches2 = [m.split_groups(g, p) for m, (g, p) in zip(models, windows)]
-            vector = model.solve_many(batches2, computes, extras, extra_cycles)
-        finally:
-            stall_mod._SCALAR_SOLVE_ROWS = saved
-        for r in range(R):
-            assert_hw_equal(scalar[r], vector[r])
-            np.testing.assert_array_equal(scalar_units[r], batches2[r].unit_stall_cycles)
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10**9), demotion=st.sampled_from(["through", "direct"]))
+    def test_three_tier_compressed(self, seed, demotion):
+        check_apply_invariants(seed, num_tiers=3, demotion=demotion, compressed=True)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_thp(self, seed):
+        check_apply_invariants(seed, thp=True)
 
 
 # -- lazy activity sums / incremental caches -------------------------------------
@@ -311,7 +265,9 @@ class TestLazyActivitySums:
             if rng.integers(0, 2):
                 movable = np.flatnonzero(memory.placement == int(Tier.SLOW))
                 if movable.size:
-                    memory.move(movable[: int(rng.integers(1, movable.size + 1))], Tier.FAST)
+                    memory.move(
+                        movable[: int(rng.integers(1, movable.size + 1))], Tier.FAST, Tier.SLOW
+                    )
             for tier in memory.tiers:
                 resident = memory.placement == int(tier)
                 expected = float(memory.activity[resident].sum())
@@ -319,7 +275,8 @@ class TestLazyActivitySums:
         memory.check_accounting()
 
     def test_check_accounting_refreshes_stale_sums(self):
-        memory = TieredMemory(128, 64, 128, DRAM_SPEC, CXL_SPEC)
+        # Debug accounting would refresh the sums on every mutation.
+        memory = TieredMemory(128, 64, 128, DRAM_SPEC, CXL_SPEC, debug_accounting=False)
         memory.allocate_first_touch(np.arange(128))
         memory.touch(np.arange(64), window=1, counts=np.full(64, 3.0))
         assert memory._activity_sums_stale
