@@ -49,7 +49,7 @@ from repro.mem.topology import DEMOTION_MODES, TOPOLOGY_NAMES, make_topology
 from repro.obs import DEFAULT_TRACE_CAPACITY, Observability
 from repro.perf import harness as perf_harness
 from repro.sim import traceio
-from repro.sim.config import MachineConfig, PAPER_RATIOS, RNG_SCHEMAS
+from repro.sim.config import MachineConfig, PAPER_RATIOS
 from repro.sim.engine import ideal_baseline, run_policy
 from repro.workloads import ALL_WORKLOADS, generate_corpus, make_workload, tracefile
 from repro.workloads import tracestore
@@ -212,11 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-dir", default=perf_harness.DEFAULT_TRACE_DIR,
         help="directory for the suite's recorded traces (default: %(default)s)",
     )
-    perf_p.add_argument(
-        "--rng-schema", type=int, default=2, choices=RNG_SCHEMAS,
-        help="RNG schema the suite runs under (default: 2, counter-keyed "
-        "substreams; use 1 to gate against a schema-1 baseline)",
-    )
 
     cal_p = sub.add_parser("calibrate", help="fit Equation 1's k on the corpus")
     cal_p.add_argument("--windows", type=int, default=10, help="windows per corpus point")
@@ -231,12 +226,6 @@ def _common_args(p: argparse.ArgumentParser, cache_dir_default: Optional[str] = 
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--thp", action="store_true", help="2MB transparent huge pages")
     p.add_argument("--pebs-rate", type=int, default=400, help="PEBS 1-in-N sampling rate")
-    p.add_argument(
-        "--rng-schema", type=int, default=None, choices=RNG_SCHEMAS,
-        help="RNG schema: 1 = sequential streams (default; exactness reference), "
-        "2 = counter-keyed substreams (decision-independent draws, common "
-        "random numbers across policies; default via REPRO_RNG_SCHEMA)",
-    )
     p.add_argument(
         "--topology", default=None, choices=TOPOLOGY_NAMES,
         help="tier hierarchy (default: the paper's DRAM/CXL pair); "
@@ -285,7 +274,6 @@ def _config(args) -> MachineConfig:
         thp=getattr(args, "thp", False),
         pebs_rate=getattr(args, "pebs_rate", 400),
         topology=topology,
-        rng_schema=getattr(args, "rng_schema", None),
     )
 
 
@@ -632,7 +620,7 @@ def cmd_perf(args, out) -> int:
     suite_kind = "quick" if args.quick else "full"
     mode = "replay" if args.replay else "live generation"
     print(
-        f"perf suite ({suite_kind}, {mode}, rng schema {args.rng_schema}), "
+        f"perf suite ({suite_kind}, {mode}), "
         f"best of {args.repeats} repeats:",
         file=out,
     )
@@ -648,7 +636,6 @@ def cmd_perf(args, out) -> int:
         progress=progress,
         replay=args.replay,
         trace_dir=args.trace_dir,
-        rng_schema=args.rng_schema,
         profile_dir=profile_dir,
     )
     if profile_dir is not None:
@@ -666,13 +653,11 @@ def cmd_perf(args, out) -> int:
     if (
         not args.quick
         and args.replay
-        and args.rng_schema == 2
         and os.path.abspath(args.output) != os.path.abspath(root_copy)
     ):
         # Keep the perf trajectory tracked in-repo across PRs.  Only
-        # full replay-mode schema-2 runs qualify: a --quick, --no-replay
-        # or legacy-schema leg would overwrite the snapshot with an
-        # incomparable subset.
+        # full replay-mode runs qualify: a --quick or --no-replay leg
+        # would overwrite the snapshot with an incomparable subset.
         perf_harness.write_report(report, root_copy)
         print(f"refreshed {root_copy}", file=out)
     if args.update_baseline:

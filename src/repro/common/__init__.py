@@ -9,7 +9,7 @@ from repro.common.histogram import (
     histogram_counts,
 )
 from repro.common.reservoir import Reservoir
-from repro.common.rngutil import child_seeds, make_rng, split
+from repro.common.rngutil import child_seeds, make_rng
 from repro.common.stats import (
     StreamingStats,
     cdf_points,
@@ -58,7 +58,6 @@ __all__ = [
     "ns_to_cycles",
     "pearson",
     "quartiles",
-    "split",
     "CACHE_LINE_SIZE",
     "CPU_FREQ_GHZ",
     "CXL_SPEC",

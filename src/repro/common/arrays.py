@@ -30,15 +30,26 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
 def sorted_unique_counts(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """``np.unique(values, return_counts=True)`` via sort + run flags."""
-    if values.size == 0:
-        return values.copy(), np.zeros(0, dtype=np.intp)
-    ordered = np.sort(values)
+    return run_lengths(np.sort(values))
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in a non-empty sorted array."""
     keep = np.empty(ordered.size, dtype=bool)
     keep[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    starts = np.flatnonzero(keep)
-    counts = np.diff(np.r_[starts, ordered.size])
-    return ordered[keep], counts
+    return np.flatnonzero(keep)
+
+
+def run_lengths(ordered: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """The distinct values of a sorted array and the length of each run."""
+    if ordered.size == 0:
+        return ordered.copy(), np.zeros(0, dtype=np.intp)
+    starts = run_starts(ordered)
+    lengths = np.empty(starts.size, dtype=np.intp)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = ordered.size - starts[-1]
+    return ordered[starts], lengths
 
 
 def merge_sorted_unique(base: np.ndarray, extra: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Every stochastic component of the simulator draws from a
 ``numpy.random.Generator`` that is derived from an explicit seed so that
-runs are reproducible.  ``split`` derives independent child generators
-for subsystems (workload, PEBS, policy, ...) from a parent seed without
-the subsystems perturbing each other's streams.
+runs are reproducible.  Hardware draws (PEBS samples, counter jitter)
+come from :class:`KeyedStream`: one Philox family per ``(seed,
+purpose)``, positioned by window, so no subsystem perturbs another's
+stream.
 """
 
 from __future__ import annotations
@@ -19,48 +20,55 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def split(seed: int, *labels: str) -> "tuple[np.random.Generator, ...]":
-    """Derive one independent generator per label from ``seed``.
-
-    The derivation hashes each label together with the seed, so adding a
-    new subsystem does not shift the streams of existing ones.
-    """
-    seqs = [np.random.SeedSequence((seed, _stable_hash(label))) for label in labels]
-    return tuple(np.random.default_rng(s) for s in seqs)
-
-
-#: Domain tag mixed into every schema-2 key derivation so keyed
-#: substreams can never alias the schema-1 ``split`` streams (which
-#: hash ``(seed, label)`` without it).
-_KEYED_DOMAIN = 0x52E2  # "Repro schEma 2"
+#: Domain tag mixed into every keyed derivation.  Part of the key
+#: material: changing it changes every keyed draw (and every digest).
+_KEYED_DOMAIN = 0x52E2
 
 
 def philox_key(seed: int, purpose: str) -> np.ndarray:
     """A 128-bit Philox key for one ``(seed, purpose)`` substream family.
 
-    Schema-2 keyed draws (:mod:`repro.hw.substream`) identify every
+    Keyed hardware draws (:mod:`repro.hw.substream`) identify every
     draw by *what it is*, not by when it happens: the key fixes the
     (seed, purpose) family and the Philox counter word selects the
-    window.  The derivation hashes the purpose label the same
-    platform-stable way ``split`` does, with an extra domain tag so the
-    key material is independent of any schema-1 stream.
+    window (:class:`KeyedStream`).  The derivation hashes the purpose
+    label with a platform-stable hash, together with the seed and a
+    fixed domain tag.
     """
     ss = np.random.SeedSequence((seed, _KEYED_DOMAIN, _stable_hash(purpose)))
     return ss.generate_state(2, dtype=np.uint64)
 
 
-def keyed_generator(key: np.ndarray, counter: int) -> np.random.Generator:
-    """The generator for one keyed substream at one counter position.
+class KeyedStream:
+    """One ``(seed, purpose)`` substream family, repositioned per counter.
 
-    Same ``(key, counter)`` always yields the same draw sequence --
-    Philox is a pure function of (key, counter) -- so a value drawn
-    here is reproducible from its identity alone, independent of every
-    other substream.  The counter occupies the highest of Philox's four
-    64-bit counter words, leaving the low words free for the
-    generator's own in-stream advancement.
+    :meth:`at` returns the family's generator at one counter position:
+    the counter occupies the highest of Philox's four 64-bit counter
+    words, leaving the low words free for the generator's own
+    in-stream advancement.  Same ``(key, counter)``, same draws --
+    Philox is a pure function of both -- so a value drawn here is
+    reproducible from its identity alone.  Writing the counter into one
+    bit generator's state is bit-identical to building a fresh
+    ``Philox(counter=..., key=...)`` (a Philox state *is* its key,
+    counter and empty output buffer) at about a fifth of the cost.  The
+    returned generator is shared: each call repositions it, so draw
+    from it before the next call.
     """
-    bitgen = np.random.Philox(counter=[0, 0, 0, int(counter)], key=key)
-    return np.random.Generator(bitgen)
+
+    __slots__ = ("_bitgen", "_gen", "_state", "_counter")
+
+    def __init__(self, seed: int, purpose: str):
+        self._bitgen = np.random.Philox(key=philox_key(seed, purpose))
+        self._gen = np.random.Generator(self._bitgen)
+        #: The fresh state (empty output buffer), reused for every
+        #: window: only its counter word changes, and the setter copies.
+        self._state = self._bitgen.state
+        self._counter = self._state["state"]["counter"]
+
+    def at(self, counter: int) -> np.random.Generator:
+        self._counter[3] = counter
+        self._bitgen.state = self._state
+        return self._gen
 
 
 def child_seeds(seed: int, n: int) -> Iterator[int]:

@@ -36,7 +36,9 @@ from repro.sim.metrics import RunResult, WindowRecord
 #: Schema/behaviour version of cached entries.  v2: simulator loop
 #: fixes (empty windows count toward the budget, eviction-bar decay,
 #: THP promotion-budget clamp) make results differ from v1 entries.
-CACHE_VERSION = 2
+#: v3: PEBS records come from one keyed geometric-gap draw and counter
+#: jitter from keyed substreams, so every stochastic result moved.
+CACHE_VERSION = 3
 
 #: Environment variable selecting a disk directory for the default store.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

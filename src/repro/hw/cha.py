@@ -14,8 +14,9 @@ active cycle.
 In the simulator, each request occupies a TOR entry for its effective
 latency, so a share of ``m`` misses at latency ``L`` and parallelism
 ``mlp`` contributes ``m * L`` occupancy-cycles and ``m * L / mlp`` busy
-cycles.  Multiplicative measurement noise is applied so the estimation
-pipeline downstream is exercised with realistic counter jitter.
+cycles.  Multiplicative measurement noise (keyed per (group, tier) cell,
+:mod:`repro.hw.substream`) is applied so the estimation pipeline
+downstream is exercised with realistic counter jitter.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ import numpy as np
 from repro.common.units import CACHE_LINE_SIZE
 from repro.hw.stall import ShareBatch
 from repro.mem.page import Tier, tier_key
-
-#: Default relative standard deviation of counter measurement noise.
-DEFAULT_COUNTER_NOISE = 0.01
-
 
 @dataclass
 class TorSnapshot:
@@ -52,40 +49,24 @@ class TorSnapshot:
 class ChaTorCounters:
     """Cumulative TOR occupancy counters, one pair per tier."""
 
-    def __init__(
-        self,
-        noise: float = DEFAULT_COUNTER_NOISE,
-        rng: Optional[np.random.Generator] = None,
-        num_tiers: int = 2,
-    ):
-        self.noise = noise
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        #: Optional whole-run jitter stream (:mod:`repro.hw.drawplan`):
-        #: serves the same generator's draws chunk-buffered, so the
-        #: counter values stay bit-identical to the unplanned path.
-        self._jitter_stream = None
+    def __init__(self, num_tiers: int = 2):
         tiers = [tier_key(t) for t in range(num_tiers)]
         self._occupancy = {t: 0.0 for t in tiers}
         self._busy = {t: 0.0 for t in tiers}
-
-    def attach_jitter_stream(self, stream) -> None:
-        self._jitter_stream = stream
 
     def advance(self, batch: ShareBatch, jitter: Optional[np.ndarray] = None) -> None:
         """Account one window's traffic into the cumulative counters.
 
         ``jitter``, when given, supplies the window's multiplicative
-        noise factors as an ``(n, 2)`` array (occ, busy per row) in
-        place of this counter's own stream draws -- the schema-2 keyed
-        path (:mod:`repro.hw.substream`) computes factors per
-        (group, tier) cell and gathers the rows' pairs.
+        noise factors as an ``(n, 2)`` array (occ, busy per row); the
+        machine draws them per (group, tier) cell from a keyed
+        substream (:class:`repro.hw.substream.KeyedJitter`).
 
-        The elementwise arithmetic and the noise draws are batched (one
-        ``normal`` call covers the window, occ/busy interleaved
-        row-major).  The final accumulation stays a scalar per-share
-        loop in row order: the counters are *cumulative*, so summing a
-        window's contribution first and adding it once would round
-        differently from one-share-at-a-time adds.
+        The elementwise arithmetic is batched.  The final accumulation
+        stays a scalar per-share loop in row order: the counters are
+        *cumulative*, so summing a window's contribution first and
+        adding it once would round differently from one-share-at-a-time
+        adds.
         """
         n = batch.n
         if n == 0:
@@ -94,16 +75,6 @@ class ChaTorCounters:
         occ = batch.misses_f * lat
         busy = occ / batch.mlp
         if jitter is not None:
-            occ = occ * jitter[:, 0]
-            busy = busy * jitter[:, 1]
-        elif self.noise > 0.0:
-            if self._jitter_stream is not None:
-                # The live draw is row-major (occ_0, busy_0, occ_1, ...);
-                # a flat take of 2n reshaped the same way serves the
-                # identical values from the buffered stream.
-                jitter = self._jitter_stream.take(2 * n).reshape(n, 2)
-            else:
-                jitter = np.exp(self._rng.normal(0.0, self.noise, size=(n, 2)))
             occ = occ * jitter[:, 0]
             busy = busy * jitter[:, 1]
         tiers = batch.tiers

@@ -1,44 +1,29 @@
-"""Whole-run RNG draw plans for replayed traffic streams.
+"""Whole-run plans for replayed traffic streams.
 
 Once a traffic stream is recorded (:mod:`repro.workloads.tracestore`),
-every hardware consumer's per-window work is knowable ahead of the run:
-the CHA and perf counters draw a fixed number of jitter normals per
-share/tier, and -- for *static-placement* policies -- the (group, tier)
-share split itself never changes after preallocation.  This module
-exploits both:
+every window's entries are known before the run.  Nothing here draws a
+random number: every stochastic draw is keyed per window
+(:mod:`repro.hw.substream`) and made live in the loop.  What the plans
+move out of the loop is the placement-independent, RNG-free work:
 
-* :class:`NormalDrawStream` buffers a consumer's normal draws in large
-  chunks.  numpy's ``Generator.normal(size=k)`` consumes its bit stream
-  exactly like ``k`` sequential scalar calls, and any prefix of a
-  vector draw equals the same-length smaller draw, so chunked buffering
-  is **bit-identical** to the live per-call draws for any chunk size --
-  the stream just pays the C-dispatch cost once per chunk instead of
-  once per value.  Each stream owns its generator exclusively; values
-  drawn past the run's end are simply never observed.
+* :class:`EntryMetaPlan` holds each window's trace-determined split
+  inputs (packed ``group * num_tiers`` key bases, float counts), memoised
+  on the trace so that every run replaying it shares one.
 * :func:`build_static_batches` pre-splits the *whole run's* recorded
-  CSR columns by (window, group, tier) in one vectorised pass and hands
-  every window a pre-sliced :class:`~repro.hw.stall.ShareBatch` view --
-  rows in share order (per group: tier 0 then tier 1, ...),
-  so solver, PEBS, CHA, and trace consumers see byte-identical inputs.
-  Runs whose consumers read only row columns get *misses-only*
-  batches built from the memoised :class:`EntryMetaPlan` instead of a
-  whole-trace argsort.
-* :func:`plan_pebs_batches` / :func:`plan_chmu_batches` precompute each
-  window's sampled :class:`~repro.hw.pebs.PebsBatch` from the static
-  split, walking the shares in the same order (and, for PEBS, drawing
-  from the same generator in the same sequence) as the live path.
-
-Under RNG schema 2 (:mod:`repro.hw.substream`) the sequenced-stream
-constraint disappears entirely: sampler and jitter draws are keyed by
-(seed, purpose, window) and cover trace-determined entry sets, so
-:func:`_attach_keyed` prestages the *whole run's* PEBS/CHA/perf draw
-tensors at attach time for **any** policy, dynamic ones included --
-only the per-window placement gather and merge stay in the loop (and
-for static placements even those fold into a finished-batch plan).
+  CSR columns by (window, group, tier) for a *static-placement* policy
+  and hands every window a pre-sliced :class:`~repro.hw.stall.ShareBatch`
+  view -- rows in share order (per group: tier 0 then tier 1, ...).
+  Only the CHMU sampler walks per-share page lists; every other run
+  gets *misses-only* batches built from the :class:`EntryMetaPlan`
+  instead of a whole-trace argsort.
+* :func:`plan_chmu_batches` precomputes each window's CHMU hot list from
+  the static split (integer accumulation, order-exact), and
+  :func:`plan_window_solves` solves a static no-PEBS run's stall fixed
+  points in one batched pass.
 
 The plans engage automatically when a :class:`Machine` is driven by a
 non-looping :class:`~repro.workloads.tracestore.ReplayWorkload`; the
-static-split and sampler plans additionally require the policy to
+static-split, CHMU and solve plans additionally require the policy to
 declare :attr:`~repro.sim.policy_api.TieringPolicy.static_placement`.
 Set ``REPRO_NO_DRAWPLAN=1`` to force the live per-window paths.
 """
@@ -47,62 +32,19 @@ from __future__ import annotations
 
 import os
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.hw.pebs import PebsBatch, PebsSampler
+from repro.hw.pebs import PebsBatch
 from repro.hw.stall import ShareBatch
 
 #: Environment switch: any non-empty value disables all draw plans.
 ENV_DISABLE = "REPRO_NO_DRAWPLAN"
 
-#: Default chunk size (draws per refill) for buffered normal streams.
-DEFAULT_CHUNK = 8192
-
 
 def plans_enabled() -> bool:
     return not os.environ.get(ENV_DISABLE, "")
-
-
-class NormalDrawStream:
-    """Chunk-buffered ``exp(Normal(0, scale))`` jitter factors.
-
-    Serves the exact value sequence that repeated scalar (or small
-    vector) ``exp(rng.normal(0, scale, ...))`` calls on the same
-    generator would produce: the generator's bit stream is consumed
-    identically, and ``np.exp`` is elementwise, so chunking changes
-    neither the draws nor their rounding.
-    """
-
-    __slots__ = ("_rng", "scale", "chunk", "_buf", "_pos")
-
-    def __init__(self, rng: np.random.Generator, scale: float, chunk: int = DEFAULT_CHUNK):
-        if scale <= 0.0:
-            raise ValueError("jitter stream needs a positive noise scale")
-        self._rng = rng
-        self.scale = scale
-        self.chunk = max(int(chunk), 1)
-        self._buf = np.empty(0, dtype=np.float64)
-        self._pos = 0
-
-    def take(self, n: int) -> np.ndarray:
-        """The next ``n`` jitter factors (a read-only-by-convention view)."""
-        end = self._pos + n
-        if end > self._buf.size:
-            self._refill(n)
-            end = n
-        out = self._buf[self._pos : end]
-        self._pos = end
-        return out
-
-    def _refill(self, need: int) -> None:
-        leftover = self._buf[self._pos :]
-        fresh = np.exp(
-            self._rng.normal(0.0, self.scale, size=max(self.chunk, need - leftover.size))
-        )
-        self._buf = np.concatenate([leftover, fresh]) if leftover.size else fresh
-        self._pos = 0
 
 
 def _empty_share_batch(num_tiers: int) -> ShareBatch:
@@ -136,7 +78,7 @@ def build_static_batches(
     (group, tier), exactly the element order that the per-window mask +
     ``np.compress`` split emits, and segment offsets carve per-window
     views straight out of the two sorted whole-run buffers.  Only the
-    schema-1 PEBS/CHMU samplers walk those page lists.
+    CHMU sampler walks those page lists.
 
     With ``meta`` (the trace's :class:`EntryMetaPlan`) the batches are
     *misses-only*, like the dynamic ``split_groups(misses_only=True)``:
@@ -326,71 +268,6 @@ def entry_meta_for(data, num_tiers: int) -> EntryMetaPlan:
     return cached[1]
 
 
-class PebsPosPlan:
-    """Prestaged nonzero-record positions of a keyed PEBS record plan.
-
-    Keyed PEBS draws records for *every* trace entry, but the merge
-    only ever looks at entries whose record count is positive -- a
-    trace-determined subset, typically a small fraction of the window.
-    Prestaging the positions (plus their pages and records) shrinks the
-    per-window merge to a gather + compress over that subset.
-    """
-
-    __slots__ = ("_ptr", "pos_idx", "pages_pos", "recs_pos", "sorted_unique")
-
-    def __init__(self, ptr, pos_idx, pages_pos, recs_pos, sorted_unique):
-        self._ptr = ptr
-        #: Window-local entry indices of the positive-record entries.
-        self.pos_idx = pos_idx
-        self.pages_pos = pages_pos
-        self.recs_pos = recs_pos
-        self.sorted_unique = sorted_unique
-
-    def window(self, w: int):
-        s0 = self._ptr[w]
-        s1 = self._ptr[w + 1]
-        return (
-            self.pos_idx[s0:s1],
-            self.pages_pos[s0:s1],
-            self.recs_pos[s0:s1],
-            bool(self.sorted_unique[w]),
-        )
-
-
-def build_pebs_pos(record_plan, data) -> PebsPosPlan:
-    """Index a :class:`~repro.hw.substream.PebsRecordPlan` by record > 0."""
-    c = data.columns
-    wgp = np.asarray(c["window_group_ptr"])
-    gpp = np.asarray(c["group_page_ptr"])
-    pages = np.asarray(c["pages"])
-    entry_ptr = np.asarray(gpp[wgp], dtype=np.int64)
-    num_windows = wgp.size - 1
-    ptr = np.zeros(num_windows + 1, dtype=np.int64)
-    idx_chunks: List[np.ndarray] = []
-    page_chunks: List[np.ndarray] = []
-    rec_chunks: List[np.ndarray] = []
-    sorted_unique = np.empty(num_windows, dtype=bool)
-    for w in range(num_windows):
-        recs = record_plan.window_records(w)
-        pos = np.flatnonzero(recs)
-        pp = pages[entry_ptr[w] : entry_ptr[w + 1]][pos]
-        idx_chunks.append(pos)
-        page_chunks.append(pp)
-        rec_chunks.append(recs[pos])
-        sorted_unique[w] = pp.size <= 1 or bool((pp[1:] > pp[:-1]).all())
-        ptr[w + 1] = ptr[w] + pos.size
-    cat = lambda chunks, dt: (
-        np.concatenate(chunks) if chunks else np.empty(0, dtype=dt)
-    )
-    return PebsPosPlan(
-        ptr,
-        cat(idx_chunks, np.int64),
-        cat(page_chunks, np.int64),
-        cat(rec_chunks, np.int64),
-        sorted_unique,
-    )
-
-
 class StaticSplitPlan:
     """Per-window pre-sliced share batches for a frozen placement."""
 
@@ -465,26 +342,6 @@ def plan_window_solves(model, batches: List[Optional[ShareBatch]], compute_cycle
     return WindowSolvePlan(outcomes)
 
 
-def plan_pebs_batches(
-    sampler: PebsSampler,
-    batches: List[Optional[ShareBatch]],
-    tiers: Tuple,
-) -> WindowSamplePlan:
-    """Draw the whole run's PEBS samples up front, in live stream order.
-
-    The two binomials per share are sequenced (the record draw thins
-    the load draw's output), so the draws cannot be batched across
-    shares -- but with a static placement every share's counts are
-    known now, and the live path only ever samples non-empty windows in
-    window order.  Replaying that exact call sequence here consumes the
-    sampler's generator bit-identically and moves the whole RNG tail
-    (and the per-window merge) out of the measured loop.
-    """
-    return WindowSamplePlan(
-        [None if b is None else sampler.sample(b, tiers=tiers) for b in batches]
-    )
-
-
 def plan_chmu_batches(sampler, batches: List[Optional[ShareBatch]]) -> WindowSamplePlan:
     """Precompute every CHMU epoch drain from the static split.
 
@@ -522,72 +379,14 @@ def plan_chmu_batches(sampler, batches: List[Optional[ShareBatch]]) -> WindowSam
     return WindowSamplePlan(out)
 
 
-def plan_keyed_pebs_batches(sampler, record_plan, data, placement) -> WindowSamplePlan:
-    """Merge prestaged keyed records against a *frozen* placement.
-
-    Static-placement schema-2 runs know every window's placement gather
-    now, so the whole sampler -- draw *and* merge -- leaves the timed
-    loop.  Each window's merge is the very
-    :meth:`~repro.hw.substream.KeyedPebsSampler.merge_window` call the
-    live path makes, over the same trace-order entry slices.
-    """
-    c = data.columns
-    wgp = np.asarray(c["window_group_ptr"])
-    gpp = np.asarray(c["group_page_ptr"])
-    pages = np.asarray(c["pages"])
-    entry_ptr = np.asarray(gpp[wgp], dtype=np.int64)
-    out: List[Optional[PebsBatch]] = []
-    for w in range(wgp.size - 1):
-        if wgp[w + 1] == wgp[w]:
-            out.append(None)
-            continue
-        e0, e1 = int(entry_ptr[w]), int(entry_ptr[w + 1])
-        out.append(
-            sampler.merge_window(
-                record_plan.window_records(w), pages[e0:e1], placement
-            )
-        )
-    return WindowSamplePlan(out)
-
-
-def _attach_keyed(machine, data) -> bool:
-    """Prestage schema-2 keyed draw tensors for *any* policy.
-
-    Keyed draws are decision-independent -- per window they cover every
-    trace entry (PEBS) or every (group, tier) cell (jitter) regardless
-    of placement -- so under replay the whole run's draws are computed
-    here, at attach time, outside the timed region.  The live keyed
-    fallback draws the same substreams per window, so engaging a plan
-    never changes a single value.
-    """
-    from repro.hw.substream import plan_keyed_records
-
-    wgp = np.asarray(data.columns["window_group_ptr"])
-    groups_per_window = np.diff(wgp)
-    T = machine.num_tiers
-    engaged = False
-    if machine._keyed_cha is not None:
-        machine._keyed_cha.prestage(2 * T * groups_per_window)
-        engaged = True
-    if machine._keyed_perf is not None:
-        machine._keyed_perf.prestage(
-            np.where(groups_per_window > 0, 2 * T, 0)
-        )
-        engaged = True
-    if machine._keyed_pebs is not None:
-        machine._pebs_records = plan_keyed_records(machine._keyed_pebs, data)
-        engaged = True
-    return engaged
-
-
 def attach(machine) -> bool:
-    """Wire whole-run draw plans into ``machine`` when replay drives it.
+    """Wire whole-run plans into ``machine`` when replay drives it.
 
     Called at the end of ``Machine.__init__`` (placement is settled by
-    then).  Jitter streams (schema 1) or keyed draw tensors (schema 2)
-    engage for every policy; the static split and sampler plans
-    additionally need ``policy.static_placement`` and a fully
-    preallocated footprint.  Returns True when anything engaged.
+    then).  A static placement over a fully preallocated footprint gets
+    the static split, plus the CHMU or solve plan where they apply;
+    every other replayed run gets the trace's :class:`EntryMetaPlan`.
+    Returns True when anything engaged.
     """
     if not plans_enabled():
         return False
@@ -597,112 +396,42 @@ def attach(machine) -> bool:
     if not isinstance(workload, ReplayWorkload) or workload.loop:
         return False
     data = workload.trace_data
-    engaged = False
-    keyed = machine.rng_schema == 2
-    if keyed:
-        engaged = _attach_keyed(machine, data)
-    else:
-        if machine.cha.noise > 0.0:
-            machine.cha.attach_jitter_stream(
-                NormalDrawStream(machine.cha._rng, machine.cha.noise)
-            )
-            engaged = True
-        if machine.perf.noise > 0.0:
-            wgp = np.asarray(data.columns["window_group_ptr"])
-            nonempty = int(np.count_nonzero(np.diff(wgp)))
-            total = 2 * machine.num_tiers * nonempty
-            if total > 0:
-                machine.perf.attach_jitter_stream(
-                    NormalDrawStream(machine.perf._rng, machine.perf.noise, chunk=total)
-                )
-                engaged = True
     policy = machine.policy
-    if getattr(policy, "static_placement", False) and machine.memory.fully_allocated:
-        # Only the schema-1 PEBS/CHMU plans walk per-share page lists;
-        # every other consumer reads row columns (see Machine).
-        meta = entry_meta_for(data, machine.num_tiers) if machine._misses_only_split else None
-        batches = build_static_batches(
-            data, machine.memory.placement, machine.num_tiers, meta=meta
-        )
-        machine._split_plan = StaticSplitPlan(batches)
-        engaged = True
-        if (
-            not policy.needs_pebs
-            and machine.contender is None
-            and not machine.obs.enabled
-        ):
-            # No PEBS drain, no contender, no per-window observability:
-            # every window's solve inputs are final now, so solve the
-            # whole run up front (obs-enabled runs keep the live path to
-            # preserve per-window accounting gauges).
-            machine._solve_plan = plan_window_solves(
-                machine.stall_model, batches, data.columns["window_compute"]
-            )
-        if policy.needs_pebs:
-            sampler = machine.pebs
-            if keyed and machine._keyed_pebs is not None:
-                if not machine._keyed_pebs.report_latency:
-                    # Frozen placement: fold the merge in too and drop
-                    # the per-window records (the merged plan serves
-                    # finished batches).  Latency-reporting samplers
-                    # keep the records and merge live -- the unit stall
-                    # costs come from each window's solved shares.
-                    machine._pebs_plan = plan_keyed_pebs_batches(
-                        machine._keyed_pebs,
-                        machine._pebs_records,
-                        data,
-                        machine.memory.placement,
-                    )
-                    machine._pebs_records = None
-            elif isinstance(sampler, PebsSampler) and not sampler.report_latency:
-                # TPEBS latency reporting reads each share's *solved*
-                # unit stall cost, which is unknown before the run --
-                # those samplers keep the live path.
-                machine._pebs_plan = plan_pebs_batches(
-                    sampler, batches, machine._pebs_tiers()
-                )
-            else:
-                from repro.hw.chmu import ChmuSampler
-
-                if isinstance(sampler, ChmuSampler):
-                    machine._pebs_plan = plan_chmu_batches(sampler, batches)
-    if machine._split_plan is None:
+    if not (policy.static_placement and machine.memory.fully_allocated):
         # Dynamic placement: the split itself stays in the loop, but its
-        # trace-determined inputs (key bases, float counts, sortedness)
-        # leave it.
+        # trace-determined inputs (key bases, float counts) leave it.
         machine._entry_meta = entry_meta_for(data, machine.num_tiers)
         machine._entry_meta.prestage_split()
-        engaged = True
-        if (
-            machine._keyed_pebs is not None
-            and machine._pebs_plan is None
-            and machine._pebs_records is not None
-            and not machine._keyed_pebs.report_latency
-        ):
-            # Keyed PEBS under a moving placement: prestage the
-            # positive-record subset; the merge becomes a gather over
-            # it (latency-reporting samplers keep the full records --
-            # their per-entry latency lookup needs the solved shares).
-            machine._pebs_pos = build_pebs_pos(machine._pebs_records, data)
-            machine._pebs_records = None
-    return engaged
+        return True
+    meta = entry_meta_for(data, machine.num_tiers) if machine._misses_only_split else None
+    batches = build_static_batches(
+        data, machine.memory.placement, machine.num_tiers, meta=meta
+    )
+    machine._split_plan = StaticSplitPlan(batches)
+    if policy.needs_pebs:
+        if machine._chmu:
+            machine._pebs_plan = plan_chmu_batches(machine.pebs, batches)
+    elif machine.contender is None and not machine.obs.enabled:
+        # No PEBS drain, no contender, no per-window observability:
+        # every window's solve inputs are final now, so solve the whole
+        # run up front (obs-enabled runs keep the live path to preserve
+        # per-window accounting gauges).
+        machine._solve_plan = plan_window_solves(
+            machine.stall_model, batches, data.columns["window_compute"]
+        )
+    return True
 
 
 __all__ = [
     "ENV_DISABLE",
     "EntryMetaPlan",
-    "NormalDrawStream",
-    "PebsPosPlan",
     "StaticSplitPlan",
     "WindowSamplePlan",
     "WindowSolvePlan",
     "attach",
-    "build_pebs_pos",
     "build_static_batches",
     "entry_meta_for",
     "plan_chmu_batches",
-    "plan_keyed_pebs_batches",
-    "plan_pebs_batches",
     "plan_window_solves",
     "plans_enabled",
 ]

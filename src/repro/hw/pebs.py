@@ -1,9 +1,24 @@
 """PEBS-style sampled page-access observation.
 
 Intel PEBS delivers one record per N hardware events (here: slow-tier
-LLC-miss loads, event ``MEM_LOAD_L3_MISS_RETIRE``).  Over a 20 ms window
-this is statistically a binomial thinning of each page's true miss
-count, which is exactly how the sampler below draws its observations.
+LLC-miss loads, event ``MEM_LOAD_L3_MISS_RETIRE``).  The sampler draws
+exactly that: a Bernoulli(1/N) process over the window's miss stream in
+trace order, drawn as geometric gaps between sampled misses -- about
+misses/N draws per window, however many page entries the window has.
+Each sampled miss maps back to its entry by ``searchsorted`` on the
+prefix sum of the entry counts, so every entry gets an independent
+Binomial(count, 1/N) record count.  With ``loads_only``, a sample of an
+entry whose group has load fraction ``lf < 1`` is kept with probability
+``lf`` (stores leave no load record): Binomial(count, lf/N) in all.
+
+The draw is keyed by (seed, ``"pebs"``) at the window's counter
+(:class:`~repro.common.rngutil.KeyedStream`) and reads only the
+window's trace entries.  It therefore depends on (seed, window,
+entries) alone -- never on placement, the policy, or which runs share a
+lockstep group -- so policies compared at one seed see common random
+numbers.  The merge applies the policy-dependent part: it gathers the
+placement of the sampled entries only, keeps those resident in a
+sampled tier, and merges duplicate pages.
 
 The sampler also models the cost of consuming PEBS records (the
 dedicated processing thread of §4.6): each record costs a fixed number
@@ -13,13 +28,15 @@ overhead -- the trade-off probed by the Figure 10a sensitivity study.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from repro.common.arrays import run_lengths, run_starts
+from repro.common.rngutil import KeyedStream
 from repro.hw.stall import ShareBatch
-from repro.mem.page import Tier
 
 #: Default PEBS sampling rate: one record per 400 qualifying events (§4.3.5).
 DEFAULT_PEBS_RATE = 400
@@ -64,14 +81,84 @@ class PebsBatch:
         )
 
 
+class PebsDraw(NamedTuple):
+    """One window's sparse PEBS records, before placement is consulted.
+
+    ``entries`` are the window-local indices (trace order, ascending) of
+    the entries with at least one record, ``records`` their record
+    counts, and ``group_ptr`` the window's G + 1 group offsets, which
+    map an entry to its access group.
+    """
+
+    entries: np.ndarray
+    records: np.ndarray
+    group_ptr: Optional[np.ndarray]
+
+
+def group_layout(groups) -> "tuple[np.ndarray, np.ndarray]":
+    """``(group_ptr, group_lf)`` of a window's access groups: the G + 1
+    entry offsets of the groups in trace order, and their load
+    fractions."""
+    ptr = np.zeros(len(groups) + 1, dtype=np.int64)
+    np.cumsum([g.pages.size for g in groups], out=ptr[1:])
+    return ptr, np.array([g.load_fraction for g in groups], dtype=np.float64)
+
+
+def sampled_positions(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
+    """Ascending 0-based positions of the sampled events among ``total``.
+
+    A Bernoulli(``p``) process drawn as geometric gaps: each gap is the
+    number of events up to and including the next sample, so the cost
+    is one draw per sample (plus a few-sigma margin), not one per event.
+    """
+    mean = total * p
+    chunk = int(mean + 4.0 * math.sqrt(mean)) + 16
+    ends = np.cumsum(rng.geometric(p, size=chunk))
+    while ends[-1] <= total:
+        more = np.cumsum(rng.geometric(p, size=chunk))
+        more += ends[-1]
+        ends = np.concatenate([ends, more])
+    ends = ends[: int(np.searchsorted(ends, total, side="right"))]
+    ends -= 1
+    return ends
+
+
+def entries_of(prefix: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The entry owning each event position.
+
+    Entry ``i`` owns positions ``[prefix[i] - count[i], prefix[i])`` of
+    the window's event stream, where ``prefix`` is the inclusive prefix
+    sum of the counts; zero-count entries own none.
+    """
+    return np.searchsorted(prefix, positions, side="right")
+
+
+_NO_ENTRIES = np.empty(0, dtype=np.intp)
+_NO_RECORDS = np.empty(0, dtype=np.int64)
+
+
 class PebsSampler:
-    """Binomial 1-in-N thinning of per-page miss counts."""
+    """Keyed 1-in-N sampling of a window's miss stream."""
+
+    __slots__ = (
+        "rate",
+        "cycles_per_record",
+        "loads_only",
+        "report_latency",
+        "num_tiers",
+        "_p",
+        "_stream",
+        "_code_mask",
+        "_all_codes",
+    )
 
     def __init__(
         self,
+        seed: int = 0,
         rate: int = DEFAULT_PEBS_RATE,
         cycles_per_record: float = DEFAULT_CYCLES_PER_RECORD,
-        rng: Optional[np.random.Generator] = None,
+        sampled_codes: Sequence[int] = (1,),
+        num_tiers: int = 2,
         loads_only: bool = True,
         report_latency: bool = False,
     ):
@@ -82,145 +169,139 @@ class PebsSampler:
         self.loads_only = loads_only
         #: Attach per-record exposed-latency reporting (TPEBS-style).
         self.report_latency = report_latency
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        #: Stage-1 shortcut (see :meth:`draw`): PCG64's ``advance`` counts
-        #: 64-bit outputs, i.e. doubles; other bit generators keep the call.
-        bitgen = self._rng.bit_generator
-        self._advance = bitgen.advance if isinstance(bitgen, np.random.PCG64) else None
+        self.num_tiers = num_tiers
+        self._p = 1.0 / rate
+        self._stream = KeyedStream(seed, "pebs")
+        #: Lookup table over tier codes: True where the policy samples.
+        mask = np.zeros(num_tiers, dtype=bool)
+        mask[[int(c) for c in sampled_codes]] = True
+        self._code_mask = mask
+        self._all_codes = bool(mask.all())
 
     def draw(
-        self, shares: ShareBatch, tiers: "tuple[Tier, ...]" = (Tier.SLOW,)
-    ) -> "tuple[list, list, list]":
-        """The RNG stage: thinning draws per share, merge inputs out.
+        self,
+        window: int,
+        counts: np.ndarray,
+        group_ptr: Optional[np.ndarray] = None,
+        group_lf: Optional[np.ndarray] = None,
+    ) -> PebsDraw:
+        """The RNG stage: one window's sampled entries and their records.
 
-        The two binomial draws must stay sequenced per share (the
-        record draw thins the load draw's result), so the RNG stream
-        -- and thus every sampled record -- matches a per-share loop
-        exactly.  The batch is walked by row over its column views.
-        ``share_units`` (each share's exposed latency per load =
-        effective latency / MLP = unit stall cost) is only collected
-        when latency reporting is on -- nothing else reads it.
-
-        Stage-1 identity: ``binomial(n, 1.0)`` returns ``n`` after
-        consuming exactly one double per nonzero ``n`` (numpy takes the
-        inversion branch with ``q = 0``, whose single uniform always
-        lands under ``q**n = 1``).  All-load rows -- nearly every row --
-        therefore skip the call and just advance the generator by their
-        nonzero-entry count; the stage-2 draw then sees the same counts
-        and the same stream position.  ``tests/test_pebs_shortcut.py``
-        pins the numpy behaviour this relies on.
+        ``counts`` are the window's per-entry miss counts in trace
+        order.  ``group_ptr``/``group_lf`` (see :func:`group_layout`)
+        feed the load thin; without them every entry counts as
+        all-load.  The load fraction is looked up for the sampled
+        entries only.  At rate 1 every miss is a sample, so the entry
+        counts pass through without a draw.
         """
-        all_pages = []
-        all_records = []
-        share_units = []
-        rng = self._rng
-        advance = self._advance
-        rate_p = 1.0 / self.rate
-        want_units = self.report_latency
-        if self.loads_only:
-            for pages, counts, load_fraction, unit in _tier_share_rows(shares, tiers):
-                # Thin writes out before the 1-in-N event sampling.
-                if load_fraction == 1.0 and advance is not None:
-                    advance(int(np.count_nonzero(counts)))
-                    records = rng.binomial(counts, rate_p)
-                else:
-                    records = rng.binomial(rng.binomial(counts, load_fraction), rate_p)
-                all_pages.append(pages)
-                all_records.append(records)
-                if want_units:
-                    share_units.append(unit)
+        prefix = np.cumsum(counts)
+        if not prefix.size or prefix[-1] <= 0:
+            return PebsDraw(_NO_ENTRIES, _NO_RECORDS, group_ptr)
+        rng = self._stream.at(window)
+        if self.rate == 1:
+            entries = np.flatnonzero(counts)
+            records = np.asarray(counts[entries], dtype=np.int64)
         else:
-            for pages, counts, _load_fraction, unit in _tier_share_rows(shares, tiers):
-                all_pages.append(pages)
-                all_records.append(rng.binomial(counts, rate_p))
-                if want_units:
-                    share_units.append(unit)
-        return all_pages, all_records, share_units
+            positions = sampled_positions(rng, int(prefix[-1]), self._p)
+            entries, records = run_lengths(entries_of(prefix, positions))
+        if (
+            self.loads_only
+            and group_lf is not None
+            and entries.size
+            and group_lf.min() < 1.0
+        ):
+            lf = group_lf[np.searchsorted(group_ptr, entries, side="right") - 1]
+            part = lf < 1.0
+            records = records.copy()
+            records[part] = rng.binomial(records[part], lf[part])
+            kept = records > 0
+            entries, records = entries[kept], records[kept]
+        return PebsDraw(entries, records, group_ptr)
 
-    def merge(self, drawn: "tuple[list, list, list]") -> PebsBatch:
-        """The merge stage: concatenate, drop zero-record entries, and
-        merge duplicate pages (record-weighted mean for latencies)."""
-        all_pages, all_records, share_units = drawn
-        if not all_pages:
+    def merge(
+        self,
+        drawn: PebsDraw,
+        pages: np.ndarray,
+        placement: np.ndarray,
+        shares: Optional[ShareBatch] = None,
+    ) -> PebsBatch:
+        """The merge stage: placement-filter the draw and merge pages.
+
+        ``pages`` are the window's per-entry pages (aligned with the
+        drawn counts) and ``placement`` the page -> tier map before this
+        window's migration.  Only sampled entries are gathered.  Records
+        of entries resident outside the sampled tiers are dropped, and
+        a page that appears in several groups gets one merged count.
+        ``shares`` (the solved window) feeds latency reporting: a
+        record's exposed latency is its (group, tier) share's unit
+        stall cost, and a page reports the record-weighted mean.
+        """
+        entries, records, group_ptr = drawn
+        if not entries.size:
             return PebsBatch.empty(self.rate)
-        pages = np.concatenate(all_pages) if len(all_pages) > 1 else all_pages[0]
-        records = np.concatenate(all_records) if len(all_records) > 1 else all_records[0]
-        hit = records > 0
-        pages = pages[hit]
-        records = records[hit]
-        if pages.size == 0:
-            return PebsBatch.empty(self.rate)
-        if len(all_pages) == 1 and _strictly_increasing(pages):
-            # One contributing share with already-unique sorted pages
-            # (the common single-group-window case): the merge pass has
-            # nothing to merge, so skip np.unique/bincount entirely.
-            # The boolean-mask indexing above already produced fresh
-            # arrays, so nothing here aliases solver scratch.
-            uniq = pages
-            merged = records
-            latencies = None
-            if self.report_latency:
-                # One share, one unit latency; the merged-path division
-                # (records * unit / records) is reproduced exactly so
-                # the emitted floats match bit for bit.
-                lat = np.full(uniq.size, share_units[0], dtype=float)
-                latencies = (lat * merged) / np.maximum(merged, 1)
-        else:
-            # The same page can appear in several groups; merge duplicates
-            # (record-weighted mean for latencies).  bincount accumulates in
-            # input-element order, i.e. bit-identically to a np.add.at loop,
-            # and integer-valued float64 sums are exact far beyond any
-            # realistic record count.
-            uniq, inverse = np.unique(pages, return_inverse=True)
-            merged = np.bincount(inverse, weights=records, minlength=uniq.size).astype(np.int64)
-            latencies = None
-            if self.report_latency:
-                sizes = [p.size for p in all_pages]
-                lat = np.repeat(np.asarray(share_units, dtype=float), sizes)[hit]
-                weighted = np.bincount(inverse, weights=lat * records, minlength=uniq.size)
-                latencies = weighted / np.maximum(merged, 1)
-        total = int(merged.sum())
+        pg = pages[entries]
+        want_latency = self.report_latency and shares is not None
+        if want_latency or not self._all_codes:
+            tier = placement[pg]
+            if not self._all_codes:
+                sel = self._code_mask[tier]
+                if not sel.all():
+                    pg, records, tier = pg[sel], records[sel], tier[sel]
+                    entries = entries[sel]
+                    if not pg.size:
+                        return PebsBatch.empty(self.rate)
+        latencies = None
+        if want_latency:
+            T = self.num_tiers
+            lut = np.zeros((int(shares.group_index.max(initial=-1)) + 1) * T)
+            lut[shares.group_index * T + shares.tier_codes] = shares.unit_stall_cycles
+            groups = np.searchsorted(group_ptr, entries, side="right") - 1
+            latencies = lut[groups * T + tier]
+        if pg.size > 1 and not bool(np.all(pg[1:] > pg[:-1])):
+            # Duplicate or unsorted pages: one stable sort, then sum the
+            # runs (record-weighted mean for latencies).
+            order = np.argsort(pg, kind="stable")
+            pg = pg[order]
+            records = records[order]
+            starts = run_starts(pg)
+            pg = pg[starts]
+            if latencies is not None:
+                weighted = np.add.reduceat(latencies[order] * records, starts)
+            records = np.add.reduceat(records, starts)
+            if latencies is not None:
+                latencies = weighted / records
         return PebsBatch(
-            pages=uniq,
-            counts=merged,
+            pages=pg,
+            counts=records,
             rate=self.rate,
-            overhead_cycles=total * self.cycles_per_record,
+            overhead_cycles=int(records.sum()) * self.cycles_per_record,
             latencies=latencies,
         )
 
     def sample(
-        self, shares: ShareBatch, tiers: "tuple[Tier, ...]" = (Tier.SLOW,)
+        self,
+        window: int,
+        counts: np.ndarray,
+        pages: np.ndarray,
+        placement: np.ndarray,
+        group_ptr: Optional[np.ndarray] = None,
+        group_lf: Optional[np.ndarray] = None,
+        shares: Optional[ShareBatch] = None,
     ) -> PebsBatch:
-        """Draw one window's PEBS records from the given tier(s).
+        """Draw and merge one window's PEBS records.
 
         PACT samples only slow-tier loads by default (§4.3.5): sampling
         the fast tier as well would double PEBS overhead for little
         policy value, since demotion candidates come from the LRU lists.
-        Split into :meth:`draw` (the sequenced RNG stage) and
-        :meth:`merge` so the machine can attribute their wall time to
-        separate observability spans.
+        The machine calls :meth:`draw` and :meth:`merge` separately so
+        their wall time lands in separate observability spans.
         """
-        return self.merge(self.draw(shares, tiers=tiers))
+        drawn = self.draw(window, counts, group_ptr, group_lf)
+        return self.merge(drawn, pages, placement, shares=shares)
 
-
-def _strictly_increasing(pages: np.ndarray) -> bool:
-    """True when ``pages`` is sorted ascending with no duplicates."""
-    if pages.size <= 1:
-        return True
-    return bool(np.all(pages[1:] > pages[:-1]))
-
-
-def _tier_share_rows(batch: ShareBatch, tiers: "tuple[Tier, ...]"):
-    """Yield ``(pages, counts, load_fraction, unit_stall_cycles)`` for
-    the shares in ``tiers``, in row order, as column views."""
-    codes = tuple(int(t) for t in tiers)
-    tier_codes = batch.tier_codes
-    for i in range(batch.n):
-        if int(tier_codes[i]) not in codes:
-            continue
-        yield (
-            batch.pages_of(i),
-            batch.counts_of(i),
-            float(batch.load_fraction[i]),
-            float(batch.unit_stall_cycles[i]),
-        )
+    # The end-to-end benchmark's tracer still wraps the old keyed-sampler
+    # method names; they stay as the same functions until a later
+    # benchmark change retargets it.
+    window_records = draw
+    merge_window = merge
+    merge_window_pos = merge

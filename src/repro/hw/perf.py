@@ -4,7 +4,9 @@ This registry exposes exactly the signals a tiering policy can read on
 real hardware: cumulative LLC misses per tier, aggregate stall cycles,
 elapsed cycles, and per-tier byte traffic (for occupancy-derived latency
 signals a la Colloid).  Like :mod:`repro.hw.cha`, reads carry small
-multiplicative noise so estimators downstream are stressed realistically.
+multiplicative noise -- one keyed (miss, stall) factor pair per tier
+and window (:mod:`repro.hw.substream`) -- so estimators downstream are
+stressed realistically.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import numpy as np
 
 from repro.hw.stall import WindowHardware
 from repro.mem.page import Tier, tier_key
-
-DEFAULT_PERF_NOISE = 0.01
 
 
 @dataclass
@@ -63,16 +63,7 @@ class PerfDelta:
 class PerfCounters:
     """Cumulative processor counters, advanced once per window."""
 
-    def __init__(
-        self,
-        noise: float = DEFAULT_PERF_NOISE,
-        rng: Optional[np.random.Generator] = None,
-        num_tiers: int = 2,
-    ):
-        self.noise = noise
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        #: Optional whole-run jitter stream (:mod:`repro.hw.drawplan`).
-        self._jitter_stream = None
+    def __init__(self, num_tiers: int = 2):
         self._cycles = 0.0
         tiers = [tier_key(t) for t in range(num_tiers)]
         self._llc_misses = {t: 0.0 for t in tiers}
@@ -85,40 +76,22 @@ class PerfCounters:
 
         ``jitter``, when given, supplies the window's ``2 * num_tiers``
         multiplicative noise factors (miss, stall interleaved in tier
-        order) in place of this counter's own stream draws -- the
-        schema-2 keyed path (:mod:`repro.hw.substream`).
+        order), drawn by the machine from a keyed substream
+        (:class:`repro.hw.substream.KeyedJitter`).
         """
         self._cycles += outcome.duration_cycles
-        loads = outcome.tier_loads
-        if jitter is not None:
-            k = 0
-            for tier, load in loads.items():
-                self._llc_misses[tier] += load.misses * float(jitter[k])
-                self._stalls[tier] += load.stall_cycles * float(jitter[k + 1])
-                self._bytes[tier] += load.bytes
-                self._latency[tier] = load.effective_latency_cycles
-                k += 2
-            return
-        if self._jitter_stream is not None and self.noise > 0.0:
-            # Exactly 2 draws per tier per window, in tier order -- the
-            # same stream positions the scalar _jitter() calls consume.
-            jitter = self._jitter_stream.take(2 * len(loads))
-            k = 0
-            for tier, load in loads.items():
-                self._llc_misses[tier] += load.misses * float(jitter[k])
-                self._stalls[tier] += load.stall_cycles * float(jitter[k + 1])
-                self._bytes[tier] += load.bytes
-                self._latency[tier] = load.effective_latency_cycles
-                k += 2
-            return
-        for tier, load in loads.items():
-            self._llc_misses[tier] += load.misses * self._jitter()
-            self._stalls[tier] += load.stall_cycles * self._jitter()
+        k = 0
+        for tier, load in outcome.tier_loads.items():
+            misses = load.misses
+            stalls = load.stall_cycles
+            if jitter is not None:
+                misses *= float(jitter[k])
+                stalls *= float(jitter[k + 1])
+            self._llc_misses[tier] += misses
+            self._stalls[tier] += stalls
             self._bytes[tier] += load.bytes
             self._latency[tier] = load.effective_latency_cycles
-
-    def attach_jitter_stream(self, stream) -> None:
-        self._jitter_stream = stream
+            k += 2
 
     def read(self) -> PerfSnapshot:
         return PerfSnapshot(
@@ -128,8 +101,3 @@ class PerfCounters:
             bytes=dict(self._bytes),
             effective_latency_cycles=dict(self._latency),
         )
-
-    def _jitter(self) -> float:
-        if self.noise <= 0.0:
-            return 1.0
-        return float(np.exp(self._rng.normal(0.0, self.noise)))

@@ -249,11 +249,11 @@ class StallModel:
         per-row miss totals come from one weighted bincount over the
         packed (group, tier) key, and the returned batch carries
         ``pages_buf=None`` (``pages_of``/``counts_of`` fail loudly).
-        Everything the solver, the TOR/perf counters, and the schema-2
-        keyed samplers read (row order, misses, mlp, load fractions,
-        tier totals) is bit-identical to the partitioned form -- only
-        consumers that walk per-share page lists (the schema-1
-        PEBS/CHMU samplers, the drawplan builders) need the buffers.
+        Everything the solver, the TOR/perf counters, and the PEBS
+        merge read (row order, misses, mlp, load fractions, tier
+        totals) is bit-identical to the partitioned form -- only
+        consumers that walk per-share page lists (the CHMU sampler, the
+        drawplan builders) need the buffers.
 
         The remaining keyword hints let a replay driver hand in
         prestaged trace-determined inputs

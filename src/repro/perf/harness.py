@@ -67,11 +67,6 @@ class PerfScenario:
     total_misses: int = 24_000_000
     ratio: str = "1:4"
     seed: int = 0
-    #: RNG schema the scenario runs under (see MachineConfig.rng_schema).
-    rng_schema: int = 2
-
-    def config(self) -> MachineConfig:
-        return MachineConfig(rng_schema=self.rng_schema)
 
     def build_workload(self, trace_store=None):
         """The scenario's workload; replayed when a trace store is given."""
@@ -84,7 +79,7 @@ class PerfScenario:
         return Machine(
             workload=self.build_workload(trace_store),
             policy=make_policy(self.policy),
-            config=self.config(),
+            config=MachineConfig(),
             ratio=self.ratio,
             seed=self.seed,
         )
@@ -109,11 +104,6 @@ class MultiRunScenario:
     total_misses: int = 24_000_000
     seeds: "tuple[int, ...]" = (0, 1, 2)
     ratios: "tuple[str, ...]" = ("1:2", "1:4")
-    #: RNG schema the scenario runs under (see MachineConfig.rng_schema).
-    rng_schema: int = 2
-
-    def config(self) -> MachineConfig:
-        return MachineConfig(rng_schema=self.rng_schema)
 
     def runs(self) -> "tuple[tuple[int, str], ...]":
         """Member (seed, ratio) pairs in fixed seed-major order."""
@@ -130,7 +120,7 @@ class MultiRunScenario:
             Machine(
                 workload=self.build_workload(trace_store),
                 policy=make_policy(self.policy),
-                config=self.config(),
+                config=MachineConfig(),
                 ratio=ratio,
                 seed=seed,
                 obs=obs,
@@ -165,10 +155,8 @@ QUICK_NAMES = (
 )
 
 
-def scenarios(quick: bool = False, rng_schema: int = 2) -> "tuple[object, ...]":
-    from dataclasses import replace
-
-    full = tuple(replace(s, rng_schema=rng_schema) for s in SUITE + MULTI_SUITE)
+def scenarios(quick: bool = False) -> "tuple[object, ...]":
+    full = SUITE + MULTI_SUITE
     if not quick:
         return full
     return tuple(s for s in full if s.name in QUICK_NAMES)
@@ -270,7 +258,6 @@ def run_scenario(
         "total_misses": scenario.total_misses,
         "ratio": scenario.ratio,
         "seed": scenario.seed,
-        "rng_schema": scenario.rng_schema,
         "windows": windows,
         "windows_per_sec": best_wps,
         "wall_seconds": best_wall,
@@ -281,7 +268,7 @@ def run_scenario(
         machine = Machine(
             workload=scenario.build_workload(trace_store),
             policy=make_policy(scenario.policy),
-            config=scenario.config(),
+            config=MachineConfig(),
             ratio=scenario.ratio,
             seed=scenario.seed,
             obs=obs,
@@ -357,7 +344,6 @@ def run_multi_scenario(
         "seeds": list(scenario.seeds),
         "ratios": list(scenario.ratios),
         "runs": len(run_cycles),
-        "rng_schema": scenario.rng_schema,
         "windows": windows,
         "windows_per_sec": best_wps,
         "wall_seconds": best_wall,
@@ -371,7 +357,7 @@ def run_multi_scenario(
             machine = Machine(
                 workload=scenario.build_workload(trace_store),
                 policy=make_policy(scenario.policy),
-                config=scenario.config(),
+                config=MachineConfig(),
                 ratio=ratio,
                 seed=seed,
                 obs=obs,
@@ -409,7 +395,6 @@ def run_suite(
     progress=None,
     replay: bool = True,
     trace_dir: Optional[str] = DEFAULT_TRACE_DIR,
-    rng_schema: int = 2,
     profile_dir: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run the (quick or full) suite and return the report document.
@@ -417,10 +402,8 @@ def run_suite(
     ``replay=True`` (the default, matching how sweeps run) records each
     scenario's traffic stream once into ``trace_dir`` and times replay;
     bit-identity of replay means ``runtime_cycles`` still guards against
-    result drift either way.  ``rng_schema`` selects the RNG schema all
-    scenarios run under -- the suite defaults to schema 2 (counter-keyed
-    substreams, the configuration sweeps should run in); schema-1 legs
-    gate bit-identity against a legacy baseline.
+    result drift either way.  Every scenario runs ``MachineConfig()``
+    defaults, the configuration sweeps run in.
     """
     trace_store = None
     if replay:
@@ -432,11 +415,10 @@ def run_suite(
         "quick": quick,
         "repeats": repeats,
         "replay": replay,
-        "rng_schema": rng_schema,
         "calibration_ops_per_sec": calibration_score(),
         "scenarios": {},
     }
-    for scenario in scenarios(quick, rng_schema=rng_schema):
+    for scenario in scenarios(quick):
         runner = (
             run_multi_scenario
             if isinstance(scenario, MultiRunScenario)
@@ -480,14 +462,6 @@ def compare(
     base_cal = float(baseline.get("calibration_ops_per_sec", 0.0))
     if cur_cal <= 0.0 or base_cal <= 0.0:
         problems.append("calibration score missing from report or baseline")
-        return problems
-    cur_schema = int(current.get("rng_schema", 1))
-    base_schema = int(baseline.get("rng_schema", 1))
-    if cur_schema != base_schema:
-        problems.append(
-            f"rng schema mismatch: report is schema {cur_schema} but baseline "
-            f"is schema {base_schema} (runtime_cycles are not comparable)"
-        )
         return problems
     base_scenarios = baseline.get("scenarios", {})
     for name, cur in current.get("scenarios", {}).items():

@@ -1,9 +1,13 @@
-"""Machine configuration: tier specs, ratios, window and cost parameters."""
+"""Machine configuration: tier specs, ratios, window and cost parameters.
+
+There is no RNG switch: every stochastic hardware draw follows the one
+counter-keyed convention of :mod:`repro.hw.substream`, and
+:attr:`MachineConfig.rng_schema_effective` reports its number.
+"""
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -19,30 +23,6 @@ from repro.mem.topology import TierTopology
 
 #: The fast:slow capacity ratios evaluated in the paper (§5.1).
 PAPER_RATIOS = ("8:1", "4:1", "2:1", "1:1", "1:2", "1:4", "1:8")
-
-#: Environment default for :attr:`MachineConfig.rng_schema`; configs
-#: that leave the field unset resolve it at construction time, so an
-#: env-selected schema 2 materialises in the config (and therefore in
-#: cache fingerprints -- the env can never poison schema-1 cache keys).
-ENV_RNG_SCHEMA = "REPRO_RNG_SCHEMA"
-
-#: Supported RNG schemas: 1 = sequential per-subsystem streams (the
-#: exactness reference), 2 = Philox counter-keyed per-window substreams.
-RNG_SCHEMAS = (1, 2)
-
-
-def _env_rng_schema() -> Optional[int]:
-    raw = os.environ.get(ENV_RNG_SCHEMA, "").strip()
-    if not raw:
-        return None
-    try:
-        schema = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_RNG_SCHEMA} must be an integer, got {raw!r}") from None
-    if schema not in RNG_SCHEMAS:
-        raise ValueError(f"{ENV_RNG_SCHEMA} must be one of {RNG_SCHEMAS}, got {schema}")
-    return schema
-
 
 def _split_ratio(ratio: str) -> List[float]:
     """Raw (unnormalised) parts of a colon-separated ratio string."""
@@ -132,42 +112,29 @@ class MachineConfig:
     #: Omitted from cache fingerprints when ``None`` -- see
     #: ``_canonical_omit_none`` and :func:`repro.exp.cache.canonical`.
     topology: Optional[TierTopology] = None
-    #: RNG schema.  ``None``/1 (equivalent; 1 normalises to ``None``)
-    #: selects the legacy sequential per-subsystem streams -- the
-    #: bit-exactness reference every golden digest pins.  2 selects
-    #: Philox counter-keyed substreams (:mod:`repro.hw.substream`):
-    #: every sampler/jitter draw is keyed by (seed, purpose, window)
-    #: instead of stream position, making draws decision-independent
-    #: and whole-run prestageable for any policy.  Unset configs read
-    #: ``REPRO_RNG_SCHEMA`` at construction; like ``topology``, the
-    #: field is omitted from cache fingerprints when ``None`` so
-    #: schema-1 configs fingerprint exactly as before the field existed.
-    rng_schema: Optional[int] = None
 
     #: Fields :func:`repro.exp.cache.canonical` drops when ``None``, so
     #: default configs fingerprint exactly as they did before the field
     #: existed (pinned cache keys must survive the tier-graph refactor).
-    _canonical_omit_none = ("topology", "rng_schema")
+    _canonical_omit_none = ("topology",)
 
     def __post_init__(self) -> None:
         if self.topology is not None and self.topology.is_default_pair(
             self.fast_spec, self.slow_spec
         ):
             object.__setattr__(self, "topology", None)
-        schema = self.rng_schema
-        if schema is None:
-            schema = _env_rng_schema()
-        elif schema not in RNG_SCHEMAS:
-            raise ValueError(f"rng_schema must be one of {RNG_SCHEMAS}, got {schema!r}")
-        # Schema 1 is the default; storing it as None keeps the
-        # canonical form (and thus every pinned fingerprint) identical
-        # to configs that predate the field.
-        object.__setattr__(self, "rng_schema", None if schema == 1 else schema)
 
     @property
     def rng_schema_effective(self) -> int:
-        """The resolved schema number (``None`` reads as schema 1)."""
-        return 1 if self.rng_schema is None else self.rng_schema
+        """The number of the simulator's one RNG draw convention.
+
+        Every stochastic hardware draw is keyed by (seed, purpose,
+        window) (:mod:`repro.hw.substream`), with PEBS drawn as
+        geometric gaps over each window's miss stream.  Its bits match
+        neither retired convention (1: sequential streams, 2: per-entry
+        keyed thinning), hence 3.  Read-only: there is nothing to pick.
+        """
+        return 3
 
     @property
     def num_tiers(self) -> int:

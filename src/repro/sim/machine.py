@@ -7,7 +7,9 @@ windows; each window the machine
 2. splits traffic by page placement and solves ground-truth stalls
    (with bandwidth contention from the app, any MLC contender, and last
    window's migration copies),
-3. draws PEBS samples and advances the CHA/TOR and perf counters,
+3. draws PEBS samples and counter jitter from keyed substreams (one
+   per (seed, purpose), positioned at the window's counter) and advances
+   the CHA/TOR and perf counters,
 4. hands the policy an :class:`Observation` and applies its
    :class:`Decision` through the migration engine,
 5. charges migration costs: synchronously for hint-fault designs,
@@ -24,12 +26,13 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.common.arrays import sorted_unique
-from repro.common.rngutil import split
 from repro.hw import drawplan
 from repro.hw.cha import ChaTorCounters
-from repro.hw.pebs import PebsBatch, PebsSampler
+from repro.hw.chmu import ChmuSampler
+from repro.hw.pebs import PebsBatch, PebsSampler, group_layout
 from repro.hw.perf import PerfCounters
 from repro.hw.stall import StallModel
+from repro.hw.substream import KeyedJitter
 from repro.obs import Observability, resolve as resolve_obs
 from repro.mem.page import Tier, tier_key
 from repro.mem.tiered import TieredMemory
@@ -82,7 +85,7 @@ class Machine:
         # an empty middle tier contributes no placement, no stall share,
         # and no counter stream, so collapsing it keeps the run
         # bit-identical to the equivalent shorter hierarchy (per-tier
-        # RNG draws included).  Tier 0 and the bottom tier always stay.
+        # keyed draws included).  Tier 0 and the bottom tier always stay.
         keep = [i for i in range(len(caps)) if caps[i] > 0 or i == 0 or i == len(caps) - 1]
         caps = [caps[i] for i in keep]
         specs = [specs[i] for i in keep]
@@ -96,58 +99,31 @@ class Machine:
             specs=specs,
             page_frame_costs=costs,
         )
-        #: Resolved RNG schema: 1 = sequential per-subsystem streams,
-        #: 2 = counter-keyed substreams (:mod:`repro.hw.substream`).
-        self.rng_schema = self.config.rng_schema_effective
-        pebs_rng, cha_rng, perf_rng = split(seed, "pebs", "cha", "perf")
         self.stall_model = StallModel(
             specs,
             freq_ghz=self.config.freq_ghz,
             obs=self.obs if self.obs.enabled else None,
         )
-        self.cha = ChaTorCounters(
-            noise=self.config.counter_noise, rng=cha_rng, num_tiers=self.num_tiers
-        )
-        self.perf = PerfCounters(
-            noise=self.config.counter_noise, rng=perf_rng, num_tiers=self.num_tiers
-        )
-        if policy.access_sampler == "chmu":
-            from repro.hw.chmu import ChmuSampler
-
+        self.cha = ChaTorCounters(num_tiers=self.num_tiers)
+        self.perf = PerfCounters(num_tiers=self.num_tiers)
+        #: Keyed counter-noise substreams (None when noise is off).
+        noise = self.config.counter_noise
+        self._cha_jitter = KeyedJitter(seed, "cha", noise) if noise > 0.0 else None
+        self._perf_jitter = KeyedJitter(seed, "perf", noise) if noise > 0.0 else None
+        self._chmu = policy.access_sampler == "chmu"
+        if self._chmu:
             self.pebs = ChmuSampler(footprint_pages=footprint)
         else:
             self.pebs = PebsSampler(
+                seed=seed,
                 rate=self.config.pebs_rate,
-                rng=pebs_rng,
+                sampled_codes=[int(t) for t in self._pebs_tiers()],
+                num_tiers=self.num_tiers,
                 report_latency=policy.wants_pebs_latency,
             )
         self.engine = MigrationEngine(
             self.memory, self.config, obs=self.obs if self.obs.enabled else None
         )
-        #: Schema-2 keyed substreams.  The schema-1 generators above are
-        #: still constructed (they fix the sampler/counter objects'
-        #: defaults) but never drawn from under schema 2.
-        self._keyed_pebs = None
-        self._keyed_cha = None
-        self._keyed_perf = None
-        #: Whole-run prestaged keyed PEBS records (set by drawplan).
-        self._pebs_records = None
-        if self.rng_schema == 2:
-            from repro.hw.substream import KeyedJitter, KeyedPebsSampler
-
-            if policy.needs_pebs and isinstance(self.pebs, PebsSampler):
-                self._keyed_pebs = KeyedPebsSampler(
-                    seed=seed,
-                    rate=self.pebs.rate,
-                    cycles_per_record=self.pebs.cycles_per_record,
-                    sampled_codes=[int(t) for t in self._pebs_tiers()],
-                    num_tiers=self.num_tiers,
-                    loads_only=self.pebs.loads_only,
-                    report_latency=self.pebs.report_latency,
-                )
-            if self.config.counter_noise > 0.0:
-                self._keyed_cha = KeyedJitter(seed, "cha", self.config.counter_noise)
-                self._keyed_perf = KeyedJitter(seed, "perf", self.config.counter_noise)
 
         self._pending_overhead_cycles = 0.0
         self._pending_bytes: Dict[Tier, float] = {}
@@ -158,20 +134,16 @@ class Machine:
         self._window = 0
         self._empty_windows = 0
         #: Whole-run plans (:mod:`repro.hw.drawplan`): a pre-split
-        #: ShareBatch per recorded window, presampled PEBS/CHMU batches,
-        #: and (for static no-PEBS runs without a contender) the
-        #: pre-solved per-window hardware outcomes.  All stay ``None``
-        #: outside static replayed runs.
+        #: ShareBatch per recorded window, precomputed CHMU batches, and
+        #: (for static no-PEBS runs without a contender) the pre-solved
+        #: per-window hardware outcomes.  All stay ``None`` outside
+        #: static replayed runs.
         self._split_plan = None
         self._pebs_plan = None
         self._solve_plan = None
-        #: Dynamic-replay prestages: trace-determined split/touch inputs
-        #: and the positive-record PEBS subset (:mod:`repro.hw.drawplan`).
+        #: Dynamic-replay prestage: trace-determined split/touch inputs
+        #: (:mod:`repro.hw.drawplan`).
         self._entry_meta = None
-        self._pebs_pos = None
-        #: Per-window placement gather shared by split/merge/touch
-        #: (set by :meth:`_prepare_window`, valid until migration).
-        self._entry_tiers = None
         #: This window's prestaged float counts from the entry meta
         #: plan, consumed by the touch in :meth:`_finish_window`.
         self._window_meta = None
@@ -180,14 +152,12 @@ class Machine:
         self._skip_touch = bool(
             policy.static_placement and not policy.reads_page_activity
         )
-        #: Only the schema-1 PEBS/CHMU samplers walk per-share page
-        #: lists; every other consumer of a window's ShareBatch (the
-        #: solver, the TOR/perf counters, the keyed schema-2 samplers,
-        #: the trace recorder) reads row columns only, so the split can
-        #: skip building the page/count partition entirely.
-        self._misses_only_split = not (
-            policy.needs_pebs and self._keyed_pebs is None
-        )
+        #: Only the CHMU sampler walks per-share page lists; every other
+        #: consumer of a window's ShareBatch (the solver, the TOR/perf
+        #: counters, the PEBS merge, the trace recorder) reads row
+        #: columns only, so the split can skip building the page/count
+        #: partition entirely.
+        self._misses_only_split = not (policy.needs_pebs and self._chmu)
 
         workload.reset()
         policy.attach(self)
@@ -281,12 +251,8 @@ class Machine:
             # Static placement under replay: the whole run was split up
             # front; this window's ShareBatch is a pre-sliced view.
             shares = self._split_plan.window_batch(self._window)
-            entry_tiers = None
             self._window_meta = None
         else:
-            # One placement gather serves the split, the keyed PEBS
-            # merge, and the LRU/activity touch: placement cannot change
-            # between here and the window's migration apply.
             entry_tiers = self.memory.placement[all_pages]
             meta = self._entry_meta
             if meta is not None:
@@ -314,7 +280,6 @@ class Machine:
                     misses_only=self._misses_only_split,
                 )
                 self._window_meta = None
-        self._entry_tiers = entry_tiers
 
         extra_bytes = dict(self._pending_bytes)
         if self.contender is not None:
@@ -334,18 +299,16 @@ class Machine:
         # each share's effective (loaded) latency; the PEBS processing
         # overhead is charged to the next window (the dedicated thread
         # drains records asynchronously, §4.6).  The hw_draw child span
-        # covers the RNG stage (sampler thinning draws, keyed jitter
-        # fetches); hw_merge covers the record merge and the counter
-        # advances, so sampler regressions are attributable per stage.
+        # covers the RNG stage (PEBS gap draws, keyed jitter); hw_merge
+        # covers the record merge and the counter advances, so sampler
+        # regressions are attributable per stage.
         with self.obs.profile("hw_observe"):
             with self.obs.profile("hw_draw"):
                 pebs_drawn, cha_jitter, perf_jitter = self._draw_hw(
-                    traffic, all_pages, all_counts, outcome.shares
+                    traffic, all_counts, outcome.shares
                 )
             with self.obs.profile("hw_merge"):
-                pebs_batch = self._merge_hw(
-                    pebs_drawn, traffic, all_pages, outcome.shares
-                )
+                pebs_batch = self._merge_hw(pebs_drawn, all_pages, outcome.shares)
                 self._pending_overhead_cycles += pebs_batch.overhead_cycles
                 self.cha.advance(outcome.shares, jitter=cha_jitter)
                 self.perf.advance(outcome, jitter=perf_jitter)
@@ -427,97 +390,43 @@ class Machine:
             return self.tiers[1:] + (self.tiers[0],)
         return self.tiers[1:]
 
-    def _draw_hw(self, traffic, all_pages, all_counts, shares):
-        """The window's RNG stage: sampler draws and jitter factors.
+    def _draw_hw(self, traffic, all_counts, shares):
+        """The window's RNG stage: PEBS records and jitter factors.
 
-        Returns ``(pebs_drawn, cha_jitter, perf_jitter)``.  Under
-        schema 1 the jitters are ``None`` (the counters draw their own
-        streams) and ``pebs_drawn`` is a planned batch, the sampler's
-        sequenced draw tuple, or ``None`` (CHMU accumulates in the merge
-        stage).  Under schema 2 every stochastic input comes from keyed
-        substreams: prestaged tensors when replay made them plannable,
-        live per-window keyed draws otherwise -- bit-identical either
-        way.
+        Returns ``(pebs_drawn, cha_jitter, perf_jitter)``.  Every value
+        comes from a keyed substream at this window's counter and reads
+        only trace-determined inputs, so live and replayed runs, serial
+        and lockstep ones, draw identical values.  ``pebs_drawn`` is
+        None unless the policy samples through PEBS (CHMU accumulates in
+        the merge stage).
         """
-        pebs_drawn = None
-        cha_jitter = None
-        perf_jitter = None
-        if self.rng_schema == 2:
-            from repro.hw.substream import entry_load_fractions
-
-            if self._keyed_cha is not None and shares.n:
-                T = self.num_tiers
-                pairs = self._keyed_cha.window_values(
-                    self._window, 2 * len(traffic.groups) * T
-                ).reshape(-1, 2)
-                cha_jitter = pairs[
-                    np.asarray(shares.group_index, dtype=np.int64) * T
-                    + np.asarray(shares.tier_codes, dtype=np.int64)
-                ]
-            if self._keyed_perf is not None:
-                perf_jitter = self._keyed_perf.window_values(
-                    self._window, 2 * self.num_tiers
-                )
-            if self.policy.needs_pebs:
-                if self._pebs_plan is not None:
-                    pebs_drawn = self._pebs_plan.batch_for(self._window)
-                elif self._keyed_pebs is not None:
-                    if self._pebs_pos is not None:
-                        # Positive-record subset prestaged: nothing to
-                        # draw; the merge stage reads the plan directly.
-                        pebs_drawn = None
-                    elif self._pebs_records is not None:
-                        pebs_drawn = self._pebs_records.window_records(self._window)
-                    else:
-                        lf = (
-                            entry_load_fractions(traffic.groups)
-                            if self._keyed_pebs.loads_only
-                            else None
-                        )
-                        pebs_drawn = self._keyed_pebs.window_records(
-                            self._window, all_counts, lf
-                        )
-            return pebs_drawn, cha_jitter, perf_jitter
-        if self.policy.needs_pebs:
-            if self._pebs_plan is not None:
-                pebs_drawn = self._pebs_plan.batch_for(self._window)
-            elif isinstance(self.pebs, PebsSampler):
-                pebs_drawn = self.pebs.draw(shares, tiers=self._pebs_tiers())
+        w = self._window
+        T = self.num_tiers
+        pebs_drawn = cha_jitter = perf_jitter = None
+        if self._cha_jitter is not None and shares.n:
+            pairs = self._cha_jitter.window_values(
+                w, 2 * len(traffic.groups) * T
+            ).reshape(-1, 2)
+            cha_jitter = pairs[shares.group_index * T + shares.tier_codes]
+        if self._perf_jitter is not None:
+            perf_jitter = self._perf_jitter.window_values(w, 2 * T)
+        if self.policy.needs_pebs and not self._chmu:
+            group_ptr, group_lf = group_layout(traffic.groups)
+            pebs_drawn = self.pebs.draw(w, all_counts, group_ptr, group_lf)
         return pebs_drawn, cha_jitter, perf_jitter
 
-    def _merge_hw(self, pebs_drawn, traffic, all_pages, shares) -> PebsBatch:
+    def _merge_hw(self, pebs_drawn, all_pages, shares) -> PebsBatch:
         """The window's merge stage: turn draws into a PebsBatch."""
         if not self.policy.needs_pebs:
             return PebsBatch.empty(self.pebs.rate)
-        if isinstance(pebs_drawn, PebsBatch):
-            # Planned batches (static replay) arrive fully merged.
-            return pebs_drawn
-        if self.rng_schema == 2 and self._keyed_pebs is not None:
-            if self._pebs_pos is not None:
-                pos_idx, pages_pos, recs_pos, srt = self._pebs_pos.window(
-                    self._window
-                )
-                return self._keyed_pebs.merge_window_pos(
-                    pos_idx, pages_pos, recs_pos, self._entry_tiers, srt
-                )
-            from repro.hw.substream import entry_group_indices
-
-            batch = None
-            entry_groups = None
-            if self._keyed_pebs.report_latency:
-                batch = shares
-                entry_groups = entry_group_indices(traffic.groups)
-            return self._keyed_pebs.merge_window(
-                pebs_drawn,
-                all_pages,
-                self.memory.placement,
-                batch=batch,
-                entry_groups=entry_groups,
-                tier_of=self._entry_tiers,
-            )
         if pebs_drawn is not None:
-            return self.pebs.merge(pebs_drawn)
-        # CHMU: RNG-free accumulation, schema-independent.
+            return self.pebs.merge(
+                pebs_drawn, all_pages, self.memory.placement, shares=shares
+            )
+        if self._pebs_plan is not None:
+            # Static replay: the CHMU epochs were drained up front.
+            return self._pebs_plan.batch_for(self._window)
+        # CHMU: RNG-free accumulation over the partitioned split.
         return self.pebs.sample(shares, tiers=self._pebs_tiers())
 
     def _observe(

@@ -11,7 +11,7 @@ across runs at all.
 
 :class:`MultiMachine` exploits that: it steps R fully-constructed
 :class:`~repro.sim.machine.Machine` instances window by window, keeping
-each machine's prepare/finish phases (placement, counters, RNG streams,
+each machine's prepare/finish phases (placement, counters, keyed draws,
 policy) exactly as they run solo, but fusing the R per-window stall
 solves into one :meth:`~repro.hw.stall.StallModel.solve_many` call.
 Members whose whole run was pre-solved at construction (static no-PEBS
@@ -21,11 +21,11 @@ Every run's result is **bit-identical** to running its machine alone --
 the property tests assert it -- so multi-run execution is purely an
 execution strategy, invisible to caches and digests.
 
-Under RNG schema 2 (:mod:`repro.hw.substream`) members do not even
-carry per-run sequential streams through the loop: every sampler and
-jitter draw is keyed by each member's own (seed, purpose, window), so
-lockstep grouping, member order, and serial execution all consume the
-same keyed values by construction.
+Members carry no sequential RNG streams through the loop: every
+sampler and jitter draw is keyed by each member's own (seed, purpose,
+window) (:mod:`repro.hw.substream`), so lockstep grouping, member
+order, and serial execution all consume the same keyed values by
+construction.
 
 Constraints (a :class:`ValueError` asks the caller to fall back to
 serial execution):

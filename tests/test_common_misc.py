@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.ewma import Ewma
-from repro.common.rngutil import child_seeds, make_rng, split
+from repro.common.rngutil import child_seeds, make_rng
 from repro.common.tables import format_count, format_pct, format_series, format_table
 
 
@@ -45,18 +45,6 @@ class TestRng:
         a = make_rng(7).random(5)
         b = make_rng(7).random(5)
         assert np.array_equal(a, b)
-
-    def test_split_streams_are_independent_and_stable(self):
-        (p1,) = split(11, "pebs")
-        (p2,) = split(11, "pebs")
-        assert np.array_equal(p1.random(4), p2.random(4))
-        (q,) = split(11, "cha")
-        assert not np.array_equal(p1.random(4), q.random(4))
-
-    def test_split_unaffected_by_extra_labels(self):
-        a, _ = split(3, "x", "y")
-        (b,) = split(3, "x")
-        assert np.array_equal(a.random(3), b.random(3))
 
     def test_child_seeds_distinct(self):
         seeds = list(child_seeds(1, 20))

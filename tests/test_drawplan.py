@@ -1,12 +1,11 @@
-"""Whole-run draw plans: plan-fed paths must be bit-identical to live.
+"""Whole-run plans: plan-fed paths must be bit-identical to live.
 
 Every optimisation in :mod:`repro.hw.drawplan` claims *exact* result
-preservation -- the same RNG bit stream, the same float summation
-order, the same share rows.  These tests assert that claim directly:
-chunked jitter streams against scalar draws, the whole-run static split
-against the per-window splitter, pre-drawn PEBS/CHMU sample plans
-against live sampling, and finally full machine runs with plans on,
-plans off, and no replay at all.
+preservation -- the same float summation order, the same share rows.
+These tests assert that claim directly: the whole-run static split
+against the per-window splitter, the CHMU sample plan and the solve
+plan against live sampling and solving, and finally full machine runs
+with plans on, plans off, and no replay at all.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 from repro.baselines import make_policy
 from repro.hw import drawplan
 from repro.hw.chmu import ChmuSampler
-from repro.hw.pebs import PebsSampler
 from repro.hw.stall import StallModel
 from repro.common.units import CXL_SPEC, DRAM_SPEC
 from repro.sim.config import MachineConfig
@@ -29,31 +27,6 @@ def recorded(total_misses=600_000, seed=7, name="gups"):
     return record_stream(
         make_workload(name, total_misses=total_misses, seed=seed), max_windows=512
     )
-
-
-class TestNormalDrawStream:
-    @pytest.mark.parametrize("chunk", [1, 3, 8, 64, 8192])
-    def test_prefix_matches_scalar_draws(self, chunk):
-        seed, scale = 42, 0.05
-        stream = drawplan.NormalDrawStream(
-            np.random.default_rng(seed), scale, chunk=chunk
-        )
-        live = np.random.default_rng(seed)
-        taken = []
-        for n in (1, 2, 1, 5, 3, 1, 7):
-            taken.extend(stream.take(n).tolist())
-        expected = [float(np.exp(live.normal(0.0, scale))) for _ in taken]
-        assert taken == expected  # bit-exact, not approx
-
-    def test_take_matches_vector_draw(self):
-        stream = drawplan.NormalDrawStream(np.random.default_rng(3), 0.02, chunk=4)
-        got = np.concatenate([stream.take(5), stream.take(6)])
-        expect = np.exp(np.random.default_rng(3).normal(0.0, 0.02, size=11))
-        np.testing.assert_array_equal(got, expect)
-
-    def test_rejects_zero_scale(self):
-        with pytest.raises(ValueError):
-            drawplan.NormalDrawStream(np.random.default_rng(0), 0.0)
 
 
 def static_placement_for(data, num_tiers=2, seed=0):
@@ -104,26 +77,6 @@ class TestStaticSplit:
 
 
 class TestSamplerPlans:
-    def test_pebs_plan_replays_live_draw_sequence(self):
-        data = recorded(total_misses=400_000, seed=11)
-        placement = static_placement_for(data, seed=11)
-        batches = drawplan.build_static_batches(data, placement, num_tiers=2)
-        tiers = Machine(
-            workload=ReplayWorkload(data), policy=NoTierPolicy(),
-            config=MachineConfig(), ratio="1:2", seed=0,
-        )._pebs_tiers()
-        plan_sampler = PebsSampler(rate=61, rng=np.random.default_rng(5))
-        plan = drawplan.plan_pebs_batches(plan_sampler, batches, tiers)
-        live_sampler = PebsSampler(rate=61, rng=np.random.default_rng(5))
-        for w, batch in enumerate(batches):
-            if batch is None:
-                continue
-            live = live_sampler.sample(batch, tiers=tiers)
-            planned = plan.batch_for(w)
-            np.testing.assert_array_equal(planned.pages, live.pages)
-            np.testing.assert_array_equal(planned.counts, live.counts)
-            assert planned.overhead_cycles == live.overhead_cycles
-
     def test_chmu_plan_matches_live_epochs(self):
         data = recorded(total_misses=400_000, seed=13)
         placement = static_placement_for(data, seed=13)
@@ -264,7 +217,7 @@ class TestAttachGating:
         _, machine = run_once(make_policy("NoTier"), ReplayWorkload(data, loop=True))
         assert machine._split_plan is None
 
-    def test_dynamic_policy_gets_jitter_streams_only(self):
+    def test_dynamic_policy_gets_entry_meta_only(self):
         data = recorded(total_misses=200_000)
         machine = Machine(
             workload=ReplayWorkload(data),
@@ -273,16 +226,15 @@ class TestAttachGating:
             ratio="1:2",
             seed=0,
         )
-        assert machine._split_plan is None
-        if machine.cha.noise > 0.0:
-            assert machine.cha._jitter_stream is not None
+        assert machine._split_plan is None and machine._pebs_plan is None
+        assert machine._entry_meta is not None
 
     def test_env_switch_disables_everything(self, monkeypatch):
         monkeypatch.setenv(drawplan.ENV_DISABLE, "1")
         data = recorded(total_misses=200_000)
-        _, machine = run_once(make_policy("NoTier"), ReplayWorkload(data))
-        assert machine._split_plan is None
-        assert machine.cha._jitter_stream is None
+        for name in ("NoTier", "PACT"):
+            _, machine = run_once(make_policy(name), ReplayWorkload(data))
+            assert machine._split_plan is None and machine._entry_meta is None
 
     def test_static_migration_guard_trips(self):
         data = recorded(total_misses=200_000)

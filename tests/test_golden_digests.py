@@ -1,14 +1,13 @@
 """Golden ``RunResult`` digests: the hot-path optimisations must be exact.
 
-The expected hashes below were recorded by running the *pre-optimisation*
-simulator (commit 0bc9088, before the incremental tier accounting, top-k
-candidate selection, and PEBS/traffic vectorisation) over a small
-(policy x workload x THP x contender) matrix.  Every future run must
-reproduce them bit-for-bit: same seeds in, same ``runtime_cycles``,
-placements, migration counts, and serialised result out.  If an
-intentional behaviour change breaks these, re-record the digests AND
-bump ``CACHE_VERSION`` -- the two must move together, because cached
-results from an older simulator would otherwise be served as current.
+The expected hashes below pin a small (policy x workload x THP x
+contender) matrix.  Every run must reproduce them bit-for-bit: same
+seeds in, same ``runtime_cycles``, placements, migration counts, and
+serialised result out -- live and replayed alike.  If an intentional
+behaviour change breaks these, first show it equal in law
+(``benchmarks/ensemble_check.py``), then re-record the digests AND bump
+``CACHE_VERSION`` -- the two must move together, because cached results
+from an older simulator would otherwise be served as current.
 """
 
 from __future__ import annotations
@@ -24,68 +23,43 @@ from repro.sim.engine import run_policy
 from repro.workloads import make_workload
 from repro.workloads.mlc import MlcContender
 
-#: (policy, workload, thp, contender_threads) -> pre-optimisation digest.
+#: (policy, workload, thp, contender_threads) -> digest.  Re-recorded
+#: once, on top of commit d1d8819, when PEBS sampling became one keyed
+#: geometric-gap draw over each window's miss stream and counter jitter
+#: moved to keyed substreams; ``benchmarks/ensemble_check.py`` found the
+#: 13-workload x 9-policy x 16-seed ensemble equal in law before the
+#: re-pin (EXPERIMENTS.md).
 GOLDEN_DIGESTS = {
-    ("PACT", "bc-kron", False, 0): "c108a8b943090b51cee45c2d340a71d3acc1b3df7eb615cdabc39cab0771352b",
-    ("PACT", "bc-kron", True, 0): "a7b803d506341ebbb28500766097f4f0f494e9a25b77b613a13b92f728d67f17",
-    ("PACT", "bc-kron", False, 2): "6ef9f8e31c7561822c0cc6abfe859d0939841ebd50f81589ca733500996646eb",
-    ("PACT", "gups", False, 0): "e78d25afa4061eddcff7afdb47dff1954af3afbeff3db68cbc680d522126c1f4",
-    ("PACT", "gups", True, 0): "40737ae6bca2f0cc4058d509b832d469c662f51462fbf93841fe76c8528f087c",
-    ("PACT", "gups", False, 2): "58f738280c7e380aa25cd15b8782252ab70d94c942ecdda5efb9533f3e8d4bfe",
-    ("Memtis", "bc-kron", False, 0): "d53fe0f5c274d12ce58bfafbc835053f02afbf3814b01fae2be33943185731b1",
-    ("Memtis", "bc-kron", True, 0): "ff9249e1c9191d2dc7ae54d17f4116f710db67b841c6efc0d292c2e191f34a11",
-    ("Memtis", "bc-kron", False, 2): "e3e96c409eed213b484283b8f09c1284f123befa57753f5e8c17337403f77dc0",
-    ("Memtis", "gups", False, 0): "02bd6aadf537bc4ac6108ce53f426f1b6d4efdefc38616303af99340fa4c6c02",
-    ("Memtis", "gups", True, 0): "02bd6aadf537bc4ac6108ce53f426f1b6d4efdefc38616303af99340fa4c6c02",
-    ("Memtis", "gups", False, 2): "275de98097addb48a446436fd81bba1d25fd36856b9e569bb3da6f3c6a34a984",
-    ("NoTier", "bc-kron", False, 0): "92f9b045d0fc858b38ae16a1c14dfc8314c82bf0ae806f10b3ac1aea35a250d7",
-    ("NoTier", "bc-kron", True, 0): "92f9b045d0fc858b38ae16a1c14dfc8314c82bf0ae806f10b3ac1aea35a250d7",
-    ("NoTier", "bc-kron", False, 2): "70a73f084d6bb19fb9384bd69bf12bffa5370898b4b61479e0b10c24ef31206c",
-    ("NoTier", "gups", False, 0): "8c351e95f6c5f2f16f6ffdaf99cb1398e3d5987d5910a8b8b342b5fb0ae499a2",
-    ("NoTier", "gups", True, 0): "8c351e95f6c5f2f16f6ffdaf99cb1398e3d5987d5910a8b8b342b5fb0ae499a2",
-    ("NoTier", "gups", False, 2): "8409211002a91ba06c6f4dd5157946d432030e1f050b90ac8e5e05ae6915bfe3",
-    # The remaining six policies were pinned later, recorded at commit
-    # 1985920 (before the touched-set build and the NBT/Nomad
-    # intersections moved to sort-based set algebra).
-    ("NBT", "bc-kron", False, 0): "8b59c263fe8b0d3f375dfd986e949daa803af8328987a3feb1fde862f5baec69",
-    ("NBT", "gups", False, 0): "acfe03468f426f36945f860e029f25f5a496c77746ef263f17dc99201c07221c",
-    ("TPP", "bc-kron", False, 0): "352375c8cc8679d4401629856a309d321c1e9a82c66c12a6e3e1c97f261aa4cb",
-    ("TPP", "gups", False, 0): "6cf7311b5cc8a3f1786470d85ea8eaf4984b3dac1db666482fc70f382d02fed8",
-    ("Nomad", "bc-kron", False, 0): "4bbf687c9f489386a51a613503df68c34f7f981e2deb8b7ea3f4669168150a7e",
-    ("Nomad", "gups", False, 0): "314a96aa4d40414011110768b267e3f0d42f80fc3d0f36359ff43078f4980585",
-    ("Colloid", "bc-kron", False, 0): "90f42773da57661375becf4116285fb02fd20fb04749d750e813e70f75619da3",
-    ("Colloid", "gups", False, 0): "880065ccf5b5c433107d868d4fb916a6a90175edf531b83d3cc6b51b43f4aea3",
-    ("Alto", "bc-kron", False, 0): "9f41e99e8054e0867366618257e2d70e51971de909e0082a3c6b95c30c338ef2",
-    ("Alto", "gups", False, 0): "84768a54fd2020d176cdc43988b50972901828c56ac8a2ccf9e09a917455514a",
-    ("Soar", "bc-kron", False, 0): "7d5fdb91f77611ab62898971206216d2ee51a11480fb96f032b1972d4ed29b67",
-    ("Soar", "gups", False, 0): "6eb3d4ef170a481698d2f506e766dcd4e3c526aafe385dedc671a5db5b6ed158",
-}
-
-#: The same matrix under RNG schema 2 (counter-keyed substreams,
-#: :mod:`repro.hw.substream`).  Schema 2 is a *different* draw
-#: convention by design -- per-(seed, purpose, window) Philox keys
-#: instead of sequential streams -- so these digests differ from
-#: ``GOLDEN_DIGESTS`` yet must be every bit as stable: live, replayed,
-#: and prestaged execution all have to reproduce them exactly.
-GOLDEN_DIGESTS_SCHEMA2 = {
-    ("Memtis", "bc-kron", False, 0): "72483878461f0d53f5d3e2a5c07b0812014d9e8e498e2b15418ba2587985dd14",
-    ("Memtis", "bc-kron", False, 2): "a6e0bcabc1ad0ad98dae5eb56bf897d3c067e92ae3e3ae42f6208d425f8f63fa",
-    ("Memtis", "bc-kron", True, 0): "0e7e72e4e2d1010b0820e53369d2723fd9a8f792f4227fdf2c8ecd652a54d7bd",
-    ("Memtis", "gups", False, 0): "dc182507cf474119f3a19a2a8a16a13500660fb5a11bdca27f5abdb942af3245",
-    ("Memtis", "gups", False, 2): "7f7c6820d77ed03f8670d0a549bc0e3213b306e1623ee8d60d72c1b1763349de",
-    ("Memtis", "gups", True, 0): "dc182507cf474119f3a19a2a8a16a13500660fb5a11bdca27f5abdb942af3245",
+    ("PACT", "bc-kron", False, 0): "64b7207c7bfd8d1080c8375fffffd55c057d5f8383223fd7f32369d920e65d1f",
+    ("PACT", "bc-kron", True, 0): "7a591d304cdf6516462dbd7ad589d9d91274fc6a0e8e402aede0d8c5aa1f0e57",
+    ("PACT", "bc-kron", False, 2): "3aa119603a0e0ad1cad97a4d9c9908bd040ca54017f648a54991ca268783540f",
+    ("PACT", "gups", False, 0): "8279a09a224ae27fdad521d51671e5eb53a41ab9eda4d45fcd6202f4f495c050",
+    ("PACT", "gups", True, 0): "4dd3bd6116b1da401afc04eb9f25302d7e94bb4f235da17af0dfb055a9a237bf",
+    ("PACT", "gups", False, 2): "63286ae556cb0c3ac91948e8c3857ce9a40db0c9a9d82e0a56e46a982cafd1d6",
+    ("Memtis", "bc-kron", False, 0): "68e0724449f3e047072795f0a93e1a0f30130e159cbc1cb8a510e5c55bd27e8d",
+    ("Memtis", "bc-kron", True, 0): "5e00401f8c4484a4d7ada58e8548d53cd305a2869ac8ced3918f51cec61ba9c0",
+    ("Memtis", "bc-kron", False, 2): "cb3ae2a7571b6b57e81ca1041f8b04ef7b510cf8ab038bd032118559b5102070",
+    ("Memtis", "gups", False, 0): "85786e9f8e36997463ab2850a15ae2208714db7c4dfd02b5e404aea647190b57",
+    ("Memtis", "gups", True, 0): "85786e9f8e36997463ab2850a15ae2208714db7c4dfd02b5e404aea647190b57",
+    ("Memtis", "gups", False, 2): "f768d9a276ebd47723cbb1bfb4ca35603eb505bb4badf57f7f775a4dbf6cb942",
     ("NoTier", "bc-kron", False, 0): "d4def1df6ca9f12d7eecb8e9e5e68d9936a2b4400f5704a4138ba556f9c50195",
-    ("NoTier", "bc-kron", False, 2): "b739700df6a9245bdf934a9becf41bfb3e9f820c9e445682bc5108897810a432",
     ("NoTier", "bc-kron", True, 0): "d4def1df6ca9f12d7eecb8e9e5e68d9936a2b4400f5704a4138ba556f9c50195",
+    ("NoTier", "bc-kron", False, 2): "b739700df6a9245bdf934a9becf41bfb3e9f820c9e445682bc5108897810a432",
     ("NoTier", "gups", False, 0): "c723a78ed057c1de34f1fa4c7a6c2e88a0e186db242e37d35e6a7bc6aa3661ad",
-    ("NoTier", "gups", False, 2): "edb03f98c389cfbc955d71600039393b4de73f6af8a3a304278cde0a96764f17",
     ("NoTier", "gups", True, 0): "c723a78ed057c1de34f1fa4c7a6c2e88a0e186db242e37d35e6a7bc6aa3661ad",
-    ("PACT", "bc-kron", False, 0): "85ea1002d2bf39c8d795f2f5d4f3757c6c733f709bd8f84ff5b4170196075460",
-    ("PACT", "bc-kron", False, 2): "22c93ecc479b0ced9c8c029b9c32e3978d826bf04d8f0ade5e6c9ff4662f7ffa",
-    ("PACT", "bc-kron", True, 0): "2b585196bcbdff528a8c6ca3a4c04723b9af2747c54f1146999176db7240f1bf",
-    ("PACT", "gups", False, 0): "10a700c7048d234fe131302aabaf233b755b02f447ecb07d8c1cf7c1b575e0a4",
-    ("PACT", "gups", False, 2): "854214d10e6c4be26c574371d550c5e0eadf1b15a3b1b60ee56c5bc4220db62a",
-    ("PACT", "gups", True, 0): "30dccb4e30e96946544885f6934242b8e8f34fa9f868141ad7b6e809191d6062",
+    ("NoTier", "gups", False, 2): "edb03f98c389cfbc955d71600039393b4de73f6af8a3a304278cde0a96764f17",
+    ("NBT", "bc-kron", False, 0): "b971fcc11ba03cf18fecea27245713a6cd94a0d39ba67a4c08b542bd5a4c6611",
+    ("NBT", "gups", False, 0): "54487bdff8138f2174ae9e57152f85b587fc129c00285071dcd1fec778469175",
+    ("TPP", "bc-kron", False, 0): "16ff11615cf29f583ccea6ffa529e5fb5f3fb95de7f50482b837b6e87688e8e1",
+    ("TPP", "gups", False, 0): "fc665e7e81306d9011c6755d9a5314aea07ca0830dd27e0d7bc14e7398404a70",
+    ("Nomad", "bc-kron", False, 0): "90a746ce6376807345c8e898a6356971656cd9a1482f94f745bc434d34bdf201",
+    ("Nomad", "gups", False, 0): "6770fff7156fb334219764ef9b0ef31a7d54de79b978f8bd4ec75b2cf8a4e85e",
+    ("Colloid", "bc-kron", False, 0): "4670f8bb105c63231ead32c10ad32fac086116a7eb4cb1b25971aac819e3c3fd",
+    ("Colloid", "gups", False, 0): "89ca2b80d2f178bacc3a49958dcd0297cf64480517629bfc0bd270e89940fb24",
+    ("Alto", "bc-kron", False, 0): "43d2e8b5fd8f57ffc6700e12016349f03fa7d58c14532d09c49138294bd37655",
+    ("Alto", "gups", False, 0): "4cfeba726b6ef58ca398a938da6bbc44467dafa634b884ee2959bc4961226176",
+    ("Soar", "bc-kron", False, 0): "c2df8fbce53d03916be29c474069beaad2167768596fd2ee9a97f598015b4589",
+    ("Soar", "gups", False, 0): "efe6e9d7cfa0f465258bbb51281f81463d5aaa2688be61e2e1c50d44c0584f2c",
 }
 
 #: Two pinned cache keys: request fingerprints are input-derived, so
@@ -94,19 +68,17 @@ GOLDEN_DIGESTS_SCHEMA2 = {
 GOLDEN_CACHE_KEYS = [
     (
         dict(workload="bc-kron", policy="PACT", ratio="1:4", seed=0, thp=False),
-        "059342919c9350773556f3bf2a18fc2bc799e5fc9aab8211e301a8161b736e84",
+        "a9532da41cf3d7ab4c2ef52affe05cc6b7bc30078821bf290711ad27f9689845",
     ),
     (
         dict(workload="gups", policy="Memtis", ratio="1:2", seed=1, thp=True),
-        "128186336c41ce5c47acc188fb5838da14a9cf4da776a041b87cbec91486db60",
+        "df6186d4a022dec03ea332c1f2808d9009bd73ed5fa8cccd75b3694261c74a1e",
     ),
 ]
 
 
-def result_digest(
-    policy, workload, thp, contender_threads, trace_store=None, rng_schema=None
-):
-    config = MachineConfig(thp=thp, rng_schema=rng_schema)
+def result_digest(policy, workload, thp, contender_threads, trace_store=None):
+    config = MachineConfig(thp=thp)
     contender = (
         MlcContender(threads=contender_threads, tier=Tier.SLOW)
         if contender_threads
@@ -126,29 +98,25 @@ def result_digest(
     return content_hash(canonical(result_to_dict(result)))
 
 
-#: Extended scenarios beyond the original 18-entry matrix: a CHMU-sampler
-#: run (the CXL 3.2 hotness-monitoring path never covered above) and a
-#: traced colocation run (multi-member traffic, per-member metrics, and
-#: the window-trace serialisation, which pins the columnar recorder).
-#: Recorded with the same pre-columnar simulator as ``GOLDEN_DIGESTS``.
-GOLDEN_CHMU_DIGEST = "b8ad260258a3e5cb40b9674db35ba6e2685e4adef172b8e15f234ffb0a3fc8e0"
-GOLDEN_COLOCATION_DIGEST = "516ecd91d8a20b2ea03a227249f79eff6bf16be40f4caeb0cc75b4d6e555fb2d"
-GOLDEN_CHMU_DIGEST_SCHEMA2 = "74826f45978e894750e2b0058c63adadf8153d459d133023f0f48ca631233d07"
-GOLDEN_COLOCATION_DIGEST_SCHEMA2 = "af7298151612fc9e08c45918bec6df99a0fcacece78ad1ae8c3a3df4b2f53ca6"
+#: Extended scenarios beyond the policy matrix: a CHMU-sampler run (the
+#: CXL 3.2 hotness-monitoring path) and a traced colocation run
+#: (multi-member traffic, per-member metrics, and the window-trace
+#: serialisation, which pins the columnar recorder).
+GOLDEN_CHMU_DIGEST = "74826f45978e894750e2b0058c63adadf8153d459d133023f0f48ca631233d07"
+GOLDEN_COLOCATION_DIGEST = "20361f9f2f3c64f9b6c09f3df4c1c1f87ecda39942196ecbedc4c9a65a1a8970"
 
 
 #: Three-tier runs on ``dram-cxlz-nvme`` (DRAM -> compressed CXL ->
 #: NVMe) at 1:4:16, keyed by (policy, workload, topology, demotion,
-#: thp).  Recorded at commit 4803497, while the per-hop migration
-#: reference still shipped beside the fused apply.  The two
+#: thp).  Re-recorded with ``GOLDEN_DIGESTS``.  The two
 #: ``"through"`` runs plan nested cascade nodes in 7-8 of their 8
 #: windows, so these digests pin the cascade path and the float
 #: association of ``cost_cycles`` that ``MovePlan.program`` fixes.
 GOLDEN_NTIER_DIGESTS = {
-    ("PACT", "gups", "dram-cxlz-nvme", "through", False): "439654946c8b34b3b97a4d33daa35383547a8fbf4cfff5e661e97ff15a1184aa",
-    ("TPP", "bc-kron", "dram-cxlz-nvme", "through", False): "45d9ac8fc3654cd9bd42fda28298847d071f06f40b05ea9dd1b4d79c30100ae5",
-    ("PACT", "gups", "dram-cxlz-nvme", "direct", False): "eee5f81599e2c365ffacfd0f2106219cb6f0df369a8b79133d2e4da6e7d3d923",
-    ("Memtis", "silo", "dram-cxlz-nvme", "through", True): "ea92a39ac756c746407c8468ec9bbfff5a1c99ba6b6a6aa2c813cca748cdbbcc",
+    ("PACT", "gups", "dram-cxlz-nvme", "through", False): "be57df5e64b704ea62cdd8b3086a8cafb65cdfa707a0a91a4526a27d1d101014",
+    ("TPP", "bc-kron", "dram-cxlz-nvme", "through", False): "d800e90ea8c34dc4d38935eff48281f689c4b53849f819d9e1250a72593362e4",
+    ("PACT", "gups", "dram-cxlz-nvme", "direct", False): "bb19357774c0513aa7156b8a7f6bc87a0ca722153a222872316665394e144084",
+    ("Memtis", "silo", "dram-cxlz-nvme", "through", True): "b4934d65de70fb39b81dfde6f30dd300558a629ad3ea6725c9dc7b43417933cf",
 }
 
 
@@ -165,7 +133,7 @@ def ntier_digest(policy, workload, topology, demotion, thp, trace_store=None):
     return content_hash(canonical(result_to_dict(result)))
 
 
-def chmu_digest(trace_store=None, rng_schema=None):
+def chmu_digest(trace_store=None):
     workload = make_workload("gups", total_misses=2_000_000)
     if trace_store is not None:
         workload = trace_store.replay(workload)
@@ -173,13 +141,13 @@ def chmu_digest(trace_store=None, rng_schema=None):
         workload,
         make_policy("PACT", access_sampler="chmu"),
         ratio="1:4",
-        config=MachineConfig(rng_schema=rng_schema),
+        config=MachineConfig(),
         seed=0,
     )
     return content_hash(canonical(result_to_dict(result)))
 
 
-def colocation_digest(trace_store=None, rng_schema=None):
+def colocation_digest(trace_store=None):
     from repro.workloads import ColocatedWorkload, Masim
 
     workload = ColocatedWorkload(
@@ -206,7 +174,7 @@ def colocation_digest(trace_store=None, rng_schema=None):
         workload,
         make_policy("PACT"),
         ratio="1:1",
-        config=MachineConfig(rng_schema=rng_schema),
+        config=MachineConfig(),
         seed=8,
         trace=True,
     )
@@ -232,10 +200,10 @@ class TestGoldenDigests:
         assert ntier_digest(*key) == GOLDEN_NTIER_DIGESTS[key]
 
     def test_cache_version_pinned(self):
-        # The digests above were recorded against CACHE_VERSION 2; a
+        # The digests above were recorded against CACHE_VERSION 3; a
         # version bump must come with re-recorded digests (and vice
         # versa: identical results need no bump).
-        assert CACHE_VERSION == 2
+        assert CACHE_VERSION == 3
 
     @pytest.mark.parametrize("params,expected", GOLDEN_CACHE_KEYS, ids=["pact", "memtis"])
     def test_cache_keys_stable(self, params, expected):
@@ -294,59 +262,3 @@ class TestGoldenDigestsReplayed:
         after = trace_store.stats()
         assert after["records"] <= before["records"] + 1
         assert after["memory_hits"] >= before["memory_hits"] + 1
-
-
-class TestGoldenDigestsSchema2:
-    """The counter-keyed schema: live draws reproduce the pinned hashes."""
-
-    @pytest.mark.parametrize(
-        "policy,workload,thp,contender",
-        sorted(GOLDEN_DIGESTS_SCHEMA2),
-        ids=lambda v: str(v),
-    )
-    def test_run_result_bit_identical(self, policy, workload, thp, contender):
-        expected = GOLDEN_DIGESTS_SCHEMA2[(policy, workload, thp, contender)]
-        assert (
-            result_digest(policy, workload, thp, contender, rng_schema=2) == expected
-        )
-
-    def test_chmu_sampler_bit_identical(self):
-        assert chmu_digest(rng_schema=2) == GOLDEN_CHMU_DIGEST_SCHEMA2
-
-    def test_colocation_traced_bit_identical(self):
-        assert colocation_digest(rng_schema=2) == GOLDEN_COLOCATION_DIGEST_SCHEMA2
-
-    def test_schemas_draw_distinct_streams(self):
-        # Sanity: schema 2 is a different convention, not a relabelling.
-        # If the two matrices ever collide, the schema plumbing is being
-        # ignored somewhere (e.g. the config normalisation ate the field).
-        assert set(GOLDEN_DIGESTS_SCHEMA2.values()).isdisjoint(
-            set(GOLDEN_DIGESTS.values())
-        )
-
-
-class TestGoldenDigestsSchema2Replayed:
-    """Replay prestages every schema-2 draw; prestaged == live == pinned."""
-
-    @pytest.mark.parametrize(
-        "policy,workload,thp,contender",
-        sorted(GOLDEN_DIGESTS_SCHEMA2),
-        ids=lambda v: str(v),
-    )
-    def test_replay_bit_identical(self, policy, workload, thp, contender, trace_store):
-        expected = GOLDEN_DIGESTS_SCHEMA2[(policy, workload, thp, contender)]
-        assert (
-            result_digest(
-                policy, workload, thp, contender, trace_store=trace_store, rng_schema=2
-            )
-            == expected
-        )
-
-    def test_chmu_sampler_replay_bit_identical(self, trace_store):
-        assert chmu_digest(trace_store=trace_store, rng_schema=2) == GOLDEN_CHMU_DIGEST_SCHEMA2
-
-    def test_colocation_traced_replay_bit_identical(self, trace_store):
-        assert (
-            colocation_digest(trace_store=trace_store, rng_schema=2)
-            == GOLDEN_COLOCATION_DIGEST_SCHEMA2
-        )

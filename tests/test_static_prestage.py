@@ -143,20 +143,42 @@ class StaticPebsPolicy(NoTierPolicy):
     needs_pebs = True
 
 
+class StaticChmuPolicy(StaticPebsPolicy):
+    """A static placement observed through the CHMU sampler."""
+
+    name = "StaticChmu"
+    access_sampler = "chmu"
+
+
 class TestPathSelection:
-    def test_static_pebs_policy_keeps_partitioned_batches(self):
+    def test_static_pebs_policy_is_misses_only(self):
+        # The PEBS merge reads trace columns, never page lists, and its
+        # draws run live per window: no prestaged sample plan.
         data = recorded()
         machine = machine_for(data, StaticPebsPolicy())
+        batches = [b for b in machine._split_plan.batches if b is not None and b.n]
+        assert batches and all(b.pages_buf is None for b in batches)
+        assert machine._pebs_plan is None and machine._solve_plan is None
+
+    def test_static_chmu_policy_keeps_partitioned_batches(self):
+        # CHMU accumulates per-share page lists: it keeps the partition.
+        data = recorded()
+        machine = machine_for(data, StaticChmuPolicy())
         batches = [b for b in machine._split_plan.batches if b is not None and b.n]
         assert batches and all(b.pages_buf is not None for b in batches)
         assert machine._pebs_plan is not None
 
-    def test_schema2_static_pebs_policy_is_misses_only(self):
-        # Keyed samplers merge from trace columns, never from page lists.
+    def test_static_pebs_replay_matches_live(self):
         data = recorded()
-        machine = machine_for(data, StaticPebsPolicy(), config=MachineConfig(rng_schema=2))
-        batches = [b for b in machine._split_plan.batches if b is not None and b.n]
-        assert batches and all(b.pages_buf is None for b in batches)
+        live = Machine(
+            workload=make_workload("gups", total_misses=500_000, seed=3),
+            policy=StaticPebsPolicy(),
+            config=MachineConfig(),
+            ratio="1:4",
+            seed=0,
+        ).run()
+        replayed = machine_for(data, StaticPebsPolicy()).run()
+        assert replayed.runtime_cycles == live.runtime_cycles
 
 
 class FakeTrace:

@@ -14,9 +14,10 @@ gets an explicit oracle here:
   ``flatnonzero`` rebuild;
 * ``TieredMemory.cold_count`` (the memoised space-budget input) against
   the gather-and-compare it replaced;
-* the attach-time prestaged plans (:class:`EntryMetaPlan`,
-  :class:`PebsPosPlan` + :meth:`KeyedPebsSampler.merge_window_pos`)
-  against the live per-window computation they replace.
+* the attach-time prestaged :class:`EntryMetaPlan` against the live
+  per-window computation it replaces;
+* the sparse PEBS merge (placement gathered for sampled entries only,
+  duplicate pages merged by a sort) against a dense per-page reference.
 """
 
 import numpy as np
@@ -25,8 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.units import CXL_SPEC, DRAM_SPEC
-from repro.hw.drawplan import EntryMetaPlan, build_pebs_pos
-from repro.hw.substream import KeyedPebsSampler, PebsRecordPlan
+from repro.hw.drawplan import EntryMetaPlan
+from repro.hw.pebs import PebsDraw, PebsSampler
 from repro.mem.page import Tier
 from repro.mem.tiered import TieredMemory
 from repro.mem.topology import make_topology
@@ -403,60 +404,57 @@ class TestPrestagedPlans:
             else:
                 np.testing.assert_array_equal(key_base, expected_base)
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_pebs_pos_merge_matches_live_merge(self, seed):
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**9), codes=st.sampled_from([(1,), (0, 1)]))
+    def test_sparse_merge_matches_dense_reference(self, seed, codes):
+        """Per page: records summed over its sampled entries in sampled
+        tiers; latency the record-weighted mean of its entries' (group,
+        tier) unit stall costs."""
         rng = np.random.default_rng(seed)
         footprint = 200
         cols = random_trace_columns(rng, footprint=footprint)
         wgp = cols["window_group_ptr"]
         gpp = cols["group_page_ptr"]
-        entry_ptr = np.asarray(gpp[wgp], dtype=np.int64)
-        records = rng.integers(0, 3, size=cols["pages"].size).astype(np.int64)
-        plan = PebsRecordPlan(records, entry_ptr)
-        pos = build_pebs_pos(plan, _FakeTrace(cols))
-        sampler = KeyedPebsSampler(
-            seed=7, rate=101, cycles_per_record=10.0, sampled_codes=[1], num_tiers=2
-        )
         placement = rng.choice(np.array([0, 1], dtype=np.int8), size=footprint)
+        sampler = PebsSampler(
+            seed=3, rate=7, cycles_per_record=5.0, sampled_codes=codes,
+            report_latency=True,
+        )
         for w in range(wgp.size - 1):
-            pages = cols["pages"][entry_ptr[w] : entry_ptr[w + 1]]
-            recs = plan.window_records(w)
-            live = sampler.merge_window(recs, pages, placement)
-            pos_idx, pages_pos, recs_pos, srt = pos.window(w)
-            fused = sampler.merge_window_pos(
-                pos_idx, pages_pos, recs_pos, placement[pages], srt
+            e0, e1 = gpp[wgp[w]], gpp[wgp[w + 1]]
+            pages = cols["pages"][e0:e1]
+            group_ptr = gpp[wgp[w] : wgp[w + 1] + 1] - e0
+            groups = np.repeat(np.arange(group_ptr.size - 1), np.diff(group_ptr))
+            records = rng.integers(0, 3, size=pages.size)
+            entries = np.flatnonzero(records)
+            unit = rng.uniform(50.0, 400.0, size=(group_ptr.size - 1, 2))
+            shares = ShareStub(unit)
+            got = sampler.merge(
+                PebsDraw(entries, records[entries], group_ptr), pages, placement,
+                shares=shares,
             )
-            np.testing.assert_array_equal(fused.pages, live.pages)
-            np.testing.assert_array_equal(fused.counts, live.counts)
-            assert fused.overhead_cycles == live.overhead_cycles
-            assert fused.latencies is None and live.latencies is None
+            keep = np.isin(placement[pages], codes) & (records > 0)
+            dense = np.bincount(pages[keep], weights=records[keep], minlength=footprint)
+            lat = unit[groups, placement[pages]]
+            weighted = np.bincount(
+                pages[keep], weights=(lat * records)[keep], minlength=footprint
+            )
+            want_pages = np.flatnonzero(dense)
+            np.testing.assert_array_equal(got.pages, want_pages)
+            np.testing.assert_array_equal(got.counts, dense[want_pages].astype(np.int64))
+            assert got.overhead_cycles == dense.sum() * 5.0
+            if want_pages.size:
+                np.testing.assert_allclose(
+                    got.latencies, weighted[want_pages] / dense[want_pages], rtol=1e-12
+                )
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_pebs_pos_merge_all_codes(self, seed):
-        """A sampler observing every tier must keep the -1 wraparound
-        semantics of the legacy mask (no tier selection at all)."""
-        rng = np.random.default_rng(seed)
-        footprint = 150
-        cols = random_trace_columns(rng, footprint=footprint)
-        wgp = cols["window_group_ptr"]
-        gpp = cols["group_page_ptr"]
-        entry_ptr = np.asarray(gpp[wgp], dtype=np.int64)
-        records = rng.integers(0, 2, size=cols["pages"].size).astype(np.int64)
-        plan = PebsRecordPlan(records, entry_ptr)
-        pos = build_pebs_pos(plan, _FakeTrace(cols))
-        sampler = KeyedPebsSampler(
-            seed=3, rate=59, cycles_per_record=5.0, sampled_codes=[0, 1], num_tiers=2
-        )
-        placement = rng.choice(np.array([0, 1], dtype=np.int8), size=footprint)
-        for w in range(wgp.size - 1):
-            pages = cols["pages"][entry_ptr[w] : entry_ptr[w + 1]]
-            live = sampler.merge_window(plan.window_records(w), pages, placement)
-            pos_idx, pages_pos, recs_pos, srt = pos.window(w)
-            fused = sampler.merge_window_pos(
-                pos_idx, pages_pos, recs_pos, placement[pages], srt
-            )
-            np.testing.assert_array_equal(fused.pages, live.pages)
-            np.testing.assert_array_equal(fused.counts, live.counts)
-            assert fused.overhead_cycles == live.overhead_cycles
+
+class ShareStub:
+    """The solved-share columns the latency lookup reads: one row per
+    (group, tier) cell."""
+
+    def __init__(self, unit):
+        n_groups, tiers = unit.shape
+        self.group_index = np.repeat(np.arange(n_groups), tiers)
+        self.tier_codes = np.tile(np.arange(tiers), n_groups)
+        self.unit_stall_cycles = unit.ravel()
