@@ -6,7 +6,7 @@ Examples::
     python -m repro sweep --workload gpt-2 --policies PACT Colloid NoTier
     python -m repro compare --ratio 1:1 --workloads bc-kron gups silo
     python -m repro bench --workloads bc-kron gups --ratios 1:1 1:2 --jobs 4
-    python -m repro perf --quick
+    python -m repro trace gups PACT --ratio 1:2 --timings -o trace.jsonl
     python -m repro calibrate
     python -m repro list
 
@@ -24,6 +24,11 @@ live; ``--trace-dir PATH`` persists recorded ``.npt`` streams on disk
 (default: ``<cache-dir>/traces`` when a result cache is configured).
 ``repro trace record WORKLOAD -o FILE.npt`` records a stream
 explicitly, for trace-driven evaluation.
+
+Simulator throughput has no subcommand: perfbench (``perfbench/run.py``)
+times whole sweeps end to end and ``benchmarks/perfbench_gate.py``
+gates on it.  ``repro trace ... --timings`` prints one run's host-time
+span totals.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from repro.exp.store import SqliteResultStore
 from repro.mem.page import Tier, tier_label
 from repro.mem.topology import DEMOTION_MODES, TOPOLOGY_NAMES, make_topology
 from repro.obs import DEFAULT_TRACE_CAPACITY, Observability
-from repro.perf import harness as perf_harness
 from repro.sim import traceio
 from repro.sim.config import MachineConfig, PAPER_RATIOS
 from repro.sim.engine import ideal_baseline, run_policy
@@ -162,56 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print host wall-clock span totals (not part of the trace)",
     )
     _common_args(trace_p)
-
-    perf_p = sub.add_parser(
-        "perf",
-        help="simulator-throughput suite; gates on the committed baseline",
-    )
-    perf_p.add_argument(
-        "--quick", action="store_true",
-        help="graph scenarios only (CI smoke; same parameters as the full suite)",
-    )
-    perf_p.add_argument(
-        "--repeats", type=int, default=2, help="timed repeats per scenario (best wins)"
-    )
-    perf_p.add_argument(
-        "--no-profile", action="store_true",
-        help="skip the extra profiled repeat (no per-span breakdown)",
-    )
-    perf_p.add_argument(
-        "--profile", dest="cprofile", action="store_true",
-        help="dump per-scenario cProfile output (.pstats + top-40 text) "
-        "into a profiles/ directory next to the report",
-    )
-    perf_p.add_argument(
-        "--baseline", default=perf_harness.DEFAULT_BASELINE_PATH,
-        help="baseline JSON to compare against (default: %(default)s)",
-    )
-    perf_p.add_argument(
-        "--threshold", type=float, default=perf_harness.DEFAULT_THRESHOLD,
-        help="fail when normalised win/s drops more than this fraction (default: %(default)s)",
-    )
-    perf_p.add_argument(
-        "--update-baseline", action="store_true",
-        help="write this run's report over the baseline instead of comparing",
-    )
-    perf_p.add_argument(
-        "--output", "-o", default=perf_harness.DEFAULT_REPORT_PATH,
-        help="where to write the report (default: %(default)s)",
-    )
-    perf_replay = perf_p.add_mutually_exclusive_group()
-    perf_replay.add_argument(
-        "--replay", dest="replay", action="store_true", default=True,
-        help="time warm-cache traffic replay, the state sweeps run in (default)",
-    )
-    perf_replay.add_argument(
-        "--no-replay", dest="replay", action="store_false",
-        help="time live traffic generation instead of replay",
-    )
-    perf_p.add_argument(
-        "--trace-dir", default=perf_harness.DEFAULT_TRACE_DIR,
-        help="directory for the suite's recorded traces (default: %(default)s)",
-    )
 
     cal_p = sub.add_parser("calibrate", help="fit Equation 1's k on the corpus")
     cal_p.add_argument("--windows", type=int, default=10, help="windows per corpus point")
@@ -608,78 +562,6 @@ def _cmd_trace_record(args, out) -> int:
     return 0
 
 
-def cmd_perf(args, out) -> int:
-    """Time the macro suite, report spans, gate on the committed baseline."""
-    def progress(name, record):
-        print(
-            f"  {name:14s} {record['windows']:5d} windows  "
-            f"{record['wall_seconds']:6.2f}s  {record['windows_per_sec']:8.1f} win/s",
-            file=out,
-        )
-
-    suite_kind = "quick" if args.quick else "full"
-    mode = "replay" if args.replay else "live generation"
-    print(
-        f"perf suite ({suite_kind}, {mode}), "
-        f"best of {args.repeats} repeats:",
-        file=out,
-    )
-    profile_dir = None
-    if args.cprofile:
-        profile_dir = os.path.join(
-            os.path.dirname(args.output) or ".", "profiles"
-        )
-    report = perf_harness.run_suite(
-        quick=args.quick,
-        repeats=args.repeats,
-        profile=not args.no_profile,
-        progress=progress,
-        replay=args.replay,
-        trace_dir=args.trace_dir,
-        profile_dir=profile_dir,
-    )
-    if profile_dir is not None:
-        print(f"wrote cProfile dumps to {profile_dir}", file=out)
-    print(f"calibration: {report['calibration_ops_per_sec']:.1f} kernel iters/s", file=out)
-    if not args.no_profile:
-        for name, record in report["scenarios"].items():
-            rows = perf_harness.span_rows(record)
-            if rows:
-                print(f"spans for {name}:", file=out)
-                print(format_table(["span", "wall time", "calls"], rows), file=out)
-    perf_harness.write_report(report, args.output)
-    print(f"wrote report to {args.output}", file=out)
-    root_copy = perf_harness.DEFAULT_ROOT_REPORT_PATH
-    if (
-        not args.quick
-        and args.replay
-        and os.path.abspath(args.output) != os.path.abspath(root_copy)
-    ):
-        # Keep the perf trajectory tracked in-repo across PRs.  Only
-        # full replay-mode runs qualify: a --quick or --no-replay leg
-        # would overwrite the snapshot with an incomparable subset.
-        perf_harness.write_report(report, root_copy)
-        print(f"refreshed {root_copy}", file=out)
-    if args.update_baseline:
-        perf_harness.write_report(report, args.baseline)
-        print(f"updated baseline at {args.baseline}", file=out)
-        return 0
-    baseline = perf_harness.load_report(args.baseline)
-    if baseline is None:
-        print(
-            f"no baseline at {args.baseline}; run with --update-baseline to create one",
-            file=out,
-        )
-        return 0
-    problems = perf_harness.compare(report, baseline, threshold=args.threshold)
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}", file=out)
-        return 1
-    print(f"OK: within {args.threshold:.0%} of baseline (calibration-normalised)", file=out)
-    return 0
-
-
 def cmd_calibrate(args, out) -> int:
     corpus = generate_corpus(total_misses=2_000_000, misses_per_window=200_000)
     coeff = calibrate_k(corpus, max_windows_each=args.windows, seed=args.seed)
@@ -713,7 +595,6 @@ _COMMANDS = {
     "bench": cmd_bench,
     "campaign": cmd_campaign,
     "trace": cmd_trace,
-    "perf": cmd_perf,
     "calibrate": cmd_calibrate,
     "list": cmd_list,
 }

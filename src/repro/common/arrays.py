@@ -28,11 +28,6 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def sorted_unique_counts(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """``np.unique(values, return_counts=True)`` via sort + run flags."""
-    return run_lengths(np.sort(values))
-
-
 def run_starts(ordered: np.ndarray) -> np.ndarray:
     """Start index of every run of equal values in a non-empty sorted array."""
     keep = np.empty(ordered.size, dtype=bool)

@@ -156,7 +156,6 @@ class PactPolicy(TieringPolicy):
         self._last_top_occupancy = 0
         self._promoted_at = np.full(machine.workload.footprint_pages, -(10**9), dtype=np.int64)
         self._current_window = 0
-        self._cold_fraction = machine.config.cold_activity_fraction
         self._eviction_bar = 0.0
         self._bar_margin = 1.25
         #: EWMA gain shared by the bar's victim-value updates and its
@@ -336,21 +335,6 @@ class PactPolicy(TieringPolicy):
                 candidates = elig_pages[top]
         self._last_candidate_count = int(candidates.size)
         return candidates
-
-    def _space_budget(self, obs: Observation) -> int:
-        """Fast-tier pages obtainable this window: free space plus pages
-        the kernel's LRU would classify as inactive (demotable).
-
-        The cold count comes from :meth:`TieredMemory.cold_count` -- the
-        memoised per-tier form of the old ``activity[fast_pages]``
-        gather-and-compare, answered O(1) for repeated queries within a
-        window.
-        """
-        memory = obs.memory
-        free_now = memory.free_pages(Tier.FAST)
-        threshold = self._cold_fraction * memory.mean_activity(Tier.FAST)
-        cold = memory.cold_count(Tier.FAST, threshold)
-        return free_now + cold
 
     def _window_promotion_cap(self, obs: Observation) -> int:
         """Per-window migration bound: a few percent of the fast tier

@@ -124,8 +124,3 @@ def metrics_table(
             row.append("-" if value is None else f"{value:.4g}")
         rows.append(row)
     return format_table(["metric"] + list(policies), rows)
-
-
-def cache_summary(store) -> Optional[str]:
-    """One-line cache effectiveness report (None without a store)."""
-    return store.summary() if store is not None else None

@@ -138,8 +138,6 @@ class TieredMemory:
         self._resident_cache: Dict[int, Tuple[int, np.ndarray]] = {}
         #: tier index -> ((placement gen, activity gen), mean activity).
         self._mean_cache: Dict[int, Tuple[Tuple[int, int], float]] = {}
-        #: tier index -> ((placement gen, activity gen, threshold), count).
-        self._cold_cache: Dict[int, Tuple[Tuple[int, int, float], int]] = {}
         #: Reusable scratch mask for ``lru_victims`` protection.
         self._protect_scratch = np.zeros(footprint_pages, dtype=bool)
         if debug_accounting is None:
@@ -362,28 +360,6 @@ class TieredMemory:
         resident = self.pages_in_tier(tier)
         value = float(self.activity[resident].mean()) if resident.size else 0.0
         self._mean_cache[tier] = (key, value)
-        return value
-
-    def cold_count(self, tier: Tier, max_activity: float) -> int:
-        """Resident pages in ``tier`` at or below ``max_activity``.
-
-        The count behind eager-demotion space budgets.  Computed over
-        the cached resident array exactly like the per-window
-        ``activity[pages] <= threshold`` gather-and-compare it replaces,
-        then memoised on (placement, activity, threshold) so repeated
-        queries within a window are O(1).
-        """
-        key = (self._placement_gen, self._activity_gen, float(max_activity))
-        cached = self._cold_cache.get(tier)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        resident = self.pages_in_tier(tier)
-        value = (
-            int(np.count_nonzero(self.activity[resident] <= max_activity))
-            if resident.size
-            else 0
-        )
-        self._cold_cache[tier] = (key, value)
         return value
 
     # -- migration primitives -------------------------------------------------

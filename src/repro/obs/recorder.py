@@ -49,11 +49,6 @@ DEFAULT_TRACE_CAPACITY = 65_536
 _INITIAL_COLUMN_SIZE = 1_024
 
 
-def record_to_dict(record: WindowRecord) -> dict:
-    """JSON-serialisable view of one window record."""
-    return dataclasses.asdict(record)
-
-
 class TraceRecorder:
     """Fixed-capacity ring buffer of per-window trace rows (columnar)."""
 

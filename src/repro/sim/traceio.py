@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 from typing import Union
 
+from repro.mem.page import tier_label
 from repro.sim.metrics import RunResult
 
 PathLike = Union[str, Path]
@@ -45,7 +46,7 @@ def result_to_dict(result: RunResult, include_trace: bool = True) -> dict:
         "migration_cost_cycles": result.migration_cost_cycles,
         "total_stall_cycles": result.total_stall_cycles,
         "total_misses": result.total_misses,
-        "tier_misses": {tier.name.lower(): v for tier, v in result.tier_misses.items()},
+        "tier_misses": {tier_label(tier).lower(): v for tier, v in result.tier_misses.items()},
         "empty_windows": result.empty_windows,
         "metrics_summary": result.metrics_summary,
     }

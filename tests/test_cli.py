@@ -124,87 +124,3 @@ class TestTrace:
         )
         assert code == 0
         assert "stall_solve" in text and "wall time" in text
-
-
-class TestPerfCommand:
-    """``repro perf`` wiring; suite execution is stubbed for speed."""
-
-    @staticmethod
-    def fake_report(wps=100.0):
-        return {
-            "schema": 1,
-            "quick": True,
-            "repeats": 1,
-            "calibration_ops_per_sec": 50.0,
-            "scenarios": {
-                "graph-pact": {
-                    "windows": 96,
-                    "windows_per_sec": wps,
-                    "wall_seconds": 1.0,
-                    "runtime_cycles": 2.0e9,
-                    "spans": {"stall_solve": {"seconds": 0.01, "calls": 96}},
-                }
-            },
-        }
-
-    def _patched(self, monkeypatch, wps, tmp_path):
-        from repro.perf import harness
-
-        def fake_run_suite(quick, repeats, profile, progress=None, **kwargs):
-            report = self.fake_report(wps)
-            if progress is not None:
-                for name, record in report["scenarios"].items():
-                    progress(name, record)
-            return report
-
-        monkeypatch.setattr(harness, "run_suite", fake_run_suite)
-        # Keep the repo-root trajectory copy out of the working tree.
-        monkeypatch.setattr(
-            harness, "DEFAULT_ROOT_REPORT_PATH", str(tmp_path / "BENCH_perf.json")
-        )
-
-    def test_parser_accepts_perf_flags(self):
-        args = build_parser().parse_args(
-            ["perf", "--quick", "--repeats", "3", "--threshold", "0.5"]
-        )
-        assert args.command == "perf"
-        assert args.quick and args.repeats == 3 and args.threshold == 0.5
-
-    def test_update_baseline_then_compare_ok(self, monkeypatch, tmp_path):
-        self._patched(monkeypatch, wps=100.0, tmp_path=tmp_path)
-        baseline = str(tmp_path / "baseline.json")
-        output = str(tmp_path / "report.json")
-        code, text = run_cli(
-            "perf", "--quick", "--baseline", baseline,
-            "--output", output, "--update-baseline",
-        )
-        assert code == 0
-        assert "updated baseline" in text
-        code, text = run_cli(
-            "perf", "--quick", "--baseline", baseline, "--output", output
-        )
-        assert code == 0
-        assert "OK" in text
-
-    def test_regression_fails_with_exit_one(self, monkeypatch, tmp_path):
-        from repro.perf import harness
-
-        baseline = str(tmp_path / "baseline.json")
-        harness.write_report(self.fake_report(wps=300.0), baseline)
-        self._patched(monkeypatch, wps=100.0, tmp_path=tmp_path)
-        code, text = run_cli(
-            "perf", "--quick", "--baseline", baseline,
-            "--output", str(tmp_path / "report.json"),
-        )
-        assert code == 1
-        assert "FAIL" in text
-
-    def test_missing_baseline_is_not_an_error(self, monkeypatch, tmp_path):
-        self._patched(monkeypatch, wps=100.0, tmp_path=tmp_path)
-        code, text = run_cli(
-            "perf", "--quick",
-            "--baseline", str(tmp_path / "none.json"),
-            "--output", str(tmp_path / "report.json"),
-        )
-        assert code == 0
-        assert "no baseline" in text

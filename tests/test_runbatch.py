@@ -76,20 +76,46 @@ def build_machine(data, policy_name, ratio, seed):
     )
 
 
+#: Traces the lockstep test replays: gups (3 windows) and bc-kron at
+#: 6M misses (24 windows), each as ``make_workload`` keyword arguments.
+LOCKSTEP_TRACES = {
+    "gups": {"total_misses": 600_000, "seed": 4},
+    "bc-kron": {"total_misses": 6_000_000},
+}
+
+
 class TestMultiMachine:
-    @pytest.mark.parametrize("policy_name", ["PACT", "Memtis", "NoTier"])
-    def test_lockstep_matches_serial_bit_exactly(self, policy_name):
-        data = record_stream(
-            make_workload("gups", total_misses=600_000, seed=4), max_windows=512
-        )
+    @pytest.mark.parametrize(
+        "workload,policy_name",
+        [
+            pytest.param(w, p, id=p if w == "gups" else f"{w}-{p}")
+            for w in LOCKSTEP_TRACES
+            for p in ("PACT", "Memtis", "NoTier")
+        ],
+    )
+    def test_lockstep_matches_serial_bit_exactly(self, workload, policy_name):
+        # Lockstep replay == serial replay == serial live generation,
+        # member by member.
+        params = LOCKSTEP_TRACES[workload]
+        data = record_stream(make_workload(workload, **params), max_windows=512)
         grid = [(s, r) for s in SEEDS for r in RATIOS]
         serial = [build_machine(data, policy_name, r, s).run() for s, r in grid]
         multi = MultiMachine(
             [build_machine(data, policy_name, r, s) for s, r in grid]
         ).run()
-        assert len(multi) == len(serial)
-        for lock, solo in zip(multi, serial):
-            assert result_to_dict(lock) == result_to_dict(solo)
+        live = [
+            Machine(
+                workload=make_workload(workload, **params),
+                policy=make_policy(policy_name),
+                config=MachineConfig(),
+                ratio=r,
+                seed=s,
+            ).run()
+            for s, r in grid
+        ]
+        assert len(multi) == len(serial) == len(live)
+        for lock, solo, gen in zip(multi, serial, live):
+            assert result_to_dict(lock) == result_to_dict(solo) == result_to_dict(gen)
 
     def test_presolved_members_stay_out_of_the_batched_solve(self, monkeypatch):
         # NoTier replay solves its whole run at construction; in a group

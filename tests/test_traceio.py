@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from repro.mem.topology import make_topology
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.policy_api import NoTierPolicy
@@ -26,6 +27,16 @@ class TestJson:
         assert payload["windows"] == 6
         assert len(payload["trace"]) == 6
         assert payload["tier_misses"].keys() == {"fast", "slow"}
+        # Tiers below the first two are keyed by plain ints, not enums.
+        three_tier = Machine(
+            TinyWorkload(),
+            NoTierPolicy(),
+            config=MachineConfig(topology=make_topology("dram-cxlz-nvme")),
+            ratio="1:4:16",
+        ).run(max_windows=2)
+        payload = result_to_dict(three_tier)
+        assert payload["tier_misses"].keys() == {"fast", "slow", "tier2"}
+        assert sum(payload["tier_misses"].values()) == payload["total_misses"]
 
     def test_trace_optional(self, traced_result):
         payload = result_to_dict(traced_result, include_trace=False)

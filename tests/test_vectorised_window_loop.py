@@ -12,8 +12,6 @@ gets an explicit oracle here:
   masked sum after arbitrary touch/move/first-touch interleavings;
 * the tracker's incrementally-merged tracked-page list against a
   ``flatnonzero`` rebuild;
-* ``TieredMemory.cold_count`` (the memoised space-budget input) against
-  the gather-and-compare it replaced;
 * the attach-time prestaged :class:`EntryMetaPlan` against the live
   per-window computation it replaces;
 * the sparse PEBS merge (placement gathered for sampled entries only,
@@ -305,22 +303,6 @@ class TestIncrementalCachesMatchRebuild:
             np.testing.assert_array_equal(
                 tracker.tracked_pages(), np.flatnonzero(tracker.tracked)
             )
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_cold_count_matches_gather(self, seed):
-        rng = np.random.default_rng(seed)
-        footprint = int(rng.integers(64, 256))
-        memory = TieredMemory(footprint, footprint // 2, footprint, DRAM_SPEC, CXL_SPEC)
-        memory.allocate_first_touch(rng.permutation(footprint))
-        pages = np.unique(rng.integers(0, footprint, size=footprint // 2))
-        memory.touch(pages, window=1, counts=rng.integers(1, 30, size=pages.size).astype(float))
-        threshold = float(rng.uniform(0.0, 15.0))
-        resident = np.flatnonzero(memory.placement == int(Tier.FAST))
-        expected = int(np.count_nonzero(memory.activity[resident] <= threshold))
-        assert memory.cold_count(Tier.FAST, threshold) == expected
-        # Memoised second query returns the same value.
-        assert memory.cold_count(Tier.FAST, threshold) == expected
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**9))
