@@ -30,8 +30,10 @@ import json
 import os
 from typing import Any, Dict, Optional
 
-from repro.mem.page import tier_from_label, tier_label
-from repro.sim.metrics import RunResult, WindowRecord
+from repro.sim.metrics import RunResult
+# The store's document (and its inverse), re-exported beside the store.
+from repro.sim.metrics import result_from_dict as result_from_dict
+from repro.sim.metrics import result_to_dict as result_to_dict
 
 #: Schema/behaviour version of cached entries.  v2: simulator loop
 #: fixes (empty windows count toward the budget, eviction-bar decay,
@@ -166,58 +168,6 @@ def content_hash(fingerprint: Dict[str, Any]) -> str:
     """SHA-256 content address of a fingerprint document."""
     blob = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-# -- RunResult <-> JSON -------------------------------------------------------
-
-
-def _record_to_dict(rec: WindowRecord) -> Dict[str, Any]:
-    return dataclasses.asdict(rec)
-
-
-def result_to_dict(result: RunResult) -> Dict[str, Any]:
-    return {
-        "workload": result.workload,
-        "policy": result.policy,
-        "ratio": result.ratio,
-        "runtime_cycles": result.runtime_cycles,
-        "windows": result.windows,
-        "promoted": result.promoted,
-        "demoted": result.demoted,
-        "migration_cost_cycles": result.migration_cost_cycles,
-        "total_stall_cycles": result.total_stall_cycles,
-        "total_misses": result.total_misses,
-        "tier_misses": {tier_label(tier): float(v) for tier, v in result.tier_misses.items()},
-        "empty_windows": result.empty_windows,
-        "trace": (
-            None if result.trace is None else [_record_to_dict(r) for r in result.trace]
-        ),
-        "workload_metrics": result.workload_metrics,
-        "fast_pages": result.fast_pages,
-        "metrics_summary": result.metrics_summary,
-    }
-
-
-def result_from_dict(doc: Dict[str, Any]) -> RunResult:
-    trace = doc.get("trace")
-    return RunResult(
-        workload=doc["workload"],
-        policy=doc["policy"],
-        ratio=doc["ratio"],
-        runtime_cycles=doc["runtime_cycles"],
-        windows=doc["windows"],
-        promoted=doc["promoted"],
-        demoted=doc["demoted"],
-        migration_cost_cycles=doc["migration_cost_cycles"],
-        total_stall_cycles=doc["total_stall_cycles"],
-        total_misses=doc["total_misses"],
-        tier_misses={tier_from_label(name): v for name, v in doc["tier_misses"].items()},
-        empty_windows=doc.get("empty_windows", 0),
-        trace=None if trace is None else [WindowRecord(**rec) for rec in trace],
-        workload_metrics=doc.get("workload_metrics") or {},
-        fast_pages=doc.get("fast_pages"),
-        metrics_summary=doc.get("metrics_summary") or {},
-    )
 
 
 # -- the store ----------------------------------------------------------------

@@ -14,18 +14,21 @@ controller* and periodically reports a hotlist.  Compared to PEBS:
   one PACT samples).
 
 The sampler below models a counter array with a bounded hotlist: every
-window it accumulates true per-page access counts; at each epoch
-boundary it emits the top-``hotlist_size`` pages as a
-:class:`repro.hw.pebs.PebsBatch` with ``rate=1`` (exact counts), then
-clears the epoch counters.
+window it accumulates true per-page access counts of the window's trace
+entries that sit in its own tier (the device counts exactly the
+accesses that land in its memory, as NeoMem's controller-side profiler
+does); at each epoch boundary it emits the top-``hotlist_size`` pages
+as a :class:`repro.hw.pebs.PebsBatch` with ``rate=1`` (exact counts),
+then clears the epoch counters.
 
-The accumulator is *sparse*: the epoch's (pages, counts) rows are
+The accumulator is *sparse*: the epoch's (pages, counts) entries are
 buffered and aggregated at the boundary with one concatenate + stable
 sort + ``reduceat`` pass (:func:`aggregate_epoch`).  Integer addition
 is associative, so the aggregated sums equal the dense
-footprint-array-plus-``np.add.at`` accumulation bit for bit -- without
-touching (or scanning with ``flatnonzero``) a footprint-sized array on
-epochs that visited only a few pages.
+footprint-array-plus-``np.add.at`` accumulation bit for bit, whatever
+order the entries arrive in -- without touching (or scanning with
+``flatnonzero``) a footprint-sized array on epochs that visited only a
+few pages.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.hw.pebs import PebsBatch
-from repro.hw.stall import ShareBatch
 from repro.mem.page import Tier
 
 #: Cycles to drain the hotlist at an epoch boundary (MMIO reads).
@@ -68,26 +70,23 @@ class ChmuSampler:
         self.rate = 1  # exact counts (PebsBatch-compatible attribute)
 
     def sample(
-        self, shares: ShareBatch, tiers: "tuple[Tier, ...]" = (Tier.SLOW,)
+        self, pages: np.ndarray, counts: np.ndarray, tiers: np.ndarray
     ) -> PebsBatch:
         """Accumulate one window; emit the hotlist at epoch boundaries.
 
-        Drop-in replacement for :meth:`repro.hw.pebs.PebsSampler.sample`;
-        ``tiers`` beyond the device's own tier are ignored (a CHMU only
-        observes its own memory).
+        ``pages``/``counts`` are the window's trace entries and
+        ``tiers`` their per-entry placement; only entries resident in
+        the device's own tier are counted (a CHMU observes only its own
+        memory, and UNALLOCATED entries sit in no tier).
         """
-        # Share page/count arrays from the batched split are StallModel
-        # scratch, only valid until the next window's split -- copy when
-        # the epoch buffers must survive a window boundary.  With the
-        # default one-window epochs the drain below consumes them before
-        # the scratch is reused, so no copy is needed.
-        keep = self.epoch_windows > 1
-        for i in shares.rows_in_tier(self.tier):
-            pages = shares.pages_of(i)
-            if pages.size:
-                self._epoch_pages.append(pages.copy() if keep else pages)
-                counts = shares.counts_of(i)
-                self._epoch_counts.append(counts.copy() if keep else counts)
+        mine = tiers == int(self.tier)
+        if mine.any():
+            # Boolean selection copies, so the buffered entries survive
+            # the window even when the caller's arrays are scratch; the
+            # copies are plain int64 arrays even when replay hands in
+            # memmap slices.
+            self._epoch_pages.append(np.asarray(pages[mine], dtype=np.int64))
+            self._epoch_counts.append(np.asarray(counts[mine], dtype=np.int64))
         self._window_in_epoch += 1
         if self._window_in_epoch < self.epoch_windows:
             return PebsBatch.empty(rate=1)
@@ -134,11 +133,11 @@ def drain_hotlist(
     """Emit the top-``hotlist_size`` pages of one epoch's counts.
 
     ``touched`` must be sorted ascending with ``counts`` aligned (what
-    ``flatnonzero`` + a dense-counter gather produces); the whole-run
-    plan (:mod:`repro.hw.drawplan`) feeds the same layout from a sparse
-    sort + ``reduceat``, so selection -- including ``argpartition``'s
-    tie behaviour, which depends only on the input array -- and the
-    final sorted hotlist are bit-identical between the two callers.
+    ``flatnonzero`` + a dense-counter gather produces, and what
+    :func:`aggregate_epoch` produces from sparse entries), so selection
+    -- including ``argpartition``'s tie behaviour, which depends only
+    on the input array -- and the final sorted hotlist do not depend on
+    how the counts were accumulated.
     """
     if touched.size == 0:
         return PebsBatch.empty(rate=1)

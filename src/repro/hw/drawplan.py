@@ -1,50 +1,47 @@
-"""Whole-run plans for replayed traffic streams.
+"""Window sources: where each window's shares (and outcome) come from.
 
 Once a traffic stream is recorded (:mod:`repro.workloads.tracestore`),
 every window's entries are known before the run.  Nothing here draws a
 random number: every stochastic draw is keyed per window
-(:mod:`repro.hw.substream`) and made live in the loop.  What the plans
-move out of the loop is the placement-independent, RNG-free work:
+(:mod:`repro.hw.substream`) and made live in the loop.  What moves out
+of the loop is placement-independent, RNG-free work:
 
 * :class:`EntryMetaPlan` holds each window's trace-determined split
   inputs (packed ``group * num_tiers`` key bases, float counts), memoised
   on the trace so that every run replaying it shares one.
-* :func:`build_static_batches` pre-splits the *whole run's* recorded
-  CSR columns by (window, group, tier) for a *static-placement* policy
-  and hands every window a pre-sliced :class:`~repro.hw.stall.ShareBatch`
-  view -- rows in share order (per group: tier 0 then tier 1, ...).
-  Only the CHMU sampler walks per-share page lists; every other run
-  gets *misses-only* batches built from the :class:`EntryMetaPlan`
-  instead of a whole-trace argsort.
-* :func:`plan_chmu_batches` precomputes each window's CHMU hot list from
-  the static split (integer accumulation, order-exact), and
-  :func:`plan_window_solves` solves a static no-PEBS run's stall fixed
+* :func:`build_static_batches` splits the *whole run's* recorded CSR
+  columns by (window, group, tier) for a *frozen* placement and hands
+  every window a pre-sliced :class:`~repro.hw.stall.ShareBatch` view --
+  rows in share order (per group: tier 0 then tier 1, ...).
+* :func:`plan_window_solves` solves a static no-PEBS run's stall fixed
   points in one batched pass.
 
-The plans engage automatically when a :class:`Machine` is driven by a
-non-looping :class:`~repro.workloads.tracestore.ReplayWorkload`; the
-static-split, CHMU and solve plans additionally require the policy to
-declare :attr:`~repro.sim.policy_api.TieringPolicy.static_placement`.
-Set ``REPRO_NO_DRAWPLAN=1`` to force the live per-window paths.
+:func:`attach` gives each :class:`~repro.sim.machine.Machine` one
+window source for its whole run, one per placement regime:
+
+* :class:`StaticSource` -- a static-placement policy over a fully
+  allocated footprint, driven by a non-looping
+  :class:`~repro.workloads.tracestore.ReplayWorkload`: the pre-split
+  batches, plus the pre-solved outcomes where the solve inputs are
+  final at attach;
+* :class:`DynamicSource` -- every other run: the live per-window split,
+  fed the trace's :class:`EntryMetaPlan` when the run is replayed and
+  unhinted on live traffic.
+
+A source answers three questions per window: its shares
+(``shares``), the counts the LRU/activity touch reads
+(``touch_counts``), and its pre-solved outcome if it has one
+(``outcome``).
 """
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 
-from repro.hw.pebs import PebsBatch
 from repro.hw.stall import ShareBatch
-
-#: Environment switch: any non-empty value disables all draw plans.
-ENV_DISABLE = "REPRO_NO_DRAWPLAN"
-
-
-def plans_enabled() -> bool:
-    return not os.environ.get(ENV_DISABLE, "")
 
 
 def _empty_share_batch(num_tiers: int) -> ShareBatch:
@@ -55,9 +52,6 @@ def _empty_share_batch(num_tiers: int) -> ShareBatch:
         mlp=np.empty(0, dtype=np.float64),
         load_fraction=np.empty(0, dtype=np.float64),
         misses=np.empty(0, dtype=np.int64),
-        offsets=np.zeros(1, dtype=np.int64),
-        pages_buf=np.empty(0, dtype=np.int64),
-        counts_buf=np.empty(0, dtype=np.int64),
         labels=[],
         unit_stall_cycles=np.empty(0, dtype=np.float64),
         num_tiers=num_tiers,
@@ -65,31 +59,25 @@ def _empty_share_batch(num_tiers: int) -> ShareBatch:
 
 
 def build_static_batches(
-    data, placement: np.ndarray, num_tiers: int, meta: "Optional[EntryMetaPlan]" = None
+    data, placement: np.ndarray, num_tiers: int
 ) -> List[Optional[ShareBatch]]:
     """Pre-split every recorded window by a *frozen* placement.
 
-    Returns one batch per recorded window (``None`` for windows that
-    emitted no groups -- the machine never splits those).  Rows come in
-    (group, tier) order, exactly as the per-window split emits them.
+    ``placement`` must place every page the trace touches (a fully
+    allocated footprint).  Returns one batch per recorded window
+    (``None`` for windows that emitted no groups -- the machine never
+    splits those).  Rows come in (group, tier) order, exactly as the
+    per-window ``split_groups`` emits them, and every row column is
+    bit-identical to it.
 
-    Without ``meta`` the batches are *partitioned*: one stable argsort
-    of the whole trace's entries by (group, tier) reproduces, per
-    (group, tier), exactly the element order that the per-window mask +
-    ``np.compress`` split emits, and segment offsets carve per-window
-    views straight out of the two sorted whole-run buffers.  Only the
-    CHMU sampler walks those page lists.
-
-    With ``meta`` (the trace's :class:`EntryMetaPlan`) the batches are
-    *misses-only*, like the dynamic ``split_groups(misses_only=True)``:
-    no argsort and no sorted copies, ``pages_of`` fails loudly, and
-    every row column is bit-identical to the partitioned form.  Row
-    misses come from one count-weighted bincount over the packed
-    ``group * num_tiers + tier`` key; a *uniform* placement (every page
-    in one tier: the ideal and slow-only reference runs) needs not even
-    that -- each non-empty group is one row carrying the memoised
-    per-group miss total, so the plan is O(groups).
+    Row misses come from one count-weighted bincount over the packed
+    ``group * num_tiers + tier`` key of the whole trace; a *uniform*
+    placement (every page in one tier: the ideal and slow-only
+    reference runs) needs not even that -- each non-empty group is one
+    row carrying the memoised per-group miss total, so the plan is
+    O(groups).  Both read the trace's :class:`EntryMetaPlan`.
     """
+    meta = entry_meta_for(data, num_tiers)
     c = data.columns
     wgp = np.asarray(c["window_group_ptr"])
     gpp = np.asarray(c["group_page_ptr"])
@@ -100,8 +88,7 @@ def build_static_batches(
     num_groups = gpp.size - 1
     T = num_tiers
 
-    pages_s = counts_s = row_offsets = None
-    if meta is not None and placement.size and placement.min() == placement.max():
+    if placement.size and placement.min() == placement.max():
         nonempty = np.flatnonzero(np.diff(gpp))
         rows = nonempty * T + int(placement[0])
         row_misses = meta.group_misses[nonempty]
@@ -109,28 +96,13 @@ def build_static_batches(
         pages = np.asarray(c["pages"])
         key = np.repeat(np.arange(num_groups, dtype=np.intp) * T, np.diff(gpp))
         key += placement[pages]
-        if meta is not None:
-            cell_misses = np.bincount(key, weights=meta.counts_f, minlength=num_groups * T)
-            # A present cell sums to >= 1.0 when every count is >= 1;
-            # otherwise count-zero entries still make rows (as the
-            # partition does), so presence needs the unweighted count.
-            present = cell_misses if meta.counts_positive else np.bincount(key)
-            rows = np.flatnonzero(present)
-            row_misses = cell_misses[rows].astype(np.int64)
-        else:
-            counts = np.asarray(c["counts"])
-            order = np.argsort(key, kind="stable")
-            pages_s = np.ascontiguousarray(pages[order])
-            counts_s = np.ascontiguousarray(counts[order])
-            sizes = np.bincount(key, minlength=num_groups * T)
-            rows = np.flatnonzero(sizes)
-            row_offsets = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(sizes[rows], dtype=np.int64)]
-            )
-            if rows.size:
-                row_misses = np.add.reduceat(counts_s, row_offsets[:-1])
-            else:
-                row_misses = np.empty(0, dtype=np.int64)
+        cell_misses = np.bincount(key, weights=meta.counts_f, minlength=num_groups * T)
+        # A present cell sums to >= 1.0 when every count is >= 1;
+        # otherwise count-zero entries still make rows (as the per-window
+        # split does), so presence needs the unweighted count.
+        present = cell_misses if meta.counts_positive else np.bincount(key)
+        rows = np.flatnonzero(present)
+        row_misses = cell_misses[rows].astype(np.int64)
     row_group = rows // T
     row_tier = (rows % T).astype(np.intp)
     # Rows are group-ascending, groups are window-ascending, so each
@@ -150,14 +122,6 @@ def build_static_batches(
             # Groups recorded, but every one of them was empty.
             batches.append(_empty_share_batch(T))
             continue
-        if row_offsets is None:
-            offsets = pages_buf = counts_buf = None
-        else:
-            base = int(row_offsets[r0])
-            end = int(row_offsets[r1])
-            offsets = row_offsets[r0 : r1 + 1] - base
-            pages_buf = pages_s[base:end]
-            counts_buf = counts_s[base:end]
         g = row_group[r0:r1]
         batches.append(
             ShareBatch(
@@ -167,9 +131,6 @@ def build_static_batches(
                 mlp=mlp_col[g],
                 load_fraction=lf_col[g],
                 misses=row_misses[r0:r1],
-                offsets=offsets,
-                pages_buf=pages_buf,
-                counts_buf=counts_buf,
                 labels=[group_labels[int(gi)] for gi in g],
                 unit_stall_cycles=unit_all[r0:r1],
                 num_tiers=T,
@@ -188,8 +149,8 @@ class EntryMetaPlan:
     whether any entry carries a zero count.  :meth:`prestage_split`
     computes them at attach time, so the timed loop keeps only the
     placement-dependent work: one gather, one add, one weighted
-    bincount.  Static misses-only splits read the float counts or just
-    the per-group miss totals; each field costs one pass over the trace
+    bincount.  Static splits read the float counts or just the
+    per-group miss totals; each field costs one pass over the trace
     when first read, and only the fields a run reads are ever built.
     """
 
@@ -268,56 +229,7 @@ def entry_meta_for(data, num_tiers: int) -> EntryMetaPlan:
     return cached[1]
 
 
-class StaticSplitPlan:
-    """Per-window pre-sliced share batches for a frozen placement."""
-
-    __slots__ = ("_batches",)
-
-    def __init__(self, batches: List[Optional[ShareBatch]]):
-        self._batches = batches
-
-    def window_batch(self, window: int) -> ShareBatch:
-        batch = self._batches[window]
-        if batch is None:  # pragma: no cover - machine never splits empty windows
-            raise LookupError(f"window {window} recorded no groups")
-        return batch
-
-    @property
-    def batches(self) -> List[Optional[ShareBatch]]:
-        return self._batches
-
-
-class WindowSamplePlan:
-    """Precomputed per-window :class:`PebsBatch` stream."""
-
-    __slots__ = ("_batches",)
-
-    def __init__(self, batches: List[Optional[PebsBatch]]):
-        self._batches = batches
-
-    def batch_for(self, window: int) -> PebsBatch:
-        batch = self._batches[window]
-        if batch is None:  # pragma: no cover - machine never samples empty windows
-            raise LookupError(f"window {window} recorded no groups")
-        return batch
-
-
-class WindowSolvePlan:
-    """Pre-solved :class:`~repro.hw.stall.WindowHardware` per window."""
-
-    __slots__ = ("_outcomes",)
-
-    def __init__(self, outcomes: List):
-        self._outcomes = outcomes
-
-    def outcome_for(self, window: int):
-        outcome = self._outcomes[window]
-        if outcome is None:  # pragma: no cover - machine never solves empty windows
-            raise LookupError(f"window {window} recorded no groups")
-        return outcome
-
-
-def plan_window_solves(model, batches: List[Optional[ShareBatch]], compute_cycles) -> WindowSolvePlan:
+def plan_window_solves(model, batches: List[Optional[ShareBatch]], compute_cycles) -> List:
     """Solve the whole run's stall fixed points in one batched pass.
 
     With a static placement, no PEBS overhead, and no MLC contender,
@@ -328,6 +240,8 @@ def plan_window_solves(model, batches: List[Optional[ShareBatch]], compute_cycle
     neither).  The windows are therefore independent fixed points, and
     ``solve_many`` -- whose per-element bit-identity to serial solves
     the multi-run tests pin -- computes them all in one fused pass.
+    Returns one :class:`~repro.hw.stall.WindowHardware` per window
+    (``None`` where the window recorded no groups).
     """
     idx = [w for w, b in enumerate(batches) if b is not None]
     solved = model.solve_many(
@@ -339,99 +253,131 @@ def plan_window_solves(model, batches: List[Optional[ShareBatch]], compute_cycle
     outcomes: List = [None] * len(batches)
     for w, outcome in zip(idx, solved):
         outcomes[w] = outcome
-    return WindowSolvePlan(outcomes)
+    return outcomes
 
 
-def plan_chmu_batches(sampler, batches: List[Optional[ShareBatch]]) -> WindowSamplePlan:
-    """Precompute every CHMU epoch drain from the static split.
+class StaticSource:
+    """A frozen placement under replay: every window split at attach.
 
-    CHMU sampling is RNG-free integer accumulation, so epochs can be
-    aggregated with one sort + ``reduceat`` over the epoch's slow-tier
-    entries instead of per-window ``np.add.at`` into a footprint-sized
-    counter array; integer sums are order-exact, and the aggregation
-    and drain helpers are the very code the live sampler runs.
+    ``batches`` holds one pre-split :class:`ShareBatch` per recorded
+    window; ``outcomes``, when the run's solve inputs are final at
+    attach (no PEBS drain, no contender, no per-window observability),
+    the pre-solved hardware outcome per window.
     """
-    from repro.hw.chmu import aggregate_epoch, drain_hotlist
 
-    code = int(sampler.tier)
-    out: List[Optional[PebsBatch]] = []
-    epoch_pages: List[np.ndarray] = []
-    epoch_counts: List[np.ndarray] = []
-    in_epoch = 0
-    for batch in batches:
-        if batch is None:
-            out.append(None)
-            continue
-        for i in range(batch.n):
-            if int(batch.tier_codes[i]) == code and batch.offsets[i + 1] > batch.offsets[i]:
-                epoch_pages.append(batch.pages_of(i))
-                epoch_counts.append(batch.counts_of(i))
-        in_epoch += 1
-        if in_epoch < sampler.epoch_windows:
-            out.append(PebsBatch.empty(rate=1))
-            continue
-        in_epoch = 0
-        touched, sums = aggregate_epoch(epoch_pages, epoch_counts)
-        epoch_pages, epoch_counts = [], []
-        out.append(
-            drain_hotlist(touched, sums, sampler.hotlist_size, sampler.readout_cycles)
+    __slots__ = ("batches", "outcomes")
+
+    def __init__(self, batches: List[Optional[ShareBatch]], outcomes: Optional[List] = None):
+        self.batches = batches
+        self.outcomes = outcomes
+
+    def shares(self, window: int, traffic, pages, counts) -> ShareBatch:  # noqa: ARG002
+        return self.batches[window]
+
+    def touch_counts(self, window: int, counts: np.ndarray) -> np.ndarray:  # noqa: ARG002
+        return counts
+
+    def outcome(self, window: int, extra_bytes, extra_cycles: float):
+        """The pre-solved outcome, or None to solve live.
+
+        The extra inputs are provably zero every window of a run that
+        has outcomes; they are checked anyway, so that a surprise
+        carry-over falls back to a live solve.
+        """
+        if self.outcomes is not None and extra_cycles == 0.0 and not extra_bytes:
+            return self.outcomes[window]
+        return None
+
+
+class DynamicSource:
+    """The live per-window split, hinted by the trace when replayed.
+
+    With ``meta`` (the trace's :class:`EntryMetaPlan`) the split reads
+    prestaged key bases and float counts, and the touch reads the float
+    counts; without it (live traffic, a looping replay) the split runs
+    unhinted.  A source is truthy exactly when it carries a plan.
+    """
+
+    __slots__ = ("model", "memory", "meta")
+
+    def __init__(self, model, memory, meta: Optional[EntryMetaPlan] = None):
+        self.model = model
+        self.memory = memory
+        self.meta = meta
+
+    def __bool__(self) -> bool:
+        return self.meta is not None
+
+    def shares(self, window: int, traffic, pages: np.ndarray, counts: np.ndarray) -> ShareBatch:
+        placement = self.memory.placement
+        meta = self.meta
+        if meta is None:
+            return self.model.split_groups(traffic.groups, placement, pages=pages, counts=counts)
+        key_base, counts_f = meta.window(window)
+        return self.model.split_groups(
+            traffic.groups,
+            placement,
+            pages=pages,
+            counts=counts,
+            key_base=key_base,
+            counts_f=counts_f,
+            counts_positive=meta.counts_positive,
+            assume_allocated=self.memory.fully_allocated,
         )
-    return WindowSamplePlan(out)
+
+    def touch_counts(self, window: int, counts: np.ndarray) -> np.ndarray:
+        """The prestaged float counts when replay provides them (saving
+        the per-window int -> float conversion), else ``counts``."""
+        if self.meta is None:
+            return counts
+        return self.meta.window(window)[1]
+
+    def outcome(self, window: int, extra_bytes, extra_cycles: float):  # noqa: ARG002
+        return None
 
 
-def attach(machine) -> bool:
-    """Wire whole-run plans into ``machine`` when replay drives it.
+def attach(machine):
+    """The run's window source, chosen once per :class:`Machine`.
 
     Called at the end of ``Machine.__init__`` (placement is settled by
-    then).  A static placement over a fully preallocated footprint gets
-    the static split, plus the CHMU or solve plan where they apply;
-    every other replayed run gets the trace's :class:`EntryMetaPlan`.
-    Returns True when anything engaged.
+    then).  A static placement over a fully preallocated footprint under
+    non-looping replay gets a :class:`StaticSource` (with pre-solved
+    outcomes where they apply); every other replayed run gets a
+    :class:`DynamicSource` hinted by the trace's :class:`EntryMetaPlan`,
+    and live traffic an unhinted one.  The source is truthy exactly when
+    a plan engaged, i.e. for every non-looping replayed run.
     """
-    if not plans_enabled():
-        return False
     from repro.workloads.tracestore import ReplayWorkload
 
+    model, memory = machine.stall_model, machine.memory
     workload = machine.workload
     if not isinstance(workload, ReplayWorkload) or workload.loop:
-        return False
+        return DynamicSource(model, memory)
     data = workload.trace_data
     policy = machine.policy
-    if not (policy.static_placement and machine.memory.fully_allocated):
+    if not (policy.static_placement and memory.fully_allocated):
         # Dynamic placement: the split itself stays in the loop, but its
         # trace-determined inputs (key bases, float counts) leave it.
-        machine._entry_meta = entry_meta_for(data, machine.num_tiers)
-        machine._entry_meta.prestage_split()
-        return True
-    meta = entry_meta_for(data, machine.num_tiers) if machine._misses_only_split else None
-    batches = build_static_batches(
-        data, machine.memory.placement, machine.num_tiers, meta=meta
-    )
-    machine._split_plan = StaticSplitPlan(batches)
-    if policy.needs_pebs:
-        if machine._chmu:
-            machine._pebs_plan = plan_chmu_batches(machine.pebs, batches)
-    elif machine.contender is None and not machine.obs.enabled:
-        # No PEBS drain, no contender, no per-window observability:
+        meta = entry_meta_for(data, machine.num_tiers)
+        meta.prestage_split()
+        return DynamicSource(model, memory, meta)
+    batches = build_static_batches(data, memory.placement, machine.num_tiers)
+    outcomes = None
+    if not policy.needs_pebs and machine.contender is None and not machine.obs.enabled:
+        # No sampler drain, no contender, no per-window observability:
         # every window's solve inputs are final now, so solve the whole
         # run up front (obs-enabled runs keep the live path to preserve
         # per-window accounting gauges).
-        machine._solve_plan = plan_window_solves(
-            machine.stall_model, batches, data.columns["window_compute"]
-        )
-    return True
+        outcomes = plan_window_solves(model, batches, data.columns["window_compute"])
+    return StaticSource(batches, outcomes)
 
 
 __all__ = [
-    "ENV_DISABLE",
+    "DynamicSource",
     "EntryMetaPlan",
-    "StaticSplitPlan",
-    "WindowSamplePlan",
-    "WindowSolvePlan",
+    "StaticSource",
     "attach",
     "build_static_batches",
     "entry_meta_for",
-    "plan_chmu_batches",
     "plan_window_solves",
-    "plans_enabled",
 ]

@@ -12,13 +12,16 @@ M/M/1-style queueing factor.  The window duration and the contention
 level are mutually dependent (utilisation = bytes / (duration * BW)), so
 the model solves the fixed point with a few damped iterations.
 
-Share attributes live in per-window columns (:class:`ShareBatch`), and
-one private Python-float kernel (:meth:`StallModel._fixed_point`) runs
-the damped fixed point for R independent windows: ``solve`` is the
-R = 1 case, ``solve_many`` the lockstep and whole-run case.  At the
-handful of rows a window carries, plain IEEE doubles beat small-array
-numpy dispatches, and per-tier sums accumulate in row order, so results
-do not depend on how windows are batched.
+Share attributes live in per-window columns (:class:`ShareBatch`)
+filled by one split (:meth:`StallModel.split_groups`: a bincount of the
+window's misses over the packed (group, tier) key, so a batch carries
+per-share totals, never page lists), and one private Python-float
+kernel (:meth:`StallModel._fixed_point`) runs the damped fixed point
+for R independent windows: ``solve`` is the R = 1 case, ``solve_many``
+the lockstep and whole-run case.  At the handful of rows a window
+carries, plain IEEE doubles beat small-array numpy dispatches, and
+per-tier sums accumulate in row order, so results do not depend on how
+windows are batched.
 
 Note the deliberate architecture: policies never see this module's
 outputs directly.  They observe only the counters derived from it
@@ -58,14 +61,14 @@ class ShareBatch:
     A share is one access group's traffic that landed in one tier.  Rows
     come in group traffic order, and within a group in tier order
     (empty cells skipped), so every consumer that walks rows front to
-    back sees one fixed iteration order -- and therefore one RNG stream
-    and one float summation order.
+    back sees one fixed iteration order -- and therefore one float
+    summation order.  A batch carries per-row totals only: consumers
+    that need the window's pages (the PEBS merge, the CHMU sampler)
+    read the trace entries and their tiers directly.
 
-    Page/count data for all shares lives in two tier-partitioned
-    concatenation buffers; ``pages_of``/``counts_of`` carve per-share
-    slices out of them as views.  The buffers (and the column arrays)
-    are scratch owned by the :class:`StallModel` that built the batch:
-    a batch is only valid until the model's next ``split_groups`` call.
+    The column arrays of a batch from ``split_groups`` are scratch owned
+    by the :class:`StallModel` that built it: such a batch is only valid
+    until the model's next ``split_groups`` call.
     """
 
     __slots__ = (
@@ -78,9 +81,6 @@ class ShareBatch:
         "load_fraction",
         "misses",
         "misses_f",
-        "offsets",
-        "pages_buf",
-        "counts_buf",
         "labels",
         "unit_stall_cycles",
         "tier_misses",
@@ -94,9 +94,6 @@ class ShareBatch:
         mlp: np.ndarray,
         load_fraction: np.ndarray,
         misses: np.ndarray,
-        offsets: Optional[np.ndarray],
-        pages_buf: Optional[np.ndarray],
-        counts_buf: Optional[np.ndarray],
         labels: List[str],
         unit_stall_cycles: np.ndarray,
         num_tiers: int = 2,
@@ -115,13 +112,6 @@ class ShareBatch:
         #: Per-row total miss count (precomputed once per window).
         self.misses = misses
         self.misses_f = misses.astype(np.float64) if misses_f is None else misses_f
-        #: ``None`` in a misses-only batch (see ``split_groups`` and
-        #: :func:`repro.hw.drawplan.build_static_batches`):
-        #: ``pages_of``/``counts_of`` then fail loudly rather than
-        #: returning wrong slices.
-        self.offsets = offsets
-        self.pages_buf = pages_buf
-        self.counts_buf = counts_buf
         self.labels = labels
         #: Filled by the solver: per-row stall cycles per miss.
         self.unit_stall_cycles = unit_stall_cycles
@@ -131,19 +121,6 @@ class ShareBatch:
                 int(misses[tier_codes == code].sum()) for code in range(num_tiers)
             )
         self.tier_misses = tier_misses
-
-    # -- per-row views -------------------------------------------------------
-
-    def pages_of(self, i: int) -> np.ndarray:
-        return self.pages_buf[self.offsets[i] : self.offsets[i + 1]]
-
-    def counts_of(self, i: int) -> np.ndarray:
-        return self.counts_buf[self.offsets[i] : self.offsets[i + 1]]
-
-    def rows_in_tier(self, tier: Tier) -> List[int]:
-        """Row indices of the shares in ``tier``, in row order."""
-        code = int(tier)
-        return [i for i in range(self.n) if self.tier_codes[i] == code]
 
 
 @dataclass
@@ -200,9 +177,6 @@ class StallModel:
         #: fixed-point residual gauge (None = no publishing).
         self._obs = obs
         # -- reusable split/solve scratch (grown on demand, never shrunk) --
-        self._page_scratch = np.empty(0, dtype=np.int64)
-        self._count_scratch = np.empty(0, dtype=np.int64)
-        self._mask_scratch = np.empty(0, dtype=bool)
         self._key_scratch = np.empty(0, dtype=np.intp)
         self._row_capacity = 0
         self._row_cols: Dict[str, np.ndarray] = {}
@@ -215,45 +189,27 @@ class StallModel:
         placement: np.ndarray,
         pages: Optional[np.ndarray] = None,
         counts: Optional[np.ndarray] = None,
-        tiers: Optional[np.ndarray] = None,
-        misses_only: bool = False,
         key_base: Optional[np.ndarray] = None,
         counts_f: Optional[np.ndarray] = None,
         counts_positive: bool = False,
         assume_allocated: bool = False,
     ) -> ShareBatch:
-        """Partition each group's traffic by placement, columnar.
+        """Split each group's misses by the tier its pages sit in.
 
-        One ``placement`` gather over the window's concatenated pages,
-        then a stable partition into the model-owned buffers.  Two
-        equivalent strategies, picked by shape: with few (group, tier)
-        cells -- the common case, a handful of groups on two tiers --
-        a per-cell mask + ``np.compress`` loop is the cheapest stable
-        counting sort; with many cells one stable argsort on the packed
-        ``group * num_tiers + tier`` key replaces the per-cell passes.
-        Both keep entries with equal keys in input order, so each row's
-        page and count buffers are byte-identical either way, and rows
-        emerge in share order (per group: tier 0 first, empty cells
-        skipped).  Entries on UNALLOCATED pages are dropped: they
-        belong to no tier.
+        One ``placement`` gather over the window's concatenated entries,
+        then bincounts over the packed ``group * num_tiers + tier`` key:
+        one unweighted for cell presence (count-zero entries still make
+        a share), one count-weighted for per-cell misses.  Rows emerge
+        in share order (per group: tier 0 first, empty cells skipped).
+        Entries on UNALLOCATED pages are dropped: they belong to no
+        tier.  Weighted bincount accumulates float64, but the weights
+        are integer miss counts well below 2**53, so the cast back to
+        int64 is exact.
 
         ``pages``/``counts`` optionally pass in the already-concatenated
         traffic (the machine builds that concatenation anyway for the
-        LRU touch); when omitted it is built here.  ``tiers`` optionally
-        passes the per-entry placement gather (``placement[pages]``)
-        when the caller already holds it for the same window.  The
-        returned batch aliases model scratch and is valid until the
-        next call.
-
-        ``misses_only=True`` skips the page/count partition entirely:
-        per-row miss totals come from one weighted bincount over the
-        packed (group, tier) key, and the returned batch carries
-        ``pages_buf=None`` (``pages_of``/``counts_of`` fail loudly).
-        Everything the solver, the TOR/perf counters, and the PEBS
-        merge read (row order, misses, mlp, load fractions, tier
-        totals) is bit-identical to the partitioned form -- only
-        consumers that walk per-share page lists (the CHMU sampler, the
-        drawplan builders) need the buffers.
+        LRU touch); when omitted it is built here.  The returned batch
+        aliases model scratch and is valid until the next call.
 
         The remaining keyword hints let a replay driver hand in
         prestaged trace-determined inputs
@@ -278,12 +234,8 @@ class StallModel:
                 pages = np.concatenate([g.pages for g in groups])
                 counts = np.concatenate([g.counts for g in groups])
         total = pages.size
-        if not misses_only and self._page_scratch.size < total:
-            self._page_scratch = np.empty(total, dtype=np.int64)
-            self._count_scratch = np.empty(total, dtype=np.int64)
-        if self._mask_scratch.size < total:
-            self._mask_scratch = np.empty(total, dtype=bool)
-        max_rows = self.num_tiers * n_groups
+        num_tiers = self.num_tiers
+        max_rows = num_tiers * n_groups
         if self._row_capacity < max_rows or not self._row_cols:
             self._row_capacity = max(max_rows, 2 * self._row_capacity, 8)
             cap = self._row_capacity
@@ -292,190 +244,14 @@ class StallModel:
                 "tier_codes": np.empty(cap, dtype=np.intp),
                 "mlp": np.empty(cap, dtype=np.float64),
                 "load_fraction": np.empty(cap, dtype=np.float64),
-                "offsets": np.empty(cap + 1, dtype=np.int64),
                 "unit": np.empty(cap, dtype=np.float64),
             }
         cols = self._row_cols
-        tiers_all = placement[pages] if tiers is None else tiers
-        num_tiers = self.num_tiers
-        if misses_only:
-            return self._split_misses_only(
-                groups,
-                tiers_all,
-                counts,
-                total,
-                n_groups,
-                max_rows,
-                key_base=key_base,
-                counts_f=counts_f,
-                counts_positive=counts_positive,
-                assume_allocated=assume_allocated,
-            )
-        if max_rows <= 32:
-            labels = []
-            row = 0
-            off = 0
-            cols["offsets"][0] = 0
-            start = 0
-            for gi, group in enumerate(groups):
-                size = group.pages.size
-                sub = tiers_all[start : start + size]
-                mask = self._mask_scratch[:size]
-                for tier_code in range(num_tiers):
-                    np.equal(sub, tier_code, out=mask)
-                    k = int(np.count_nonzero(mask))
-                    if k == 0:
-                        continue
-                    np.compress(
-                        mask,
-                        pages[start : start + size],
-                        out=self._page_scratch[off : off + k],
-                    )
-                    np.compress(
-                        mask,
-                        counts[start : start + size],
-                        out=self._count_scratch[off : off + k],
-                    )
-                    cols["group_index"][row] = gi
-                    cols["tier_codes"][row] = tier_code
-                    cols["mlp"][row] = group.mlp
-                    cols["load_fraction"][row] = group.load_fraction
-                    labels.append(group.label)
-                    off += k
-                    row += 1
-                    cols["offsets"][row] = off
-                start += size
-            offsets = cols["offsets"][: row + 1]
-            if row:
-                misses = np.add.reduceat(self._count_scratch[:off], offsets[:-1])
-            else:
-                misses = np.empty(0, dtype=np.int64)
-            return ShareBatch(
-                n=row,
-                group_index=cols["group_index"][:row],
-                tier_codes=cols["tier_codes"][:row],
-                mlp=cols["mlp"][:row],
-                load_fraction=cols["load_fraction"][:row],
-                misses=misses,
-                offsets=offsets,
-                pages_buf=self._page_scratch[:off],
-                counts_buf=self._count_scratch[:off],
-                labels=labels,
-                unit_stall_cycles=cols["unit"][:row],
-                num_tiers=num_tiers,
-            )
-        if n_groups <= 1:
-            key = tiers_all
-        else:
-            # int16 packing keeps numpy's radix path for the stable sort;
-            # fall back to int64 for (pathologically) huge group counts.
-            key_dtype = np.int16 if n_groups * num_tiers < 32000 else np.int64
-            gi_all = np.repeat(
-                np.arange(n_groups, dtype=key_dtype),
-                [g.pages.size for g in groups],
-            )
-            key = gi_all * key_dtype(num_tiers)
-            np.add(key, tiers_all, out=key, casting="unsafe")
-        if total and int(tiers_all.min()) < 0:
-            valid = tiers_all >= 0
-            pages = pages[valid]
-            counts = counts[valid]
-            key = key[valid]
-            total = pages.size
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        page_buf = self._page_scratch[:total]
-        count_buf = self._count_scratch[:total]
-        if pages.dtype == np.int64:
-            np.take(pages, order, out=page_buf)
-        else:
-            page_buf[:] = pages[order]
-        if counts.dtype == np.int64:
-            np.take(counts, order, out=count_buf)
-        else:
-            count_buf[:] = counts[order]
-        labels: List[str]
-        if total:
-            change = np.empty(total, dtype=bool)
-            change[0] = True
-            np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:])
-            starts = np.flatnonzero(change)
-            row = starts.size
-            row_keys = sorted_key[starts].astype(np.int64)
-            if n_groups <= 1:
-                row_gi = np.zeros(row, dtype=np.int64)
-                row_tier = row_keys
-            else:
-                row_gi = row_keys // num_tiers
-                row_tier = row_keys - row_gi * num_tiers
-            cols["group_index"][:row] = row_gi
-            cols["tier_codes"][:row] = row_tier
-            cols["offsets"][:row] = starts
-            cols["offsets"][row] = total
-            if n_groups == 1:
-                cols["mlp"][:row] = groups[0].mlp
-                cols["load_fraction"][:row] = groups[0].load_fraction
-                labels = [groups[0].label] * row
-            else:
-                cols["mlp"][:row] = np.array([g.mlp for g in groups])[row_gi]
-                cols["load_fraction"][:row] = np.array(
-                    [g.load_fraction for g in groups]
-                )[row_gi]
-                labels = [groups[gi].label for gi in row_gi]
-            misses = np.add.reduceat(count_buf, starts)
-        else:
-            row = 0
-            cols["offsets"][0] = 0
-            labels = []
-            misses = np.empty(0, dtype=np.int64)
-        off = total
-        offsets = cols["offsets"][: row + 1]
-        return ShareBatch(
-            n=row,
-            group_index=cols["group_index"][:row],
-            tier_codes=cols["tier_codes"][:row],
-            mlp=cols["mlp"][:row],
-            load_fraction=cols["load_fraction"][:row],
-            misses=misses,
-            offsets=offsets,
-            pages_buf=self._page_scratch[:off],
-            counts_buf=self._count_scratch[:off],
-            labels=labels,
-            unit_stall_cycles=cols["unit"][:row],
-            num_tiers=self.num_tiers,
-        )
-
-    def _split_misses_only(
-        self,
-        groups: Sequence[AccessGroup],
-        tiers_all: np.ndarray,
-        counts: np.ndarray,
-        total: int,
-        n_groups: int,
-        max_rows: int,
-        key_base: Optional[np.ndarray] = None,
-        counts_f: Optional[np.ndarray] = None,
-        counts_positive: bool = False,
-        assume_allocated: bool = False,
-    ) -> ShareBatch:
-        """The bincount split: per-(group, tier) totals, no partition.
-
-        Bincounts over the packed ``group * num_tiers + tier`` key --
-        one unweighted for cell presence (count-zero entries still
-        create shares, exactly like the partition; skipped when the
-        caller guarantees every count is positive), one count-weighted
-        for per-cell misses -- replace the stable partition entirely.
-        Weighted bincount accumulates float64, but the weights are
-        integer miss counts well below 2**53, so the cast back to int64
-        is exact and every downstream value matches the partitioned
-        path bit for bit.
-        """
-        num_tiers = self.num_tiers
-        cols = self._row_cols
+        tiers_all = placement[pages]
         weights = counts if counts_f is None else counts_f
         if not assume_allocated and total and int(tiers_all.min()) < 0:
             # UNALLOCATED (-1) entries would alias the previous group's
-            # last tier in the packed key; the partition drops them.
+            # last tier in the packed key.
             valid = tiers_all >= 0
             tiers_all = tiers_all[valid]
             weights = weights[valid]
@@ -542,9 +318,6 @@ class StallModel:
             mlp=cols["mlp"][:row],
             load_fraction=cols["load_fraction"][:row],
             misses=misses,
-            offsets=None,
-            pages_buf=None,
-            counts_buf=None,
             labels=labels,
             unit_stall_cycles=cols["unit"][:row],
             num_tiers=num_tiers,

@@ -8,9 +8,9 @@ from repro.sim.engine import (
     slow_only_run,
 )
 from repro.sim.machine import Machine
-from repro.sim.metrics import RunResult, WindowRecord, improvement
+from repro.sim.metrics import RunResult, WindowRecord, improvement, result_to_dict
 from repro.sim.migration import MigrationEngine, MigrationOutcome, MovePlan
-from repro.sim.traceio import read_json, result_to_dict, write_json, write_trace_csv
+from repro.sim.traceio import read_json, write_json, write_trace_csv
 from repro.sim.policy_api import (
     Decision,
     NoTierPolicy,

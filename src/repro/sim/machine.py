@@ -133,36 +133,19 @@ class Machine:
         self._runtime_cycles = 0.0
         self._window = 0
         self._empty_windows = 0
-        #: Whole-run plans (:mod:`repro.hw.drawplan`): a pre-split
-        #: ShareBatch per recorded window, precomputed CHMU batches, and
-        #: (for static no-PEBS runs without a contender) the pre-solved
-        #: per-window hardware outcomes.  All stay ``None`` outside
-        #: static replayed runs.
-        self._split_plan = None
-        self._pebs_plan = None
-        self._solve_plan = None
-        #: Dynamic-replay prestage: trace-determined split/touch inputs
-        #: (:mod:`repro.hw.drawplan`).
-        self._entry_meta = None
-        #: This window's prestaged float counts from the entry meta
-        #: plan, consumed by the touch in :meth:`_finish_window`.
-        self._window_meta = None
         #: Static runs whose policy never reads activity/LRU state skip
         #: the per-window touch -- nothing observable depends on it.
         self._skip_touch = bool(
             policy.static_placement and not policy.reads_page_activity
         )
-        #: Only the CHMU sampler walks per-share page lists; every other
-        #: consumer of a window's ShareBatch (the solver, the TOR/perf
-        #: counters, the PEBS merge, the trace recorder) reads row
-        #: columns only, so the split can skip building the page/count
-        #: partition entirely.
-        self._misses_only_split = not (policy.needs_pebs and self._chmu)
 
         workload.reset()
         policy.attach(self)
         self._preallocate()
-        drawplan.attach(self)
+        #: Where each window's shares (and pre-solved outcome, if any)
+        #: come from: one :mod:`repro.hw.drawplan` source per run, chosen
+        #: by placement regime once placement is settled.
+        self._source = drawplan.attach(self)
 
     def _preallocate(self) -> None:
         """Place the footprint before the measured region starts.
@@ -203,15 +186,8 @@ class Machine:
         self._finish_window(traffic, all_pages, all_counts, touched, outcome)
 
     def _planned_outcome(self, extra_bytes, extra_cycles):
-        """This window's pre-solved hardware outcome, or None to solve live.
-
-        Static no-PEBS replay solves the whole run up front: the extra
-        inputs are provably zero every window, and are checked anyway
-        so that a surprise carry-over falls back to a live solve.
-        """
-        if self._solve_plan is not None and extra_cycles == 0.0 and not extra_bytes:
-            return self._solve_plan.outcome_for(self._window)
-        return None
+        """This window's pre-solved hardware outcome, or None to solve live."""
+        return self._source.outcome(self._window, extra_bytes, extra_cycles)
 
     def _prepare_window(self, traffic):
         """Everything before the stall solve: traffic concat, first-touch
@@ -247,39 +223,7 @@ class Machine:
             touched = sorted_unique(all_pages[all_counts > 0])
             self.memory.allocate_first_touch(touched, prefer=self.policy.alloc_prefer)
 
-        if self._split_plan is not None:
-            # Static placement under replay: the whole run was split up
-            # front; this window's ShareBatch is a pre-sliced view.
-            shares = self._split_plan.window_batch(self._window)
-            self._window_meta = None
-        else:
-            entry_tiers = self.memory.placement[all_pages]
-            meta = self._entry_meta
-            if meta is not None:
-                key_base, counts_f = meta.window(self._window)
-                shares = self.stall_model.split_groups(
-                    traffic.groups,
-                    self.memory.placement,
-                    pages=all_pages,
-                    counts=all_counts,
-                    tiers=entry_tiers,
-                    misses_only=self._misses_only_split,
-                    key_base=key_base,
-                    counts_f=counts_f,
-                    counts_positive=meta.counts_positive,
-                    assume_allocated=self.memory.fully_allocated,
-                )
-                self._window_meta = counts_f
-            else:
-                shares = self.stall_model.split_groups(
-                    traffic.groups,
-                    self.memory.placement,
-                    pages=all_pages,
-                    counts=all_counts,
-                    tiers=entry_tiers,
-                    misses_only=self._misses_only_split,
-                )
-                self._window_meta = None
+        shares = self._source.shares(self._window, traffic, all_pages, all_counts)
 
         extra_bytes = dict(self._pending_bytes)
         if self.contender is not None:
@@ -308,20 +252,17 @@ class Machine:
                     traffic, all_counts, outcome.shares
                 )
             with self.obs.profile("hw_merge"):
-                pebs_batch = self._merge_hw(pebs_drawn, all_pages, outcome.shares)
+                pebs_batch = self._merge_hw(pebs_drawn, all_pages, all_counts, outcome.shares)
                 self._pending_overhead_cycles += pebs_batch.overhead_cycles
                 self.cha.advance(outcome.shares, jitter=cha_jitter)
                 self.perf.advance(outcome, jitter=perf_jitter)
         # Count-zero entries are deliberately kept: they stamp
         # ``last_touch`` (as they always have) while adding no activity.
         if not self._skip_touch:
-            # The prestaged float counts (when replay provides them)
-            # save the per-window int->float conversion.
-            wm = self._window_meta
             self.memory.touch(
                 all_pages,
                 self._window,
-                counts=all_counts if wm is None else wm,
+                counts=self._source.touch_counts(self._window, all_counts),
             )
 
         obs = self._observe(pebs_batch, touched, outcome.duration_cycles)
@@ -415,19 +356,15 @@ class Machine:
             pebs_drawn = self.pebs.draw(w, all_counts, group_ptr, group_lf)
         return pebs_drawn, cha_jitter, perf_jitter
 
-    def _merge_hw(self, pebs_drawn, all_pages, shares) -> PebsBatch:
+    def _merge_hw(self, pebs_drawn, all_pages, all_counts, shares) -> PebsBatch:
         """The window's merge stage: turn draws into a PebsBatch."""
         if not self.policy.needs_pebs:
             return PebsBatch.empty(self.pebs.rate)
-        if pebs_drawn is not None:
-            return self.pebs.merge(
-                pebs_drawn, all_pages, self.memory.placement, shares=shares
-            )
-        if self._pebs_plan is not None:
-            # Static replay: the CHMU epochs were drained up front.
-            return self._pebs_plan.batch_for(self._window)
-        # CHMU: RNG-free accumulation over the partitioned split.
-        return self.pebs.sample(shares, tiers=self._pebs_tiers())
+        placement = self.memory.placement
+        if self._chmu:
+            # RNG-free accumulation of the entries in the device's tier.
+            return self.pebs.sample(all_pages, all_counts, placement[all_pages])
+        return self.pebs.merge(pebs_drawn, all_pages, placement, shares=shares)
 
     def _observe(
         self, pebs_batch: PebsBatch, touched: Optional[np.ndarray], duration: float

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.common.units import cycles_to_ms
-from repro.mem.page import Tier
+from repro.mem.page import Tier, tier_from_label, tier_label
 
 
 @dataclass
@@ -99,6 +100,58 @@ class RunResult:
         if self.runtime_cycles <= 0:
             raise ValueError("runtime must be positive")
         return other.runtime_cycles / self.runtime_cycles - 1.0
+
+
+def result_to_dict(result: RunResult) -> Dict[str, Any]:
+    """The one JSON document of a run result.
+
+    The result store persists exactly this, ``write_json`` writes it,
+    and cache-equality and digest checks compare it.  Tiers are keyed
+    by their stable labels (``FAST``, ``SLOW``, ``TIER2``, ...).
+    """
+    return {
+        "workload": result.workload,
+        "policy": result.policy,
+        "ratio": result.ratio,
+        "runtime_cycles": result.runtime_cycles,
+        "windows": result.windows,
+        "promoted": result.promoted,
+        "demoted": result.demoted,
+        "migration_cost_cycles": result.migration_cost_cycles,
+        "total_stall_cycles": result.total_stall_cycles,
+        "total_misses": result.total_misses,
+        "tier_misses": {tier_label(tier): float(v) for tier, v in result.tier_misses.items()},
+        "empty_windows": result.empty_windows,
+        "trace": (
+            None if result.trace is None else [dataclasses.asdict(r) for r in result.trace]
+        ),
+        "workload_metrics": result.workload_metrics,
+        "fast_pages": result.fast_pages,
+        "metrics_summary": result.metrics_summary,
+    }
+
+
+def result_from_dict(doc: Dict[str, Any]) -> RunResult:
+    """Inverse of :func:`result_to_dict`."""
+    trace = doc.get("trace")
+    return RunResult(
+        workload=doc["workload"],
+        policy=doc["policy"],
+        ratio=doc["ratio"],
+        runtime_cycles=doc["runtime_cycles"],
+        windows=doc["windows"],
+        promoted=doc["promoted"],
+        demoted=doc["demoted"],
+        migration_cost_cycles=doc["migration_cost_cycles"],
+        total_stall_cycles=doc["total_stall_cycles"],
+        total_misses=doc["total_misses"],
+        tier_misses={tier_from_label(name): v for name, v in doc["tier_misses"].items()},
+        empty_windows=doc.get("empty_windows", 0),
+        trace=None if trace is None else [WindowRecord(**rec) for rec in trace],
+        workload_metrics=doc.get("workload_metrics") or {},
+        fast_pages=doc.get("fast_pages"),
+        metrics_summary=doc.get("metrics_summary") or {},
+    )
 
 
 def improvement(slowdown_self: float, slowdown_other: float) -> float:

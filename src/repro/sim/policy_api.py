@@ -175,9 +175,10 @@ class TieringPolicy(abc.ABC):
     #: ``observe`` always returns an empty :class:`Decision` and the
     #: policy never drives the migration engine.  Static runs under a
     #: replayed trace let the machine pre-split every window's traffic
-    #: and pre-draw every sample for the whole run up front
-    #: (:mod:`repro.hw.drawplan`).  The machine hard-fails if a policy
-    #: declaring this ever migrates a page.  Defaults to ``False``.
+    #: (and, when nothing samples, pre-solve every window) for the whole
+    #: run up front (:mod:`repro.hw.drawplan`).  The machine hard-fails
+    #: if a policy declaring this ever migrates a page.  Defaults to
+    #: ``False``.
     static_placement: bool = False
 
     #: Whether this policy (or anything observing the run on its behalf)

@@ -2,7 +2,8 @@
 
 Research workflows want raw per-window data for external plotting and
 post-hoc analysis; these writers keep the on-disk formats stable and
-round-trippable.
+round-trippable.  The JSON document is the result store's own
+(:func:`repro.sim.metrics.result_to_dict`): there is one serialiser.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.mem.page import tier_label
-from repro.sim.metrics import RunResult
+from repro.sim.metrics import RunResult, result_from_dict, result_to_dict
 
 PathLike = Union[str, Path]
 
@@ -32,41 +32,15 @@ _TRACE_COLUMNS = (
 )
 
 
-def result_to_dict(result: RunResult, include_trace: bool = True) -> dict:
-    """A JSON-serialisable view of a run result."""
-    payload = {
-        "workload": result.workload,
-        "policy": result.policy,
-        "ratio": result.ratio,
-        "runtime_cycles": result.runtime_cycles,
-        "runtime_ms": result.runtime_ms,
-        "windows": result.windows,
-        "promoted": result.promoted,
-        "demoted": result.demoted,
-        "migration_cost_cycles": result.migration_cost_cycles,
-        "total_stall_cycles": result.total_stall_cycles,
-        "total_misses": result.total_misses,
-        "tier_misses": {tier_label(tier).lower(): v for tier, v in result.tier_misses.items()},
-        "empty_windows": result.empty_windows,
-        "metrics_summary": result.metrics_summary,
-    }
-    if include_trace and result.trace is not None:
-        payload["trace"] = [
-            {
-                **{col: getattr(rec, col) for col in _TRACE_COLUMNS},
-                "policy_debug": rec.policy_debug,
-                "metrics": rec.metrics,
-            }
-            for rec in result.trace
-        ]
-    return payload
+def write_json(result: RunResult, path: PathLike) -> Path:
+    """Write the run result (with its trace, if traced) as JSON.
 
-
-def write_json(result: RunResult, path: PathLike, include_trace: bool = True) -> Path:
-    """Write the run result (optionally with its trace) as JSON."""
+    The document is the result store's (:func:`repro.sim.metrics.result_to_dict`),
+    so :func:`read_json` restores an equal :class:`RunResult`.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result_to_dict(result, include_trace), indent=2))
+    path.write_text(json.dumps(result_to_dict(result), indent=2))
     return path
 
 
@@ -150,6 +124,6 @@ def write_trace_jsonl(source, target) -> int:
     return len(rows)
 
 
-def read_json(path: PathLike) -> dict:
-    """Load a previously exported run-result JSON."""
-    return json.loads(Path(path).read_text())
+def read_json(path: PathLike) -> RunResult:
+    """Load a run result written by :func:`write_json`."""
+    return result_from_dict(json.loads(Path(path).read_text()))

@@ -15,7 +15,8 @@ something independent to compare with:
 
 :func:`make_batch` packs plain :class:`Share` records into a
 :class:`~repro.hw.stall.ShareBatch`, the one share type the hardware
-consumers take.
+consumers take; :func:`batch_columns` and :func:`assert_same_shares`
+compare batches column by column.
 """
 
 from __future__ import annotations
@@ -57,27 +58,47 @@ class Share:
 
 def make_batch(shares: Sequence[Share], num_tiers: int = 2) -> ShareBatch:
     """Pack share records into a batch; row order is list order."""
-    n = len(shares)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([s.pages.size for s in shares], out=offsets[1:])
-
-    def flat(arrays):
-        return np.concatenate(arrays).astype(np.int64) if arrays else np.empty(0, np.int64)
-
     return ShareBatch(
-        n=n,
+        n=len(shares),
         group_index=np.array([s.group_index for s in shares], dtype=np.int64),
         tier_codes=np.array([int(s.tier) for s in shares], dtype=np.intp),
         mlp=np.array([s.mlp for s in shares], dtype=np.float64),
         load_fraction=np.array([s.load_fraction for s in shares], dtype=np.float64),
         misses=np.array([s.misses for s in shares], dtype=np.int64),
-        offsets=offsets,
-        pages_buf=flat([s.pages for s in shares]),
-        counts_buf=flat([s.counts for s in shares]),
         labels=[s.label for s in shares],
         unit_stall_cycles=np.array([s.unit_stall_cycles for s in shares], dtype=np.float64),
         num_tiers=num_tiers,
     )
+
+
+#: The per-row columns of a :class:`ShareBatch`.
+ROW_COLUMNS = ("group_index", "tier_codes", "mlp", "load_fraction", "misses", "misses_f")
+
+
+def batch_columns(batch: ShareBatch) -> dict:
+    """A copy of everything a batch hands its consumers (a split's batch
+    aliases its model's scratch, so compare copies)."""
+    cols = {name: np.array(getattr(batch, name), copy=True) for name in ROW_COLUMNS}
+    cols.update(
+        n=batch.n,
+        labels=list(batch.labels),
+        tiers=list(batch.tiers),
+        tier_misses=tuple(batch.tier_misses),
+    )
+    return cols
+
+
+def assert_same_shares(got: dict, want: dict) -> None:
+    """Two :func:`batch_columns` snapshots agree in every column, dtype
+    and bit.  (numpy's ``bincount`` answers an empty input with int64
+    even when weighted, so the dtype of an empty column is not compared.)"""
+    assert got["n"] == want["n"]
+    for name in ROW_COLUMNS:
+        if got["n"]:
+            assert got[name].dtype == want[name].dtype, name
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+    for name in ("labels", "tiers", "tier_misses"):
+        assert got[name] == want[name], name
 
 
 def reference_split(groups, placement: np.ndarray, num_tiers: int = 2) -> List[Share]:

@@ -1,11 +1,12 @@
-"""Whole-run plans: plan-fed paths must be bit-identical to live.
+"""Window sources: every source must run a window bit-identically.
 
-Every optimisation in :mod:`repro.hw.drawplan` claims *exact* result
-preservation -- the same float summation order, the same share rows.
-These tests assert that claim directly: the whole-run static split
-against the per-window splitter, the CHMU sample plan and the solve
-plan against live sampling and solving, and finally full machine runs
-with plans on, plans off, and no replay at all.
+Each :class:`~repro.sim.machine.Machine` takes its windows from one
+:mod:`repro.hw.drawplan` source, chosen at attach: the whole-run static
+split (with pre-solved outcomes where they apply) or the live split,
+hinted by the trace under replay.  These tests assert that the static
+split equals the per-window reference split, that pre-solved outcomes
+equal live solves, that attach picks the expected source, and that full
+machine runs on each source equal the same workload run live.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from repro.baselines import make_policy
 from repro.hw import drawplan
 from repro.hw.chmu import ChmuSampler
+from repro.hw.drawplan import DynamicSource, StaticSource
 from repro.hw.stall import StallModel
 from repro.common.units import CXL_SPEC, DRAM_SPEC
 from repro.sim.config import MachineConfig
@@ -21,6 +23,8 @@ from repro.sim.machine import Machine
 from repro.sim.policy_api import NoTierPolicy
 from repro.workloads import make_workload
 from repro.workloads.tracestore import ReplayWorkload, record_stream
+
+from oracles import assert_same_shares, batch_columns, make_batch, reference_split
 
 
 def recorded(total_misses=600_000, seed=7, name="gups"):
@@ -37,19 +41,6 @@ def static_placement_for(data, num_tiers=2, seed=0):
     )
 
 
-def assert_batches_equal(plan_batch, live_batch):
-    assert plan_batch.n == live_batch.n
-    np.testing.assert_array_equal(plan_batch.group_index, live_batch.group_index)
-    np.testing.assert_array_equal(plan_batch.tier_codes, live_batch.tier_codes)
-    np.testing.assert_array_equal(plan_batch.mlp, live_batch.mlp)
-    np.testing.assert_array_equal(plan_batch.load_fraction, live_batch.load_fraction)
-    np.testing.assert_array_equal(plan_batch.misses, live_batch.misses)
-    assert plan_batch.labels == live_batch.labels
-    for i in range(plan_batch.n):
-        np.testing.assert_array_equal(plan_batch.pages_of(i), live_batch.pages_of(i))
-        np.testing.assert_array_equal(plan_batch.counts_of(i), live_batch.counts_of(i))
-
-
 class TestStaticSplit:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_live_split_on_every_window(self, seed):
@@ -64,8 +55,11 @@ class TestStaticSplit:
             if not traffic.groups:
                 assert batches[w] is None
                 continue
-            live = model.split_groups(traffic.groups, placement)
-            assert_batches_equal(batches[w], live)
+            plan = batch_columns(batches[w])
+            assert_same_shares(plan, batch_columns(model.split_groups(traffic.groups, placement)))
+            assert_same_shares(
+                plan, batch_columns(make_batch(reference_split(traffic.groups, placement)))
+            )
 
     def test_empty_window_entries_are_none(self):
         data = recorded(total_misses=200_000)
@@ -76,26 +70,47 @@ class TestStaticSplit:
             assert (batches[w] is None) == (wgp[w + 1] == wgp[w])
 
 
+def window_entries(traffic):
+    """A window's trace entries as the machine reads them."""
+    if traffic.flat_pages is not None:
+        return traffic.flat_pages, traffic.flat_counts
+    return (
+        np.concatenate([g.pages for g in traffic.groups]),
+        np.concatenate([g.counts for g in traffic.groups]),
+    )
+
+
 class TestSamplerPlans:
     def test_chmu_plan_matches_live_epochs(self):
+        # A static CHMU run samples the replayed trace's entries (memmap
+        # slices) under its frozen placement; every epoch it drains must
+        # equal the one drained from the live workload's windows.
         data = recorded(total_misses=400_000, seed=13)
         placement = static_placement_for(data, seed=13)
         footprint = placement.size
-        batches = drawplan.build_static_batches(data, placement, num_tiers=2)
-        plan_sampler = ChmuSampler(footprint_pages=footprint, epoch_windows=2)
-        plan = drawplan.plan_chmu_batches(plan_sampler, batches)
+        replay = ReplayWorkload(data)
+        live_workload = make_workload("gups", total_misses=400_000, seed=13)
+        planned = ChmuSampler(footprint_pages=footprint, epoch_windows=2)
         live = ChmuSampler(footprint_pages=footprint, epoch_windows=2)
-        for w, batch in enumerate(batches):
-            if batch is None:
+        drained = 0
+        for _ in range(data.num_windows):
+            replayed, traffic = replay.next_window(), live_workload.next_window()
+            if not traffic.groups:
+                assert not replayed.groups
                 continue
-            live_batch = live.sample(batch)
-            planned = plan.batch_for(w)
-            np.testing.assert_array_equal(planned.pages, live_batch.pages)
-            np.testing.assert_array_equal(planned.counts, live_batch.counts)
+            pages, counts = window_entries(replayed)
+            live_pages, live_counts = window_entries(traffic)
+            got = planned.sample(pages, counts, placement[pages])
+            want = live.sample(live_pages, live_counts, placement[live_pages])
+            np.testing.assert_array_equal(got.pages, want.pages)
+            np.testing.assert_array_equal(got.counts, want.counts)
+            assert got.overhead_cycles == want.overhead_cycles
+            drained += got.total_records > 0
+        assert drained > 0
 
 
 class StaticChmuPolicy(NoTierPolicy):
-    """Static policy observed through the CHMU sampler (plan coverage)."""
+    """Static policy observed through the CHMU sampler."""
 
     name = "StaticChmu"
     needs_pebs = True
@@ -117,28 +132,33 @@ class TestMachineBitIdentity:
     @pytest.mark.parametrize(
         "policy_name", ["NoTier", "CXL", "PACT", "Memtis", "Soar"]
     )
-    def test_plan_on_off_and_live_agree(self, policy_name, monkeypatch):
+    def test_plan_on_off_and_live_agree(self, policy_name):
+        # Replayed: the static or trace-hinted source.  Live: the
+        # unhinted dynamic source.
         data = recorded(total_misses=500_000, seed=3)
-        live_result, _ = run_once(
+        live_result, bare = run_once(
             make_policy(policy_name),
             make_workload("gups", total_misses=500_000, seed=3),
         )
         planned, machine = run_once(make_policy(policy_name), ReplayWorkload(data))
-        monkeypatch.setenv(drawplan.ENV_DISABLE, "1")
-        unplanned, bare = run_once(make_policy(policy_name), ReplayWorkload(data))
-        assert bare._split_plan is None and bare._pebs_plan is None
-        assert planned.runtime_cycles == unplanned.runtime_cycles
+        assert isinstance(bare._source, DynamicSource) and not bare._source
         assert planned.runtime_cycles == live_result.runtime_cycles
-        if getattr(machine.policy, "static_placement", False):
-            assert machine._split_plan is not None
+        assert planned.promoted == live_result.promoted
+        static = getattr(machine.policy, "static_placement", False)
+        assert isinstance(machine._source, StaticSource if static else DynamicSource)
+        assert machine._source
 
-    def test_chmu_policy_engages_sample_plan(self, monkeypatch):
+    def test_chmu_policy_engages_sample_plan(self):
+        # A static CHMU policy engages the static source, its CHMU
+        # sampling its tier's entries window by window; the run equals
+        # the same workload run live.
         data = recorded(total_misses=400_000, seed=9)
         planned, machine = run_once(StaticChmuPolicy(), ReplayWorkload(data))
-        assert machine._pebs_plan is not None
-        monkeypatch.setenv(drawplan.ENV_DISABLE, "1")
-        unplanned, _ = run_once(StaticChmuPolicy(), ReplayWorkload(data))
-        assert planned.runtime_cycles == unplanned.runtime_cycles
+        assert isinstance(machine._source, StaticSource)
+        live, _ = run_once(
+            StaticChmuPolicy(), make_workload("gups", total_misses=400_000, seed=9)
+        )
+        assert planned.runtime_cycles == live.runtime_cycles
 
 
 class TestSolvePlan:
@@ -154,9 +174,10 @@ class TestSolvePlan:
         live_model = StallModel(DRAM_SPEC, CXL_SPEC)
         for w, batch in enumerate(batches):
             if batch is None:
+                assert plan[w] is None
                 continue
             live = live_model.solve(batch, float(compute[w]))
-            planned = plan.outcome_for(w)
+            planned = plan[w]
             assert planned.duration_cycles == live.duration_cycles
             assert planned.compute_cycles == live.compute_cycles
             for tier in planned.tier_loads:
@@ -168,7 +189,7 @@ class TestSolvePlan:
     def test_static_no_pebs_replay_engages_solve_plan(self):
         data = recorded(total_misses=300_000)
         _, machine = run_once(make_policy("NoTier"), ReplayWorkload(data))
-        assert machine._solve_plan is not None
+        assert machine._source.outcomes is not None
 
     def test_observability_keeps_live_solves(self):
         data = recorded(total_misses=300_000)
@@ -180,12 +201,14 @@ class TestSolvePlan:
             seed=0,
             trace=True,
         )
-        assert machine._solve_plan is None
+        assert isinstance(machine._source, StaticSource)
+        assert machine._source.outcomes is None
 
     def test_pebs_policy_keeps_live_solves(self):
         data = recorded(total_misses=300_000)
         _, machine = run_once(StaticChmuPolicy(), ReplayWorkload(data))
-        assert machine._solve_plan is None
+        assert isinstance(machine._source, StaticSource)
+        assert machine._source.outcomes is None
 
 
 class TestTouchSkip:
@@ -209,13 +232,14 @@ class TestAttachGating:
         _, machine = run_once(
             make_policy("NoTier"), make_workload("gups", total_misses=200_000)
         )
-        assert machine._split_plan is None
-        assert machine._pebs_plan is None
+        assert isinstance(machine._source, DynamicSource)
+        assert machine._source.meta is None and not machine._source
 
     def test_looping_replay_gets_no_plans(self):
         data = recorded(total_misses=200_000)
         _, machine = run_once(make_policy("NoTier"), ReplayWorkload(data, loop=True))
-        assert machine._split_plan is None
+        assert isinstance(machine._source, DynamicSource)
+        assert machine._source.meta is None and not machine._source
 
     def test_dynamic_policy_gets_entry_meta_only(self):
         data = recorded(total_misses=200_000)
@@ -226,15 +250,8 @@ class TestAttachGating:
             ratio="1:2",
             seed=0,
         )
-        assert machine._split_plan is None and machine._pebs_plan is None
-        assert machine._entry_meta is not None
-
-    def test_env_switch_disables_everything(self, monkeypatch):
-        monkeypatch.setenv(drawplan.ENV_DISABLE, "1")
-        data = recorded(total_misses=200_000)
-        for name in ("NoTier", "PACT"):
-            _, machine = run_once(make_policy(name), ReplayWorkload(data))
-            assert machine._split_plan is None and machine._entry_meta is None
+        assert isinstance(machine._source, DynamicSource)
+        assert machine._source.meta is drawplan.entry_meta_for(data, machine.num_tiers)
 
     def test_static_migration_guard_trips(self):
         data = recorded(total_misses=200_000)

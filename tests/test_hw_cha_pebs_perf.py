@@ -125,9 +125,9 @@ class TestPebs:
     def test_latency_reporting(self):
         sampler = PebsSampler(rate=5, report_latency=True)
         shares = solved_shares(mlp=4.0)
-        counts = shares.counts_of(0)
+        counts = np.full(64, 40_000 // 64, dtype=np.int64)
         batch = sampler.sample(
-            0, counts, shares.pages_of(0), np.ones(64, dtype=np.int8),
+            0, counts, np.arange(64), np.ones(64, dtype=np.int8),
             group_ptr=np.array([0, counts.size]), group_lf=np.ones(1), shares=shares,
         )
         assert batch.latencies is not None

@@ -33,8 +33,8 @@ class TestSplitGroups:
         group = AccessGroup(pages=np.arange(4), counts=np.array([1, 2, 3, 4]), mlp=3.0)
         shares = model.split_groups([group], placement)
         assert shares.n == 2
-        [fast] = shares.rows_in_tier(Tier.FAST)
-        [slow] = shares.rows_in_tier(Tier.SLOW)
+        [fast] = np.flatnonzero(shares.tier_codes == int(Tier.FAST))
+        [slow] = np.flatnonzero(shares.tier_codes == int(Tier.SLOW))
         assert shares.misses[fast] == 3
         assert shares.misses[slow] == 7
         assert shares.mlp[fast] == 3.0
@@ -108,10 +108,10 @@ class TestSolve:
 
     def test_per_page_ground_truth_sums_to_share_stalls(self):
         model = make_model()
-        out = model.solve(one_share(misses=8000, mlp=4.0), compute_cycles=1e6)
-        solved = out.shares
+        record = share(misses=8000, mlp=4.0)
+        solved = model.solve(make_batch([record]), compute_cycles=1e6).shares
         unit = solved.unit_stall_cycles[0]
-        per_page = solved.counts_of(0) * unit
+        per_page = record.counts * unit
         assert per_page.sum() == pytest.approx(solved.misses_f[0] * unit, rel=1e-9)
 
     def test_numa_latency_between_dram_and_cxl(self):

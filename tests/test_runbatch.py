@@ -128,7 +128,7 @@ class TestMultiMachine:
         ]
         serial = [build_machine(data, p, r, s).run() for p, s, r in grid]
         machines = [build_machine(data, p, r, s) for p, s, r in grid]
-        assert [m._solve_plan is not None for m in machines] == [
+        assert [getattr(m._source, "outcomes", None) is not None for m in machines] == [
             p == "NoTier" for p, _, _ in grid
         ]
         batch_sizes = []

@@ -6,7 +6,8 @@ Four solver properties the columnar pipeline must preserve:
   solve and the object-per-share references in ``oracles.py``
   (``reference_split`` + the ordered per-share fixed point) produce
   *exactly* equal floats on randomized windows -- same shares, same
-  unit costs, same tier loads, same duration;
+  unit costs, same tier loads, same duration -- and no replay hint of
+  the split changes a bit;
 * **model invariants**: checks derived from the model itself --
   conservation of misses, duration bounds, non-negative stalls, capped
   utilisation, latency never below its unloaded value, per-tier MLP
@@ -25,16 +26,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import make_policy
-from repro.common.units import CXL_SPEC, DRAM_SPEC, ns_to_cycles
+from repro.common.units import CXL_SPEC, DRAM_SPEC, NUMA_SPEC, ns_to_cycles
 from repro.hw.access import AccessGroup
 from repro.hw.stall import MAX_UTILISATION, ShareBatch, StallModel
-from repro.mem.page import Tier
+from repro.mem.page import UNALLOCATED, Tier
 from repro.obs import Observability
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.workloads import ALL_WORKLOADS, make_workload
 
-from oracles import reference_solve, reference_split
+from oracles import (
+    assert_same_shares,
+    batch_columns,
+    make_batch,
+    reference_solve,
+    reference_split,
+)
 
 
 def make_model():
@@ -69,25 +76,79 @@ def random_window(seed):
     return groups, placement
 
 
+#: Tier specs per tier count for the split tests.
+SPECS = {2: [DRAM_SPEC, CXL_SPEC], 3: [DRAM_SPEC, NUMA_SPEC, CXL_SPEC]}
+
+
+def edge_window(rng, n_groups, num_tiers, unallocated, zero_counts):
+    """A window shaped for the split's edge cases: empty groups, pages
+    shared across groups, zero counts, UNALLOCATED pages."""
+    footprint = int(rng.integers(1, 300))
+    low = UNALLOCATED if unallocated else 0
+    placement = rng.integers(low, num_tiers, size=footprint).astype(np.int8)
+    groups = []
+    for gi in range(n_groups):
+        size = min(int(rng.integers(0, 24)), footprint)  # 0: an empty group
+        groups.append(
+            AccessGroup(
+                pages=rng.choice(footprint, size=size, replace=False),
+                counts=rng.integers(0 if zero_counts else 1, 1000, size=size),
+                mlp=float(rng.uniform(1.0, 16.0)),
+                load_fraction=float(rng.uniform(0.1, 1.0)),
+                label=f"g{gi % 3}",
+            )
+        )
+    return groups, placement
+
+
 class TestBatchMatchesLegacy:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_split_groups_matches_legacy(self, seed):
-        groups, placement = random_window(seed)
-        model = make_model()
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        n_groups=st.integers(0, 40),
+        num_tiers=st.sampled_from([2, 3]),
+        unallocated=st.booleans(),
+        zero_counts=st.booleans(),
+    )
+    def test_split_groups_matches_legacy(
+        self, seed, n_groups, num_tiers, unallocated, zero_counts
+    ):
+        """The one split == the object-per-share reference, with and
+        without each replay hint, and it conserves misses."""
+        rng = np.random.default_rng(seed)
+        groups, placement = edge_window(rng, n_groups, num_tiers, unallocated, zero_counts)
+        model = StallModel(SPECS[num_tiers])
+        want = batch_columns(
+            make_batch(reference_split(groups, placement, num_tiers), num_tiers)
+        )
         batch = model.split_groups(groups, placement)
-        legacy = reference_split(groups, placement)
         assert isinstance(batch, ShareBatch)
-        assert batch.n == len(legacy)
-        for i, share in enumerate(legacy):
-            assert int(batch.group_index[i]) == share.group_index
-            assert batch.tiers[i] == share.tier
-            assert float(batch.mlp[i]) == share.mlp
-            assert float(batch.load_fraction[i]) == share.load_fraction
-            assert batch.labels[i] == share.label
-            assert int(batch.misses[i]) == share.misses
-            np.testing.assert_array_equal(batch.pages_of(i), share.pages)
-            np.testing.assert_array_equal(batch.counts_of(i), share.counts)
+        got = batch_columns(batch)
+        assert_same_shares(got, want)
+
+        sizes = [g.pages.size for g in groups]
+        pages = np.concatenate([g.pages for g in groups]) if groups else np.empty(0, np.int64)
+        counts = np.concatenate([g.counts for g in groups]) if groups else np.empty(0, np.int64)
+        tiers = placement[pages]
+        # Every miss on an allocated page lands in exactly one row.
+        allocated = int(counts[tiers >= 0].sum())
+        assert int(got["misses"].sum()) == allocated == sum(got["tier_misses"])
+
+        # Each replay hint, given where its precondition holds, changes
+        # no bit -- alone and all together.
+        hints = {
+            "key_base": np.repeat(np.arange(n_groups, dtype=np.intp) * num_tiers, sizes),
+            "counts_f": counts.astype(np.float64),
+        }
+        if counts.min(initial=1) >= 1:
+            hints["counts_positive"] = True
+        if tiers.min(initial=0) >= 0:
+            hints["assume_allocated"] = True
+        for given_hints in [{name: value} for name, value in hints.items()] + [hints]:
+            hinted = model.split_groups(
+                groups, placement, pages=pages, counts=counts, **given_hints
+            )
+            assert_same_shares(batch_columns(hinted), want)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -165,8 +226,8 @@ class TestModelInvariants:
             assert load.stall_cycles >= 0.0
             assert 0.0 <= load.utilisation <= MAX_UTILISATION
             assert load.effective_latency_cycles >= unloaded
-            rows = batch.rows_in_tier(tier)
-            if rows:
+            rows = np.flatnonzero(batch.tier_codes == int(tier))
+            if rows.size:
                 # A miss-weighted harmonic mean, to within float rounding.
                 mlp = batch.mlp[rows]
                 assert mlp.min() * (1 - 1e-12) <= load.mlp <= mlp.max() * (1 + 1e-12)

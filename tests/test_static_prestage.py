@@ -1,13 +1,13 @@
-"""Static prestage: misses-only and uniform batches vs the partitioned split.
+"""Static prestage: whole-run batches vs the per-window reference split.
 
-Static policies that sample nothing read only the row columns of each
-window's :class:`~repro.hw.stall.ShareBatch`, so
-:func:`~repro.hw.drawplan.build_static_batches` skips the whole-trace
-argsort for them (misses-only), and for a uniform placement skips even
-the per-entry bincount.  Every column a consumer reads must equal the
-partitioned batch's, and the model's conservation laws must hold: a
-window's row misses sum to its trace misses, and so do its per-tier
-totals.
+A static-placement run under replay takes every window's
+:class:`~repro.hw.stall.ShareBatch` from
+:func:`~repro.hw.drawplan.build_static_batches`: one count-weighted
+bincount over the whole trace, or for a uniform placement the memoised
+per-group miss totals.  Every column a consumer reads must equal the
+object-per-share reference split of that window (``oracles.py``), and
+the model's conservation laws must hold: a window's row misses sum to
+its trace misses, and so do its per-tier totals.
 """
 
 import numpy as np
@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.units import CXL_SPEC, DRAM_SPEC, NUMA_SPEC
-from repro.hw.drawplan import EntryMetaPlan, build_static_batches
+from repro.hw.access import AccessGroup
+from repro.hw.drawplan import StaticSource, build_static_batches
 from repro.mem.topology import TierDef, TierTopology, make_topology
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
@@ -24,7 +25,7 @@ from repro.sim.policy_api import NoTierPolicy, SlowOnlyPolicy
 from repro.workloads import make_workload
 from repro.workloads.tracestore import ReplayWorkload, record_stream
 
-ROW_COLUMNS = ("group_index", "tier_codes", "mlp", "load_fraction", "misses", "misses_f")
+from oracles import assert_same_shares, batch_columns, make_batch, reference_split
 
 
 def recorded(name="gups", total_misses=500_000, seed=3):
@@ -42,45 +43,50 @@ def machine_for(data, policy, ratio="1:4", config=None, **kwargs):
     )
 
 
-def window_trace_misses(data):
+def window_groups(data, w):
+    """Window ``w``'s access groups, rebuilt from the trace columns."""
     c = data.columns
-    gpp = np.asarray(c["group_page_ptr"])
-    entry_ptr = gpp[np.asarray(c["window_group_ptr"])]
-    counts = np.asarray(c["counts"])
-    return [int(counts[entry_ptr[w] : entry_ptr[w + 1]].sum()) for w in range(entry_ptr.size - 1)]
+    wgp, gpp = c["window_group_ptr"], c["group_page_ptr"]
+    return [
+        AccessGroup(
+            pages=c["pages"][gpp[g] : gpp[g + 1]],
+            counts=c["counts"][gpp[g] : gpp[g + 1]],
+            mlp=float(c["group_mlp"][g]),
+            load_fraction=float(c["group_load_fraction"][g]),
+            label=data.labels[int(c["group_label"][g])],
+        )
+        for g in range(int(wgp[w]), int(wgp[w + 1]))
+    ]
 
 
-def assert_same_rows(got, want):
-    assert got.n == want.n
-    for name in ROW_COLUMNS:
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
-        np.testing.assert_array_equal(a, b, err_msg=name)
-    assert got.labels == want.labels
-    assert got.tiers == want.tiers
-    assert got.tier_misses == want.tier_misses
-
-
-def assert_equivalent_and_conserving(data, placement, num_tiers):
-    partitioned = build_static_batches(data, placement, num_tiers)
-    misses_only = build_static_batches(
-        data, placement, num_tiers, meta=EntryMetaPlan(data, num_tiers)
-    )
-    assert len(misses_only) == len(partitioned)
-    for w, total in enumerate(window_trace_misses(data)):
-        got, want = misses_only[w], partitioned[w]
-        if want is None:
-            assert got is None
+def assert_matches_reference(data, placement, num_tiers):
+    """Per window: the static batch == the reference split, and it
+    conserves the window's misses."""
+    batches = build_static_batches(data, placement, num_tiers)
+    assert len(batches) == np.asarray(data.columns["window_group_ptr"]).size - 1
+    for w, batch in enumerate(batches):
+        groups = window_groups(data, w)
+        if not groups:
+            assert batch is None
             continue
-        assert_same_rows(got, want)
-        assert int(got.misses.sum()) == total
-        assert sum(got.tier_misses) == total
-        assert len(got.tier_misses) == num_tiers
-        if got.n:
-            assert got.pages_buf is None
-            with pytest.raises(TypeError):
-                got.pages_of(0)
-    return misses_only
+        want = make_batch(reference_split(groups, placement, num_tiers), num_tiers)
+        got = batch_columns(batch)
+        assert_same_shares(got, batch_columns(want))
+        total = sum(int(g.counts.sum()) for g in groups)
+        assert int(got["misses"].sum()) == total == sum(got["tier_misses"])
+        assert len(got["tier_misses"]) == num_tiers
+    return batches
+
+
+def assert_machine_batches(machine, batches):
+    """The machine's static source holds exactly these batches."""
+    assert isinstance(machine._source, StaticSource)
+    assert len(machine._source.batches) == len(batches)
+    for mine, ref in zip(machine._source.batches, batches):
+        if ref is None:
+            assert mine is None
+        else:
+            assert_same_shares(batch_columns(mine), batch_columns(ref))
 
 
 class TestRecordedTraces:
@@ -93,14 +99,7 @@ class TestRecordedTraces:
         for machine, tier in ((ideal, 0), (slow, 1)):
             placement = machine.memory.placement
             assert (placement == tier).all()
-            batches = assert_equivalent_and_conserving(data, placement, 2)
-            # The machine built exactly these misses-only batches.
-            for mine, ref in zip(machine._split_plan.batches, batches):
-                if ref is None:
-                    assert mine is None
-                else:
-                    assert_same_rows(mine, ref)
-                    assert mine.pages_buf is None
+            assert_machine_batches(machine, assert_matches_reference(data, placement, 2))
 
     @pytest.mark.parametrize("name", ["gups", "redis-ycsbc"])
     @pytest.mark.parametrize("ratio", ["1:2", "1:4", "1:16"])
@@ -109,11 +108,7 @@ class TestRecordedTraces:
         machine = machine_for(data, NoTierPolicy(), ratio=ratio)
         placement = machine.memory.placement
         assert 0 < int((placement == 0).sum()) < placement.size
-        batches = assert_equivalent_and_conserving(data, placement, 2)
-        for mine, ref in zip(machine._split_plan.batches, batches):
-            if ref is not None:
-                assert_same_rows(mine, ref)
-                assert mine.pages_buf is None
+        assert_machine_batches(machine, assert_matches_reference(data, placement, 2))
 
     def test_three_tiers_with_elided_empty_middle(self):
         data = recorded()
@@ -124,7 +119,7 @@ class TestRecordedTraces:
             data, NoTierPolicy(), ratio="1:0:4", config=MachineConfig(topology=topology)
         )
         assert machine.num_tiers == 2
-        assert_equivalent_and_conserving(data, machine.memory.placement, 2)
+        assert_matches_reference(data, machine.memory.placement, 2)
 
     def test_three_live_tiers(self):
         data = recorded()
@@ -133,7 +128,9 @@ class TestRecordedTraces:
             config=MachineConfig(topology=make_topology("dram-cxl-nvme")),
         )
         assert machine.num_tiers == 3
-        assert_equivalent_and_conserving(data, machine.memory.placement, 3)
+        assert_machine_batches(
+            machine, assert_matches_reference(data, machine.memory.placement, 3)
+        )
 
 
 class StaticPebsPolicy(NoTierPolicy):
@@ -153,20 +150,29 @@ class StaticChmuPolicy(StaticPebsPolicy):
 class TestPathSelection:
     def test_static_pebs_policy_is_misses_only(self):
         # The PEBS merge reads trace columns, never page lists, and its
-        # draws run live per window: no prestaged sample plan.
+        # draws run live per window: the static source carries the
+        # pre-split batches and no pre-solved outcomes.
         data = recorded()
         machine = machine_for(data, StaticPebsPolicy())
-        batches = [b for b in machine._split_plan.batches if b is not None and b.n]
-        assert batches and all(b.pages_buf is None for b in batches)
-        assert machine._pebs_plan is None and machine._solve_plan is None
+        assert isinstance(machine._source, StaticSource)
+        assert any(b is not None and b.n for b in machine._source.batches)
+        assert machine._source.outcomes is None
 
-    def test_static_chmu_policy_keeps_partitioned_batches(self):
-        # CHMU accumulates per-share page lists: it keeps the partition.
+    def test_static_chmu_policy_samples_live(self):
+        # CHMU reads the window's entries in its own tier, live, beside
+        # the same pre-split batches; its replay equals the live run.
         data = recorded()
         machine = machine_for(data, StaticChmuPolicy())
-        batches = [b for b in machine._split_plan.batches if b is not None and b.n]
-        assert batches and all(b.pages_buf is not None for b in batches)
-        assert machine._pebs_plan is not None
+        assert isinstance(machine._source, StaticSource)
+        assert machine._source.outcomes is None
+        live = Machine(
+            workload=make_workload("gups", total_misses=500_000, seed=3),
+            policy=StaticChmuPolicy(),
+            config=MachineConfig(),
+            ratio="1:4",
+            seed=0,
+        ).run()
+        assert machine.run().runtime_cycles == live.runtime_cycles
 
     def test_static_pebs_replay_matches_live(self):
         data = recorded()
@@ -192,7 +198,7 @@ class FakeTrace:
 def fake_trace(rng, zero_counts):
     wgp, gpp, pages, counts = [0], [0], [], []
     for _ in range(int(rng.integers(1, 8))):
-        n_groups = int(rng.integers(0, 4))  # 0: a window with no groups
+        n_groups = int(rng.integers(0, 12))  # 0: a window with no groups
         for _ in range(n_groups):
             size = int(rng.integers(0, 12))  # 0: an empty group
             pages.append(rng.choice(40, size=size, replace=False))
@@ -230,4 +236,4 @@ def test_edge_shaped_traces(seed, zero_counts, num_tiers, uniform):
         placement = rng.integers(0, num_tiers, size=40).astype(np.int8)
     else:
         placement = np.full(40, min(uniform, num_tiers - 1), dtype=np.int8)
-    assert_equivalent_and_conserving(data, placement, num_tiers)
+    assert_matches_reference(data, placement, num_tiers)

@@ -33,7 +33,6 @@ from repro.baselines import make_policy
 from repro.common.rngutil import KeyedStream, make_rng, philox_key
 from repro.exp.cache import canonical, content_hash, result_to_dict
 from repro.hw import pebs as pebs_module
-from repro.hw.drawplan import ENV_DISABLE
 from repro.hw.pebs import PebsSampler, group_layout
 from repro.hw.substream import KeyedJitter, KeyedPebsSampler
 from repro.sim.config import MachineConfig
@@ -319,12 +318,14 @@ class TestJitterMarginals:
 
 class TestEndToEnd:
     @pytest.mark.parametrize("policy_name", ["PACT", "Memtis"])
-    def test_planned_matches_forced_live(self, policy_name, monkeypatch):
+    def test_planned_matches_forced_live(self, policy_name):
+        # Replayed traffic runs on the trace-hinted source; the same
+        # workload generated live runs the unhinted split.
         store = TraceStore()
 
-        def digest():
+        def digest(workload):
             result = run_policy(
-                store.replay(make_workload("gups", total_misses=500_000)),
+                workload,
                 make_policy(policy_name),
                 ratio="1:4",
                 config=MachineConfig(),
@@ -332,9 +333,8 @@ class TestEndToEnd:
             )
             return content_hash(canonical(result_to_dict(result)))
 
-        planned = digest()
-        monkeypatch.setenv(ENV_DISABLE, "1")
-        assert digest() == planned
+        replayed = digest(store.replay(make_workload("gups", total_misses=500_000)))
+        assert digest(make_workload("gups", total_misses=500_000)) == replayed
 
     def test_multimachine_lockstep_matches_serial(self):
         data = record_stream(

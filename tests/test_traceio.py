@@ -1,14 +1,16 @@
 """Trace export: JSON round-trips and CSV structure."""
 
 import csv
+import json
 
 import pytest
 
 from repro.mem.topology import make_topology
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
+from repro.sim.metrics import RunResult, result_to_dict
 from repro.sim.policy_api import NoTierPolicy
-from repro.sim.traceio import read_json, result_to_dict, write_json, write_trace_csv
+from repro.sim.traceio import read_json, write_json, write_trace_csv
 
 from conftest import TinyWorkload
 
@@ -19,34 +21,43 @@ def traced_result():
     return machine.run(max_windows=6)
 
 
+@pytest.fixture(scope="module")
+def three_tier_result():
+    return Machine(
+        TinyWorkload(),
+        NoTierPolicy(),
+        config=MachineConfig(topology=make_topology("dram-cxlz-nvme")),
+        ratio="1:4:16",
+    ).run(max_windows=2)
+
+
 class TestJson:
-    def test_dict_fields(self, traced_result):
-        payload = result_to_dict(traced_result)
+    def test_dict_fields(self, traced_result, three_tier_result, tmp_path):
+        # The written document is the result store's.
+        payload = json.loads(write_json(traced_result, tmp_path / "two.json").read_text())
+        assert payload == json.loads(json.dumps(result_to_dict(traced_result)))
         assert payload["workload"] == "tiny"
         assert payload["policy"] == "NoTier"
         assert payload["windows"] == 6
         assert len(payload["trace"]) == 6
-        assert payload["tier_misses"].keys() == {"fast", "slow"}
-        # Tiers below the first two are keyed by plain ints, not enums.
-        three_tier = Machine(
-            TinyWorkload(),
-            NoTierPolicy(),
-            config=MachineConfig(topology=make_topology("dram-cxlz-nvme")),
-            ratio="1:4:16",
-        ).run(max_windows=2)
-        payload = result_to_dict(three_tier)
-        assert payload["tier_misses"].keys() == {"fast", "slow", "tier2"}
+        assert payload["tier_misses"].keys() == {"FAST", "SLOW"}
+        # Tiers below the first two are labelled by index.
+        payload = json.loads(write_json(three_tier_result, tmp_path / "three.json").read_text())
+        assert payload["tier_misses"].keys() == {"FAST", "SLOW", "TIER2"}
         assert sum(payload["tier_misses"].values()) == payload["total_misses"]
 
-    def test_trace_optional(self, traced_result):
-        payload = result_to_dict(traced_result, include_trace=False)
-        assert "trace" not in payload
+    def test_trace_optional(self, three_tier_result, tmp_path):
+        assert three_tier_result.trace is None
+        path = write_json(three_tier_result, tmp_path / "run.json")
+        assert json.loads(path.read_text())["trace"] is None
+        assert read_json(path).trace is None
 
-    def test_round_trip(self, traced_result, tmp_path):
-        path = write_json(traced_result, tmp_path / "run.json")
-        loaded = read_json(path)
-        assert loaded["runtime_cycles"] == pytest.approx(traced_result.runtime_cycles)
-        assert loaded["trace"][0]["window"] == 0
+    def test_round_trip(self, traced_result, three_tier_result, tmp_path):
+        for result in (traced_result, three_tier_result):
+            loaded = read_json(write_json(result, tmp_path / "run.json"))
+            assert isinstance(loaded, RunResult)
+            assert result_to_dict(loaded) == result_to_dict(result)
+            assert loaded.tier_misses.keys() == result.tier_misses.keys()
 
     def test_creates_parent_dirs(self, traced_result, tmp_path):
         path = write_json(traced_result, tmp_path / "a" / "b" / "run.json")
