@@ -5,29 +5,31 @@ Usage::
 
     python examples/trace_replay.py
 
-Records 20 windows of the Redis/YCSB-C generator into a JSON trace,
+Records the 24-window Redis/YCSB-C stream into an ``.npt`` trace file,
 then replays the *identical* access stream under three policies with
 multi-seed confidence intervals.  Use the same flow to evaluate tiering
 policies on traces captured from real systems (PEBS dumps, DAMON
-records) -- see ``repro.workloads.tracefile`` for the format.
+records) written in the same layout -- see ``repro.workloads.tracestore``
+for the format; ``ReplayWorkload.from_file`` validates a file before it
+runs.
 """
 
 import tempfile
 from pathlib import Path
 
 from repro.analysis import repeat_runs, significantly_better
-from repro.workloads import RedisYcsbC, TraceWorkload, record_trace, write_trace
+from repro.workloads import RedisYcsbC
+from repro.workloads.tracestore import ReplayWorkload, record_to_file
 
 
 def main() -> None:
     source = RedisYcsbC(total_misses=6_000_000)
-    trace = record_trace(source, windows=24)
-    path = Path(tempfile.gettempdir()) / "redis_ycsbc.trace.json"
-    write_trace(trace, path)
-    print(f"recorded {len(trace['windows'])} windows -> {path}")
+    path = Path(tempfile.gettempdir()) / "redis_ycsbc.npt"
+    data = record_to_file(source, path)
+    print(f"recorded {data.num_windows} windows -> {path}")
 
     def factory():
-        return TraceWorkload.from_file(path, loop=False)
+        return ReplayWorkload.from_file(path)
 
     results = {}
     for policy in ("PACT", "Colloid", "NoTier"):

@@ -17,13 +17,13 @@ cache misses out over N worker processes), ``--cache-dir PATH``
 (persist results in ``PATH/results.sqlite``; ``bench`` and
 ``campaign`` default to ``benchmarks/.cache``), and ``--no-cache``.
 
-Traffic replay is on by default: each workload's access stream is
-recorded once and replayed (bit-identically) for every policy, ratio,
-and contender that shares it.  ``--no-replay`` regenerates traffic
-live; ``--trace-dir PATH`` persists recorded ``.npt`` streams on disk
-(default: ``<cache-dir>/traces`` when a result cache is configured).
-``repro trace record WORKLOAD -o FILE.npt`` records a stream
-explicitly, for trace-driven evaluation.
+Every experiment run replays its workload's traffic: each access
+stream is recorded once and replayed (bit-identically) for every
+policy, ratio, and contender that shares it.  ``--trace-dir PATH``
+persists recorded ``.npt`` streams on disk (default:
+``<cache-dir>/traces`` when a result cache is configured).  ``repro
+trace record WORKLOAD -o FILE.npt`` records a stream explicitly, for
+trace-driven evaluation (``ReplayWorkload.from_file`` loads it).
 
 Simulator throughput has no subcommand: perfbench (``perfbench/run.py``)
 times whole sweeps end to end and ``benchmarks/perfbench_gate.py``
@@ -55,7 +55,7 @@ from repro.obs import DEFAULT_TRACE_CAPACITY, Observability
 from repro.sim import traceio
 from repro.sim.config import MachineConfig, PAPER_RATIOS
 from repro.sim.engine import ideal_baseline, run_policy
-from repro.workloads import ALL_WORKLOADS, generate_corpus, make_workload, tracefile
+from repro.workloads import ALL_WORKLOADS, generate_corpus, make_workload
 from repro.workloads import tracestore
 
 DEFAULT_WORK = 12_000_000
@@ -203,15 +203,6 @@ def _common_args(p: argparse.ArgumentParser, cache_dir_default: Optional[str] = 
         "--no-cache", action="store_true",
         help="recompute every run, and do not read or write cached results",
     )
-    replay = p.add_mutually_exclusive_group()
-    replay.add_argument(
-        "--replay", dest="replay", action="store_true", default=None,
-        help="record each traffic stream once and replay it (default)",
-    )
-    replay.add_argument(
-        "--no-replay", dest="replay", action="store_false",
-        help="regenerate workload traffic live for every run",
-    )
     p.add_argument(
         "--trace-dir", default=None,
         help="directory for recorded .npt traffic traces "
@@ -241,8 +232,7 @@ def _experiment_store(args):
 
     The trace store rides along: recorded traffic streams persist next
     to the result cache (``<cache-dir>/traces``) unless ``--trace-dir``
-    points elsewhere, and ``--replay/--no-replay`` set the process-wide
-    replay default for the duration of the command.
+    points elsewhere.
     """
     directory = None
     if not getattr(args, "no_cache", False):
@@ -255,25 +245,23 @@ def _experiment_store(args):
     if trace_dir is None:
         trace_dir = tracestore.default_trace_dir()
     tracestore.set_default_trace_store(tracestore.TraceStore(trace_dir))
-    previous_replay = tracestore.set_replay_override(getattr(args, "replay", None))
     try:
         yield store
     finally:
         store.close()  # commit the last batch
         reset_default_store()
         tracestore.reset_default_trace_store()
-        tracestore.set_replay_override(previous_replay)
 
 
 def cmd_run(args, out) -> int:
     config = _config(args)
     with _experiment_store(args):
-        workload = make_workload(args.workload, total_misses=args.work)
-        if tracestore.replay_enabled():
-            # One recorded stream serves the baseline and the policy run
-            # (replay is bit-identical, so results and cache keys match
-            # a live run's exactly).
-            workload = tracestore.get_default_trace_store().replay(workload)
+        # One recorded stream serves the baseline and the policy run
+        # (replay is bit-identical, so results and cache keys match a
+        # live run's exactly).
+        workload = tracestore.get_default_trace_store().replay(
+            make_workload(args.workload, total_misses=args.work)
+        )
         baseline = ideal_baseline(workload, config=config, seed=args.seed)
         result = run_policy(
             workload, make_policy(args.policy), ratio=args.ratio, config=config, seed=args.seed
@@ -467,10 +455,8 @@ def cmd_trace(args, out) -> int:
     and the run itself is seconds-scale.  Results are unaffected by the
     observability layer, so traced numbers match cached bench numbers.
 
-    ``repro trace record WORKLOAD -o FILE`` instead freezes the
-    workload's traffic stream to disk: binary ``.npt`` (memory-mappable,
-    the replay layer's native format) or, with a ``.json`` suffix, the
-    legacy JSON trace format.
+    ``repro trace record WORKLOAD -o FILE.npt`` instead freezes the
+    workload's traffic stream to disk in the ``.npt`` trace format.
     """
     if args.workload == "record":
         return _cmd_trace_record(args, out)
@@ -524,7 +510,7 @@ def cmd_trace(args, out) -> int:
 
 
 def _cmd_trace_record(args, out) -> int:
-    """``repro trace record WORKLOAD -o FILE``: freeze a traffic stream."""
+    """``repro trace record WORKLOAD -o FILE.npt``: freeze a traffic stream."""
     workload_name = args.policy
     if workload_name not in ALL_WORKLOADS:
         print(
@@ -532,31 +518,19 @@ def _cmd_trace_record(args, out) -> int:
             file=out,
         )
         return 2
-    if not args.output:
-        print("trace record requires --output PATH (.npt or .json)", file=out)
+    if not args.output or not args.output.endswith(".npt"):
+        print("trace record requires --output PATH ending in .npt", file=out)
         return 2
     workload = make_workload(workload_name, total_misses=args.work)
-    if args.output.endswith(".json"):
-        windows = -(-workload.total_misses // workload.misses_per_window)
-        trace = tracefile.record_trace(workload, min(windows, args.max_windows))
-        tracefile.write_trace(trace, args.output)
-        rows = [
-            ["windows", len(trace["windows"])],
-            ["footprint pages", workload.footprint_pages],
-            ["format", "json"],
-        ]
-    else:
-        data = tracestore.record_to_file(
-            workload, args.output, max_windows=args.max_windows
-        )
-        rows = [
-            ["windows", data.num_windows],
-            ["access groups", data.num_groups],
-            ["page entries", data.num_entries],
-            ["footprint pages", workload.footprint_pages],
-            ["size", format_count(os.path.getsize(args.output)) + " bytes"],
-            ["format", f"npt v{tracestore.TRACE_FORMAT_VERSION}"],
-        ]
+    data = tracestore.record_to_file(workload, args.output, max_windows=args.max_windows)
+    rows = [
+        ["windows", data.num_windows],
+        ["access groups", data.num_groups],
+        ["page entries", data.num_entries],
+        ["footprint pages", workload.footprint_pages],
+        ["size", format_count(os.path.getsize(args.output)) + " bytes"],
+        ["format", f"npt v{tracestore.TRACE_FORMAT_VERSION}"],
+    ]
     print(f"recorded {workload_name} traffic stream to {args.output}:", file=out)
     print(format_table(["metric", "value"], rows), file=out)
     return 0

@@ -10,11 +10,16 @@ across worker processes), store every result, and hand back an
 :class:`ExperimentResult` that knows how to look runs up by (workload,
 policy, ratio, seed).  This module also holds the executors the driver
 calls: :func:`execute_request` and :func:`execute_request_group`.
+
+Every request runs on its workload's recorded traffic stream
+(:mod:`repro.workloads.tracestore`): the driver records each distinct
+stream once before fan-out (:func:`_prepare_replay`), and replay is
+bit-identical to live generation, so results and cache keys are those
+of a live run.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.exp.cache import ResultStore
@@ -30,14 +35,6 @@ from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.metrics import RunResult
 from repro.sim.policy_api import NoTierPolicy, SlowOnlyPolicy
-
-
-def _replay_requested(request: RunRequest) -> bool:
-    from repro.workloads.tracestore import replay_enabled
-
-    if request.replay is not None:
-        return request.replay
-    return replay_enabled()
 
 
 def _replay_data(request: RunRequest):
@@ -68,15 +65,12 @@ def _replay_data(request: RunRequest):
 def execute_request(request: RunRequest) -> RunResult:
     """Run one request from scratch (no cache involvement).
 
-    A replayed request runs on its recorded stream; bit-identity makes
-    the swap invisible to results and cache keys alike.
+    The request runs on its recorded stream; bit-identity makes the
+    swap from live generation invisible to results and cache keys alike.
     """
     from repro.workloads.tracestore import ReplayWorkload
 
-    if _replay_requested(request):
-        workload = ReplayWorkload(_replay_data(request))
-    else:
-        workload = request.workload.build()
+    workload = ReplayWorkload(_replay_data(request))
     if request.kind == KIND_POLICY:
         policy, ratio, fast_capacity = request.policy.build(), request.ratio, None
     elif request.kind == KIND_IDEAL:
@@ -99,9 +93,6 @@ def execute_request(request: RunRequest) -> RunResult:
     )
     return machine.run(max_windows=request.max_windows)
 
-
-#: Environment switch: any non-empty value disables multi-run grouping.
-MULTIRUN_ENV = "REPRO_NO_MULTIRUN"
 
 #: One unit of execution: a single request, or a group of requests that
 #: one :class:`~repro.sim.runbatch.MultiMachine` simulates in lockstep.
@@ -157,26 +148,17 @@ def _group_key(request: RunRequest) -> str:
 def group_requests(requests: Sequence[RunRequest]) -> List[RequestUnit]:
     """Collapse run-axis-compatible requests into lockstep groups.
 
-    Policy-kind replayed requests that differ only in seed and/or
-    capacity ratio share one recorded trace and one machine shape, so
-    they become one multi-run unit.  Trace/telemetry requests and
-    non-replayed runs stay singles.  Unit order follows first
-    appearance, and member order within a group follows request order,
-    so fan-out results map back deterministically.  Set
-    ``REPRO_NO_MULTIRUN=1`` to force one-request units.
+    Policy-kind requests that differ only in seed and/or capacity
+    ratio share one recorded trace and one machine shape, so they
+    become one multi-run unit.  Trace/telemetry requests and reference
+    runs stay singles.  Unit order follows first appearance, and member
+    order within a group follows request order, so fan-out results map
+    back deterministically.
     """
-    requests = list(requests)
-    if os.environ.get(MULTIRUN_ENV, ""):
-        return list(requests)
     groups: Dict[object, List[RunRequest]] = {}
     order: List[object] = []
     for i, req in enumerate(requests):
-        if (
-            req.kind != KIND_POLICY
-            or req.trace
-            or req.obs
-            or not _replay_requested(req)
-        ):
+        if req.kind != KIND_POLICY or req.trace or req.obs:
             key: object = ("single", i)
         else:
             key = _group_key(req)
@@ -308,24 +290,30 @@ def _prepare_replay(requests: Sequence[RunRequest]) -> None:
     forked workers then memory-map one shared copy instead of each
     regenerating (or unpickling) the traffic.  Memory-only stores still
     help: forked children inherit the parent's recordings copy-on-write.
+
+    A stream whose recording raises is left unattached: each of its
+    requests records it again inside its own execution and fails there,
+    through the driver's failure ledger and retries, so a broken
+    workload costs only its own requests.
     """
     from repro.exp.cache import content_hash
     from repro.workloads import tracestore
 
-    replaying = [req for req in requests if _replay_requested(req)]
-    if not replaying:
-        return
     store = tracestore.get_default_trace_store()
     prepared: Dict[tuple, Optional[str]] = {}
-    for req in replaying:
+    for req in requests:
         ident = (content_hash(req.workload.descriptor()), req.max_windows)
         if ident not in prepared:
             # Spec-level ensure: an already-recorded stream attaches its
             # .npt path without ever building the live workload.
-            _, data = store.ensure_spec(
-                req.workload.descriptor(), req.workload.build, req.max_windows
-            )
-            prepared[ident] = str(data.path) if data.path is not None else None
+            try:
+                _, data = store.ensure_spec(
+                    req.workload.descriptor(), req.workload.build, req.max_windows
+                )
+            except Exception:  # noqa: BLE001 - the request's own run reports it
+                prepared[ident] = None
+            else:
+                prepared[ident] = str(data.path) if data.path is not None else None
         if req.trace_path is None and prepared[ident] is not None:
             req.trace_path = prepared[ident]
 

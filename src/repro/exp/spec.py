@@ -132,16 +132,12 @@ class RunRequest:
     #: is also set).  Affects the cache key only when True.
     obs: bool = False
     kind: str = KIND_POLICY
-    #: Traffic replay (:mod:`repro.workloads.tracestore`): None follows
-    #: the process-wide default, True/False force it for this run.
-    #: Replay is bit-identical to live generation, so neither field
-    #: below participates in :meth:`fingerprint` -- a replayed and a
-    #: live run share one cache identity.
-    replay: Optional[bool] = None
     #: Pre-recorded ``.npt`` trace for this run's workload.  Set by the
     #: runner before fan-out so worker processes memory-map one shared
     #: page-cache-warm copy instead of regenerating (or pickling) the
-    #: stream.  Unreadable paths fall back to live recording.
+    #: stream.  Unset or unreadable paths fall back to the trace store,
+    #: which records on a miss.  Replay is bit-identical to live
+    #: generation, so the path is outside :meth:`fingerprint`.
     trace_path: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -158,12 +154,11 @@ class RunRequest:
         seed: int = 0,
         contender: Optional[MlcContender] = None,
         max_windows: int = DEFAULT_MAX_WINDOWS,
-        replay: Optional[bool] = None,
     ) -> "RunRequest":
         """The all-in-DRAM reference run (the slowdown denominator)."""
         return cls(
             workload=workload, config=config, seed=seed, contender=contender,
-            max_windows=max_windows, kind=KIND_IDEAL, replay=replay,
+            max_windows=max_windows, kind=KIND_IDEAL,
         )
 
     @classmethod
@@ -174,12 +169,11 @@ class RunRequest:
         seed: int = 0,
         contender: Optional[MlcContender] = None,
         max_windows: int = DEFAULT_MAX_WINDOWS,
-        replay: Optional[bool] = None,
     ) -> "RunRequest":
         """The all-in-slow-tier reference run (the 'CXL' line)."""
         return cls(
             workload=workload, config=config, seed=seed, contender=contender,
-            max_windows=max_windows, kind=KIND_SLOW_ONLY, replay=replay,
+            max_windows=max_windows, kind=KIND_SLOW_ONLY,
         )
 
     def fingerprint(self) -> Dict[str, Any]:
@@ -250,8 +244,6 @@ class ExperimentSpec:
     #: runs stay plain so their cache entries are shared with obs-off
     #: experiments).
     obs: bool = False
-    #: Traffic replay for every run in the grid (None = process default).
-    replay: Optional[bool] = None
     #: Emit the shared ideal / slow-only reference runs for each
     #: (workload, seed, contender) combination exactly once.
     include_ideal: bool = True
@@ -276,7 +268,6 @@ class ExperimentSpec:
                             RunRequest.ideal(
                                 wspec, config=self.config, seed=seed,
                                 contender=contender, max_windows=self.max_windows,
-                                replay=self.replay,
                             )
                         )
                     if self.include_slow_only:
@@ -284,7 +275,6 @@ class ExperimentSpec:
                             RunRequest.slow_only(
                                 wspec, config=self.config, seed=seed,
                                 contender=contender, max_windows=self.max_windows,
-                                replay=self.replay,
                             )
                         )
         for wspec in wspecs:
@@ -303,7 +293,6 @@ class ExperimentSpec:
                                     max_windows=self.max_windows,
                                     trace=self.trace,
                                     obs=self.obs,
-                                    replay=self.replay,
                                 )
                             )
         return requests

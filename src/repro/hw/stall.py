@@ -276,7 +276,11 @@ class StallModel:
         else:
             key = gi_all * num_tiers
             np.add(key, tiers_all, out=key, casting="unsafe")
-        cell_misses = np.bincount(key, weights=weights, minlength=max_rows)
+        if key.size:
+            cell_misses = np.bincount(key, weights=weights, minlength=max_rows)
+        else:
+            # numpy answers an empty weighted bincount with int64.
+            cell_misses = np.zeros(max_rows)
         if counts_positive:
             # Every entry's count is >= 1, so a cell is present exactly
             # when its miss sum is nonzero (integer-valued floats: a

@@ -20,7 +20,6 @@ from repro.workloads.redis_ycsb import RedisYcsbC
 from repro.workloads.silo import Silo
 from repro.workloads.spec import Bwaves, Deepsjeng, Xz
 from repro.workloads.suite import ALL_WORKLOADS, EVAL_WORKLOADS, make_workload
-from repro.workloads.tracefile import TraceWorkload, record_trace, write_trace
 
 __all__ = [
     "ALL_WORKLOADS",
@@ -39,16 +38,13 @@ __all__ = [
     "STREAMING_MLP",
     "Silo",
     "SyntheticCorpusWorkload",
-    "TraceWorkload",
     "Workload",
     "Xz",
     "generate_corpus",
     "make_graph_workload",
     "make_workload",
-    "record_trace",
     "region_group",
     "spread_counts",
     "subset_group",
-    "write_trace",
     "zipf_weights",
 ]

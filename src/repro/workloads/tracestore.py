@@ -14,7 +14,8 @@ stream a first-class artifact:
 * ``write_npt``/``read_npt`` persist them in the ``.npt`` format --
   a JSON header followed by aligned raw column blocks -- loadable
   zero-copy via ``np.memmap`` (the OS page cache shares one copy
-  across every sweep worker touching the same trace),
+  across every sweep worker touching the same trace); ``.npt`` is the
+  only trace format,
 * :class:`ReplayWorkload` replays a recorded stream through
   :class:`~repro.sim.machine.Machine` **bit-identically by
   construction**: it stores the generator's actual output arrays, the
@@ -27,8 +28,13 @@ stream a first-class artifact:
   subsequent run -- any policy, ratio, contender, or worker process --
   replays.
 
-Disable replay globally with ``REPRO_NO_REPLAY=1`` or per-call; point
-the on-disk layer somewhere with ``REPRO_TRACE_DIR`` (defaults to
+Every experiment request (:mod:`repro.exp.runner`) runs on a replayed
+stream; engine-level runs (``run_policy``, a hand-built ``Machine``)
+take whatever workload they are given, which is how the golden digests
+pin replay == live.  A trace file from elsewhere (``repro trace record
+WORKLOAD -o FILE.npt``, or any tool writing this layout) loads through
+:meth:`ReplayWorkload.from_file`, which validates it first.  Point the
+on-disk layer somewhere with ``REPRO_TRACE_DIR`` (defaults to
 ``$REPRO_CACHE_DIR/traces`` when a result cache directory is set).
 """
 
@@ -67,9 +73,6 @@ RECORD_CHUNK = 64
 #: Environment variable selecting the on-disk trace directory.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
-#: Environment variable disabling traffic replay entirely.
-NO_REPLAY_ENV = "REPRO_NO_REPLAY"
-
 #: Soft cap on the memory layer of a :class:`TraceStore` (bytes).
 #: Disk-backed entries are memory-mapped and barely count; this bounds
 #: only traces recorded without a directory to spill to.
@@ -95,7 +98,11 @@ _COLUMN_SPECS: "Tuple[Tuple[str, str, str], ...]" = (
 
 
 class TraceFormatError(ValueError):
-    """A ``.npt`` file is truncated, corrupt, or of an unknown version."""
+    """A ``.npt`` file is truncated, corrupt, or of an unknown version.
+
+    :meth:`ReplayWorkload.from_file` also raises it for a well-formed
+    file whose values no run can replay (see :func:`_validate`).
+    """
 
 
 class TraceExhausted(RuntimeError):
@@ -409,10 +416,16 @@ def read_npt(path: PathLike, mmap: bool = True) -> TraceData:
                 fh.seek(offset)
                 buf = fh.read(length * np.dtype(dtype).itemsize)
             columns[name] = np.frombuffer(buf, dtype=np.dtype(dtype)).copy()
-    for ptr_name in ("window_group_ptr", "group_page_ptr"):
+    for ptr_name, indexed in (("window_group_ptr", "group_mlp"), ("group_page_ptr", "pages")):
         ptr = columns[ptr_name]
         if ptr.shape[0] == 0 or ptr[0] != 0 or np.any(np.diff(ptr) < 0):
             raise TraceFormatError(f"{path}: non-monotonic {ptr_name}")
+        # Slicing would silently truncate a pointer that overruns.
+        rows = columns[indexed].shape[0]
+        if ptr[-1] != rows:
+            raise TraceFormatError(
+                f"{path}: {ptr_name} ends at {int(ptr[-1])}, but {indexed} has {rows} rows"
+            )
     return TraceData(
         workload=header["workload"],
         fingerprint=header["fingerprint"],
@@ -445,50 +458,25 @@ def record_to_file(
     return data
 
 
-# ---------------------------------------------------------------------------
-# JSON <-> binary conversion (the tracefile.py interchange format).
-# ---------------------------------------------------------------------------
+def _validate(data: TraceData, path: PathLike) -> None:
+    """Reject a user's trace whose contents cannot describe a run.
 
-
-def npt_from_trace_dict(trace: dict, path: PathLike) -> Path:
-    """Convert a JSON trace dict (``tracefile.py`` format) to ``.npt``."""
-    from repro.workloads.tracefile import TraceWorkload
-
-    workload = TraceWorkload(trace, loop=False)
-    windows = len(trace["windows"])
-    return write_npt(record_stream(workload, max_windows=windows), path)
-
-
-def trace_dict_from_npt(path: PathLike) -> dict:
-    """Convert a ``.npt`` trace back to the JSON trace-dict format."""
-    data = read_npt(path)
+    An O(entries) scan, so only :meth:`ReplayWorkload.from_file` makes
+    it; the runner reads traces this module recorded itself.
+    """
+    footprint = int(data.workload["footprint_pages"])
+    if footprint <= 0:
+        raise TraceFormatError(f"{path}: footprint_pages must be positive, got {footprint}")
+    if data.num_windows == 0:
+        raise TraceFormatError(f"{path}: trace has no windows")
     c = data.columns
-    windows = []
-    for i in range(data.num_windows):
-        g0, g1 = int(c["window_group_ptr"][i]), int(c["window_group_ptr"][i + 1])
-        groups = []
-        for g in range(g0, g1):
-            p0, p1 = int(c["group_page_ptr"][g]), int(c["group_page_ptr"][g + 1])
-            groups.append(
-                {
-                    "pages": c["pages"][p0:p1].tolist(),
-                    "counts": c["counts"][p0:p1].tolist(),
-                    "mlp": float(c["group_mlp"][g]),
-                    "load_fraction": float(c["group_load_fraction"][g]),
-                    "label": data.labels[int(c["group_label"][g])],
-                }
-            )
-        windows.append({"phase": data.phases[int(c["window_phase"][i])], "groups": groups})
-    return {
-        "name": data.workload["name"],
-        "footprint_pages": int(data.workload["footprint_pages"]),
-        "compute_cycles_per_miss": float(data.workload["compute_cycles_per_miss"]),
-        "objects": [
-            {"name": name, "start_page": start, "num_pages": num}
-            for name, start, num in data.objects
-        ],
-        "windows": windows,
-    }
+    pages, counts, mlp = c["pages"], c["counts"], c["group_mlp"]
+    if pages.shape[0] and (pages.min() < 0 or pages.max() >= footprint):
+        raise TraceFormatError(f"{path}: page id outside [0, {footprint})")
+    if counts.shape[0] and counts.min() < 0:
+        raise TraceFormatError(f"{path}: negative access count")
+    if not np.all(np.isfinite(mlp) & (mlp > 0)):
+        raise TraceFormatError(f"{path}: mlp must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +491,9 @@ class ReplayWorkload(Workload):
     ``done`` transitions, phases, and ``final_metrics`` come straight
     from the recording, so a :class:`Machine` run over this workload is
     indistinguishable from one over the live generator it was recorded
-    from.  With ``loop=True`` the trace wraps around at the end instead
-    (``TraceWorkload`` semantics, for trace-driven evaluation of
-    recorded streams longer than one pass).
+    from.  With ``loop=True`` the trace wraps around at the end instead,
+    for trace-driven evaluation over a work budget longer than one pass
+    (:meth:`set_total_misses`).
     """
 
     def __init__(self, data: TraceData, loop: bool = False):
@@ -528,24 +516,19 @@ class ReplayWorkload(Workload):
         )
         if loop:
             # Looping replays re-derive progress from each window's
-            # emitted misses (the trace may cover the budget many times).
+            # emitted misses (the trace may cover the budget many times):
+            # window i owns entries [bounds[i], bounds[i + 1]).
             c = data.columns
-            sums = np.zeros(self._num_windows, dtype=np.int64)
-            if c["counts"].shape[0]:
-                ptr = c["window_group_ptr"]
-                starts = c["group_page_ptr"][ptr[:-1]]
-                totals = np.concatenate([np.cumsum(c["counts"]), [0]])
-                ends = c["group_page_ptr"][ptr[1:]]
-                sums = np.where(
-                    ends > starts,
-                    totals[ends - 1] - np.where(starts > 0, totals[starts - 1], 0),
-                    0,
-                )
-            self._window_emitted = sums
+            totals = np.concatenate([[0], np.cumsum(c["counts"])])
+            bounds = c["group_page_ptr"][c["window_group_ptr"]]
+            self._window_emitted = np.diff(totals[bounds])
 
     @classmethod
     def from_file(cls, path: PathLike, loop: bool = False, mmap: bool = True) -> "ReplayWorkload":
-        return cls(read_npt(path, mmap=mmap), loop=loop)
+        """Load a ``.npt`` trace file, validated (:class:`TraceFormatError`)."""
+        data = read_npt(path, mmap=mmap)
+        _validate(data, path)
+        return cls(data, loop=loop)
 
     @property
     def trace_windows(self) -> int:
@@ -768,14 +751,10 @@ class TraceStore:
 
 
 # ---------------------------------------------------------------------------
-# Default-store plumbing and the global replay switch.
+# Default-store plumbing.
 # ---------------------------------------------------------------------------
 
 _default_trace_store: Optional[TraceStore] = None
-
-#: Tri-state override of the replay default: None = follow the
-#: environment (enabled unless REPRO_NO_REPLAY is set).
-_replay_override: Optional[bool] = None
 
 
 def default_trace_dir() -> Optional[str]:
@@ -809,24 +788,8 @@ def reset_default_trace_store() -> None:
     _default_trace_store = None
 
 
-def replay_enabled() -> bool:
-    """Whether runs should replay recorded streams by default."""
-    if _replay_override is not None:
-        return _replay_override
-    return not os.environ.get(NO_REPLAY_ENV)
-
-
-def set_replay_override(value: Optional[bool]) -> Optional[bool]:
-    """Force replay on/off process-wide (None = back to the environment)."""
-    global _replay_override
-    previous = _replay_override
-    _replay_override = value
-    return previous
-
-
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
-    "NO_REPLAY_ENV",
     "RECORD_CHUNK",
     "ReplayWorkload",
     "TRACE_DIR_ENV",
@@ -838,15 +801,11 @@ __all__ = [
     "TraceStore",
     "default_trace_dir",
     "get_default_trace_store",
-    "npt_from_trace_dict",
     "read_npt",
     "record_stream",
     "record_to_file",
-    "replay_enabled",
     "reset_default_trace_store",
     "set_default_trace_store",
-    "set_replay_override",
-    "trace_dict_from_npt",
     "trace_key",
     "write_npt",
 ]

@@ -90,12 +90,10 @@ def batch_columns(batch: ShareBatch) -> dict:
 
 def assert_same_shares(got: dict, want: dict) -> None:
     """Two :func:`batch_columns` snapshots agree in every column, dtype
-    and bit.  (numpy's ``bincount`` answers an empty input with int64
-    even when weighted, so the dtype of an empty column is not compared.)"""
+    and bit, empty columns included."""
     assert got["n"] == want["n"]
     for name in ROW_COLUMNS:
-        if got["n"]:
-            assert got[name].dtype == want[name].dtype, name
+        assert got[name].dtype == want[name].dtype, name
         np.testing.assert_array_equal(got[name], want[name], err_msg=name)
     for name in ("labels", "tiers", "tier_misses"):
         assert got[name] == want[name], name

@@ -5,7 +5,12 @@ import json
 
 import pytest
 
+from repro.baselines import make_policy
 from repro.cli import build_parser, main
+from repro.exp.cache import result_to_dict
+from repro.sim.engine import run_policy
+from repro.workloads import make_workload
+from repro.workloads.tracestore import ReplayWorkload
 
 
 def run_cli(*argv):
@@ -124,3 +129,21 @@ class TestTrace:
         )
         assert code == 0
         assert "stall_solve" in text and "wall time" in text
+
+    def test_record_writes_a_replayable_npt(self, tmp_path):
+        target = tmp_path / "gups.npt"
+        code, text = run_cli("trace", "record", "gups", "--work", "2000000", "-o", str(target))
+        assert code == 0
+        assert "npt v1" in text
+        replay = ReplayWorkload.from_file(target)
+        live = make_workload("gups", total_misses=2_000_000)
+        replayed = run_policy(replay, make_policy("PACT"), ratio="1:2")
+        expected = run_policy(live, make_policy("PACT"), ratio="1:2")
+        assert result_to_dict(replayed) == result_to_dict(expected)
+
+    def test_record_rejects_other_formats(self, tmp_path):
+        target = tmp_path / "gups.json"
+        code, text = run_cli("trace", "record", "gups", "--work", "2000000", "-o", str(target))
+        assert code == 2
+        assert ".npt" in text
+        assert not target.exists()

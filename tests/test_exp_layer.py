@@ -345,9 +345,7 @@ class TestVanishedTraceFallback:
     """A deleted/unreadable .npt costs one re-record, never a crash."""
 
     def _request(self):
-        return RunRequest(
-            workload=tiny_spec(), policy=PolicySpec("NoTier"), replay=True
-        )
+        return RunRequest(workload=tiny_spec(), policy=PolicySpec("NoTier"))
 
     def test_deleted_npt_re_records(self, tmp_path):
         import os
@@ -394,13 +392,17 @@ class TestVanishedTraceFallback:
 
 
 class TestWorkerFailureIdentity:
-    """A failing request names itself, serial or parallel."""
+    """A failing request names itself, serial or parallel.
+
+    The doomed workload fails while its stream is recorded, which the
+    driver first tries before fan-out: that failure must cost only the
+    doomed request, not the campaign.
+    """
 
     def _doomed(self):
         return RunRequest(
             workload=WorkloadSpec.from_factory(doomed_factory, label="doomed"),
             policy=PolicySpec("NoTier"),
-            replay=False,
         )
 
     def test_serial_failure_names_request(self, isolated_store):
@@ -408,9 +410,7 @@ class TestWorkerFailureIdentity:
             run_requests([self._doomed()], jobs=1)
 
     def test_pool_failure_names_request(self, isolated_store):
-        ok = RunRequest(
-            workload=tiny_spec(), policy=PolicySpec("NoTier"), replay=False
-        )
+        ok = RunRequest(workload=tiny_spec(), policy=PolicySpec("NoTier"))
         with pytest.raises(RequestExecutionError) as excinfo:
             run_requests([ok, self._doomed()], jobs=2)
         assert "doomed" in str(excinfo.value)
@@ -437,10 +437,8 @@ class TestWorkerFailureIdentity:
             label="lam",
         )
         reqs = [
-            RunRequest(workload=lam, policy=PolicySpec("NoTier"), replay=False),
-            RunRequest(
-                workload=lam, policy=PolicySpec("NoTier"), ratio="1:2", replay=False
-            ),
+            RunRequest(workload=lam, policy=PolicySpec("NoTier")),
+            RunRequest(workload=lam, policy=PolicySpec("NoTier"), ratio="1:2"),
         ]
         reset_unpicklable_warnings()
         if jobs > 1:

@@ -16,17 +16,16 @@ The contracts the 10k-run campaign story rests on:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import pytest
 
+from repro.exp import runner
 from repro.exp.cache import (
     CACHE_VERSION,
     ResultStore,
@@ -62,37 +61,55 @@ def small_grid() -> ExperimentSpec:
     )
 
 
-def _in_worker() -> bool:
-    return multiprocessing.current_process().name != "MainProcess"
+def odd_factory():
+    """A healthy workload whose parameters differ from ``tiny_factory``'s.
 
-
-def misbehaving_factory(mode: str, flag_path: str):
-    """A workload factory that fails *inside worker processes only*.
-
-    The parent builds workloads too (descriptor fingerprints, replay
-    warm-up), so failures are keyed on the process name.  ``flag_path``
-    arms one-shot modes: the first worker build trips the failure and
-    leaves the flag behind; retries then build normally.
-
-    The returned workload's parameters differ from ``tiny_factory``'s:
-    requests fingerprint the *built instance*, and identical parameters
-    would dedup the bad request onto the healthy one's cache key.
+    Requests fingerprint the *built instance*, so identical parameters
+    would dedup a faulty request onto the healthy one's cache key.
     """
-    if _in_worker() and not os.path.exists(flag_path):
-        Path(flag_path).touch()
-        if mode == "raise":
-            raise ValueError("injected workload failure")
-        if mode == "crash":
-            os._exit(13)
-        if mode == "hang":
-            time.sleep(120.0)
     return TinyWorkload(total_misses=120_000, misses_per_window=30_000, seed=11)
 
 
-def misbehaving_spec(mode: str, flag_path, label: str) -> WorkloadSpec:
-    return WorkloadSpec.from_factory(
-        partial(misbehaving_factory, mode, str(flag_path)), label=label
-    )
+def misbehave(mode: str, flag_path: str) -> None:
+    """Trip a one-shot fault: the first call leaves ``flag_path`` behind
+    and fails; later calls (the retries) pass."""
+    if os.path.exists(flag_path):
+        return
+    Path(flag_path).touch()
+    if mode == "raise":
+        raise ValueError("injected workload failure")
+    if mode == "crash":
+        os._exit(13)
+    if mode == "hang":
+        time.sleep(120.0)
+
+
+@pytest.fixture
+def faults(monkeypatch):
+    """Arm one-shot faults in ``runner.execute_request``, keyed by label.
+
+    A replayed request never builds its workload where it executes: it
+    runs on the stream the driver recorded before fan-out.  So the fault
+    sits in the executor itself, which the service looks up on the
+    runner module at call time; forked workers inherit the patch.
+    ``faults(mode, flag_path, label)`` arms one and returns the spec of
+    the workload whose requests trip it.
+    """
+    armed = {}
+    execute = runner.execute_request
+
+    def faulty(request):
+        if request.workload.display in armed:
+            misbehave(*armed[request.workload.display])
+        return execute(request)
+
+    monkeypatch.setattr(runner, "execute_request", faulty)
+
+    def arm(mode: str, flag_path, label: str) -> WorkloadSpec:
+        armed[label] = (mode, str(flag_path))
+        return WorkloadSpec.from_factory(odd_factory, label=label)
+
+    return arm
 
 
 @pytest.fixture
@@ -276,16 +293,14 @@ class TestFailureIsolation:
             policies=[PolicySpec("NoTier")],
             ratios=("1:1",),
         )
-        bad = RunRequest(
-            workload=bad_spec, policy=PolicySpec("NoTier"), ratio="1:1", replay=False
-        )
+        bad = RunRequest(workload=bad_spec, policy=PolicySpec("NoTier"), ratio="1:1")
         return healthy.expand() + [bad]
 
     def test_worker_exception_loses_only_that_request(
-        self, tmp_path, isolated_stores
+        self, tmp_path, isolated_stores, faults
     ):
         # retries=0: the single armed attempt is the final one.
-        requests = self._grid(misbehaving_spec("raise", tmp_path / "armed.flag", "raisy"))
+        requests = self._grid(faults("raise", tmp_path / "armed.flag", "raisy"))
         campaign = run_campaign(requests, jobs=2, retries=0)
         failed = campaign.failed
         assert len(failed) == 1
@@ -298,8 +313,10 @@ class TestFailureIsolation:
         for req in requests[:-1]:
             assert campaign[req].runtime_cycles > 0
 
-    def test_retry_completes_after_one_shot_exception(self, tmp_path, isolated_stores):
-        requests = self._grid(misbehaving_spec("raise", tmp_path / "armed.flag", "raisy"))
+    def test_retry_completes_after_one_shot_exception(
+        self, tmp_path, isolated_stores, faults
+    ):
+        requests = self._grid(faults("raise", tmp_path / "armed.flag", "raisy"))
         campaign = run_campaign(requests, jobs=2, retries=1)
         assert campaign.ok
         assert campaign.stats.retries == 1
@@ -307,8 +324,8 @@ class TestFailureIsolation:
         assert not campaign.ledger[0].final
         assert campaign[requests[-1]].runtime_cycles > 0
 
-    def test_worker_crash_is_isolated_and_retried(self, tmp_path, isolated_stores):
-        requests = self._grid(misbehaving_spec("crash", tmp_path / "crashed.flag", "crashy"))
+    def test_worker_crash_is_isolated_and_retried(self, tmp_path, isolated_stores, faults):
+        requests = self._grid(faults("crash", tmp_path / "crashed.flag", "crashy"))
         campaign = run_campaign(requests, jobs=2, retries=1)
         assert campaign.ok, [rec.describe() for rec in campaign.ledger]
         kinds = [rec.kind for rec in campaign.ledger]
@@ -319,10 +336,10 @@ class TestFailureIsolation:
         for req in requests[:-1]:
             assert campaign[req].runtime_cycles > 0
 
-    def test_respawns_counted_per_run(self, tmp_path, isolated_stores):
+    def test_respawns_counted_per_run(self, tmp_path, isolated_stores, faults):
         # A clean run after one that respawned a crashed worker reports
         # no respawns of its own, like every other per-run stat.
-        requests = self._grid(misbehaving_spec("crash", tmp_path / "crashed.flag", "crashy"))
+        requests = self._grid(faults("crash", tmp_path / "crashed.flag", "crashy"))
         with CampaignDriver(jobs=2, retries=1, use_cache=False) as driver:
             first = driver.run(requests)
             second = driver.run(requests[:-1])
@@ -331,8 +348,8 @@ class TestFailureIsolation:
         assert second.stats.executed == len(requests) - 1
         assert second.stats.respawns == 0
 
-    def test_hung_worker_killed_on_timeout(self, tmp_path, isolated_stores):
-        requests = self._grid(misbehaving_spec("hang", tmp_path / "hung.flag", "hangy"))
+    def test_hung_worker_killed_on_timeout(self, tmp_path, isolated_stores, faults):
+        requests = self._grid(faults("hang", tmp_path / "hung.flag", "hangy"))
         campaign = run_campaign(requests, jobs=2, retries=0, timeout=2.0)
         failed = campaign.failed
         assert len(failed) == 1
@@ -342,22 +359,13 @@ class TestFailureIsolation:
         for req in requests[:-1]:
             assert campaign[req].runtime_cycles > 0
 
-    def test_serial_campaign_honours_retries_and_ledger(self, tmp_path, isolated_stores):
-        # jobs=1 runs in-process, so worker-name gating doesn't apply.
-        # The parent builds once while fingerprinting (call 1); the first
-        # execution attempt is call 2, and it fails.
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise ValueError("first attempt fails")
-            return tiny_factory()
-
+    def test_serial_campaign_honours_retries_and_ledger(
+        self, tmp_path, isolated_stores, faults
+    ):
+        # jobs=1 runs in-process: the first execution attempt fails.
         bad = RunRequest(
-            workload=WorkloadSpec.from_factory(flaky, label="flaky"),
+            workload=faults("raise", tmp_path / "flaky.flag", "flaky"),
             policy=PolicySpec("NoTier"),
-            replay=False,
         )
         campaign = run_campaign([bad], jobs=1, retries=1)
         assert campaign.ok

@@ -1,4 +1,4 @@
-"""Trace replay, multi-seed statistics, and terminal charts."""
+"""Trace-driven replay of ``.npt`` files, multi-seed statistics, and charts."""
 
 import numpy as np
 import pytest
@@ -8,40 +8,59 @@ from repro.common.charts import bar_chart, series_with_sparkline, sparkline
 from repro.sim.engine import clear_baseline_cache, ideal_baseline, run_policy
 from repro.sim.machine import Machine
 from repro.sim.policy_api import NoTierPolicy
-from repro.workloads.tracefile import (
-    TraceWorkload,
-    record_trace,
-    write_trace,
+from repro.workloads.tracestore import (
+    ReplayWorkload,
+    TraceFormatError,
+    record_stream,
+    record_to_file,
+    write_npt,
 )
 
 from conftest import TinyWorkload
 
 
-def small_trace():
-    return {
-        "name": "toy",
-        "footprint_pages": 16,
-        "windows": [
-            {"groups": [{"pages": [0, 1], "counts": [5, 3], "mlp": 2.0}]},
-            {"groups": [{"pages": [8, 9], "counts": [4, 4], "mlp": 8.0, "label": "s"}]},
-        ],
-    }
+def two_window_workload():
+    return TinyWorkload(total_misses=60_000, misses_per_window=30_000)
+
+
+def recorded(tmp_path, workload=None):
+    """Record ``workload`` (default: two windows of TinyWorkload) to ``.npt``."""
+    path = tmp_path / "t.npt"
+    record_to_file(workload if workload is not None else two_window_workload(), path)
+    return path
+
+
+def tampered(tmp_path, change):
+    """A recorded two-window trace whose columns ``change`` edits in place."""
+    data = record_stream(two_window_workload())
+    data.columns = {key: np.array(col) for key, col in data.columns.items()}
+    change(data)
+    return write_npt(data, tmp_path / "bad.npt")
 
 
 class TestTraceWorkload:
-    def test_replays_windows_exactly(self):
-        w = TraceWorkload(small_trace(), loop=False)
+    """Trace-driven evaluation: a user's ``.npt`` file through ``ReplayWorkload``."""
+
+    def test_replays_windows_exactly(self, tmp_path):
+        live = two_window_workload()
+        live.reset()
+        expected = [live.next_window(), live.next_window()]
+        assert live.done
+        w = ReplayWorkload.from_file(recorded(tmp_path), loop=False)
         w.reset()
-        first = w.next_window()
-        assert list(first.groups[0].pages) == [0, 1]
-        assert first.groups[0].total_misses == 8
-        second = w.next_window()
-        assert second.groups[0].mlp == 8.0
+        for want in expected:
+            got = w.next_window()
+            assert len(got.groups) == len(want.groups)
+            for g, h in zip(got.groups, want.groups):
+                np.testing.assert_array_equal(g.pages, h.pages)
+                np.testing.assert_array_equal(g.counts, h.counts)
+                assert g.mlp == h.mlp
         assert w.done
 
-    def test_looping_stretches_work(self):
-        w = TraceWorkload(small_trace(), loop=True)
-        w.set_total_misses(64)  # 16 misses per loop -> 4 loops
+    def test_looping_stretches_work(self, tmp_path):
+        w = ReplayWorkload.from_file(recorded(tmp_path), loop=True)
+        assert w.trace_windows == 2
+        w.set_total_misses(4 * w.total_misses)  # four passes over the trace
         w.reset()
         windows = 0
         while not w.done and windows < 50:
@@ -49,37 +68,76 @@ class TestTraceWorkload:
             windows += 1
         assert windows == 8
 
-    def test_validation(self):
-        bad = small_trace()
-        bad["windows"][0]["groups"][0]["pages"] = [99]  # outside footprint
-        with pytest.raises(ValueError):
-            TraceWorkload(bad)
-        with pytest.raises(ValueError):
-            TraceWorkload({"footprint_pages": 4, "windows": []})
+    def test_validation(self, tmp_path):
+        def outside(data):
+            data.columns["pages"][0] = data.workload["footprint_pages"]
 
-    def test_record_and_replay_round_trip(self, config):
-        source = TinyWorkload()
-        trace = record_trace(source, windows=4)
-        assert len(trace["windows"]) == 4
-        replay = TraceWorkload(trace, loop=False)
+        with pytest.raises(TraceFormatError, match="outside"):
+            ReplayWorkload.from_file(tampered(tmp_path, outside))
+        empty = tmp_path / "empty.npt"
+        write_npt(record_stream(two_window_workload(), max_windows=0), empty)
+        with pytest.raises(TraceFormatError, match="no windows"):
+            ReplayWorkload.from_file(empty)
+
+    def test_record_and_replay_round_trip(self, tmp_path, config):
+        source = TinyWorkload(total_misses=4 * 30_000)
+        replay = ReplayWorkload.from_file(recorded(tmp_path, source), loop=False)
         result = Machine(replay, NoTierPolicy(), config=config).run()
         assert result.windows == 4
         assert result.total_misses > 0
 
     def test_file_round_trip(self, tmp_path):
-        path = write_trace(small_trace(), tmp_path / "t.json")
-        w = TraceWorkload.from_file(path, loop=False)
-        assert w.footprint_pages == 16
+        w = ReplayWorkload.from_file(recorded(tmp_path), loop=False)
+        assert w.footprint_pages == two_window_workload().footprint_pages
+        assert w.trace_windows == 2
 
-    def test_runs_under_pact(self, config):
+    def test_runs_under_pact(self, tmp_path, config):
         clear_baseline_cache()
-        trace = record_trace(TinyWorkload(), windows=12)
+        path = recorded(tmp_path, TinyWorkload(total_misses=12 * 30_000))
         from repro.baselines import make_policy
 
-        workload = TraceWorkload(trace, loop=False)
-        baseline = ideal_baseline(TraceWorkload(trace, loop=False), config=config)
+        workload = ReplayWorkload.from_file(path, loop=False)
+        baseline = ideal_baseline(ReplayWorkload.from_file(path, loop=False), config=config)
         result = run_policy(workload, make_policy("PACT"), ratio="1:2", config=config)
         assert result.slowdown(baseline) < 1.5
+
+
+def set_first(column, value):
+    """A :func:`tampered` edit writing ``value`` into ``column``'s first row."""
+
+    def change(data):
+        data.columns[column][0] = value
+
+    return change
+
+
+def no_footprint(data):
+    data.workload = dict(data.workload, footprint_pages=0)
+    data.columns["alloc_order"] = np.empty(0, dtype=np.int64)
+
+
+class TestTraceValidation:
+    """``ReplayWorkload.from_file`` rejects values no run can replay."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (set_first("pages", -1), "outside"),
+            (set_first("counts", -1), "negative access count"),
+            (set_first("group_mlp", 0.0), "mlp"),
+            (set_first("group_mlp", -2.0), "mlp"),
+            (set_first("group_mlp", np.nan), "mlp"),
+            (set_first("group_mlp", np.inf), "mlp"),
+            (no_footprint, "footprint_pages"),
+        ],
+        ids=[
+            "negative-page", "negative-count", "zero-mlp", "negative-mlp",
+            "nan-mlp", "inf-mlp", "zero-footprint",
+        ],
+    )
+    def test_rejects_bad_values(self, tmp_path, change, message):
+        with pytest.raises(TraceFormatError, match=message):
+            ReplayWorkload.from_file(tampered(tmp_path, change))
 
 
 class TestRepeat:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import make_policy
+from repro.exp import runner
 from repro.exp.cache import (
     ResultStore,
     reset_default_store,
@@ -19,7 +20,6 @@ from repro.exp.cache import (
     set_default_store,
 )
 from repro.exp.runner import (
-    MULTIRUN_ENV,
     execute_request,
     execute_request_group,
     group_requests,
@@ -218,22 +218,6 @@ class TestGrouping:
         ]
         assert all(not isinstance(u, list) for u in group_requests(requests))
 
-    def test_non_replay_requests_stay_single(self, isolated_stores):
-        requests = [
-            RunRequest(
-                workload=tiny_spec(), policy=PolicySpec("PACT"),
-                ratio=r, seed=s, replay=False,
-            )
-            for s in (0, 1)
-            for r in RATIOS
-        ]
-        assert all(not isinstance(u, list) for u in group_requests(requests))
-
-    def test_env_switch_disables_grouping(self, isolated_stores, monkeypatch):
-        requests = [r for r in multi_grid().expand() if r.kind == "policy"]
-        monkeypatch.setenv(MULTIRUN_ENV, "1")
-        assert all(not isinstance(u, list) for u in group_requests(requests))
-
     def test_different_policies_never_share_a_group(self, isolated_stores):
         requests = [r for r in multi_grid().expand() if r.kind == "policy"]
         for unit in group_requests(requests):
@@ -246,8 +230,17 @@ class TestRunRequestsFanout:
         spec = multi_grid()
         grouped = run_requests(spec.expand(), use_cache=False)
 
-        monkeypatch.setenv(MULTIRUN_ENV, "1")
+        # The driver resolves the grouper through the runner module at
+        # call time: one-request units run every member on its own.
+        seen = []
+
+        def singles(requests):
+            seen.extend(requests)
+            return list(requests)
+
+        monkeypatch.setattr(runner, "group_requests", singles)
         serial = run_requests(spec.expand(), use_cache=False)
+        assert seen, "the driver did not group through runner.group_requests"
         for req in spec.expand():
             assert result_to_dict(grouped[req]) == result_to_dict(serial[req]), (
                 req.display
@@ -308,8 +301,6 @@ class TestCampaignMultiRun:
     def test_failed_group_requeues_members_as_singles(
         self, isolated_stores, monkeypatch
     ):
-        from repro.exp import runner
-
         spec = multi_grid(policies=("PACT",))
         original = runner.execute_request_group
         calls = {"n": 0}

@@ -4,7 +4,7 @@ Covers the ``.npt`` on-disk format (round-trip, corruption handling),
 :class:`ReplayWorkload` exact and looping modes, the content-addressed
 :class:`TraceStore` (dedup, disk persistence, corrupt-file recovery),
 the batched ``Workload.next_windows`` contract, runner integration
-(replay on/off produce identical results and cache keys), and the
+(the runner's replayed results equal live engine runs), and the
 once-per-offender un-picklable warning of pooled sweeps.
 """
 
@@ -21,19 +21,14 @@ from repro.exp.cache import canonical, content_hash, result_to_dict, workload_fi
 from repro.sim.config import MachineConfig
 from repro.sim.engine import run_policy
 from repro.workloads import make_workload
-from repro.workloads.tracefile import TraceWorkload, record_trace
 from repro.workloads.tracestore import (
     ReplayWorkload,
     TraceExhausted,
     TraceFormatError,
     TraceStore,
-    npt_from_trace_dict,
     read_npt,
     record_stream,
     record_to_file,
-    replay_enabled,
-    set_replay_override,
-    trace_dict_from_npt,
     write_npt,
 )
 
@@ -188,6 +183,17 @@ class TestCorruption:
         with pytest.raises(TraceFormatError, match="corrupt header"):
             read_npt(bad)
 
+    @pytest.mark.parametrize("ptr_name", ["group_page_ptr", "window_group_ptr"])
+    def test_pointer_overrunning_its_column(self, tmp_path, ptr_name):
+        # Slicing would silently truncate the last window or group.
+        data = record_stream(small_workload())
+        ptr = np.array(data.columns[ptr_name])
+        ptr[-1] += 5
+        data.columns = dict(data.columns, **{ptr_name: ptr})
+        bad = write_npt(data, tmp_path / "overrun.npt")
+        with pytest.raises(TraceFormatError, match=f"{ptr_name} ends at"):
+            read_npt(bad)
+
     def test_store_treats_corrupt_file_as_miss_and_rerecords(self, tmp_path):
         store = TraceStore(tmp_path)
         key, data = store.ensure(small_workload(), 200_000)
@@ -200,37 +206,6 @@ class TestCorruption:
         replay = store.replay(small_workload())
         assert store.stats()["records"] == 2
         assert run_digest(replay) == run_digest(small_workload())
-
-
-class TestJsonBinaryConversion:
-    def test_json_trace_to_npt_and_back(self, tmp_path):
-        trace = record_trace(small_workload(), windows=6)
-        path = tmp_path / "conv.npt"
-        npt_from_trace_dict(trace, path)
-        restored = trace_dict_from_npt(path)
-        assert restored["footprint_pages"] == trace["footprint_pages"]
-        assert len(restored["windows"]) == len(trace["windows"])
-        for wa, wb in zip(trace["windows"], restored["windows"]):
-            assert len(wa["groups"]) == len(wb["groups"])
-            for ga, gb in zip(wa["groups"], wb["groups"]):
-                assert ga["pages"] == gb["pages"]
-                assert ga["counts"] == gb["counts"]
-                assert ga["mlp"] == pytest.approx(gb["mlp"])
-                assert ga["label"] == gb["label"]
-
-    def test_json_and_binary_replays_emit_identical_traffic(self, tmp_path):
-        trace = record_trace(small_workload(), windows=6)
-        path = tmp_path / "conv.npt"
-        npt_from_trace_dict(trace, path)
-        json_stream = stream_windows(TraceWorkload(trace, loop=False))
-        npt_stream = stream_windows(ReplayWorkload.from_file(path))
-        assert_streams_equal(json_stream, npt_stream)
-
-    def test_tracefile_from_file_dispatches_npt(self, tmp_path):
-        path = tmp_path / "t.npt"
-        record_to_file(small_workload(), path)
-        loaded = TraceWorkload.from_file(path, loop=False)
-        assert isinstance(loaded, ReplayWorkload)
 
 
 class TestReplayWorkload:
@@ -366,7 +341,7 @@ class TestNextWindows:
 
 
 class TestRunnerIntegration:
-    def _requests(self, replay):
+    def _requests(self):
         from repro.exp.spec import PolicySpec, RunRequest, WorkloadSpec
 
         return [
@@ -376,32 +351,29 @@ class TestRunnerIntegration:
                 ratio="1:4",
                 seed=0,
                 config=MachineConfig(),
-                replay=replay,
             )
             for policy in ("PACT", "NoTier")
         ]
 
     def test_replay_on_and_off_give_identical_results(self):
+        # The runner replays every request; an engine-level run of the
+        # live workload is the reference it must match bit for bit.
         from repro.exp.runner import run_requests
         from repro.workloads import tracestore
 
         tracestore.reset_default_trace_store()
         try:
-            live = run_requests(self._requests(replay=False), use_cache=False)
-            replayed = run_requests(self._requests(replay=True), use_cache=False)
-            for req_live, req_replay in zip(
-                self._requests(False), self._requests(True)
-            ):
-                a = result_to_dict(live.result(req_live))
-                b = result_to_dict(replayed.result(req_replay))
+            replayed = run_requests(self._requests(), use_cache=False)
+            for req in self._requests():
+                live = run_policy(
+                    small_workload(), req.policy.build(), ratio=req.ratio,
+                    config=MachineConfig(), seed=req.seed,
+                )
+                a = result_to_dict(live)
+                b = result_to_dict(replayed.result(req))
                 assert canonical(a) == canonical(b)
         finally:
             tracestore.reset_default_trace_store()
-
-    def test_replay_flag_does_not_change_cache_key(self):
-        on, off = self._requests(True)[0], self._requests(False)[0]
-        assert on.key == off.key
-        assert content_hash(on.fingerprint()) == content_hash(off.fingerprint())
 
     def test_trace_path_attached_when_store_is_disk_backed(self, tmp_path):
         from repro.exp.runner import _prepare_replay
@@ -409,7 +381,7 @@ class TestRunnerIntegration:
 
         previous = tracestore.set_default_trace_store(tracestore.TraceStore(tmp_path))
         try:
-            requests = self._requests(replay=True)
+            requests = self._requests()
             _prepare_replay(requests)
             paths = {req.trace_path for req in requests}
             assert len(paths) == 1  # one stream serves both policies
@@ -417,21 +389,6 @@ class TestRunnerIntegration:
             assert path is not None and path.endswith(".npt")
         finally:
             tracestore.set_default_trace_store(previous)
-
-    def test_replay_override_tristate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_REPLAY", raising=False)
-        previous = set_replay_override(None)
-        try:
-            assert replay_enabled()
-            monkeypatch.setenv("REPRO_NO_REPLAY", "1")
-            assert not replay_enabled()
-            set_replay_override(True)
-            assert replay_enabled()
-            set_replay_override(False)
-            monkeypatch.delenv("REPRO_NO_REPLAY", raising=False)
-            assert not replay_enabled()
-        finally:
-            set_replay_override(previous)
 
 
 class TestUnpicklableWarning:
@@ -447,7 +404,6 @@ class TestUnpicklableWarning:
                 policy=PolicySpec(name=policy),
                 ratio="1:4",
                 seed=0,
-                replay=False,
             )
             for policy in ("PACT", "NoTier")
         ]
