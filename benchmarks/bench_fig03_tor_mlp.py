@@ -40,7 +40,7 @@ class _MlpProbe(TieringPolicy):
         machine = self._machine_getter()
         self.tor_mlp.append(obs.tor_mlp[Tier.SLOW])
         duration_ns = obs.window_cycles / machine.config.freq_ghz
-        slow_bytes = obs.perf.bytes.get(Tier.SLOW, 0.0)
+        slow_bytes = obs.perf.bytes[Tier.SLOW]
         self.littles.append(
             littles_law_mlp(slow_bytes, machine.config.slow_spec.latency_ns, duration_ns)
         )

@@ -33,10 +33,9 @@ class AltoPolicy(ColloidPolicy):
         # offcore counter would report it.
         total = 0.0
         weighted = 0.0
-        for tier in obs.tor_mlp:
-            misses = obs.perf.llc_misses.get(tier, 0.0)
+        for misses, mlp in zip(obs.perf.llc_misses, obs.tor_mlp):
             total += misses
-            weighted += misses * obs.tor_mlp.get(tier, 1.0)
+            weighted += misses * mlp
         mlp = weighted / total if total > 0 else 1.0
         throttle = max(min(self.mlp_reference / mlp, 1.0), self.min_throttle)
         self.gain = self._base_gain * throttle

@@ -44,8 +44,7 @@ class ColloidPolicy(TieringPolicy):
         On more than two tiers "slow" is the miss-weighted loaded
         latency of every tier below tier 0.
         """
-        lat = obs.perf.effective_latency_cycles
-        fast = lat.get(Tier.FAST, 0.0)
+        fast = obs.perf.effective_latency_cycles[Tier.FAST]
         slow = obs.lower_latency_cycles()
         if fast <= 0.0:
             return 0.0

@@ -277,13 +277,8 @@ def cmd_run(args, out) -> int:
         rows.append(["slow-tier LLC misses", format_count(result.tier_misses[Tier.SLOW])])
         rows.append(["fast-tier LLC misses", format_count(result.tier_misses[Tier.FAST])])
     else:
-        for tier in sorted(result.tier_misses, key=int):
-            rows.append(
-                [
-                    f"{tier_label(int(tier)).lower()} LLC misses",
-                    format_count(result.tier_misses[tier]),
-                ]
-            )
+        for tier, misses in sorted(result.tier_misses.items()):
+            rows.append([f"{tier_label(tier).lower()} LLC misses", format_count(misses)])
     print(f"{args.workload} under {args.policy} at {args.ratio}:", file=out)
     print(format_table(["metric", "value"], rows), file=out)
     return 0

@@ -44,7 +44,7 @@ class _CounterProbe(TieringPolicy):
     needs_pebs = False
     needs_touched_pages = False
 
-    def __init__(self, tier: Tier):
+    def __init__(self, tier: int):
         self.tier = tier
         self.points: List[CalibrationPoint] = []
         self._workload_name = ""
@@ -53,14 +53,14 @@ class _CounterProbe(TieringPolicy):
         self._workload_name = machine.workload.name
 
     def observe(self, obs: Observation) -> Decision:
-        misses = obs.perf.llc_misses.get(self.tier, 0.0)
+        misses = obs.perf.llc_misses[self.tier]
         if misses > 0:
             self.points.append(
                 CalibrationPoint(
                     workload=self._workload_name,
                     llc_misses=misses,
-                    mlp=obs.tor_mlp.get(self.tier, 1.0),
-                    stall_cycles=obs.perf.stall_cycles.get(self.tier, 0.0),
+                    mlp=obs.tor_mlp[self.tier],
+                    stall_cycles=obs.perf.stall_cycles[self.tier],
                 )
             )
         return Decision.none()
@@ -69,7 +69,7 @@ class _CounterProbe(TieringPolicy):
 def collect_points(
     workloads: Sequence[Workload],
     config: Optional[MachineConfig] = None,
-    tier: Tier = Tier.SLOW,
+    tier: int = Tier.SLOW,
     max_windows_each: int = 30,
     seed: int = 0,
 ) -> List[CalibrationPoint]:
@@ -94,7 +94,7 @@ def collect_points(
 def calibrate_k(
     workloads: Sequence[Workload],
     config: Optional[MachineConfig] = None,
-    tier: Tier = Tier.SLOW,
+    tier: int = Tier.SLOW,
     max_windows_each: int = 30,
     seed: int = 0,
 ) -> PacModelCoefficients:

@@ -90,10 +90,10 @@ class PacSampler:
         # "Slow" aggregates every tier below tier 0 (one term on the
         # default pair; per-tier adds in nearest-first order beyond).
         for tier in obs.lower_tiers:
-            acc.slow_misses += obs.perf.llc_misses.get(tier, 0.0)
-            acc.tor_occupancy += obs.tor_occupancy_delta.get(tier, 0.0)
-            acc.tor_busy += obs.tor_busy_delta.get(tier, 0.0)
-            acc.slow_bytes += obs.perf.bytes.get(tier, 0.0)
+            acc.slow_misses += obs.perf.llc_misses[tier]
+            acc.tor_occupancy += obs.tor_occupancy_delta[tier]
+            acc.tor_busy += obs.tor_busy_delta[tier]
+            acc.slow_bytes += obs.perf.bytes[tier]
         acc.cycles += obs.window_cycles
         if obs.pebs.pages.size:
             acc.pages.append(obs.pebs.pages)

@@ -16,28 +16,29 @@ latency, so a share of ``m`` misses at latency ``L`` and parallelism
 ``mlp`` contributes ``m * L`` occupancy-cycles and ``m * L / mlp`` busy
 cycles.  Multiplicative measurement noise (keyed per (group, tier) cell,
 :mod:`repro.hw.substream`) is applied so the estimation pipeline
-downstream is exercised with realistic counter jitter.
+downstream is exercised with realistic counter jitter.  Per-tier
+counters are lists indexed by tier code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.common.units import CACHE_LINE_SIZE
 from repro.hw.stall import ShareBatch
-from repro.mem.page import Tier, tier_key
+
 
 @dataclass
 class TorSnapshot:
-    """Cumulative (T1, T2) values per tier at one instant."""
+    """Cumulative (T1, T2) values per tier at one instant, by tier code."""
 
-    occupancy: Dict[Tier, float]
-    busy_cycles: Dict[Tier, float]
+    occupancy: List[float]
+    busy_cycles: List[float]
 
-    def mlp_since(self, earlier: "TorSnapshot", tier: Tier) -> float:
+    def mlp_since(self, earlier: "TorSnapshot", tier: int) -> float:
         """Per-tier MLP from counter deltas (Algorithm 1, line 1)."""
         d_occ = self.occupancy[tier] - earlier.occupancy[tier]
         d_busy = self.busy_cycles[tier] - earlier.busy_cycles[tier]
@@ -50,9 +51,8 @@ class ChaTorCounters:
     """Cumulative TOR occupancy counters, one pair per tier."""
 
     def __init__(self, num_tiers: int = 2):
-        tiers = [tier_key(t) for t in range(num_tiers)]
-        self._occupancy = {t: 0.0 for t in tiers}
-        self._busy = {t: 0.0 for t in tiers}
+        self._occupancy = [0.0] * num_tiers
+        self._busy = [0.0] * num_tiers
 
     def advance(self, batch: ShareBatch, jitter: Optional[np.ndarray] = None) -> None:
         """Account one window's traffic into the cumulative counters.
@@ -77,15 +77,15 @@ class ChaTorCounters:
         if jitter is not None:
             occ = occ * jitter[:, 0]
             busy = busy * jitter[:, 1]
-        tiers = batch.tiers
+        codes = batch.tier_codes[:n].tolist()
         for i in range(n):
-            tier = tiers[i]
+            tier = codes[i]
             self._occupancy[tier] += float(occ[i])
             self._busy[tier] += float(busy[i])
 
     def read(self) -> TorSnapshot:
         """Snapshot the cumulative counters (as perf would read them)."""
-        return TorSnapshot(occupancy=dict(self._occupancy), busy_cycles=dict(self._busy))
+        return TorSnapshot(occupancy=list(self._occupancy), busy_cycles=list(self._busy))
 
 
 def littles_law_mlp(bytes_on_link: float, latency_ns: float, duration_ns: float) -> float:

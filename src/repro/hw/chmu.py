@@ -53,7 +53,7 @@ class ChmuSampler:
         hotlist_size: int = 2_048,
         epoch_windows: int = 1,
         readout_cycles: float = DEFAULT_READOUT_CYCLES,
-        tier: Tier = Tier.SLOW,
+        tier: int = Tier.SLOW,
     ):
         if hotlist_size <= 0:
             raise ValueError("hotlist must hold at least one entry")

@@ -282,9 +282,10 @@ class StaticSource:
 
         The extra inputs are provably zero every window of a run that
         has outcomes; they are checked anyway, so that a surprise
-        carry-over falls back to a live solve.
+        carry-over falls back to a live solve.  ``extra_bytes`` is one
+        entry per tier, so "none" means every entry is zero.
         """
-        if self.outcomes is not None and extra_cycles == 0.0 and not extra_bytes:
+        if self.outcomes is not None and extra_cycles == 0.0 and not any(extra_bytes):
             return self.outcomes[window]
         return None
 

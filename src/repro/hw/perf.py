@@ -3,61 +3,61 @@
 This registry exposes exactly the signals a tiering policy can read on
 real hardware: cumulative LLC misses per tier, aggregate stall cycles,
 elapsed cycles, and per-tier byte traffic (for occupancy-derived latency
-signals a la Colloid).  Like :mod:`repro.hw.cha`, reads carry small
-multiplicative noise -- one keyed (miss, stall) factor pair per tier
-and window (:mod:`repro.hw.substream`) -- so estimators downstream are
-stressed realistically.
+signals a la Colloid).  Per-tier counters are lists indexed by tier
+code.  Like :mod:`repro.hw.cha`, reads carry small multiplicative
+noise -- one keyed (miss, stall) factor pair per tier and window
+(:mod:`repro.hw.substream`) -- so estimators downstream are stressed
+realistically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.hw.stall import WindowHardware
-from repro.mem.page import Tier, tier_key
 
 
 @dataclass
 class PerfSnapshot:
-    """Cumulative counter values at one instant."""
+    """Cumulative counter values at one instant, per tier by tier code."""
 
     cycles: float = 0.0
-    llc_misses: Dict[Tier, float] = field(default_factory=dict)
-    stall_cycles: Dict[Tier, float] = field(default_factory=dict)
-    bytes: Dict[Tier, float] = field(default_factory=dict)
-    effective_latency_cycles: Dict[Tier, float] = field(default_factory=dict)
+    llc_misses: List[float] = field(default_factory=list)
+    stall_cycles: List[float] = field(default_factory=list)
+    bytes: List[float] = field(default_factory=list)
+    effective_latency_cycles: List[float] = field(default_factory=list)
 
     def delta(self, earlier: "PerfSnapshot") -> "PerfDelta":
         return PerfDelta(
             cycles=self.cycles - earlier.cycles,
-            llc_misses={t: self.llc_misses[t] - earlier.llc_misses.get(t, 0.0) for t in self.llc_misses},
-            stall_cycles={t: self.stall_cycles[t] - earlier.stall_cycles.get(t, 0.0) for t in self.stall_cycles},
-            bytes={t: self.bytes[t] - earlier.bytes.get(t, 0.0) for t in self.bytes},
-            effective_latency_cycles=dict(self.effective_latency_cycles),
+            llc_misses=[a - b for a, b in zip(self.llc_misses, earlier.llc_misses)],
+            stall_cycles=[a - b for a, b in zip(self.stall_cycles, earlier.stall_cycles)],
+            bytes=[a - b for a, b in zip(self.bytes, earlier.bytes)],
+            effective_latency_cycles=list(self.effective_latency_cycles),
         )
 
 
 @dataclass
 class PerfDelta:
-    """Counter deltas over one observation interval."""
+    """Counter deltas over one observation interval, per tier by tier code."""
 
     cycles: float
-    llc_misses: Dict[Tier, float]
-    stall_cycles: Dict[Tier, float]
-    bytes: Dict[Tier, float]
+    llc_misses: List[float]
+    stall_cycles: List[float]
+    bytes: List[float]
     #: Last-observed loaded latency per tier (occupancy-derived signal).
-    effective_latency_cycles: Dict[Tier, float]
+    effective_latency_cycles: List[float]
 
     @property
     def total_llc_misses(self) -> float:
-        return sum(self.llc_misses.values())
+        return sum(self.llc_misses)
 
     @property
     def total_stall_cycles(self) -> float:
-        return sum(self.stall_cycles.values())
+        return sum(self.stall_cycles)
 
 
 class PerfCounters:
@@ -65,11 +65,10 @@ class PerfCounters:
 
     def __init__(self, num_tiers: int = 2):
         self._cycles = 0.0
-        tiers = [tier_key(t) for t in range(num_tiers)]
-        self._llc_misses = {t: 0.0 for t in tiers}
-        self._stalls = {t: 0.0 for t in tiers}
-        self._bytes = {t: 0.0 for t in tiers}
-        self._latency = {t: 0.0 for t in tiers}
+        self._llc_misses = [0.0] * num_tiers
+        self._stalls = [0.0] * num_tiers
+        self._bytes = [0.0] * num_tiers
+        self._latency = [0.0] * num_tiers
 
     def advance(self, outcome: WindowHardware, jitter: Optional[np.ndarray] = None) -> None:
         """Account one solved window into the cumulative counters.
@@ -80,24 +79,22 @@ class PerfCounters:
         (:class:`repro.hw.substream.KeyedJitter`).
         """
         self._cycles += outcome.duration_cycles
-        k = 0
-        for tier, load in outcome.tier_loads.items():
+        for tier, load in enumerate(outcome.tier_loads):
             misses = load.misses
             stalls = load.stall_cycles
             if jitter is not None:
-                misses *= float(jitter[k])
-                stalls *= float(jitter[k + 1])
+                misses *= float(jitter[2 * tier])
+                stalls *= float(jitter[2 * tier + 1])
             self._llc_misses[tier] += misses
             self._stalls[tier] += stalls
             self._bytes[tier] += load.bytes
             self._latency[tier] = load.effective_latency_cycles
-            k += 2
 
     def read(self) -> PerfSnapshot:
         return PerfSnapshot(
             cycles=self._cycles,
-            llc_misses=dict(self._llc_misses),
-            stall_cycles=dict(self._stalls),
-            bytes=dict(self._bytes),
-            effective_latency_cycles=dict(self._latency),
+            llc_misses=list(self._llc_misses),
+            stall_cycles=list(self._stalls),
+            bytes=list(self._bytes),
+            effective_latency_cycles=list(self._latency),
         )

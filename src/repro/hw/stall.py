@@ -33,13 +33,12 @@ that the tests validate against this ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.common.units import CACHE_LINE_SIZE, CPU_FREQ_GHZ, TierSpec, ns_to_cycles
 from repro.hw.access import AccessGroup
-from repro.mem.page import Tier, tier_key
 
 #: Demand-miss traffic is accompanied by prefetch traffic; this factor
 #: scales miss bytes to total bytes on the memory link.
@@ -62,9 +61,10 @@ class ShareBatch:
     come in group traffic order, and within a group in tier order
     (empty cells skipped), so every consumer that walks rows front to
     back sees one fixed iteration order -- and therefore one float
-    summation order.  A batch carries per-row totals only: consumers
-    that need the window's pages (the PEBS merge, the CHMU sampler)
-    read the trace entries and their tiers directly.
+    summation order.  ``tier_codes`` names each row's tier by its code,
+    the index of every per-tier list.  A batch carries per-row totals
+    only: consumers that need the window's pages (the PEBS merge, the
+    CHMU sampler) read the trace entries and their tiers directly.
 
     The column arrays of a batch from ``split_groups`` are scratch owned
     by the :class:`StallModel` that built it: such a batch is only valid
@@ -76,7 +76,6 @@ class ShareBatch:
         "num_tiers",
         "group_index",
         "tier_codes",
-        "tiers",
         "mlp",
         "load_fraction",
         "misses",
@@ -104,9 +103,6 @@ class ShareBatch:
         self.num_tiers = num_tiers
         self.group_index = group_index
         self.tier_codes = tier_codes
-        #: Per-row tier keys (:class:`Tier` enums for tiers 0/1, plain
-        #: ints beyond -- consumers key dicts by tier).
-        self.tiers = [tier_key(int(c)) for c in tier_codes]
         self.mlp = mlp
         self.load_fraction = load_fraction
         #: Per-row total miss count (precomputed once per window).
@@ -115,7 +111,7 @@ class ShareBatch:
         self.labels = labels
         #: Filled by the solver: per-row stall cycles per miss.
         self.unit_stall_cycles = unit_stall_cycles
-        #: Per-tier miss totals, indexed by ``int(tier)``.
+        #: Per-tier miss totals, indexed by tier code.
         if tier_misses is None:
             tier_misses = tuple(
                 int(misses[tier_codes == code].sum()) for code in range(num_tiers)
@@ -127,7 +123,8 @@ class ShareBatch:
 class TierLoad:
     """Aggregate per-tier outcome of one window."""
 
-    tier: Tier
+    #: Tier code (0 = fastest).
+    tier: int
     misses: int = 0
     bytes: float = 0.0
     stall_cycles: float = 0.0
@@ -142,13 +139,14 @@ class WindowHardware:
     """Full ground-truth outcome of one simulated window."""
 
     shares: ShareBatch
-    tier_loads: Dict[Tier, TierLoad]
+    #: One load per tier, indexed by tier code.
+    tier_loads: List[TierLoad]
     compute_cycles: float
     duration_cycles: float
 
     @property
     def total_stall_cycles(self) -> float:
-        return sum(load.stall_cycles for load in self.tier_loads.values())
+        return sum(load.stall_cycles for load in self.tier_loads)
 
 
 class StallModel:
@@ -156,21 +154,14 @@ class StallModel:
 
     def __init__(
         self,
-        fast_spec: Union[TierSpec, Sequence[TierSpec]],
-        slow_spec: Optional[TierSpec] = None,
+        specs: Sequence[TierSpec],
         freq_ghz: float = CPU_FREQ_GHZ,
         prefetch_traffic_factor: float = DEFAULT_PREFETCH_TRAFFIC_FACTOR,
         obs=None,
     ):
-        # Either the legacy (fast_spec, slow_spec) pair or an ordered
-        # spec sequence for an N-tier topology as the first argument.
-        if isinstance(fast_spec, (list, tuple)):
-            specs = list(fast_spec)
-        else:
-            specs = [fast_spec, slow_spec]
-        #: Per-tier specs, indexed by tier code (Tier enums work too).
-        self.spec: List[TierSpec] = specs
-        self.num_tiers = len(specs)
+        #: Per-tier specs, fastest first, indexed by tier code.
+        self.spec: List[TierSpec] = list(specs)
+        self.num_tiers = len(self.spec)
         self.freq_ghz = freq_ghz
         self.prefetch_traffic_factor = prefetch_traffic_factor
         #: Optional :class:`repro.obs.Observability` sink for the
@@ -335,13 +326,14 @@ class StallModel:
         self,
         shares: ShareBatch,
         compute_cycles: float,
-        extra_bytes: Optional[Dict[Tier, float]] = None,
+        extra_bytes: Optional[Sequence[float]] = None,
         extra_cycles: float = 0.0,
     ) -> WindowHardware:
         """Fixed-point solve of stalls, contention, and window duration.
 
-        ``extra_bytes`` injects link traffic that produces no CPU stalls
-        for the observed application (MLC contenders, migration copies).
+        ``extra_bytes`` (one entry per tier, None for none) injects link
+        traffic that produces no CPU stalls for the observed application
+        (MLC contenders, migration copies).
         ``extra_cycles`` extends the duration without stalls (sampling /
         migration overheads charged to the window).
         """
@@ -358,7 +350,7 @@ class StallModel:
         self,
         batches: Sequence[ShareBatch],
         compute_cycles: Sequence[float],
-        extra_bytes_list: Sequence[Optional[Dict[Tier, float]]],
+        extra_bytes_list: Sequence[Optional[Sequence[float]]],
         extra_cycles_list: Sequence[float],
     ) -> List[WindowHardware]:
         """Solve ``R`` independent windows in one call.
@@ -379,7 +371,7 @@ class StallModel:
         self,
         batches: Sequence[ShareBatch],
         compute_cycles: Sequence[float],
-        extra_bytes_list: Sequence[Optional[Dict[Tier, float]]],
+        extra_bytes_list: Sequence[Optional[Sequence[float]]],
         extra_cycles_list: Sequence[float],
     ) -> "tuple[List[WindowHardware], List[float]]":
         """The damped fixed point of R independent windows, as Python floats.
@@ -397,20 +389,18 @@ class StallModel:
         """
         T = self.num_tiers
         freq = self.freq_ghz
-        tiers = [tier_key(t) for t in range(T)]
+        no_extra = [0.0] * T
         bandwidth = [spec.bytes_per_ns() for spec in self.spec]
         unloaded = [ns_to_cycles(spec.latency_ns, freq) for spec in self.spec]
         traffic_factor = 1.0 + self.prefetch_traffic_factor
         outcomes: List[WindowHardware] = []
         residuals: List[float] = []
         for r, batch in enumerate(batches):
-            extra_bytes = extra_bytes_list[r] or {}
-            loads = [
-                TierLoad(tier=tier, misses=batch.tier_misses[t]) for t, tier in enumerate(tiers)
-            ]
-            for load in loads:
+            extra_bytes = extra_bytes_list[r] or no_extra
+            loads = [TierLoad(tier=t, misses=batch.tier_misses[t]) for t in range(T)]
+            for t, load in enumerate(loads):
                 load.bytes = load.misses * CACHE_LINE_SIZE * traffic_factor
-                load.bytes += float(extra_bytes.get(load.tier, 0.0))
+                load.bytes += float(extra_bytes[t])
             n = batch.n
             codes = batch.tier_codes[:n].tolist()
             mlp = batch.mlp[:n].tolist()
@@ -454,7 +444,7 @@ class StallModel:
             outcomes.append(
                 WindowHardware(
                     shares=batch,
-                    tier_loads=dict(zip(tiers, loads)),
+                    tier_loads=loads,
                     compute_cycles=compute_cycles[r],
                     duration_cycles=duration,
                 )

@@ -17,13 +17,14 @@ from repro.common.units import PAGES_PER_HUGE_PAGE
 
 
 class Tier(IntEnum):
-    """The two canonical tier indices of the default DRAM/CXL pair.
+    """Names for the two canonical tier codes of the default DRAM/CXL pair.
 
-    Tier indices are plain integers ordered fast-to-slow; the enum names
-    the first two so existing two-tier code (and serialised results)
-    keep their FAST/SLOW vocabulary.  N-tier topologies address tiers
-    beyond index 1 as bare ints -- ``IntEnum`` hashes and compares as
-    its value, so enum and int keys interoperate in dicts and arrays.
+    A tier code is a plain int, 0 the fastest tier; every per-tier
+    quantity in the simulator is a list indexed by code.  ``FAST`` and
+    ``SLOW`` name codes 0 and 1 -- an ``IntEnum`` indexes lists and
+    compares, hashes and keys dicts exactly as its value -- and deeper
+    tiers have no name.  Names become strings only at serialisation
+    (:func:`tier_label`).
     """
 
     FAST = 0
@@ -34,31 +35,18 @@ class Tier(IntEnum):
 UNALLOCATED = -1
 
 
-def tier_key(index: int):
-    """Canonical dict/list key for a tier index.
-
-    Indices 0 and 1 map to the :class:`Tier` enums (so two-tier
-    consumers and serialisers see exactly the objects they always did);
-    deeper tiers stay plain ints.
-    """
-    index = int(index)
-    if 0 <= index <= 1:
-        return Tier(index)
-    return index
-
-
 def tier_label(index: int) -> str:
-    """Stable serialisation label for a tier index (``FAST``/``SLOW``/``TIER2``...)."""
+    """Stable serialisation label for a tier code (``FAST``/``SLOW``/``TIER2``...)."""
     index = int(index)
     if 0 <= index <= 1:
         return Tier(index).name
     return f"TIER{index}"
 
 
-def tier_from_label(label: str):
-    """Inverse of :func:`tier_label`."""
+def tier_from_label(label: str) -> int:
+    """Inverse of :func:`tier_label`: the tier code."""
     if label in Tier.__members__:
-        return Tier[label]
+        return int(Tier[label])
     if label.startswith("TIER"):
         return int(label[4:])
     raise ValueError(f"unknown tier label {label!r}")

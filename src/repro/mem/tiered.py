@@ -23,9 +23,8 @@ replace (same sorted page arrays, same ``np.mean`` reduction); setting
 ``REPRO_DEBUG_ACCOUNTING=1`` cross-checks every mutation against a
 from-scratch scan.
 
-The two-tier constructor signature (``fast_capacity_pages`` /
-``slow_capacity_pages`` / ``fast_spec`` / ``slow_spec``) is preserved
-verbatim, and every operation reduces to the exact pre-tier-graph
+Tiers are named by code (0 the fastest), and per-tier state is a list
+indexed by code.  Every operation reduces to the exact pre-tier-graph
 arithmetic when two tiers are configured -- the golden digests pin this.
 """
 
@@ -59,22 +58,13 @@ class TieredMemory:
     def __init__(
         self,
         footprint_pages: int,
-        fast_capacity_pages: Optional[int] = None,
-        slow_capacity_pages: Optional[int] = None,
-        fast_spec: Optional[TierSpec] = None,
-        slow_spec: Optional[TierSpec] = None,
-        debug_accounting: Optional[bool] = None,
-        *,
-        capacities: Optional[Sequence[int]] = None,
-        specs: Optional[Sequence[TierSpec]] = None,
+        capacities: Sequence[int],
+        specs: Sequence[TierSpec],
         page_frame_costs: Optional[Sequence[Optional[np.ndarray]]] = None,
+        debug_accounting: Optional[bool] = None,
     ):
         if footprint_pages <= 0:
             raise ValueError("footprint must be positive")
-        if capacities is None:
-            # Legacy two-tier construction.
-            capacities = [fast_capacity_pages, slow_capacity_pages]
-            specs = [fast_spec, slow_spec]
         capacities = [int(c) for c in capacities]
         specs = list(specs)
         if len(capacities) < 2 or len(capacities) != len(specs):
@@ -151,7 +141,7 @@ class TieredMemory:
         """Tier indices, fastest first."""
         return range(self.num_tiers)
 
-    def free_pages(self, tier: Tier) -> int:
+    def free_pages(self, tier: int) -> int:
         """Whole pages the tier can still admit.
 
         Exact for uncompressed tiers.  For a compressed tier this is a
@@ -163,13 +153,13 @@ class TieredMemory:
             return self.capacity[tier] - self.used[tier]
         return int(np.floor(self.capacity[tier] - self._frames_used[tier]))
 
-    def frames_used(self, tier: Tier) -> float:
+    def frames_used(self, tier: int) -> float:
         """Physical frames occupied in ``tier`` (== pages when uncompressed)."""
         if self._page_frame_cost[tier] is None:
             return float(self.used[tier])
         return self._frames_used[tier]
 
-    def occupancy_fraction(self, tier: Tier) -> float:
+    def occupancy_fraction(self, tier: int) -> float:
         """Fraction of the tier's physical frames in use."""
         cap = self.capacity[tier]
         return self.frames_used(tier) / cap if cap > 0 else 0.0
@@ -190,7 +180,7 @@ class TieredMemory:
         """Placement of each page id (UNALLOCATED for untouched pages)."""
         return self.placement[np.asarray(pages, dtype=np.int64)]
 
-    def pages_in_tier(self, tier: Tier) -> np.ndarray:
+    def pages_in_tier(self, tier: int) -> np.ndarray:
         """All page ids currently resident in ``tier`` (sorted ascending).
 
         Served from a generation-stamped cache: the placement array is
@@ -206,14 +196,14 @@ class TieredMemory:
         self._resident_cache[tier] = (self._placement_gen, pages)
         return pages
 
-    def resident_fraction(self, tier: Tier) -> float:
+    def resident_fraction(self, tier: int) -> float:
         """Fraction of the allocated footprint resident in ``tier``."""
         allocated = sum(self.used)
         if allocated == 0:
             return 0.0
         return self.used[tier] / allocated
 
-    def activity_sum(self, tier: Tier) -> float:
+    def activity_sum(self, tier: int) -> float:
         """Per-tier sum of the tier's resident-page activity.
 
         Maintained incrementally by the migration mutators and
@@ -260,7 +250,7 @@ class TieredMemory:
             self._frames_used[tier] += sign * float(cost[pages].sum())
 
     def allocate_first_touch(
-        self, pages: np.ndarray, prefer: Tier = Tier.FAST
+        self, pages: np.ndarray, prefer: int = Tier.FAST
     ) -> "tuple[int, int]":
         """Allocate any unallocated pages, filling ``prefer`` first.
 
@@ -345,7 +335,7 @@ class TieredMemory:
             self._last_decay_window = window
             self._activity_gen += 1
 
-    def mean_activity(self, tier: Tier) -> float:
+    def mean_activity(self, tier: int) -> float:
         """Average access intensity of the tier's resident pages.
 
         Computed over the cached resident array with the same ``np.mean``
@@ -364,7 +354,7 @@ class TieredMemory:
 
     # -- migration primitives -------------------------------------------------
 
-    def move(self, pages: np.ndarray, dst: Tier, src: Tier) -> np.ndarray:
+    def move(self, pages: np.ndarray, dst: int, src: int) -> np.ndarray:
         """Move the ``pages`` resident in ``src`` to ``dst``; returns pages moved.
 
         One migration hop, planned on an overlay and committed with
@@ -429,7 +419,7 @@ class TieredMemory:
 
     def lru_victims(
         self,
-        tier: Tier,
+        tier: int,
         count: int,
         protect: Optional[np.ndarray] = None,
         max_activity: Optional[float] = None,
@@ -461,7 +451,7 @@ class TieredMemory:
     def select_victims(
         self,
         resident: np.ndarray,
-        tier: Tier,
+        tier: int,
         count: int,
         protect: Optional[np.ndarray] = None,
         max_activity: Optional[float] = None,

@@ -25,7 +25,11 @@ from repro.mem.topology import TierTopology
 PAPER_RATIOS = ("8:1", "4:1", "2:1", "1:1", "1:2", "1:4", "1:8")
 
 def _split_ratio(ratio: str) -> List[float]:
-    """Raw (unnormalised) parts of a colon-separated ratio string."""
+    """Raw (unnormalised) parts of a colon-separated ratio string.
+
+    Middle parts may be zero ("1:0:4" expresses an empty intermediate
+    tier); the endpoints must be real tiers.
+    """
     try:
         parts = [float(p) for p in ratio.split(":")]
     except (ValueError, AttributeError):
@@ -34,18 +38,10 @@ def _split_ratio(ratio: str) -> List[float]:
         raise ValueError(f"ratio must look like '1:4', got {ratio!r}")
     if not all(math.isfinite(p) for p in parts):
         raise ValueError(f"ratio parts must be finite, got {ratio!r}")
-    if len(parts) == 2:
-        # Exact historical two-tier contract: both parts strictly positive.
-        if parts[0] <= 0 or parts[1] <= 0:
-            raise ValueError("ratio parts must be positive")
-    else:
-        # N-part ratios allow zero-capacity *middle* tiers ("1:0:4"
-        # expresses an empty intermediate tier); the endpoints must
-        # still be real tiers.
-        if any(p < 0 for p in parts):
-            raise ValueError("ratio parts must be positive")
-        if parts[0] <= 0 or parts[-1] <= 0:
-            raise ValueError("first and last ratio parts must be positive")
+    if any(p < 0 for p in parts):
+        raise ValueError("ratio parts must be positive")
+    if parts[0] <= 0 or parts[-1] <= 0:
+        raise ValueError("first and last ratio parts must be positive")
     return parts
 
 
@@ -53,8 +49,6 @@ def parse_ratio_parts(ratio: str) -> List[float]:
     """Per-tier capacity fractions for an N-part ratio string.
 
     ``"1:4"`` -> ``[0.2, 0.8]``; ``"1:4:16"`` -> ``[1/21, 4/21, 16/21]``.
-    Two-part strings keep the exact historical parse (same rejection of
-    non-finite and non-positive parts, same float arithmetic).
     """
     parts = _split_ratio(ratio)
     total = 0.0
@@ -151,31 +145,21 @@ class MachineConfig:
             return [self.fast_spec, self.slow_spec]
         return self.topology.effective_specs()
 
-    def fast_capacity(self, footprint_pages: int, ratio: str) -> int:
-        """Fast-tier capacity in pages for a paper-style ratio string."""
-        frac = parse_ratio(ratio)
-        return max(int(math.ceil(footprint_pages * frac)), 1)
-
     def slow_capacity(self, footprint_pages: int) -> int:
         return int(math.ceil(footprint_pages * max(self.slow_slack, 1.0)))
 
     def tier_capacities(self, footprint_pages: int, ratio: str) -> "List[int]":
         """Per-tier capacities in pages for a ratio string.
 
-        Mirrors the two-tier contract exactly: tier 0 takes its ratio
-        fraction (at least one page), the bottom tier always holds the
-        whole footprint scaled by ``slow_slack``.  Intermediate tiers
-        take their ratio fractions and may be zero-capacity.  A ratio
-        with fewer parts than tiers is padded by repeating its last
-        part ("1:4" on three tiers reads as "1:4:4"), so two-tier ratio
-        strings remain usable on any topology.
+        Tier 0 takes its ratio fraction (at least one page), the bottom
+        tier always holds the whole footprint scaled by ``slow_slack``.
+        Intermediate tiers take their ratio fractions and may be
+        zero-capacity.  A ratio with fewer parts than tiers is padded by
+        repeating its last part ("1:4" on three tiers reads as "1:4:4"),
+        so two-tier ratio strings remain usable on any topology; one
+        with more parts than tiers is rejected.
         """
         n = self.num_tiers
-        if n == 2:
-            return [
-                self.fast_capacity(footprint_pages, ratio),
-                self.slow_capacity(footprint_pages),
-            ]
         parts = _split_ratio(ratio)
         if len(parts) > n:
             raise ValueError(

@@ -34,7 +34,7 @@ from repro.hw.perf import PerfCounters
 from repro.hw.stall import StallModel
 from repro.hw.substream import KeyedJitter
 from repro.obs import Observability, resolve as resolve_obs
-from repro.mem.page import Tier, tier_key
+from repro.mem.page import Tier
 from repro.mem.tiered import TieredMemory
 from repro.sim.config import MachineConfig
 from repro.sim.metrics import RunResult
@@ -91,8 +91,11 @@ class Machine:
         specs = [specs[i] for i in keep]
         costs = [costs[i] for i in keep]
         self.num_tiers = len(caps)
-        #: Ordered tier keys (Tier enums for tiers 0/1, ints beyond).
-        self.tiers = tuple(tier_key(t) for t in range(self.num_tiers))
+        if contender is not None and not 0 <= contender.tier < self.num_tiers:
+            raise ValueError(
+                f"contender pinned to tier {int(contender.tier)}, but the machine "
+                f"has tiers 0..{self.num_tiers - 1}"
+            )
         self.memory = TieredMemory(
             footprint_pages=footprint,
             capacities=caps,
@@ -117,7 +120,7 @@ class Machine:
             self.pebs = PebsSampler(
                 seed=seed,
                 rate=self.config.pebs_rate,
-                sampled_codes=[int(t) for t in self._pebs_tiers()],
+                sampled_codes=range(0 if policy.sample_fast_tier else 1, self.num_tiers),
                 num_tiers=self.num_tiers,
                 report_latency=policy.wants_pebs_latency,
             )
@@ -126,7 +129,8 @@ class Machine:
         )
 
         self._pending_overhead_cycles = 0.0
-        self._pending_bytes: Dict[Tier, float] = {}
+        #: Link bytes carried into the next window, by tier code.
+        self._pending_bytes = [0.0] * self.num_tiers
         self._last_duration = _INITIAL_WINDOW_CYCLES
         self._last_perf = self.perf.read()
         self._last_tor = self.cha.read()
@@ -225,15 +229,14 @@ class Machine:
 
         shares = self._source.shares(self._window, traffic, all_pages, all_counts)
 
-        extra_bytes = dict(self._pending_bytes)
+        extra_bytes = self._pending_bytes
         if self.contender is not None:
-            for tier, nbytes in self.contender.extra_bytes(
+            extra_bytes[self.contender.tier] += self.contender.bytes_for_duration(
                 self._last_duration, self.config.freq_ghz
-            ).items():
-                extra_bytes[tier] = extra_bytes.get(tier, 0.0) + nbytes
+            )
         extra_cycles = self._pending_overhead_cycles
         self._pending_overhead_cycles = 0.0
-        self._pending_bytes = {}
+        self._pending_bytes = [0.0] * self.num_tiers
         return all_pages, all_counts, touched, shares, extra_bytes, extra_cycles
 
     def _finish_window(self, traffic, all_pages, all_counts, touched, outcome) -> None:
@@ -288,10 +291,9 @@ class Machine:
             # Charge each hop's copy traffic to the links it actually
             # crossed (on two tiers this is the historical half/half
             # split of ``bytes_moved``, bit for bit).
-            for tier in self.tiers:
-                nbytes = migration.link_bytes.get(int(tier), 0.0)
+            for tier, nbytes in migration.link_bytes.items():
                 if nbytes > 0.0:
-                    self._pending_bytes[tier] = self._pending_bytes.get(tier, 0.0) + nbytes
+                    self._pending_bytes[tier] += nbytes
 
         self._runtime_cycles += duration
         self._last_duration = duration
@@ -323,13 +325,6 @@ class Machine:
             self.obs.observe("machine/window_duration_cycles", duration)
 
     # -- internals ----------------------------------------------------------------
-
-    def _pebs_tiers(self):
-        # Lower tiers first (nearest to farthest), then the fast tier if
-        # the policy samples it -- the two-tier order was (SLOW, FAST).
-        if self.policy.sample_fast_tier:
-            return self.tiers[1:] + (self.tiers[0],)
-        return self.tiers[1:]
 
     def _draw_hw(self, traffic, all_counts, shares):
         """The window's RNG stage: PEBS records and jitter factors.
@@ -371,16 +366,11 @@ class Machine:
     ) -> Observation:
         perf_now = self.perf.read()
         tor_now = self.cha.read()
+        last_tor = self._last_tor
         perf_delta = perf_now.delta(self._last_perf)
-        tor_mlp = {tier: tor_now.mlp_since(self._last_tor, tier) for tier in self.tiers}
-        tor_occ = {
-            tier: tor_now.occupancy[tier] - self._last_tor.occupancy[tier]
-            for tier in self.tiers
-        }
-        tor_busy = {
-            tier: tor_now.busy_cycles[tier] - self._last_tor.busy_cycles[tier]
-            for tier in self.tiers
-        }
+        tor_mlp = [tor_now.mlp_since(last_tor, t) for t in range(self.num_tiers)]
+        tor_occ = [a - b for a, b in zip(tor_now.occupancy, last_tor.occupancy)]
+        tor_busy = [a - b for a, b in zip(tor_now.busy_cycles, last_tor.busy_cycles)]
         self._last_perf = perf_now
         self._last_tor = tor_now
         obs = Observation(
@@ -436,8 +426,7 @@ class Machine:
                 o.gauge(f"mem/occupancy_{tag}", used / cap if cap > 0 else 0.0)
         else:
             o.gauge("machine/tier0/resident_fraction", self.memory.resident_fraction(Tier.FAST))
-            for i, tier in enumerate(self.tiers):
-                load = outcome.tier_loads[tier]
+            for i, load in enumerate(outcome.tier_loads):
                 o.gauge(f"machine/tier{i}/util", load.utilisation)
                 o.gauge(f"machine/tier{i}/effective_latency_cycles", load.effective_latency_cycles)
                 o.gauge(f"machine/tier{i}/occupancy", self.memory.occupancy_fraction(i))
@@ -447,8 +436,8 @@ class Machine:
         # "Slow" aggregates every tier below tier 0; mlp_slow reports the
         # nearest lower tier (the CXL link on the paper's testbed).
         slow_misses = 0.0
-        for tier in self.tiers[1:]:
-            slow_misses += loads[tier].misses
+        for load in loads[1:]:
+            slow_misses += load.misses
         label_stalls: Dict[str, float] = {}
         shares = outcome.shares
         stalls = shares.misses_f * shares.unit_stall_cycles
@@ -460,11 +449,11 @@ class Machine:
             duration_cycles=duration,
             stall_cycles=outcome.total_stall_cycles,
             slow_misses=slow_misses,
-            fast_misses=loads[self.tiers[0]].misses,
+            fast_misses=loads[0].misses,
             promoted=migration.promoted,
             demoted=migration.demoted,
-            mlp_slow=loads[self.tiers[1]].mlp,
-            mlp_fast=loads[self.tiers[0]].mlp,
+            mlp_slow=loads[1].mlp,
+            mlp_fast=loads[0].mlp,
             fast_resident_fraction=self.memory.resident_fraction(Tier.FAST),
             phase=phase,
             policy_debug=self.policy.debug_info(),
@@ -483,9 +472,9 @@ class Machine:
             promoted=self.engine.total_promoted,
             demoted=self.engine.total_demoted,
             migration_cost_cycles=self.engine.total_cost_cycles,
-            total_stall_cycles=sum(perf.stall_cycles.values()),
-            total_misses=sum(perf.llc_misses.values()),
-            tier_misses=dict(perf.llc_misses),
+            total_stall_cycles=sum(perf.stall_cycles),
+            total_misses=sum(perf.llc_misses),
+            tier_misses=dict(enumerate(perf.llc_misses)),
             empty_windows=self._empty_windows,
             trace=self.obs.recorder.records() if self.trace_enabled else None,
             workload_metrics=self.workload.final_metrics(),

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.common.units import cycles_to_ms
-from repro.mem.page import Tier, tier_from_label, tier_label
+from repro.mem.page import tier_from_label, tier_label
 
 
 @dataclass
@@ -66,7 +66,9 @@ class RunResult:
     migration_cost_cycles: float
     total_stall_cycles: float
     total_misses: float
-    tier_misses: Dict[Tier, float]
+    #: LLC misses per tier, keyed by tier code (``Tier.FAST``/``Tier.SLOW``
+    #: index it too); a dict because it is the stored document's shape.
+    tier_misses: Dict[int, float]
     #: Windows in which the workload emitted no traffic (idle phases).
     #: They count toward ``windows`` and the ``max_windows`` budget.
     empty_windows: int = 0

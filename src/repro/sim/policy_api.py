@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -33,7 +33,11 @@ def no_pages() -> np.ndarray:
 
 @dataclass
 class Observation:
-    """Everything a policy may see about one sampling window."""
+    """Everything a policy may see about one sampling window.
+
+    Per-tier signals (here and in :attr:`perf`) are lists indexed by
+    tier code, 0 the fastest tier; every tier of the run has an entry.
+    """
 
     window: int
     #: Duration of the window in cycles (elapsed time signal).
@@ -41,7 +45,7 @@ class Observation:
     #: Perf-counter deltas over the window (LLC misses, stalls, bytes).
     perf: PerfDelta
     #: Per-tier MLP recovered from TOR counter deltas (dT1/dT2).
-    tor_mlp: Dict[Tier, float]
+    tor_mlp: List[float]
     #: PEBS records for this window (slow-tier loads by default).
     pebs: PebsBatch
     #: Kernel-visible memory state: placement, LRU clocks, capacities.
@@ -49,8 +53,8 @@ class Observation:
     #: Raw TOR counter deltas (T1 = occupancy integral, T2 = busy cycles),
     #: so policies aggregating over longer sampling periods can recompute
     #: MLP from summed deltas instead of averaging per-window ratios.
-    tor_occupancy_delta: Dict[Tier, float] = field(default_factory=dict)
-    tor_busy_delta: Dict[Tier, float] = field(default_factory=dict)
+    tor_occupancy_delta: List[float] = field(default_factory=list)
+    tor_busy_delta: List[float] = field(default_factory=list)
     #: Slow-tier pages touched this window (what NUMA hint faults see).
     touched_slow: np.ndarray = field(default_factory=no_pages)
     #: Fast-tier pages touched this window (page-table scan visibility).
@@ -65,9 +69,9 @@ class Observation:
         return self.memory.free_pages(Tier.FAST)
 
     @property
-    def lower_tiers(self):
-        """Tier keys below tier 0, nearest first (``[Tier.SLOW]`` on two)."""
-        return [t for t in self.tor_mlp if int(t) >= 1]
+    def lower_tiers(self) -> range:
+        """Tier codes below tier 0, nearest first (just 1 on two tiers)."""
+        return range(1, self.num_tiers)
 
     def lower_misses(self) -> float:
         """Total LLC misses served by tiers below tier 0 this window.
@@ -77,7 +81,7 @@ class Observation:
         """
         total = 0.0
         for tier in self.lower_tiers:
-            total += self.perf.llc_misses.get(tier, 0.0)
+            total += self.perf.llc_misses[tier]
         return total
 
     def lower_latency_cycles(self) -> float:
@@ -89,21 +93,20 @@ class Observation:
         """
         lower = self.lower_tiers
         if len(lower) == 1:
-            return self.perf.effective_latency_cycles.get(lower[0], 0.0)
+            return self.perf.effective_latency_cycles[lower[0]]
         weighted = 0.0
         misses = 0.0
         for tier in lower:
-            m = self.perf.llc_misses.get(tier, 0.0)
-            weighted += self.perf.effective_latency_cycles.get(tier, 0.0) * m
+            m = self.perf.llc_misses[tier]
+            weighted += self.perf.effective_latency_cycles[tier] * m
             misses += m
         if misses <= 0.0:
-            return self.perf.effective_latency_cycles.get(lower[0], 0.0) if lower else 0.0
+            return self.perf.effective_latency_cycles[lower[0]]
         return weighted / misses
 
     def lower_mlp(self) -> float:
         """MLP of the nearest lower tier (the paper's CXL-link MLP)."""
-        lower = self.lower_tiers
-        return self.tor_mlp[lower[0]] if lower else 1.0
+        return self.tor_mlp[1]
 
 
 @dataclass
@@ -145,7 +148,7 @@ class TieringPolicy(abc.ABC):
     synchronous_migration: bool = True
 
     #: Tier preferred by first-touch allocation under this policy.
-    alloc_prefer: Tier = Tier.FAST
+    alloc_prefer: int = Tier.FAST
 
     #: Whether this policy wants fast-tier PEBS samples too.
     sample_fast_tier: bool = False

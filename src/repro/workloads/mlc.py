@@ -11,7 +11,6 @@ tier's effective latency through the queueing model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.common.units import CPU_FREQ_GHZ, GB, NS_PER_S
 from repro.mem.page import Tier
@@ -25,7 +24,8 @@ class MlcContender:
     """Streaming traffic injector pinned to one memory tier."""
 
     threads: int = 0
-    tier: Tier = Tier.FAST
+    #: Tier code of the memory node the contender streams to.
+    tier: int = Tier.FAST
     gbps_per_thread: float = GBPS_PER_THREAD
 
     def bytes_for_duration(self, duration_cycles: float, freq_ghz: float = CPU_FREQ_GHZ) -> float:
@@ -34,9 +34,3 @@ class MlcContender:
             return 0.0
         duration_ns = duration_cycles / freq_ghz
         return self.threads * self.gbps_per_thread * GB * duration_ns / NS_PER_S
-
-    def extra_bytes(self, duration_cycles: float, freq_ghz: float = CPU_FREQ_GHZ) -> Dict[Tier, float]:
-        """Per-tier extra link bytes for the stall model."""
-        if self.threads <= 0:
-            return {}
-        return {self.tier: self.bytes_for_duration(duration_cycles, freq_ghz)}

@@ -43,7 +43,7 @@ from __future__ import annotations
 import copy
 import json
 import os
-import tempfile
+import secrets
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -332,7 +332,10 @@ def write_npt(data: TraceData, path: PathLike) -> Path:
     else:  # pragma: no cover - layout always converges in two passes
         raise TraceFormatError("header layout failed to converge")
 
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npt.tmp")
+    # Created like open() would create it: mode 0666 less the umask.
+    tmp = path.parent / f"tmp{secrets.token_hex(8)}.npt.tmp"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(TRACE_MAGIC)
@@ -539,6 +542,12 @@ class ReplayWorkload(Workload):
     def trace_data(self) -> TraceData:
         """The recorded columns backing this replay (read-only use)."""
         return self._data
+
+    @property
+    def done(self) -> bool:
+        # A non-looping replay also ends with its last recorded window:
+        # a trace recorded under a window budget stops before its workload.
+        return super().done or (not self.loop and self._cursor >= self._num_windows)
 
     def set_total_misses(self, total: int) -> None:
         """Stretch/shrink the work budget (looping replays only)."""

@@ -77,10 +77,8 @@ def config():
 def memory():
     return TieredMemory(
         footprint_pages=256,
-        fast_capacity_pages=128,
-        slow_capacity_pages=256,
-        fast_spec=MachineConfig().fast_spec,
-        slow_spec=MachineConfig().slow_spec,
+        capacities=[128, 256],
+        specs=MachineConfig().tier_specs(),
     )
 
 

@@ -22,7 +22,7 @@ compare batches column by column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.hw.stall import (
     ShareBatch,
     TierLoad,
 )
-from repro.mem.page import Tier, tier_key
+from repro.mem.page import Tier
 from repro.sim.migration import MigrationOutcome
 
 
@@ -82,7 +82,6 @@ def batch_columns(batch: ShareBatch) -> dict:
     cols.update(
         n=batch.n,
         labels=list(batch.labels),
-        tiers=list(batch.tiers),
         tier_misses=tuple(batch.tier_misses),
     )
     return cols
@@ -95,7 +94,7 @@ def assert_same_shares(got: dict, want: dict) -> None:
     for name in ROW_COLUMNS:
         assert got[name].dtype == want[name].dtype, name
         np.testing.assert_array_equal(got[name], want[name], err_msg=name)
-    for name in ("labels", "tiers", "tier_misses"):
+    for name in ("labels", "tier_misses"):
         assert got[name] == want[name], name
 
 
@@ -123,21 +122,21 @@ def reference_split(groups, placement: np.ndarray, num_tiers: int = 2) -> List[S
 
 def reference_solve(
     model, shares: Sequence[Share], compute_cycles: float, extra_bytes=None, extra_cycles=0.0
-) -> Tuple[Dict[Tier, TierLoad], float]:
+) -> Tuple[List[TierLoad], float]:
     """The ordered per-share fixed point: ``(tier loads, duration)``.
 
     Writes each share's last-iteration unit stall cost back to it.
     """
-    extra_bytes = extra_bytes or {}
-    loads = {tier_key(t): TierLoad(tier=tier_key(t)) for t in range(model.num_tiers)}
+    extra_bytes = extra_bytes or [0.0] * model.num_tiers
+    loads = [TierLoad(tier=t) for t in range(model.num_tiers)]
     for share in shares:
-        loads[tier_key(share.tier)].misses += share.misses
-    for tier, load in loads.items():
+        loads[share.tier].misses += share.misses
+    for tier, load in enumerate(loads):
         load.bytes = load.misses * CACHE_LINE_SIZE * (1.0 + model.prefetch_traffic_factor)
-        load.bytes += float(extra_bytes.get(tier, 0.0))
+        load.bytes += float(extra_bytes[tier])
     duration = max(compute_cycles + extra_cycles, 1.0)
     for _ in range(_FIXED_POINT_ITERATIONS):
-        for tier, load in loads.items():
+        for tier, load in enumerate(loads):
             spec = model.spec[tier]
             supply = spec.bytes_per_ns() * (duration / model.freq_ghz)
             util = min(load.bytes / supply if supply > 0 else 0.0, MAX_UTILISATION)
@@ -147,15 +146,15 @@ def reference_solve(
             )
             load.stall_cycles = 0.0
         for share in shares:
-            load = loads[tier_key(share.tier)]
+            load = loads[share.tier]
             share.unit_stall_cycles = load.effective_latency_cycles / share.mlp
             load.stall_cycles += share.misses * share.unit_stall_cycles
-        total_stalls = sum(load.stall_cycles for load in loads.values())
+        total_stalls = sum(load.stall_cycles for load in loads)
         new_duration = max(compute_cycles + extra_cycles + total_stalls, 1.0)
         duration = 0.5 * duration + 0.5 * new_duration
-    for tier, load in loads.items():
+    for tier, load in enumerate(loads):
         # Miss-weighted harmonic-mean MLP.
-        mine = [s for s in shares if tier_key(s.tier) == tier]
+        mine = [s for s in shares if s.tier == tier]
         inv = sum(s.misses / s.mlp for s in mine)
         load.mlp = load.misses / inv if load.misses and inv > 0 else 1.0
     return loads, duration

@@ -9,7 +9,6 @@ from repro.baselines.memtis import MemtisPolicy
 from repro.baselines.nomad import NomadPolicy
 from repro.hw.pebs import PebsBatch
 from repro.hw.perf import PerfDelta
-from repro.mem.page import Tier
 from repro.mem.tiered import TieredMemory
 from repro.sim.config import MachineConfig
 from repro.sim.policy_api import Observation
@@ -31,16 +30,16 @@ def make_obs(
         pebs_counts = np.ones(60, dtype=np.int64)
     perf = PerfDelta(
         cycles=4.4e7,
-        llc_misses={Tier.FAST: 100_000.0, Tier.SLOW: slow_misses},
-        stall_cycles={Tier.FAST: 1e6, Tier.SLOW: 8e6},
-        bytes={Tier.FAST: 1e7, Tier.SLOW: 5e6},
-        effective_latency_cycles={Tier.FAST: fast_latency, Tier.SLOW: slow_latency},
+        llc_misses=[100_000.0, slow_misses],
+        stall_cycles=[1e6, 8e6],
+        bytes=[1e7, 5e6],
+        effective_latency_cycles=[fast_latency, slow_latency],
     )
     return Observation(
         window=window,
         window_cycles=4.4e7,
         perf=perf,
-        tor_mlp=tor_mlp or {Tier.FAST: 8.0, Tier.SLOW: 3.0},
+        tor_mlp=tor_mlp or [8.0, 3.0],
         pebs=PebsBatch(pages=pebs_pages, counts=pebs_counts, rate=400, overhead_cycles=0.0),
         memory=memory,
         touched_slow=touched_slow if touched_slow is not None else np.arange(200, 260),
@@ -50,7 +49,7 @@ def make_obs(
 @pytest.fixture
 def mem256():
     config = MachineConfig()
-    memory = TieredMemory(256, 128, 256, config.fast_spec, config.slow_spec)
+    memory = TieredMemory(256, [128, 256], config.tier_specs())
     memory.allocate_first_touch(np.arange(256))
     return memory
 
@@ -92,13 +91,13 @@ class TestAltoMechanics:
         )
         colloid = ColloidPolicy().observe(make_obs(mem256, **shared))
         alto = AltoPolicy().observe(
-            make_obs(mem256, tor_mlp={Tier.FAST: 16.0, Tier.SLOW: 16.0}, **shared)
+            make_obs(mem256, tor_mlp=[16.0, 16.0], **shared)
         )
         assert alto.promote.size < max(colloid.promote.size, 1)
 
     def test_low_mlp_runs_at_full_gain(self, mem256):
         policy = AltoPolicy(mlp_reference=2.0)
-        policy.observe(make_obs(mem256, tor_mlp={Tier.FAST: 1.5, Tier.SLOW: 1.5}))
+        policy.observe(make_obs(mem256, tor_mlp=[1.5, 1.5]))
         assert policy.gain == pytest.approx(policy._base_gain)
 
 

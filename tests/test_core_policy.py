@@ -27,7 +27,7 @@ def fake_obs(free=100):
         window=0,
         window_cycles=1e6,
         perf=None,
-        tor_mlp={},
+        tor_mlp=[],
         pebs=None,
         memory=_FakeMemory(free),
     )

@@ -9,7 +9,6 @@ from repro.core.sampling import PacSampler
 from repro.core.tracker import PacTracker
 from repro.hw.pebs import PebsBatch
 from repro.hw.perf import PerfDelta
-from repro.mem.page import Tier
 from repro.sim.policy_api import Observation
 
 from conftest import TinyWorkload
@@ -29,20 +28,20 @@ def make_obs(window=0, slow_misses=10_000.0, t1=4_000_000.0, t2=1_000_000.0,
     )
     perf = PerfDelta(
         cycles=1e7,
-        llc_misses={Tier.FAST: 0.0, Tier.SLOW: slow_misses},
-        stall_cycles={Tier.FAST: 0.0, Tier.SLOW: 0.0},
-        bytes={},
-        effective_latency_cycles={},
+        llc_misses=[0.0, slow_misses],
+        stall_cycles=[0.0, 0.0],
+        bytes=[0.0, 0.0],
+        effective_latency_cycles=[0.0, 0.0],
     )
     return Observation(
         window=window,
         window_cycles=1e7,
         perf=perf,
-        tor_mlp={Tier.SLOW: t1 / t2, Tier.FAST: 1.0},
+        tor_mlp=[1.0, t1 / t2],
         pebs=pebs,
         memory=None,
-        tor_occupancy_delta={Tier.SLOW: t1, Tier.FAST: 0.0},
-        tor_busy_delta={Tier.SLOW: t2, Tier.FAST: 0.0},
+        tor_occupancy_delta=[0.0, t1],
+        tor_busy_delta=[0.0, t2],
     )
 
 

@@ -48,7 +48,7 @@ class TestStaticSplit:
         placement = static_placement_for(data, seed=seed)
         batches = drawplan.build_static_batches(data, placement, num_tiers=2)
         assert len(batches) == data.num_windows
-        model = StallModel(DRAM_SPEC, CXL_SPEC)
+        model = StallModel([DRAM_SPEC, CXL_SPEC])
         replay = ReplayWorkload(data)
         for w in range(data.num_windows):
             traffic = replay.next_window()
@@ -166,12 +166,12 @@ class TestSolvePlan:
         data = recorded(total_misses=400_000, seed=17)
         placement = static_placement_for(data, seed=17)
         batches = drawplan.build_static_batches(data, placement, num_tiers=2)
-        model = StallModel(DRAM_SPEC, CXL_SPEC)
+        model = StallModel([DRAM_SPEC, CXL_SPEC])
         plan = drawplan.plan_window_solves(
             model, batches, data.columns["window_compute"]
         )
         compute = np.asarray(data.columns["window_compute"])
-        live_model = StallModel(DRAM_SPEC, CXL_SPEC)
+        live_model = StallModel([DRAM_SPEC, CXL_SPEC])
         for w, batch in enumerate(batches):
             if batch is None:
                 assert plan[w] is None
@@ -180,16 +180,30 @@ class TestSolvePlan:
             planned = plan[w]
             assert planned.duration_cycles == live.duration_cycles
             assert planned.compute_cycles == live.compute_cycles
-            for tier in planned.tier_loads:
-                assert (
-                    planned.tier_loads[tier].stall_cycles
-                    == live.tier_loads[tier].stall_cycles
-                )
+            assert planned.tier_loads == live.tier_loads
 
     def test_static_no_pebs_replay_engages_solve_plan(self):
         data = recorded(total_misses=300_000)
         _, machine = run_once(make_policy("NoTier"), ReplayWorkload(data))
         assert machine._source.outcomes is not None
+
+    def test_static_no_pebs_replay_makes_no_live_solves(self, monkeypatch):
+        # The planned outcomes are served, not just built: every window's
+        # carried-over inputs read as "none" (an all-zero per-tier
+        # extra-bytes list included), so no window falls back to solve.
+        data = recorded(total_misses=300_000)
+        calls = []
+        live_solve = StallModel.solve
+
+        def counting_solve(self, *args, **kwargs):
+            calls.append(1)
+            return live_solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(StallModel, "solve", counting_solve)
+        result, machine = run_once(make_policy("NoTier"), ReplayWorkload(data))
+        assert isinstance(machine._source, StaticSource)
+        assert result.windows > 0
+        assert calls == []
 
     def test_observability_keeps_live_solves(self):
         data = recorded(total_misses=300_000)

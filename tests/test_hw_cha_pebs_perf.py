@@ -20,7 +20,7 @@ def solved_shares(mlp=4.0, misses=40_000, tier=Tier.SLOW, load_fraction=1.0):
         group_index=0, tier=tier, pages=pages, counts=counts, mlp=mlp,
         load_fraction=load_fraction,
     )
-    model = StallModel(DRAM_SPEC, CXL_SPEC)
+    model = StallModel([DRAM_SPEC, CXL_SPEC])
     return model.solve(make_batch([share]), compute_cycles=1e6).shares
 
 
@@ -158,7 +158,7 @@ class TestPebs:
 
 class TestPerfCounters:
     def test_deltas(self):
-        model = StallModel(DRAM_SPEC, CXL_SPEC)
+        model = StallModel([DRAM_SPEC, CXL_SPEC])
         perf = PerfCounters()
         shares = solved_shares()
         out = model.solve(shares, compute_cycles=1e6)
@@ -174,17 +174,17 @@ class TestPerfCounters:
         assert delta.cycles == pytest.approx(out.duration_cycles)
 
     def test_totals(self):
-        model = StallModel(DRAM_SPEC, CXL_SPEC)
+        model = StallModel([DRAM_SPEC, CXL_SPEC])
         perf = PerfCounters()
         out = model.solve(solved_shares(), compute_cycles=1e6)
         before = perf.read()
         perf.advance(out)
         delta = perf.read().delta(before)
-        assert delta.total_llc_misses == pytest.approx(sum(delta.llc_misses.values()))
-        assert delta.total_stall_cycles == pytest.approx(sum(delta.stall_cycles.values()))
+        assert delta.total_llc_misses == pytest.approx(sum(delta.llc_misses))
+        assert delta.total_stall_cycles == pytest.approx(sum(delta.stall_cycles))
 
     def test_noise_is_small_multiplicative(self):
-        model = StallModel(DRAM_SPEC, CXL_SPEC)
+        model = StallModel([DRAM_SPEC, CXL_SPEC])
         perf = PerfCounters()
         out = model.solve(solved_shares(misses=1_000_000), compute_cycles=1e6)
         before = perf.read()

@@ -12,7 +12,7 @@ from oracles import Share, make_batch
 
 
 def make_model():
-    return StallModel(DRAM_SPEC, CXL_SPEC)
+    return StallModel([DRAM_SPEC, CXL_SPEC])
 
 
 def share(misses=10_000, mlp=4.0, tier=Tier.SLOW):
@@ -86,7 +86,7 @@ class TestSolve:
         noisy = model.solve(
             one_share(),
             compute_cycles=2e6,
-            extra_bytes={Tier.SLOW: 5e7},  # hammer the slow link
+            extra_bytes=[0.0, 5e7],  # hammer the slow link
         )
         quiet_lat = quiet.tier_loads[Tier.SLOW].effective_latency_cycles
         noisy_lat = noisy.tier_loads[Tier.SLOW].effective_latency_cycles
@@ -96,7 +96,7 @@ class TestSolve:
     def test_utilisation_capped(self):
         model = make_model()
         out = model.solve(
-            one_share(), compute_cycles=1e5, extra_bytes={Tier.FAST: 1e12}
+            one_share(), compute_cycles=1e5, extra_bytes=[1e12, 0.0]
         )
         assert out.tier_loads[Tier.FAST].utilisation <= 0.96
 
@@ -115,9 +115,9 @@ class TestSolve:
         assert per_page.sum() == pytest.approx(solved.misses_f[0] * unit, rel=1e-9)
 
     def test_numa_latency_between_dram_and_cxl(self):
-        dram = StallModel(DRAM_SPEC, DRAM_SPEC).solve(one_share(), 1e6)
-        numa = StallModel(DRAM_SPEC, NUMA_SPEC).solve(one_share(), 1e6)
-        cxl = StallModel(DRAM_SPEC, CXL_SPEC).solve(one_share(), 1e6)
+        dram = StallModel([DRAM_SPEC, DRAM_SPEC]).solve(one_share(), 1e6)
+        numa = StallModel([DRAM_SPEC, NUMA_SPEC]).solve(one_share(), 1e6)
+        cxl = StallModel([DRAM_SPEC, CXL_SPEC]).solve(one_share(), 1e6)
         assert (
             dram.total_stall_cycles < numa.total_stall_cycles < cxl.total_stall_cycles
         )

@@ -13,7 +13,7 @@ from conftest import assert_placement_consistent
 
 
 def make_memory(footprint=256, fast=128, slow=256):
-    return TieredMemory(footprint, fast, slow, DRAM_SPEC, CXL_SPEC)
+    return TieredMemory(footprint, [fast, slow], [DRAM_SPEC, CXL_SPEC])
 
 
 class TestConstruction:
@@ -188,7 +188,7 @@ class TestIncrementalAccounting:
 
     def make_debug_memory(self, footprint=256, fast=128, slow=256):
         return TieredMemory(
-            footprint, fast, slow, DRAM_SPEC, CXL_SPEC, debug_accounting=True
+            footprint, [fast, slow], [DRAM_SPEC, CXL_SPEC], debug_accounting=True
         )
 
     def test_cross_check_passes_through_mixed_mutations(self):

@@ -41,7 +41,7 @@ class TestRatioParsing:
 class TestMachineConfig:
     def test_fast_capacity(self):
         cfg = MachineConfig()
-        assert cfg.fast_capacity(900, "1:2") == 300
+        assert cfg.tier_capacities(900, "1:2")[0] == 300
 
     def test_with_override(self):
         cfg = MachineConfig().with_(thp=True, pebs_rate=800)
@@ -151,7 +151,7 @@ class TestMigrationAccounting:
 
 class TestMigrationEngineThp:
     def _engine(self, thp):
-        memory = TieredMemory(2048, 1024, 2048, DRAM_SPEC, CXL_SPEC)
+        memory = TieredMemory(2048, [1024, 2048], [DRAM_SPEC, CXL_SPEC])
         memory.allocate_first_touch(np.arange(2048))
         return MigrationEngine(memory, MachineConfig(thp=thp)), memory
 

@@ -5,14 +5,19 @@ Covers the tier-graph core along four axes:
 * ``parse_ratio`` N-part parsing with exact two-part back-compat,
 * topology construction, default-pair normalisation, and cache-key
   fingerprints (topology enters the key only when non-default),
+* one tier vocabulary: tiers are int codes, labelled only at
+  serialisation, and ``src/`` keys no dict by tier,
 * N-tier ``TieredMemory`` + multi-hop migration conservation properties,
 * end-to-end equivalence: a three-tier hierarchy with an empty middle
-  tier reproduces the two-tier golden digests bit for bit.
+  tier reproduces the two-tier golden digests bit for bit, and a
+  three-tier grid survives the result store.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +25,10 @@ import pytest
 from repro.baselines import make_policy
 from repro.common.units import CXL_SPEC, DRAM_SPEC, NUMA_SPEC, NVME_SPEC
 from repro.exp.cache import canonical, content_hash, result_to_dict
-from repro.exp.spec import PolicySpec, RunRequest, WorkloadSpec
-from repro.mem.page import Tier, tier_from_label, tier_key, tier_label
+from repro.exp.service import CampaignDriver
+from repro.exp.spec import ExperimentSpec, PolicySpec, RunRequest, WorkloadSpec
+from repro.exp.store import SqliteResultStore
+from repro.mem.page import Tier, tier_from_label, tier_label
 from repro.mem.tiered import TieredMemory
 from repro.mem.topology import (
     CompressionSpec,
@@ -34,7 +41,7 @@ from repro.sim.config import MachineConfig, parse_ratio, parse_ratio_parts
 from repro.sim.engine import run_policy
 from repro.sim.migration import MigrationEngine
 from repro.sim.policy_api import Decision
-from repro.workloads import make_workload
+from repro.workloads import make_workload, tracestore
 
 from test_golden_digests import GOLDEN_DIGESTS
 
@@ -81,7 +88,9 @@ class TestTierCapacities:
     def test_two_tier_matches_legacy_helpers(self):
         config = MachineConfig()
         caps = config.tier_capacities(1000, "1:4")
-        assert caps == [config.fast_capacity(1000, "1:4"), config.slow_capacity(1000)]
+        # The historical fast-tier rule: ceil(footprint * fraction), >= 1.
+        fast = max(int(np.ceil(1000 * parse_ratio("1:4"))), 1)
+        assert caps == [fast, config.slow_capacity(1000)]
 
     def test_three_tier_split_and_bottom_slack(self):
         config = MachineConfig(topology=make_topology("dram-cxl-nvme"))
@@ -98,27 +107,75 @@ class TestTierCapacities:
     def test_zero_middle_gives_empty_interior_tier(self):
         config = MachineConfig(topology=make_topology("dram-cxl-nvme"))
         caps = config.tier_capacities(1000, "1:0:4")
-        assert caps[0] == config.fast_capacity(1000, "1:4")
+        assert caps[0] == MachineConfig().tier_capacities(1000, "1:4")[0]
         assert caps[1] == 0
 
     def test_too_many_parts_rejected(self):
         config = MachineConfig(topology=make_topology("dram-cxl-nvme"))
         with pytest.raises(ValueError, match="parts"):
             config.tier_capacities(1000, "1:2:3:4")
+        # The default pair follows the same rule (it once silently read
+        # a longer ratio's first part).
+        with pytest.raises(ValueError, match="parts"):
+            MachineConfig().tier_capacities(1000, "1:4:16")
 
 
-# -- tier keys and labels ---------------------------------------------------------
+# -- tier codes and labels --------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def second_tier_vocabulary(source: str):
+    """``(line, what)`` for every use of a retired tier vocabulary: the
+    name ``tier_key``, or a ``Dict``/``Mapping`` annotation keyed by
+    ``Tier`` (per-tier state is a list indexed by tier code)."""
+    flagged = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "tier_key":
+            flagged.append((node.lineno, "tier_key"))
+        elif isinstance(node, ast.Attribute) and node.attr == "tier_key":
+            flagged.append((node.lineno, "tier_key"))
+        elif isinstance(node, ast.alias) and node.name == "tier_key":
+            flagged.append((node.lineno, "tier_key"))
+        elif isinstance(node, ast.Subscript):
+            container = node.value
+            name = getattr(container, "id", getattr(container, "attr", None))
+            key = node.slice.elts[0] if isinstance(node.slice, ast.Tuple) else node.slice
+            if name in ("Dict", "dict", "Mapping") and getattr(key, "id", None) == "Tier":
+                flagged.append((node.lineno, f"{name}[Tier, ...]"))
+    return sorted(flagged)
 
 
 class TestTierKeys:
-    def test_low_tiers_stay_enums(self):
-        assert tier_key(0) is Tier.FAST
-        assert tier_key(1) is Tier.SLOW
-        assert tier_key(2) == 2 and not isinstance(tier_key(2), Tier)
+    def test_tripwire_recognises_second_vocabularies(self):
+        source = "\n".join(
+            [
+                "from repro.mem.page import tier_key",
+                "x = tier_key(2)",
+                "y = page.tier_key(1)",
+                "a: Dict[Tier, float] = {}",
+                "b: typing.Mapping[Tier, int]",
+                "def f(c: dict[Tier, float]): pass",
+                # Tier-code forms below must not be flagged.
+                "d: List[float] = []",
+                "e: Dict[int, float] = {}",
+                "f = lists[Tier.SLOW]",
+            ]
+        )
+        assert [line for line, _ in second_tier_vocabulary(source)] == [1, 2, 3, 4, 5, 6]
+
+    def test_src_has_one_tier_vocabulary(self):
+        flagged = [
+            f"{path.relative_to(SRC)}:{line}: {what}"
+            for path in sorted(SRC.rglob("*.py"))
+            for line, what in second_tier_vocabulary(path.read_text())
+        ]
+        assert flagged == []
 
     def test_labels_round_trip(self):
         for i in range(5):
             assert tier_from_label(tier_label(i)) == i
+            assert type(tier_from_label(tier_label(i))) is int
         assert tier_label(0) == "FAST" and tier_label(2) == "TIER2"
         with pytest.raises(ValueError):
             tier_from_label("bogus")
@@ -309,7 +366,7 @@ class TestMultiHopMigration:
         assert (memory.tier_of(np.arange(1, 30, 2)) == 0).all()
 
     def test_two_tier_link_bytes_match_legacy_split(self):
-        memory = TieredMemory(200, 100, 400, DRAM_SPEC, CXL_SPEC)
+        memory = TieredMemory(200, [100, 400], [DRAM_SPEC, CXL_SPEC])
         memory.allocate_first_touch(np.arange(150), prefer=Tier.FAST)
         engine = MigrationEngine(memory, MachineConfig())
         outcome = engine.apply_window(Decision(demote=np.arange(20)))
@@ -367,7 +424,8 @@ def _three_tier_result(policy="PACT", demotion="through", topology="dram-cxlz-nv
 class TestThreeTierEndToEnd:
     def test_run_reports_three_tiers_of_misses(self):
         result = _three_tier_result()
-        assert set(result.tier_misses) == {Tier.FAST, Tier.SLOW, 2}
+        assert set(result.tier_misses) == {0, 1, 2}
+        assert all(type(tier) is int for tier in result.tier_misses)
         assert result.total_misses == pytest.approx(sum(result.tier_misses.values()))
         assert result.runtime_cycles > 0
 
@@ -384,6 +442,35 @@ class TestThreeTierEndToEnd:
         assert set(doc["tier_misses"]) == {"FAST", "SLOW", "TIER2"}
         back = result_from_dict(doc)
         assert back.tier_misses == result.tier_misses
+
+    def test_grid_round_trips_through_the_result_store(self, tmp_path):
+        # A three-tier grid through CampaignDriver into SQLite, then
+        # served warm from the reopened store.
+        spec = ExperimentSpec(
+            workloads=[WorkloadSpec.registry("gups", total_misses=1_000_000)],
+            policies=["PACT", "NoTier"],
+            ratios=("1:4:16",),
+            seeds=(0, 1),
+            config=MachineConfig(topology=make_topology("dram-cxlz-nvme")),
+        )
+        try:
+            tracestore.set_default_trace_store(tracestore.TraceStore(tmp_path / "traces"))
+            cold_store = SqliteResultStore(tmp_path / "cache")
+            cold = CampaignDriver(jobs=1, store=cold_store).run_specs([spec])
+            cold_store.close()
+            warm = CampaignDriver(
+                jobs=1, store=SqliteResultStore(tmp_path / "cache")
+            ).run_specs([spec])
+        finally:
+            tracestore.reset_default_trace_store()
+        assert cold.ok and warm.ok
+        assert cold.stats.executed == cold.stats.unique_requests
+        assert warm.stats.executed == 0
+        for req in spec.expand():
+            result = warm[req]
+            assert result_to_dict(result) == result_to_dict(cold[req]), req.display
+            assert set(result.tier_misses) == {0, 1, 2}
+            assert sum(result.tier_misses.values()) == result.total_misses
 
 
 # -- observability gauge names -----------------------------------------------------

@@ -11,6 +11,8 @@ once-per-offender un-picklable warning of pooled sweeps.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -85,6 +87,17 @@ class TestNptRoundTrip:
         assert loaded.path == path
         for name, col in data.columns.items():
             np.testing.assert_array_equal(np.asarray(loaded.columns[name]), col)
+
+    def test_written_file_honours_the_umask(self, tmp_path):
+        # A trace is a shareable artifact: created like open() would
+        # create it, not private like a temporary file.
+        path = tmp_path / "shared.npt"
+        old = os.umask(0o022)
+        try:
+            record_to_file(small_workload(), path)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
     def test_mmap_and_eager_reads_agree(self, tmp_path):
         path = tmp_path / "t.npt"
@@ -219,6 +232,24 @@ class TestReplayWorkload:
             replay.next_window()
         with pytest.raises(TraceExhausted):
             replay.next_window()
+
+    def test_window_budget_trace_replays_to_its_end(self, tmp_path):
+        # A trace recorded under a window budget ends before its
+        # workload does; a non-looping replay ends with its last window.
+        path = tmp_path / "short.npt"
+        record_to_file(make_workload("gups", total_misses=2_000_000), path, max_windows=3)
+        replay = ReplayWorkload.from_file(path)
+        assert replay.trace_windows == 3
+        replayed = run_policy(replay, make_policy("PACT"), ratio="1:4", config=MachineConfig())
+        live = run_policy(
+            make_workload("gups", total_misses=2_000_000),
+            make_policy("PACT"),
+            ratio="1:4",
+            config=MachineConfig(),
+            max_windows=3,
+        )
+        assert replayed.windows == 3
+        assert result_to_dict(replayed) == result_to_dict(live)
 
     def test_loop_mode_wraps_and_stretches(self, tmp_path):
         path = tmp_path / "t.npt"

@@ -49,7 +49,7 @@ def make_config(num_tiers=2, thp=False, demotion="through", compressed=False):
 
 def make_memory(config, footprint, fast, mid=None):
     if config.topology is None:
-        return TieredMemory(footprint, fast, footprint, DRAM_SPEC, CXL_SPEC)
+        return TieredMemory(footprint, [fast, footprint], [DRAM_SPEC, CXL_SPEC])
     caps = [fast, footprint if mid is None else mid, footprint]
     return TieredMemory(
         footprint,
@@ -256,7 +256,7 @@ class TestLazyActivitySums:
         rng = np.random.default_rng(seed)
         footprint = int(rng.integers(64, 512))
         fast = int(rng.integers(16, footprint))
-        memory = TieredMemory(footprint, fast, footprint, DRAM_SPEC, CXL_SPEC)
+        memory = TieredMemory(footprint, [fast, footprint], [DRAM_SPEC, CXL_SPEC])
         memory.allocate_first_touch(rng.permutation(footprint))
         for w in range(1, 6):
             pages = np.unique(rng.integers(0, footprint, size=int(rng.integers(1, 200))))
@@ -275,7 +275,7 @@ class TestLazyActivitySums:
 
     def test_check_accounting_refreshes_stale_sums(self):
         # Debug accounting would refresh the sums on every mutation.
-        memory = TieredMemory(128, 64, 128, DRAM_SPEC, CXL_SPEC, debug_accounting=False)
+        memory = TieredMemory(128, [64, 128], [DRAM_SPEC, CXL_SPEC], debug_accounting=False)
         memory.allocate_first_touch(np.arange(128))
         memory.touch(np.arange(64), window=1, counts=np.full(64, 3.0))
         assert memory._activity_sums_stale

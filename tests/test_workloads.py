@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.baselines import make_policy
 from repro.mem.page import Tier
+from repro.sim.machine import _INITIAL_WINDOW_CYCLES, Machine
 from repro.workloads import (
     ALL_WORKLOADS,
     EVAL_WORKLOADS,
@@ -216,11 +218,36 @@ class TestMlc:
         assert one.bytes_for_duration(d) == pytest.approx(8 * 1024**3 * 0.01, rel=0.01)
 
     def test_zero_threads_inject_nothing(self):
-        assert MlcContender(threads=0).extra_bytes(1e7) == {}
+        assert MlcContender(threads=0).bytes_for_duration(1e7) == 0.0
 
     def test_extra_bytes_target_tier(self):
-        extra = MlcContender(threads=2, tier=Tier.FAST).extra_bytes(1e7)
-        assert set(extra) == {Tier.FAST}
+        # One solved window: the contender's bytes land on its own link.
+        def first_window_bytes(contender):
+            machine = Machine(
+                make_workload("gups", total_misses=1_000_000),
+                make_policy("NoTier"),
+                ratio="1:4",
+                contender=contender,
+            )
+            machine.step()
+            return machine.perf.read().bytes
+
+        contender = MlcContender(threads=2, tier=Tier.SLOW)
+        quiet = first_window_bytes(None)
+        noisy = first_window_bytes(contender)
+        assert noisy[Tier.FAST] == quiet[Tier.FAST]
+        assert noisy[Tier.SLOW] == (
+            quiet[Tier.SLOW] + contender.bytes_for_duration(_INITIAL_WINDOW_CYCLES)
+        )
+
+    def test_contender_on_a_missing_tier_rejected(self):
+        with pytest.raises(ValueError, match="contender"):
+            Machine(
+                make_workload("gups", total_misses=1_000_000),
+                make_policy("NoTier"),
+                ratio="1:4",
+                contender=MlcContender(threads=2, tier=2),
+            )
 
 
 class TestColocation:
