@@ -14,6 +14,10 @@ Quick start::
     result = run_policy(workload, PactPolicy(), ratio="1:2")
     print(f"slowdown vs DRAM-only: {result.slowdown(baseline):.1%}")
 
+``ideal_baseline`` is one request through :mod:`repro.exp`'s campaign
+driver, cached and replayed like any experiment run; ``run_policy`` is
+a plain live run.
+
 Package layout:
 
 * :mod:`repro.common`   -- units, RNG, statistics, reservoir, binning rules
@@ -23,7 +27,8 @@ Package layout:
 * :mod:`repro.workloads`-- the paper's evaluation workloads and corpora
 * :mod:`repro.core`     -- PACT itself: PAC model, sampling, binning, policy
 * :mod:`repro.baselines`-- TPP, NBT, Colloid, Alto, Memtis, Nomad, Soar
-* :mod:`repro.analysis` -- model fits, improvement CDFs, sweep driver
+* :mod:`repro.exp`      -- experiment grids, result cache, campaign driver
+* :mod:`repro.analysis` -- model fits, improvement CDFs, multi-seed statistics
 """
 
 from repro.baselines import ALL_POLICIES, make_policy

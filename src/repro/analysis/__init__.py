@@ -1,4 +1,9 @@
-"""Analysis helpers: model fits, improvement CDFs, experiment sweeps."""
+"""Analysis helpers: model fits, improvement CDFs, multi-seed statistics.
+
+Experiment grids are declared and run with :mod:`repro.exp`
+(``ExperimentSpec`` + ``run_experiment``); ``repeat_runs`` is one such
+grid.
+"""
 
 from repro.analysis.correlation import (
     ModelFitResult,
@@ -11,19 +16,15 @@ from repro.analysis.improvement import (
     summarize_improvements,
 )
 from repro.analysis.repeat import RepeatedResult, repeat_runs, significantly_better
-from repro.analysis.sweep import SweepCell, SweepResult, run_sweep
 
 __all__ = [
     "ImprovementSummary",
     "ModelFitResult",
     "RepeatedResult",
-    "SweepCell",
-    "SweepResult",
     "aggregate_per_workload",
     "evaluate_stall_model",
     "pooled_improvements",
     "repeat_runs",
-    "run_sweep",
     "significantly_better",
     "summarize_improvements",
 ]

@@ -39,7 +39,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.sweep import run_sweep
 from repro.baselines import ALL_POLICIES, make_policy
 from repro.common.tables import format_count, format_table
 from repro.core.calibration import calibrate_k
@@ -54,7 +53,7 @@ from repro.mem.topology import DEMOTION_MODES, TOPOLOGY_NAMES, make_topology
 from repro.obs import DEFAULT_TRACE_CAPACITY, Observability
 from repro.sim import traceio
 from repro.sim.config import MachineConfig, PAPER_RATIOS
-from repro.sim.engine import ideal_baseline, run_policy
+from repro.sim.engine import run_policy
 from repro.workloads import ALL_WORKLOADS, generate_corpus, make_workload
 from repro.workloads import tracestore
 
@@ -226,9 +225,8 @@ def _config(args) -> MachineConfig:
 def _experiment_store(args):
     """Install the command's result store as the process default.
 
-    Routing through the default store lets engine-level baseline calls
-    and runner-level grid runs share one cache; the previous store is
-    restored afterwards so library callers are unaffected.
+    Every run the command makes reads and writes that one store; the
+    default is reset afterwards so library callers are unaffected.
 
     The trace store rides along: recorded traffic streams persist next
     to the result cache (``<cache-dir>/traces``) unless ``--trace-dir``
@@ -253,19 +251,33 @@ def _experiment_store(args):
         tracestore.reset_default_trace_store()
 
 
-def cmd_run(args, out) -> int:
-    config = _config(args)
+def _grid(args, workloads, policies, ratios, seeds=None, **options) -> ExperimentSpec:
+    """The command's (workload x policy x ratio x seed) grid at ``--work``."""
+    return ExperimentSpec(
+        workloads={
+            name: WorkloadSpec.registry(name, total_misses=args.work) for name in workloads
+        },
+        policies=list(policies),
+        ratios=list(ratios),
+        seeds=tuple(seeds if seeds is not None else [args.seed]),
+        config=_config(args),
+        **options,
+    )
+
+
+def _run_grid(args, spec: ExperimentSpec):
+    """Run ``spec`` through the driver into the command's result store."""
     with _experiment_store(args):
-        # One recorded stream serves the baseline and the policy run
-        # (replay is bit-identical, so results and cache keys match a
-        # live run's exactly).
-        workload = tracestore.get_default_trace_store().replay(
-            make_workload(args.workload, total_misses=args.work)
-        )
-        baseline = ideal_baseline(workload, config=config, seed=args.seed)
-        result = run_policy(
-            workload, make_policy(args.policy), ratio=args.ratio, config=config, seed=args.seed
-        )
+        return run_experiment(spec, jobs=args.jobs, use_cache=not args.no_cache)
+
+
+def cmd_run(args, out) -> int:
+    # The ideal baseline and the policy run replay one recorded stream.
+    exp = _run_grid(
+        args, _grid(args, [args.workload], [args.policy], [args.ratio], include_slow_only=False)
+    )
+    baseline = exp.baseline(args.workload, seed=args.seed)
+    result = exp.find(workload=args.workload, policy=args.policy, seed=args.seed)
     rows = [
         ["slowdown vs DRAM-only", f"{result.slowdown(baseline):.1%}"],
         ["runtime", f"{result.runtime_ms:.0f} ms"],
@@ -285,67 +297,33 @@ def cmd_run(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    config = _config(args)
-    with _experiment_store(args):
-        sweep = run_sweep(
-            {args.workload: WorkloadSpec.registry(args.workload, total_misses=args.work)},
-            policies=args.policies,
-            ratios=list(PAPER_RATIOS),
-            config=config,
-            seed=args.seed,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-        )
-    rows = []
-    for policy in args.policies:
-        rows.append(
-            [policy]
-            + [f"{sweep.cell(args.workload, policy, r).slowdown:.3f}" for r in PAPER_RATIOS]
-        )
-    rows.append(["CXL (all-slow)"] + [f"{sweep.slow_only[args.workload]:.3f}"] * len(PAPER_RATIOS))
+    exp = _run_grid(args, _grid(args, [args.workload], args.policies, PAPER_RATIOS))
     print(f"slowdown vs DRAM-only, workload {args.workload}:", file=out)
-    print(format_table(["policy"] + list(PAPER_RATIOS), rows), file=out)
+    print(
+        exp_report.ratio_table(exp, args.workload, args.policies, PAPER_RATIOS, seed=args.seed),
+        file=out,
+    )
     return 0
 
 
 def cmd_compare(args, out) -> int:
-    config = _config(args)
-    with _experiment_store(args):
-        sweep = run_sweep(
-            {
-                name: WorkloadSpec.registry(name, total_misses=args.work)
-                for name in args.workloads
-            },
-            policies=args.policies,
-            ratios=[args.ratio],
-            config=config,
-            seed=args.seed,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-        )
-    table = sweep.slowdown_table(args.ratio)
-    rows = [
-        [wname] + [f"{table[wname][p]:.3f}" for p in args.policies]
-        for wname in args.workloads
-    ]
+    exp = _run_grid(
+        args, _grid(args, args.workloads, args.policies, [args.ratio], include_slow_only=False)
+    )
     print(f"slowdown vs DRAM-only at {args.ratio}:", file=out)
-    print(format_table(["workload"] + list(args.policies), rows), file=out)
+    print(
+        exp_report.workload_table(
+            exp, args.workloads, args.policies, args.ratio, seed=args.seed,
+            slow_only_col=False,
+        ),
+        file=out,
+    )
     return 0
 
 
 def cmd_bench(args, out) -> int:
     """Declared grid through the experiment layer: cached + parallel."""
-    config = _config(args)
-    spec = ExperimentSpec(
-        workloads={
-            name: WorkloadSpec.registry(name, total_misses=args.work)
-            for name in args.workloads
-        },
-        policies=list(args.policies),
-        ratios=list(args.ratios),
-        seeds=tuple(args.seeds),
-        config=config,
-    )
+    spec = _grid(args, args.workloads, args.policies, args.ratios, args.seeds)
     with _experiment_store(args) as store:
         exp = run_experiment(spec, jobs=args.jobs, use_cache=not args.no_cache)
         for seed in args.seeds:
@@ -369,17 +347,7 @@ def cmd_campaign(args, out) -> int:
     kill hung workers (``--timeout``), and reports failures instead of
     raising: a crashed/hung worker costs one request, not the campaign.
     """
-    config = _config(args)
-    spec = ExperimentSpec(
-        workloads={
-            name: WorkloadSpec.registry(name, total_misses=args.work)
-            for name in args.workloads
-        },
-        policies=list(args.policies),
-        ratios=list(args.ratios),
-        seeds=tuple(args.seeds),
-        config=config,
-    )
+    spec = _grid(args, args.workloads, args.policies, args.ratios, args.seeds)
     requests = spec.expand()
     n_unique = len({r.key for r in requests})
     jobs = args.jobs if args.jobs is not None else 0  # campaign default: all cores

@@ -42,11 +42,6 @@ CPU_FREQ_GHZ = 2.2
 DEFAULT_WINDOW_MS = 20.0
 
 
-def cycles_per_ns(freq_ghz: float = CPU_FREQ_GHZ) -> float:
-    """Cycles elapsed per nanosecond at ``freq_ghz``."""
-    return freq_ghz
-
-
 def ns_to_cycles(ns: float, freq_ghz: float = CPU_FREQ_GHZ) -> float:
     """Convert nanoseconds to CPU cycles."""
     return ns * freq_ghz

@@ -1,13 +1,14 @@
 """Unified experiment orchestration: specs, caching, sweeps.
 
-The layer every consumer of the simulator goes through.  Every grid
-takes one path -- spec -> ``CampaignDriver`` -> result store:
+The layer every consumer of the simulator goes through.  Every cached
+run takes one path -- request -> ``CampaignDriver`` -> result store:
+grids, the CLI's experiment commands, and the engine's
+``ideal_baseline``/``slow_only_run`` (one-request runs):
 
 * :mod:`repro.exp.spec` -- declarative grids (``ExperimentSpec``) and
   single runs (``RunRequest``) with content fingerprints,
 * :mod:`repro.exp.cache` -- fingerprints, cache keys and the in-process
-  result store, shared with the engine's ideal/slow-only baseline
-  helpers,
+  result store,
 * :mod:`repro.exp.store` -- the on-disk result store: one SQLite
   database per cache directory (batched commits, WAL),
 * :mod:`repro.exp.service` -- the campaign driver, the one executor of
@@ -40,7 +41,6 @@ from repro.exp.service import (
     RequestExecutionError,
     WorkerPool,
     resolve_jobs,
-    run_campaign,
 )
 from repro.exp.spec import (
     DEFAULT_MAX_WINDOWS,
@@ -71,7 +71,6 @@ __all__ = [
     "get_default_store",
     "reset_default_store",
     "resolve_jobs",
-    "run_campaign",
     "run_experiment",
     "run_requests",
     "set_default_store",

@@ -11,8 +11,9 @@ address to result.  Its one on-disk subclass,
 :class:`~repro.exp.store.SqliteResultStore`, persists into
 ``<cache-dir>/results.sqlite`` so baselines computed by one bench
 process are reused by the next.  The default store (on disk when
-``REPRO_CACHE_DIR`` is set) is shared with :mod:`repro.sim.engine`'s
-baseline helpers, so engine-level and runner-level runs share entries.
+``REPRO_CACHE_DIR`` is set) is the campaign driver's, and every cached
+run goes through the driver -- :mod:`repro.sim.engine`'s reference
+helpers included -- so engine-level and grid-level runs share entries.
 
 Bump :data:`CACHE_VERSION` whenever the simulator's behaviour changes in
 a result-visible way; stale entries are then ignored (and benches can
@@ -95,15 +96,20 @@ def canonical(obj: Any) -> Any:
 def workload_fingerprint(workload) -> Dict[str, Any]:
     """Identity of a workload *instance* for cache keying.
 
-    Captures the base parameters every :class:`Workload` carries plus,
-    recursively, the members of colocated workloads (whose access mix
-    differs even at identical aggregate parameters).
+    Captures the base parameters every :class:`Workload` carries, the
+    subclass's own generator parameters that differ from their defaults
+    (:meth:`Workload.knobs`; left out at their defaults, so the keys of
+    default instances predate them), and, recursively, the members of
+    colocated workloads (whose access mix differs even at identical
+    aggregate parameters).
 
-    Replaying workloads (:mod:`repro.workloads.tracestore`) carry the
-    fingerprint of the *recorded* workload and expose it via
-    ``replay_fingerprint``; honouring it here means a replayed run and a
-    live run of the same workload share one cache identity -- replay is
-    an execution detail, never a result-key input.
+    Replaying workloads (:mod:`repro.workloads.tracestore`) expose
+    ``replay_fingerprint``: an exact replay of a complete recording
+    passes the *recorded* workload's fingerprint through, so a replayed
+    run and a live run of the same workload share one cache identity --
+    replay is an execution detail, never a result-key input.  A looping
+    or truncated replay's names what differs, since it runs another
+    stream.
     """
     replay_fp = getattr(workload, "replay_fingerprint", None)
     if replay_fp is not None:
@@ -117,6 +123,9 @@ def workload_fingerprint(workload) -> Dict[str, Any]:
         "misses_per_window": workload.misses_per_window,
         "compute_cycles_per_miss": workload.compute_cycles_per_miss,
     }
+    knobs = workload.knobs()
+    if knobs:
+        fp["knobs"] = canonical(knobs)
     members = getattr(workload, "members", None)
     if members:
         fp["members"] = [workload_fingerprint(m) for m in members]
@@ -253,7 +262,7 @@ _default_store: Optional[ResultStore] = None
 
 
 def get_default_store() -> ResultStore:
-    """The process-wide store used by engine baselines and the runner.
+    """The process-wide store the campaign driver uses unless given one.
 
     A :class:`~repro.exp.store.SqliteResultStore` under
     ``REPRO_CACHE_DIR`` when that is set (and ``REPRO_NO_CACHE`` is

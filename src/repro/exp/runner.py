@@ -1,14 +1,14 @@
 """Experiment runner: request execution, lockstep grouping, result indexing.
 
 ``run_experiment``/``run_requests`` are the entry point every bench,
-the CLI, and ``analysis.*`` drive.  They run the grid through
-:class:`~repro.exp.service.CampaignDriver` -- the one executor of
-experiment grids -- with no retries: expand a spec, drop duplicate
-requests (shared baselines collapse here), serve what the
-content-addressed store already has, execute the misses (in-process or
-across worker processes), store every result, and hand back an
-:class:`ExperimentResult` that knows how to look runs up by (workload,
-policy, ratio, seed).  This module also holds the executors the driver
+the CLI, ``analysis.*`` and the engine's reference helpers drive.
+They run the grid through :class:`~repro.exp.service.CampaignDriver`
+-- the one executor of experiment grids -- with no retries: expand a
+spec, drop duplicate requests (shared baselines collapse here), serve
+what the content-addressed store already has, execute the misses
+(in-process or across worker processes), store every result, and hand
+back an :class:`ExperimentResult` that knows how to look runs up by
+(workload, policy, ratio, seed).  This module also holds the executors the driver
 calls: :func:`execute_request` and :func:`execute_request_group`.
 
 Every request runs on its workload's recorded traffic stream

@@ -1,8 +1,9 @@
 """Campaign service: the one executor of experiment grids.
 
-Every grid -- a figure bench, ``repro bench|sweep|compare|campaign``,
-``analysis.*`` -- runs through :class:`CampaignDriver`;
-``run_requests``/``run_experiment`` are the driver with no retries.
+Every cached run -- a figure bench, ``repro run|sweep|compare|bench|campaign``,
+``analysis.*``, the engine's ``ideal_baseline``/``slow_only_run`` --
+runs through :class:`CampaignDriver`; ``run_requests``/``run_experiment``
+are the driver with no retries.
 
 * :class:`WorkerPool` spawns workers **once per driver** and feeds
   them one request at a time over per-worker pipes.  Workers replay
@@ -706,24 +707,6 @@ class CampaignDriver:
             self.progress(reg.gauges())
 
 
-def run_campaign(
-    requests: Sequence[RunRequest],
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    use_cache: bool = True,
-    retries: int = DEFAULT_RETRIES,
-    timeout: Optional[float] = None,
-    registry: Optional[MetricsRegistry] = None,
-    progress: Optional[Callable[[Dict[str, float]], None]] = None,
-) -> CampaignResult:
-    """One-shot campaign over ``requests`` (pool torn down afterwards)."""
-    with CampaignDriver(
-        jobs=jobs, store=store, use_cache=use_cache, retries=retries,
-        timeout=timeout, registry=registry, progress=progress,
-    ) as driver:
-        return driver.run(requests)
-
-
 __all__ = [
     "CampaignDriver",
     "CampaignResult",
@@ -736,5 +719,4 @@ __all__ = [
     "RequestExecutionError",
     "WorkerPool",
     "resolve_jobs",
-    "run_campaign",
 ]

@@ -244,9 +244,9 @@ class ExperimentSpec:
     #: runs stay plain so their cache entries are shared with obs-off
     #: experiments).
     obs: bool = False
-    #: Emit the shared ideal / slow-only reference runs for each
-    #: (workload, seed, contender) combination exactly once.
-    include_ideal: bool = True
+    #: Emit the shared slow-only reference run for each (workload,
+    #: seed, contender) combination exactly once, beside the ideal one
+    #: every slowdown needs.
     include_slow_only: bool = True
 
     def workload_specs(self) -> List[WorkloadSpec]:
@@ -263,13 +263,12 @@ class ExperimentSpec:
         for wspec in wspecs:
             for seed in self.seeds:
                 for contender in self.contenders:
-                    if self.include_ideal:
-                        requests.append(
-                            RunRequest.ideal(
-                                wspec, config=self.config, seed=seed,
-                                contender=contender, max_windows=self.max_windows,
-                            )
+                    requests.append(
+                        RunRequest.ideal(
+                            wspec, config=self.config, seed=seed,
+                            contender=contender, max_windows=self.max_windows,
                         )
+                    )
                     if self.include_slow_only:
                         requests.append(
                             RunRequest.slow_only(

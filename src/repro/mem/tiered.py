@@ -501,9 +501,6 @@ class TieredMemory:
     def unpin(self, pages: np.ndarray) -> None:
         self._pinned[np.asarray(pages, dtype=np.int64)] = False
 
-    def pinned_count(self) -> int:
-        return int(self._pinned.sum())
-
     # -- debug cross-checks ----------------------------------------------------
 
     def check_accounting(self) -> None:

@@ -8,7 +8,8 @@ traces, loop-health counters):
 * a :class:`~repro.obs.registry.MetricsRegistry` that the machine, the
   migration engine, the stall solver, and policies publish into,
 * a bounded :class:`~repro.obs.recorder.TraceRecorder` ring buffer of
-  :class:`~repro.sim.metrics.WindowRecord` rows with JSONL/CSV export,
+  :class:`~repro.sim.metrics.WindowRecord` rows (written as JSONL/CSV by
+  :mod:`repro.sim.traceio`),
 * a :class:`~repro.obs.profiler.SpanProfiler` for host wall-clock spans
   around the hot loop.
 

@@ -1,4 +1,4 @@
-"""Bounded window-trace recording with downsampling and export.
+"""Bounded window-trace recording with downsampling.
 
 :class:`TraceRecorder` replaces the old unbounded ``Machine._trace``
 list: a ring buffer of per-window trace rows whose memory footprint is
@@ -15,7 +15,9 @@ machine appends plain field values via :meth:`TraceRecorder.append_window`
 -- no :class:`~repro.sim.metrics.WindowRecord` allocation per window --
 and ``records()`` materialises the dataclass views lazily, so
 ``repro.obs`` consumers, the experiment cache, and the benches see
-exactly the shapes they always did.
+exactly the shapes they always did.  Files are written by
+:mod:`repro.sim.traceio` (``write_trace_jsonl``/``write_trace_csv``),
+which read a recorder's columns directly.
 
 :class:`NullRecorder` is the disabled twin: appends are no-ops, so a
 machine without tracing pays one predicate check per window and stores
@@ -24,11 +26,8 @@ nothing.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
-from pathlib import Path
-from typing import IO, Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -38,8 +37,6 @@ from repro.sim.metrics import (
     WINDOW_OBJECT_COLUMNS,
     WindowRecord,
 )
-
-PathLike = Union[str, Path]
 
 #: Default ring capacity: bounds trace memory even at the simulator's
 #: 200k-window budget while keeping every window of typical runs.
@@ -212,46 +209,6 @@ class TraceRecorder:
             out[name] = [col[i] for i in idx]
         return out
 
-    # -- export --------------------------------------------------------------
-
-    def _row_dicts(self) -> List[dict]:
-        """JSON-ready row dicts straight from the columns."""
-        cols = self.column_lists()
-        names = [f.name for f in dataclasses.fields(WindowRecord)]
-        return [{name: cols[name][i] for name in names} for i in range(len(self))]
-
-    def write_jsonl(self, target: Union[PathLike, IO[str]]) -> int:
-        """Write one JSON object per retained window; returns row count."""
-        rows = self._row_dicts()
-        if hasattr(target, "write"):
-            for row in rows:
-                target.write(json.dumps(row, sort_keys=True) + "\n")
-        else:
-            path = Path(target)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("w") as fh:
-                for row in rows:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
-        return len(rows)
-
-    def write_csv(self, target: PathLike) -> int:
-        """Write retained windows as CSV (scalar columns only)."""
-        columns = [
-            f.name
-            for f in dataclasses.fields(WindowRecord)
-            if f.name not in ("policy_debug", "label_stalls", "metrics")
-        ]
-        cols = self.column_lists()
-        count = len(self)
-        path = Path(target)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for i in range(count):
-                writer.writerow([cols[col][i] for col in columns])
-        return count
-
 
 class NullRecorder:
     """No-op recorder used when tracing is disabled."""
@@ -277,9 +234,3 @@ class NullRecorder:
     def column_lists(self) -> Dict[str, list]:
         names = WINDOW_INT_COLUMNS + WINDOW_FLOAT_COLUMNS + WINDOW_OBJECT_COLUMNS
         return {name: [] for name in names}
-
-    def write_jsonl(self, target) -> int:  # noqa: ARG002 - interface parity
-        return 0
-
-    def write_csv(self, target) -> int:  # noqa: ARG002 - interface parity
-        return 0

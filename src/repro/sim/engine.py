@@ -1,16 +1,23 @@
-"""High-level run helpers with shared ideal-baseline caching.
+"""High-level run helpers: one live run, and the two reference runs.
 
 Every figure in the paper reports slowdown relative to an ideal
-DRAM-only execution of the same workload (§5.1).  Those baselines are
-cached in the experiment layer's content-addressed store
-(:mod:`repro.exp.cache`): in-process by default, and persisted to disk
-when a cache directory is configured -- so sweeps, benches, and separate
-bench *processes* all pay for each baseline exactly once.
+DRAM-only execution of the same workload (§5.1), with the all-slow-tier
+run as the gray 'CXL' line.  :func:`ideal_baseline` and
+:func:`slow_only_run` are one-request runs through the experiment
+layer's campaign driver (:func:`repro.exp.runner.run_requests`): they
+are cached in the shared result store under the same keys as an
+experiment's reference requests, and they replay -- the first call
+records the workload's stream into the default trace store, where it
+stays for the ideal and slow-only runs (and any later request) of the
+same workload, ``use_cache=False`` ones included (that flag skips only
+the result store).  :func:`clear_baseline_cache` drops the in-process
+layers of both stores.  Replay is bit-identical to live generation, so
+results are those of a live run.  A failing reference run raises
+:class:`~repro.exp.service.RequestExecutionError`, naming the request.
 
-The cache key covers the workload's parameters, the full
-:class:`MachineConfig`, the seed, the window budget, and the contender's
-complete parameter set (threads, pinned tier, per-thread bandwidth) --
-two differently-configured runs can never alias.
+:func:`run_policy` is the uncached live run: it takes a policy
+instance and an optional :class:`repro.obs.Observability` bundle, which
+no experiment request can carry.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Optional
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.metrics import RunResult
-from repro.sim.policy_api import NoTierPolicy, SlowOnlyPolicy, TieringPolicy
+from repro.sim.policy_api import TieringPolicy
 from repro.workloads.base import Workload
 from repro.workloads.mlc import MlcContender
 
@@ -57,7 +64,7 @@ def run_policy(
     return machine.run(max_windows=max_windows)
 
 
-def _cached_reference_run(
+def _reference_run(
     kind: str,
     workload: Workload,
     config: Optional[MachineConfig],
@@ -66,48 +73,27 @@ def _cached_reference_run(
     use_cache: bool,
     max_windows: int,
 ) -> RunResult:
+    """One reference request (``kind`` "ideal" or "slow_only") through
+    the campaign driver.
+
+    ``runner.execute_request`` maps the kind to its policy and fast-tier
+    capacity.  ``jobs=1``: a one-request run never spawns a pool (and a
+    lambda factory could not cross one).
+    """
     # Imported lazily so the sim layer never depends on repro.exp at
     # module-load time (repro.exp builds on the sim layer).
-    from repro.exp.cache import (
-        content_hash,
-        get_default_store,
-        run_fingerprint,
-        workload_fingerprint,
-    )
+    from repro.exp.runner import run_requests
+    from repro.exp.spec import RunRequest, WorkloadSpec
 
-    config = config if config is not None else MachineConfig()
-    fingerprint = run_fingerprint(
+    request = RunRequest(
+        workload=WorkloadSpec.from_factory(lambda: workload),
         kind=kind,
-        workload_fp=workload_fingerprint(workload),
-        policy_fp=None,
-        ratio=None,
-        seed=seed,
         config=config,
+        seed=seed,
         contender=contender,
         max_windows=max_windows,
-        trace=False,
     )
-    key = content_hash(fingerprint)
-    store = get_default_store()
-    if use_cache:
-        cached = store.get(key)
-        if cached is not None:
-            return cached
-    override = workload.footprint_pages if kind == "ideal" else 0
-    policy = NoTierPolicy() if kind == "ideal" else SlowOnlyPolicy()
-    machine = Machine(
-        workload=workload,
-        policy=policy,
-        config=config,
-        ratio="1:1",
-        fast_capacity_override=override,
-        contender=contender,
-        seed=seed,
-    )
-    result = machine.run(max_windows=max_windows)
-    if use_cache:
-        store.put(key, result, fingerprint=fingerprint)
-    return result
+    return run_requests([request], jobs=1, use_cache=use_cache)[request]
 
 
 def ideal_baseline(
@@ -118,8 +104,13 @@ def ideal_baseline(
     use_cache: bool = True,
     max_windows: int = DEFAULT_MAX_WINDOWS,
 ) -> RunResult:
-    """All-in-DRAM run of the workload (the slowdown denominator)."""
-    return _cached_reference_run(
+    """All-in-DRAM run of the workload (the slowdown denominator).
+
+    Cached and replayed like any experiment request (module docstring).
+    ``use_cache=False`` skips the result store only: the run still
+    replays the workload's stream from the default trace store.
+    """
+    return _reference_run(
         "ideal", workload, config, seed, contender, use_cache, max_windows
     )
 
@@ -132,18 +123,24 @@ def slow_only_run(
     use_cache: bool = True,
     max_windows: int = DEFAULT_MAX_WINDOWS,
 ) -> RunResult:
-    """All-in-slow-tier run (the gray 'CXL' line in the figures)."""
-    return _cached_reference_run(
+    """All-in-slow-tier run (the gray 'CXL' line in the figures).
+
+    Cached and replayed like :func:`ideal_baseline`, with the same
+    ``use_cache`` meaning.
+    """
+    return _reference_run(
         "slow_only", workload, config, seed, contender, use_cache, max_windows
     )
 
 
 def clear_baseline_cache() -> None:
-    """Drop the in-process layer of the shared result store.
+    """Drop the in-process layers of the shared result and trace stores.
 
     Disk entries (when a cache directory is configured) survive; delete
     the directory or run with ``REPRO_NO_CACHE=1`` for a cold start.
     """
     from repro.exp.cache import get_default_store
+    from repro.workloads.tracestore import get_default_trace_store
 
     get_default_store().clear_memory()
+    get_default_trace_store().clear_memory()

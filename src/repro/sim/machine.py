@@ -87,15 +87,23 @@ class Machine:
         # bit-identical to the equivalent shorter hierarchy (per-tier
         # keyed draws included).  Tier 0 and the bottom tier always stay.
         keep = [i for i in range(len(caps)) if caps[i] > 0 or i == 0 or i == len(caps) - 1]
+        if contender is not None:
+            tier = int(contender.tier)
+            if tier not in keep:
+                where = (
+                    f"which has no capacity at ratio {ratio} and is elided "
+                    "from the machine"
+                    if 0 <= tier < len(caps)
+                    else f"but the machine has tiers 0..{len(caps) - 1}"
+                )
+                raise ValueError(f"contender pinned to tier {tier}, {where}")
+            #: The contender's link as a code of the built machine
+            #: (``contender.tier`` names a tier of the configured hierarchy).
+            self._contender_tier = keep.index(tier)
         caps = [caps[i] for i in keep]
         specs = [specs[i] for i in keep]
         costs = [costs[i] for i in keep]
         self.num_tiers = len(caps)
-        if contender is not None and not 0 <= contender.tier < self.num_tiers:
-            raise ValueError(
-                f"contender pinned to tier {int(contender.tier)}, but the machine "
-                f"has tiers 0..{self.num_tiers - 1}"
-            )
         self.memory = TieredMemory(
             footprint_pages=footprint,
             capacities=caps,
@@ -231,7 +239,7 @@ class Machine:
 
         extra_bytes = self._pending_bytes
         if self.contender is not None:
-            extra_bytes[self.contender.tier] += self.contender.bytes_for_duration(
+            extra_bytes[self._contender_tier] += self.contender.bytes_for_duration(
                 self._last_duration, self.config.freq_ghz
             )
         extra_cycles = self._pending_overhead_cycles

@@ -65,10 +65,6 @@ class Observation:
     num_tiers: int = 2
 
     @property
-    def fast_free(self) -> int:
-        return self.memory.free_pages(Tier.FAST)
-
-    @property
     def lower_tiers(self) -> range:
         """Tier codes below tier 0, nearest first (just 1 on two tiers)."""
         return range(1, self.num_tiers)

@@ -17,7 +17,8 @@ length) is preserved.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+import inspect
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +37,10 @@ STREAMING_MLP = 16.0
 
 class Workload(abc.ABC):
     """Deterministic phased traffic generator with a finite work budget."""
+
+    #: Constructor parameters that shape the stream beyond the base
+    #: fields and the name, each kept in a same-named attribute.
+    knob_names: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -83,6 +88,22 @@ class Workload(abc.ABC):
         experiment layer's on-disk cache and across worker processes.
         """
         return {}
+
+    def knobs(self) -> Dict[str, Any]:
+        """The :attr:`knob_names` values that differ from their defaults.
+
+        Part of the workload's cache identity
+        (:func:`repro.exp.cache.workload_fingerprint`): instances that
+        differ only in a knob run different streams.
+        """
+        if not self.knob_names:
+            return {}
+        params = inspect.signature(type(self).__init__).parameters
+        return {
+            name: getattr(self, name)
+            for name in self.knob_names
+            if getattr(self, name) != params[name].default
+        }
 
     @property
     def window_index(self) -> int:

@@ -80,6 +80,8 @@ AUX_MLP = 6.0
 class GraphWorkload(Workload):
     """One GAPBS kernel running over one synthetic graph."""
 
+    knob_names = ("iteration_windows",)
+
     def __init__(
         self,
         kernel: str,

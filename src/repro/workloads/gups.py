@@ -27,6 +27,8 @@ DEFAULT_PHASE_WINDOWS = 12
 class Gups(Workload):
     """Uniform-random update table with phased sequential/random access."""
 
+    knob_names = ("phase_windows",)
+
     def __init__(
         self,
         footprint_pages: int = 16_384,

@@ -34,6 +34,7 @@ class RedisYcsbC(Workload):
 
     #: Average LLC misses per GET (index probe + value lines).
     misses_per_op = 6.0
+    knob_names = ("zipf_theta",)
 
     def __init__(
         self,
@@ -61,6 +62,7 @@ class RedisYcsbC(Workload):
             seed=seed,
             objects=objects,
         )
+        self.zipf_theta = zipf_theta
         layout_rng = np.random.default_rng(seed + 31)
         self._value_weights = zipf_weights(n_values, zipf_theta, layout_rng)
         self._index_weights = zipf_weights(n_index, 0.6, layout_rng)

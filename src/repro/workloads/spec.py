@@ -67,6 +67,8 @@ class Bwaves(Workload):
 class Xz(Workload):
     """657.xz: LZMA with a sliding dictionary window (recency-friendly)."""
 
+    knob_names = ("slide_windows",)
+
     def __init__(
         self,
         footprint_pages: int = 16_384,

@@ -503,10 +503,12 @@ class ReplayWorkload(Workload):
         meta = data.workload
         self._data = data
         self.loop = loop
-        #: Identity passthrough: cache keys fingerprint the *recorded*
-        #: workload, so replayed and live runs share result-cache entries.
-        self.replay_fingerprint = copy.deepcopy(data.fingerprint)
+        self._recorded_fingerprint = copy.deepcopy(data.fingerprint)
         self._num_windows = data.num_windows
+        #: False when the recording stops before its workload is done
+        #: (it was recorded under a window budget).
+        done = data.columns["window_done"]
+        self._complete = len(done) > 0 and bool(done[-1])
         self._cursor = 0
         super().__init__(
             name=meta["name"],
@@ -532,6 +534,28 @@ class ReplayWorkload(Workload):
         data = read_npt(path, mmap=mmap)
         _validate(data, path)
         return cls(data, loop=loop)
+
+    @property
+    def replay_fingerprint(self) -> Dict[str, Any]:
+        """Cache identity (read by :func:`repro.exp.cache.workload_fingerprint`).
+
+        An exact replay of a complete recording passes the *recorded*
+        workload's fingerprint through, so replayed and live runs share
+        result-cache entries and trace-store keys.  Any other replay
+        runs another stream, so its identity names the recording and
+        what differs: a recording that stops before its workload is
+        done, its window count; a looping replay, the loop and the
+        current work budget (:meth:`set_total_misses` moves it).
+        """
+        if self.loop:
+            return {
+                "replay_of": self._recorded_fingerprint,
+                "loop": True,
+                "total_misses": int(self.total_misses),
+            }
+        if self._complete:
+            return self._recorded_fingerprint
+        return {"replay_of": self._recorded_fingerprint, "windows": self._num_windows}
 
     @property
     def trace_windows(self) -> int:

@@ -18,6 +18,8 @@ class TinyWorkload(Workload):
     unambiguous criticality structure tests can assert against.
     """
 
+    knob_names = ("chase_mlp", "stream_mlp")
+
     def __init__(
         self,
         footprint_pages: int = 512,
@@ -85,6 +87,43 @@ def memory():
 @pytest.fixture
 def rng():
     return np.random.default_rng(123)
+
+
+@pytest.fixture
+def count_runs(monkeypatch):
+    """Count simulated runs in this process (solo and lockstep)."""
+    from repro.sim.machine import Machine
+    from repro.sim.runbatch import MultiMachine
+
+    calls = []
+    original = Machine.run
+    original_multi = MultiMachine.run
+
+    def counting_run(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    def counting_multi_run(self, *args, **kwargs):
+        # One lockstep execution simulates every member machine once.
+        calls.extend(self.machines)
+        return original_multi(self, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "run", counting_run)
+    monkeypatch.setattr(MultiMachine, "run", counting_multi_run)
+    return calls
+
+
+@pytest.fixture
+def isolated_stores():
+    """Memory-only default result + trace stores, restored afterwards."""
+    from repro.exp.cache import ResultStore, reset_default_store, set_default_store
+    from repro.workloads import tracestore
+
+    store = set_default_store(ResultStore())
+    trace_store = tracestore.set_default_trace_store(tracestore.TraceStore())
+    yield store, trace_store
+    reset_default_store()
+    tracestore.reset_default_trace_store()
 
 
 def assert_placement_consistent(memory: TieredMemory) -> None:

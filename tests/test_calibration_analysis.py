@@ -4,9 +4,10 @@ import pytest
 
 from repro.analysis.correlation import aggregate_per_workload, evaluate_stall_model
 from repro.analysis.improvement import pooled_improvements, summarize_improvements
-from repro.analysis.sweep import run_sweep
 from repro.common.units import CXL_SPEC
 from repro.core.calibration import CalibrationPoint, calibrate_k, collect_points
+from repro.exp.runner import run_experiment
+from repro.exp.spec import KIND_POLICY, ExperimentSpec
 from repro.mem.page import Tier
 from repro.sim.engine import clear_baseline_cache
 from repro.workloads.corpus import generate_corpus
@@ -97,23 +98,29 @@ class TestImprovement:
 
 
 class TestSweep:
+    """A declared grid through ``run_experiment``: tables and lookups."""
+
     def test_grid_runs_and_tables(self):
         clear_baseline_cache()
-        result = run_sweep(
-            {"tiny": TinyWorkload},
-            policies=["PACT", "NoTier"],
-            ratios=["1:1", "1:2"],
+        result = run_experiment(
+            ExperimentSpec(
+                workloads={"tiny": TinyWorkload},
+                policies=["PACT", "NoTier"],
+                ratios=["1:1", "1:2"],
+            )
         )
-        assert len(result.cells) == 4
+        assert sum(req.kind == KIND_POLICY for req in result.requests) == 4
         table = result.slowdown_table("1:1")
         assert "tiny" in table and "PACT" in table["tiny"]
-        promo = result.promotions_table("tiny")
-        assert promo["NoTier"]["1:1"] == 0
-        assert result.slow_only["tiny"] > 0
-        assert result.cell("tiny", "PACT", "1:2").slowdown < result.slow_only["tiny"]
+        assert result.promotions("tiny", "NoTier", "1:1") == 0
+        slow_only = result.slow_only("tiny").slowdown(result.baseline("tiny"))
+        assert slow_only > 0
+        assert result.slowdown("tiny", "PACT", "1:2") < slow_only
 
     def test_missing_cell_raises(self):
         clear_baseline_cache()
-        result = run_sweep({"tiny": TinyWorkload}, ["NoTier"], ["1:1"])
+        result = run_experiment(
+            ExperimentSpec(workloads={"tiny": TinyWorkload}, policies=["NoTier"], ratios=["1:1"])
+        )
         with pytest.raises(KeyError):
-            result.cell("tiny", "PACT", "1:1")
+            result.find(workload="tiny", policy="PACT", ratio="1:1")

@@ -7,10 +7,30 @@ import pytest
 
 from repro.baselines import make_policy
 from repro.cli import build_parser, main
+from repro.exp import report as exp_report
 from repro.exp.cache import result_to_dict
+from repro.exp.runner import run_experiment
+from repro.exp.spec import ExperimentSpec, WorkloadSpec
+from repro.exp.store import SqliteResultStore
+from repro.sim.config import PAPER_RATIOS
 from repro.sim.engine import run_policy
 from repro.workloads import make_workload
 from repro.workloads.tracestore import ReplayWorkload
+
+
+def stored_grid(directory, workloads, ratios, **options):
+    """The PACT/NoTier grid at 2M misses, read back from ``directory``'s store."""
+    spec = ExperimentSpec(
+        workloads={w: WorkloadSpec.registry(w, total_misses=2_000_000) for w in workloads},
+        policies=["PACT", "NoTier"],
+        ratios=list(ratios),
+        **options,
+    )
+    store = SqliteResultStore(directory)
+    try:
+        return run_experiment(spec, store=store)
+    finally:
+        store.close()
 
 
 def run_cli(*argv):
@@ -56,22 +76,53 @@ class TestCommands:
         assert code == 0
         assert "slowdown" in text
 
-    def test_sweep(self):
+    def test_run_persists_both_runs(self, tmp_path, count_runs):
+        argv = (
+            "run", "--workload", "gups", "--policy", "PACT", "--ratio", "1:2",
+            "--work", "2000000", "--cache-dir", str(tmp_path),
+        )
+        code, first = run_cli(*argv)
+        assert code == 0
+        store = SqliteResultStore(tmp_path)
+        assert store.count() == 2  # the ideal baseline and the policy run
+        store.close()
+        count_runs.clear()
+        code, second = run_cli(*argv)
+        assert code == 0 and second == first
+        assert count_runs == []  # both served from results.sqlite
+
+    def test_sweep(self, tmp_path, count_runs):
         code, text = run_cli(
             "sweep", "--workload", "masim", "--policies", "PACT", "NoTier",
-            "--work", "2000000",
+            "--work", "2000000", "--cache-dir", str(tmp_path),
         )
         assert code == 0
         assert "8:1" in text and "1:8" in text
         assert "CXL (all-slow)" in text
+        count_runs.clear()
+        exp = stored_grid(tmp_path, ["masim"], PAPER_RATIOS)
+        assert count_runs == []  # the whole grid is served from the store
+        table = exp_report.ratio_table(exp, "masim", ["PACT", "NoTier"], PAPER_RATIOS)
+        assert text == f"slowdown vs DRAM-only, workload masim:\n{table}\n"
 
-    def test_compare(self):
+    def test_compare(self, tmp_path, count_runs):
         code, text = run_cli(
             "compare", "--workloads", "gups", "masim",
             "--policies", "PACT", "NoTier", "--work", "2000000",
+            "--cache-dir", str(tmp_path),
         )
         assert code == 0
         assert "gups" in text and "masim" in text
+        store = SqliteResultStore(tmp_path)
+        assert store.count() == 6  # 2 ideal and 4 policy runs: no unread slow-only run
+        store.close()
+        count_runs.clear()
+        exp = stored_grid(tmp_path, ["gups", "masim"], ["1:1"], include_slow_only=False)
+        assert count_runs == []  # the whole grid is served from the store
+        table = exp_report.workload_table(
+            exp, ["gups", "masim"], ["PACT", "NoTier"], "1:1", slow_only_col=False
+        )
+        assert text == f"slowdown vs DRAM-only at 1:1:\n{table}\n"
 
     def test_calibrate(self):
         code, text = run_cli("calibrate", "--windows", "3")

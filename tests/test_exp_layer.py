@@ -32,7 +32,6 @@ from repro.exp.spec import ExperimentSpec, PolicySpec, RunRequest, WorkloadSpec
 from repro.exp.store import SqliteResultStore
 from repro.sim.config import MachineConfig
 from repro.sim.engine import ideal_baseline, slow_only_run
-from repro.sim.machine import Machine
 from repro.workloads.mlc import MlcContender
 
 from conftest import TinyWorkload
@@ -54,29 +53,6 @@ def small_grid(config=None) -> ExperimentSpec:
         ratios=("1:1", "1:2"),
         config=config,
     )
-
-
-@pytest.fixture
-def count_runs(monkeypatch):
-    """Count simulated runs in this process (solo and lockstep)."""
-    from repro.sim.runbatch import MultiMachine
-
-    calls = []
-    original = Machine.run
-    original_multi = MultiMachine.run
-
-    def counting_run(self, *args, **kwargs):
-        calls.append(self)
-        return original(self, *args, **kwargs)
-
-    def counting_multi_run(self, *args, **kwargs):
-        # One lockstep execution simulates every member machine once.
-        calls.extend(self.machines)
-        return original_multi(self, *args, **kwargs)
-
-    monkeypatch.setattr(Machine, "run", counting_run)
-    monkeypatch.setattr(MultiMachine, "run", counting_multi_run)
-    return calls
 
 
 @pytest.fixture

@@ -39,7 +39,6 @@ from repro.exp.service import (
     FAILURE_EXCEPTION,
     FAILURE_TIMEOUT,
     CampaignDriver,
-    run_campaign,
 )
 from repro.exp.spec import ExperimentSpec, PolicySpec, RunRequest, WorkloadSpec
 from repro.exp.store import SqliteResultStore
@@ -110,16 +109,6 @@ def faults(monkeypatch):
         return WorkloadSpec.from_factory(odd_factory, label=label)
 
     return arm
-
-
-@pytest.fixture
-def isolated_stores():
-    """Memory-only default result + trace stores, restored afterwards."""
-    store = set_default_store(ResultStore())
-    trace_store = tracestore.set_default_trace_store(tracestore.TraceStore())
-    yield store, trace_store
-    reset_default_store()
-    tracestore.reset_default_trace_store()
 
 
 def _src_env() -> dict:
@@ -222,9 +211,8 @@ class TestCampaignEquivalence:
                 tracestore.TraceStore(tmp_path / "traces")
             )
             sqlite_store = SqliteResultStore(tmp_path / "cache")
-            campaign = run_campaign(
-                spec.expand(), jobs=2, store=sqlite_store, use_cache=True
-            )
+            with CampaignDriver(jobs=2, store=sqlite_store, use_cache=True) as driver:
+                campaign = driver.run(spec.expand())
         finally:
             reset_default_store()
             tracestore.reset_default_trace_store()
@@ -244,7 +232,8 @@ class TestCampaignEquivalence:
         run_requests(spec.expand(), jobs=1, store=SqliteResultStore(tmp_path / "cache"))
 
         sqlite_store = SqliteResultStore(tmp_path / "cache")
-        campaign = run_campaign(spec.expand(), jobs=2, store=sqlite_store)
+        with CampaignDriver(jobs=2, store=sqlite_store) as driver:
+            campaign = driver.run(spec.expand())
         assert campaign.stats.executed == 0
         assert campaign.stats.cache_hits == len({r.key for r in spec.expand()})
 
@@ -301,7 +290,8 @@ class TestFailureIsolation:
     ):
         # retries=0: the single armed attempt is the final one.
         requests = self._grid(faults("raise", tmp_path / "armed.flag", "raisy"))
-        campaign = run_campaign(requests, jobs=2, retries=0)
+        with CampaignDriver(jobs=2, retries=0) as driver:
+            campaign = driver.run(requests)
         failed = campaign.failed
         assert len(failed) == 1
         assert failed[0].kind == FAILURE_EXCEPTION
@@ -317,7 +307,8 @@ class TestFailureIsolation:
         self, tmp_path, isolated_stores, faults
     ):
         requests = self._grid(faults("raise", tmp_path / "armed.flag", "raisy"))
-        campaign = run_campaign(requests, jobs=2, retries=1)
+        with CampaignDriver(jobs=2, retries=1) as driver:
+            campaign = driver.run(requests)
         assert campaign.ok
         assert campaign.stats.retries == 1
         assert len(campaign.ledger) == 1
@@ -326,7 +317,8 @@ class TestFailureIsolation:
 
     def test_worker_crash_is_isolated_and_retried(self, tmp_path, isolated_stores, faults):
         requests = self._grid(faults("crash", tmp_path / "crashed.flag", "crashy"))
-        campaign = run_campaign(requests, jobs=2, retries=1)
+        with CampaignDriver(jobs=2, retries=1) as driver:
+            campaign = driver.run(requests)
         assert campaign.ok, [rec.describe() for rec in campaign.ledger]
         kinds = [rec.kind for rec in campaign.ledger]
         assert kinds == [FAILURE_CRASH]
@@ -350,7 +342,8 @@ class TestFailureIsolation:
 
     def test_hung_worker_killed_on_timeout(self, tmp_path, isolated_stores, faults):
         requests = self._grid(faults("hang", tmp_path / "hung.flag", "hangy"))
-        campaign = run_campaign(requests, jobs=2, retries=0, timeout=2.0)
+        with CampaignDriver(jobs=2, retries=0, timeout=2.0) as driver:
+            campaign = driver.run(requests)
         failed = campaign.failed
         assert len(failed) == 1
         assert failed[0].kind == FAILURE_TIMEOUT
@@ -367,7 +360,8 @@ class TestFailureIsolation:
             workload=faults("raise", tmp_path / "flaky.flag", "flaky"),
             policy=PolicySpec("NoTier"),
         )
-        campaign = run_campaign([bad], jobs=1, retries=1)
+        with CampaignDriver(jobs=1, retries=1) as driver:
+            campaign = driver.run([bad])
         assert campaign.ok
         assert len(campaign.ledger) == 1
         assert campaign.ledger[0].kind == FAILURE_EXCEPTION

@@ -5,9 +5,11 @@ import pytest
 
 from repro.analysis.repeat import RepeatedResult, repeat_runs, significantly_better
 from repro.common.charts import bar_chart, series_with_sparkline, sparkline
+from repro.exp.cache import result_to_dict, workload_fingerprint
 from repro.sim.engine import clear_baseline_cache, ideal_baseline, run_policy
 from repro.sim.machine import Machine
 from repro.sim.policy_api import NoTierPolicy
+from repro.workloads import make_workload
 from repro.workloads.tracestore import (
     ReplayWorkload,
     TraceFormatError,
@@ -100,6 +102,93 @@ class TestTraceWorkload:
         baseline = ideal_baseline(ReplayWorkload.from_file(path, loop=False), config=config)
         result = run_policy(workload, make_policy("PACT"), ratio="1:2", config=config)
         assert result.slowdown(baseline) < 1.5
+
+
+def stretched(path):
+    """The two-window trace looped over four passes (eight windows)."""
+    w = ReplayWorkload.from_file(path, loop=True)
+    w.set_total_misses(4 * w.total_misses)
+    return w
+
+
+class TestLoopingReplayIdentity:
+    """A looping replay is keyed as its own stream: it names the
+    recording, the loop, and its current work budget, so it shares no
+    cached result or recorded stream with an exact replay of the file."""
+
+    def test_fingerprint_moves_with_the_budget(self, tmp_path):
+        path = recorded(tmp_path)
+        exact = ReplayWorkload.from_file(path)
+        loop = ReplayWorkload.from_file(path, loop=True)
+        assert workload_fingerprint(exact) == workload_fingerprint(two_window_workload())
+        one_pass = workload_fingerprint(loop)
+        assert one_pass != workload_fingerprint(exact)
+        loop.set_total_misses(4 * loop.total_misses)
+        assert workload_fingerprint(loop) != one_pass
+
+    @pytest.mark.parametrize("stretched_first", [False, True])
+    def test_exact_and_stretched_replays_do_not_alias(
+        self, tmp_path, config, isolated_stores, stretched_first
+    ):
+        path = recorded(tmp_path)
+        cases = [(ReplayWorkload.from_file, 2), (stretched, 8)]
+        if stretched_first:
+            cases.reverse()
+        for make, windows in cases:
+            got = ideal_baseline(make(path), config=config)
+            workload = make(path)
+            live = Machine(
+                workload, NoTierPolicy(), config=config,
+                fast_capacity_override=workload.footprint_pages,
+            ).run()
+            assert got.windows == live.windows == windows
+            assert result_to_dict(got) == result_to_dict(live)
+
+
+def gups_2m():
+    return make_workload("gups", total_misses=2_000_000)
+
+
+class TestTruncatedReplayIdentity:
+    """A replay of a recording that stops before its workload is done
+    (one recorded under a window budget) is keyed as its own stream: it
+    names the recording and its window count, so it shares no cached
+    result or recorded stream with the full workload."""
+
+    @pytest.fixture
+    def short(self, tmp_path):
+        path = tmp_path / "short.npt"
+        record_to_file(gups_2m(), path, max_windows=3)
+        return path
+
+    def test_fingerprint_names_the_window_count(self, short, tmp_path):
+        assert workload_fingerprint(ReplayWorkload.from_file(short)) == {
+            "replay_of": workload_fingerprint(gups_2m()),
+            "windows": 3,
+        }
+        # A complete recording keeps the passthrough (and its keys).
+        full = tmp_path / "full.npt"
+        record_to_file(gups_2m(), full)
+        assert workload_fingerprint(ReplayWorkload.from_file(full)) == (
+            workload_fingerprint(gups_2m())
+        )
+
+    @pytest.mark.parametrize("short_first", [True, False])
+    def test_short_replay_and_live_workload_do_not_alias(
+        self, short, config, isolated_stores, short_first
+    ):
+        cases = [(lambda: ReplayWorkload.from_file(short), True, 3), (gups_2m, False, 8)]
+        if not short_first:
+            cases.reverse()
+        for make, use_cache, windows in cases:
+            got = ideal_baseline(make(), config=config, use_cache=use_cache)
+            workload = make()
+            live = Machine(
+                workload, NoTierPolicy(), config=config,
+                fast_capacity_override=workload.footprint_pages,
+            ).run()
+            assert got.windows == live.windows == windows
+            assert result_to_dict(got) == result_to_dict(live)
 
 
 def set_first(column, value):

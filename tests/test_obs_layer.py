@@ -32,6 +32,7 @@ from repro.obs import (
     SpanProfiler,
     TraceRecorder,
 )
+from repro.sim import traceio
 from repro.sim.machine import Machine
 from repro.sim.metrics import WindowRecord
 from repro.sim.config import MachineConfig
@@ -166,7 +167,7 @@ class TestTraceRecorder:
         for i in range(3):
             rec.append(_record(i))
         path = tmp_path / "trace.jsonl"
-        assert rec.write_jsonl(path) == 3
+        assert traceio.write_trace_jsonl(rec, path) == 3
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["window"] for r in rows] == [0, 1, 2]
 
@@ -174,8 +175,8 @@ class TestTraceRecorder:
         rec = TraceRecorder(capacity=4)
         rec.append(_record(0))
         path = tmp_path / "trace.csv"
-        assert rec.write_csv(path) == 1
-        header = path.read_text().splitlines()[0]
+        header, *rows = traceio.write_trace_csv(rec, path).read_text().splitlines()
+        assert len(rows) == 1
         assert "window" in header and "duration_cycles" in header
 
     def test_null_recorder_stores_nothing(self):

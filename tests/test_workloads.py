@@ -5,6 +5,8 @@ import pytest
 
 from repro.baselines import make_policy
 from repro.mem.page import Tier
+from repro.mem.topology import make_topology
+from repro.sim.config import MachineConfig
 from repro.sim.machine import _INITIAL_WINDOW_CYCLES, Machine
 from repro.workloads import (
     ALL_WORKLOADS,
@@ -247,6 +249,41 @@ class TestMlc:
                 make_policy("NoTier"),
                 ratio="1:4",
                 contender=MlcContender(threads=2, tier=2),
+            )
+
+    # dram-cxl-nvme at 1:0:4 elides the empty CXL tier: the machine has
+    # two tiers, but a contender's tier names the configured hierarchy.
+    ELIDED = MachineConfig(topology=make_topology("dram-cxl-nvme"))
+
+    def test_contender_tier_maps_through_elided_tiers(self):
+        def first_window_bytes(contender):
+            machine = Machine(
+                make_workload("gups", total_misses=1_000_000),
+                make_policy("NoTier"),
+                config=self.ELIDED,
+                ratio="1:0:4",
+                contender=contender,
+            )
+            assert [spec.name for spec in machine.stall_model.spec] == ["dram", "nvme"]
+            machine.step()
+            return machine.perf.read().bytes
+
+        contender = MlcContender(threads=2, tier=2)  # the NVMe link
+        quiet = first_window_bytes(None)
+        noisy = first_window_bytes(contender)
+        assert noisy[0] == quiet[0]
+        assert noisy[1] == quiet[1] + contender.bytes_for_duration(
+            _INITIAL_WINDOW_CYCLES, self.ELIDED.freq_ghz
+        )
+
+    def test_contender_on_an_elided_tier_rejected(self):
+        with pytest.raises(ValueError, match="tier 1, which has no capacity"):
+            Machine(
+                make_workload("gups", total_misses=1_000_000),
+                make_policy("NoTier"),
+                config=self.ELIDED,
+                ratio="1:0:4",
+                contender=MlcContender(threads=2, tier=1),
             )
 
 
