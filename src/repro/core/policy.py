@@ -26,10 +26,6 @@ class MigrationPlanner:
 
     #: Demotion aggressiveness: extra pages demoted beyond promotions.
     m: int = 0
-    #: Cap on promotions applied in a single window (0 = uncapped); the
-    #: adaptive binner already bounds candidate supply, so this is a
-    #: safety valve, not a tuning knob.
-    max_promotions_per_window: int = 0
 
     promoted_total: int = 0
     demoted_total: int = 0
@@ -41,8 +37,6 @@ class MigrationPlanner:
     def plan(self, candidates: np.ndarray, obs: Observation) -> Decision:
         """Algorithm 2 for one window's candidate set."""
         candidates = np.asarray(candidates, dtype=np.int64)
-        if self.max_promotions_per_window > 0 and candidates.size > self.max_promotions_per_window:
-            candidates = candidates[: self.max_promotions_per_window]
         if candidates.size == 0 and self.m == 0:
             return Decision.none()
 

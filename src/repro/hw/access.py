@@ -1,23 +1,27 @@
 """Memory-traffic descriptions exchanged between workloads and hardware.
 
-Workloads emit, per sampling window, a list of :class:`AccessGroup`
-objects.  A group bundles LLC-miss traffic that shares one access
-pattern: the same effective memory-level parallelism (MLP), e.g. "the
-streaming thread" or "pointer-chasing over the hub pages".  This is the
-granularity at which MLP is physically meaningful -- it is a property of
-the code issuing the requests, not of individual pages -- and it is what
-lets the simulator produce the phased, per-tier MLP behaviour the paper
-measures via CHA/TOR occupancy (§4.2).
+A workload's generator describes a window as a list of
+:class:`AccessGroup` objects.  A group bundles LLC-miss traffic that
+shares one access pattern: the same effective memory-level parallelism
+(MLP), e.g. "the streaming thread" or "pointer-chasing over the hub
+pages".  This is the granularity at which MLP is physically meaningful
+-- it is a property of the code issuing the requests, not of individual
+pages -- and it is what lets the simulator produce the phased, per-tier
+MLP behaviour the paper measures via CHA/TOR occupancy (§4.2).
+
+Everything downstream of the generator reads one record per window,
+:class:`WindowTraffic`: the window's entries as flat columns, groups
+delimited by ``group_ptr``.  ``Workload.next_window`` packs the groups
+once (:meth:`WindowTraffic.from_groups`); a replayed window is a slice
+of the recorded trace columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
-
-from repro.common.arrays import sorted_unique
 
 
 @dataclass
@@ -52,9 +56,20 @@ class AccessGroup:
 
 @dataclass
 class WindowTraffic:
-    """Everything a workload does during one sampling window."""
+    """Everything a workload does during one sampling window.
 
-    groups: List[AccessGroup]
+    Group ``g`` owns entries ``[group_ptr[g], group_ptr[g + 1])`` of
+    ``pages``/``counts`` (int64, in group order) and carries
+    ``mlp[g]``, ``load_fraction[g]`` (float64) and ``labels[g]``.
+    """
+
+    pages: np.ndarray
+    counts: np.ndarray
+    #: G + 1 window-local entry offsets of the groups (int64).
+    group_ptr: np.ndarray
+    mlp: np.ndarray
+    load_fraction: np.ndarray
+    labels: Sequence[str]
     #: Cycles of pure compute (no memory stalls) in this window.
     compute_cycles: float
     #: True when the workload has finished its total work after this window.
@@ -62,21 +77,41 @@ class WindowTraffic:
     #: Free-form phase tag, surfaced in traces and benches.
     phase: str = ""
 
-    #: Optional pre-concatenated views over all groups' pages/counts, in
-    #: group order.  Replayed windows are contiguous slices of one flat
-    #: trace column, so providing these lets the simulator skip a
-    #: per-window ``np.concatenate``; when absent the simulator builds
-    #: the flat arrays itself.
-    flat_pages: Optional[np.ndarray] = None
-    flat_counts: Optional[np.ndarray] = None
+    @classmethod
+    def from_groups(
+        cls,
+        groups: List[AccessGroup],
+        compute_cycles: float,
+        done: bool = False,
+        phase: str = "",
+    ) -> "WindowTraffic":
+        """Pack a generator's groups; a single group keeps its arrays."""
+        n = len(groups)
+        if n == 1:
+            pages, counts = groups[0].pages, groups[0].counts
+        elif n:
+            pages = np.concatenate([g.pages for g in groups])
+            counts = np.concatenate([g.counts for g in groups])
+        else:
+            pages = counts = np.empty(0, dtype=np.int64)
+        group_ptr = np.zeros(n + 1, dtype=np.int64)
+        if n:
+            np.cumsum([g.pages.size for g in groups], out=group_ptr[1:])
+        return cls(
+            pages=pages,
+            counts=counts,
+            group_ptr=group_ptr,
+            mlp=np.array([g.mlp for g in groups], dtype=np.float64),
+            load_fraction=np.array([g.load_fraction for g in groups], dtype=np.float64),
+            labels=[g.label for g in groups],
+            compute_cycles=compute_cycles,
+            done=done,
+            phase=phase,
+        )
 
-    extra: dict = field(default_factory=dict)
+    @property
+    def num_groups(self) -> int:
+        return self.group_ptr.size - 1
 
     def total_misses(self) -> int:
-        return sum(g.total_misses for g in self.groups)
-
-    def touched_pages(self) -> np.ndarray:
-        """Unique pages accessed this window (feeds the LRU clock)."""
-        if not self.groups:
-            return np.empty(0, dtype=np.int64)
-        return sorted_unique(np.concatenate([g.pages[g.counts > 0] for g in self.groups]))
+        return int(self.counts.sum())

@@ -77,7 +77,7 @@ class ChmuSampler:
         ``pages``/``counts`` are the window's trace entries and
         ``tiers`` their per-entry placement; only entries resident in
         the device's own tier are counted (a CHMU observes only its own
-        memory, and UNALLOCATED entries sit in no tier).
+        memory).
         """
         mine = tiers == int(self.tier)
         if mine.any():

@@ -19,11 +19,10 @@ of the loop is placement-independent, RNG-free work:
 :func:`attach` gives each :class:`~repro.sim.machine.Machine` one
 window source for its whole run, one per placement regime:
 
-* :class:`StaticSource` -- a static-placement policy over a fully
-  allocated footprint, driven by a non-looping
-  :class:`~repro.workloads.tracestore.ReplayWorkload`: the pre-split
-  batches, plus the pre-solved outcomes where the solve inputs are
-  final at attach;
+* :class:`StaticSource` -- a static-placement policy driven by a
+  non-looping :class:`~repro.workloads.tracestore.ReplayWorkload`: the
+  pre-split batches, plus the pre-solved outcomes where the solve
+  inputs are final at attach;
 * :class:`DynamicSource` -- every other run: the live per-window split,
   fed the trace's :class:`EntryMetaPlan` when the run is replayed and
   unhinted on live traffic.
@@ -63,12 +62,12 @@ def build_static_batches(
 ) -> List[Optional[ShareBatch]]:
     """Pre-split every recorded window by a *frozen* placement.
 
-    ``placement`` must place every page the trace touches (a fully
-    allocated footprint).  Returns one batch per recorded window
-    (``None`` for windows that emitted no groups -- the machine never
-    splits those).  Rows come in (group, tier) order, exactly as the
-    per-window ``split_groups`` emits them, and every row column is
-    bit-identical to it.
+    ``placement`` must place every page the trace touches (the machine
+    places the whole footprint before window 0).  Returns one batch per
+    recorded window (``None`` for windows that emitted no groups -- the
+    machine never splits those).  Rows come in (group, tier) order,
+    exactly as the per-window ``split_groups`` emits them, and every
+    row column is bit-identical to it.
 
     Row misses come from one count-weighted bincount over the packed
     ``group * num_tiers + tier`` key of the whole trace; a *uniform*
@@ -271,7 +270,7 @@ class StaticSource:
         self.batches = batches
         self.outcomes = outcomes
 
-    def shares(self, window: int, traffic, pages, counts) -> ShareBatch:  # noqa: ARG002
+    def shares(self, window: int, traffic) -> ShareBatch:  # noqa: ARG002
         return self.batches[window]
 
     def touch_counts(self, window: int, counts: np.ndarray) -> np.ndarray:  # noqa: ARG002
@@ -309,21 +308,18 @@ class DynamicSource:
     def __bool__(self) -> bool:
         return self.meta is not None
 
-    def shares(self, window: int, traffic, pages: np.ndarray, counts: np.ndarray) -> ShareBatch:
+    def shares(self, window: int, traffic) -> ShareBatch:
         placement = self.memory.placement
         meta = self.meta
         if meta is None:
-            return self.model.split_groups(traffic.groups, placement, pages=pages, counts=counts)
+            return self.model.split_groups(traffic, placement)
         key_base, counts_f = meta.window(window)
         return self.model.split_groups(
-            traffic.groups,
+            traffic,
             placement,
-            pages=pages,
-            counts=counts,
             key_base=key_base,
             counts_f=counts_f,
             counts_positive=meta.counts_positive,
-            assume_allocated=self.memory.fully_allocated,
         )
 
     def touch_counts(self, window: int, counts: np.ndarray) -> np.ndarray:
@@ -341,11 +337,10 @@ def attach(machine):
     """The run's window source, chosen once per :class:`Machine`.
 
     Called at the end of ``Machine.__init__`` (placement is settled by
-    then).  A static placement over a fully preallocated footprint under
-    non-looping replay gets a :class:`StaticSource` (with pre-solved
-    outcomes where they apply); every other replayed run gets a
-    :class:`DynamicSource` hinted by the trace's :class:`EntryMetaPlan`,
-    and live traffic an unhinted one.  The source is truthy exactly when
+    then).  A static placement under non-looping replay gets a
+    :class:`StaticSource` (with pre-solved outcomes where they apply);
+    every other replayed run gets a :class:`DynamicSource` hinted by
+    the trace's :class:`EntryMetaPlan`, and live traffic an unhinted one.  The source is truthy exactly when
     a plan engaged, i.e. for every non-looping replayed run.
     """
     from repro.workloads.tracestore import ReplayWorkload
@@ -356,7 +351,7 @@ def attach(machine):
         return DynamicSource(model, memory)
     data = workload.trace_data
     policy = machine.policy
-    if not (policy.static_placement and memory.fully_allocated):
+    if not policy.static_placement:
         # Dynamic placement: the split itself stays in the loop, but its
         # trace-determined inputs (key bases, float counts) leave it.
         meta = entry_meta_for(data, machine.num_tiers)

@@ -95,15 +95,6 @@ class PebsDraw(NamedTuple):
     group_ptr: Optional[np.ndarray]
 
 
-def group_layout(groups) -> "tuple[np.ndarray, np.ndarray]":
-    """``(group_ptr, group_lf)`` of a window's access groups: the G + 1
-    entry offsets of the groups in trace order, and their load
-    fractions."""
-    ptr = np.zeros(len(groups) + 1, dtype=np.int64)
-    np.cumsum([g.pages.size for g in groups], out=ptr[1:])
-    return ptr, np.array([g.load_fraction for g in groups], dtype=np.float64)
-
-
 def sampled_positions(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
     """Ascending 0-based positions of the sampled events among ``total``.
 
@@ -188,9 +179,10 @@ class PebsSampler:
         """The RNG stage: one window's sampled entries and their records.
 
         ``counts`` are the window's per-entry miss counts in trace
-        order.  ``group_ptr``/``group_lf`` (see :func:`group_layout`)
-        feed the load thin; without them every entry counts as
-        all-load.  The load fraction is looked up for the sampled
+        order.  ``group_ptr``/``group_lf`` (the window's
+        :class:`~repro.hw.access.WindowTraffic` ``group_ptr`` and
+        ``load_fraction``) feed the load thin; without them every entry
+        counts as all-load.  The load fraction is looked up for the sampled
         entries only.  At rate 1 every miss is a sample, so the entry
         counts pass through without a draw.
         """

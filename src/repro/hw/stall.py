@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.common.units import CACHE_LINE_SIZE, CPU_FREQ_GHZ, TierSpec, ns_to_cycles
-from repro.hw.access import AccessGroup
+from repro.hw.access import WindowTraffic
 
 #: Demand-miss traffic is accompanied by prefetch traffic; this factor
 #: scales miss bytes to total bytes on the memory link.
@@ -176,54 +176,37 @@ class StallModel:
 
     def split_groups(
         self,
-        groups: Sequence[AccessGroup],
+        traffic: WindowTraffic,
         placement: np.ndarray,
-        pages: Optional[np.ndarray] = None,
-        counts: Optional[np.ndarray] = None,
         key_base: Optional[np.ndarray] = None,
         counts_f: Optional[np.ndarray] = None,
         counts_positive: bool = False,
-        assume_allocated: bool = False,
     ) -> ShareBatch:
         """Split each group's misses by the tier its pages sit in.
 
-        One ``placement`` gather over the window's concatenated entries,
-        then bincounts over the packed ``group * num_tiers + tier`` key:
-        one unweighted for cell presence (count-zero entries still make
-        a share), one count-weighted for per-cell misses.  Rows emerge
-        in share order (per group: tier 0 first, empty cells skipped).
-        Entries on UNALLOCATED pages are dropped: they belong to no
+        One ``placement`` gather over the window's entries, then
+        bincounts over the packed ``group * num_tiers + tier`` key: one
+        unweighted for cell presence (count-zero entries still make a
+        share), one count-weighted for per-cell misses.  Rows emerge in
+        share order (per group: tier 0 first, empty cells skipped).
+        Every page is placed before window 0, so every entry has a
         tier.  Weighted bincount accumulates float64, but the weights
         are integer miss counts well below 2**53, so the cast back to
-        int64 is exact.
+        int64 is exact.  The returned batch aliases model scratch and is
+        valid until the next call.
 
-        ``pages``/``counts`` optionally pass in the already-concatenated
-        traffic (the machine builds that concatenation anyway for the
-        LRU touch); when omitted it is built here.  The returned batch
-        aliases model scratch and is valid until the next call.
-
-        The remaining keyword hints let a replay driver hand in
-        prestaged trace-determined inputs
-        (:class:`repro.hw.drawplan.EntryMetaPlan`): ``key_base`` is the
-        per-entry ``group * num_tiers`` term of the packed key,
-        ``counts_f`` the float64 view of ``counts`` (weighted bincount
-        accumulates float64 either way), ``counts_positive`` asserts
-        every count is >= 1 (cell presence then follows from the
-        weighted bincount, skipping the unweighted one), and
-        ``assume_allocated`` asserts no entry sits on an UNALLOCATED
-        page (skipping the min scan).  Each hint removes a per-entry
-        pass without changing a single output bit.
+        The keyword hints let a replayed run hand in prestaged
+        trace-determined inputs (:class:`repro.hw.drawplan.EntryMetaPlan`):
+        ``key_base`` is the per-entry ``group * num_tiers`` term of the
+        packed key, ``counts_f`` the float64 view of the counts
+        (weighted bincount accumulates float64 either way), and
+        ``counts_positive`` asserts every count is >= 1 (cell presence
+        then follows from the weighted bincount, skipping the
+        unweighted one).  Each hint removes a per-entry pass without
+        changing a single output bit.
         """
-        n_groups = len(groups)
-        if pages is None:
-            if n_groups == 0:
-                pages = np.empty(0, dtype=np.int64)
-                counts = np.empty(0, dtype=np.int64)
-            elif n_groups == 1:
-                pages, counts = groups[0].pages, groups[0].counts
-            else:
-                pages = np.concatenate([g.pages for g in groups])
-                counts = np.concatenate([g.counts for g in groups])
+        pages = traffic.pages
+        n_groups = traffic.num_groups
         total = pages.size
         num_tiers = self.num_tiers
         max_rows = num_tiers * n_groups
@@ -239,24 +222,7 @@ class StallModel:
             }
         cols = self._row_cols
         tiers_all = placement[pages]
-        weights = counts if counts_f is None else counts_f
-        if not assume_allocated and total and int(tiers_all.min()) < 0:
-            # UNALLOCATED (-1) entries would alias the previous group's
-            # last tier in the packed key.
-            valid = tiers_all >= 0
-            tiers_all = tiers_all[valid]
-            weights = weights[valid]
-            key_base = None
-            if n_groups > 1:
-                gi_all = np.repeat(
-                    np.arange(n_groups, dtype=np.intp),
-                    [g.pages.size for g in groups],
-                )[valid]
-        elif n_groups > 1 and key_base is None:
-            gi_all = np.repeat(
-                np.arange(n_groups, dtype=np.intp),
-                [g.pages.size for g in groups],
-            )
+        weights = traffic.counts if counts_f is None else counts_f
         if n_groups <= 1:
             key = tiers_all
         elif key_base is not None:
@@ -265,7 +231,9 @@ class StallModel:
             key = self._key_scratch[:total]
             np.add(key_base, tiers_all, out=key, casting="unsafe")
         else:
-            key = gi_all * num_tiers
+            key = np.repeat(
+                np.arange(0, max_rows, num_tiers, dtype=np.intp), np.diff(traffic.group_ptr)
+            )
             np.add(key, tiers_all, out=key, casting="unsafe")
         if key.size:
             cell_misses = np.bincount(key, weights=weights, minlength=max_rows)
@@ -286,26 +254,12 @@ class StallModel:
         tier_misses = tuple(
             int(cell_misses[code::num_tiers].sum()) for code in range(num_tiers)
         )
-        if n_groups <= 1:
-            row_gi = np.zeros(row, dtype=np.int64)
-            row_tier = row_keys.astype(np.intp)
-        else:
-            row_gi = row_keys // num_tiers
-            row_tier = (row_keys - row_gi * num_tiers).astype(np.intp)
+        row_gi = row_keys // num_tiers
         cols["group_index"][:row] = row_gi
-        cols["tier_codes"][:row] = row_tier
-        if n_groups == 1:
-            cols["mlp"][:row] = groups[0].mlp
-            cols["load_fraction"][:row] = groups[0].load_fraction
-            labels = [groups[0].label] * row
-        elif n_groups:
-            cols["mlp"][:row] = np.array([g.mlp for g in groups])[row_gi]
-            cols["load_fraction"][:row] = np.array(
-                [g.load_fraction for g in groups]
-            )[row_gi]
-            labels = [groups[gi].label for gi in row_gi]
-        else:
-            labels = []
+        cols["tier_codes"][:row] = row_keys - row_gi * num_tiers
+        cols["mlp"][:row] = traffic.mlp[row_gi]
+        cols["load_fraction"][:row] = traffic.load_fraction[row_gi]
+        labels = traffic.labels
         return ShareBatch(
             n=row,
             group_index=cols["group_index"][:row],
@@ -313,7 +267,7 @@ class StallModel:
             mlp=cols["mlp"][:row],
             load_fraction=cols["load_fraction"][:row],
             misses=misses,
-            labels=labels,
+            labels=[labels[gi] for gi in row_gi.tolist()],
             unit_stall_cycles=cols["unit"][:row],
             num_tiers=num_tiers,
             misses_f=misses_f,

@@ -164,18 +164,6 @@ class TieredMemory:
         cap = self.capacity[tier]
         return self.frames_used(tier) / cap if cap > 0 else 0.0
 
-    @property
-    def fully_allocated(self) -> bool:
-        """True once every footprint page has a tier.
-
-        Pages are only ever allocated (``allocate_first_touch``) or
-        moved between tiers (``move``), never freed, so the per-tier
-        ``used`` totals are a monotone proxy: when they sum to the
-        footprint, ``allocate_first_touch`` is a guaranteed no-op and
-        callers may skip computing its page set entirely.
-        """
-        return sum(self.used) >= self.footprint_pages
-
     def tier_of(self, pages: np.ndarray) -> np.ndarray:
         """Placement of each page id (UNALLOCATED for untouched pages)."""
         return self.placement[np.asarray(pages, dtype=np.int64)]

@@ -3,7 +3,7 @@
 One :class:`Machine` simulates one run.  Time advances in sampling
 windows; each window the machine
 
-1. pulls the workload's traffic and first-touch-allocates new pages,
+1. pulls the workload's traffic (every page was placed before window 0),
 2. splits traffic by page placement and solves ground-truth stalls
    (with bandwidth contention from the app, any MLC contender, and last
    window's migration copies),
@@ -29,7 +29,7 @@ from repro.common.arrays import sorted_unique
 from repro.hw import drawplan
 from repro.hw.cha import ChaTorCounters
 from repro.hw.chmu import ChmuSampler
-from repro.hw.pebs import PebsBatch, PebsSampler, group_layout
+from repro.hw.pebs import PebsBatch, PebsSampler
 from repro.hw.perf import PerfCounters
 from repro.hw.stall import StallModel
 from repro.hw.substream import KeyedJitter
@@ -160,17 +160,25 @@ class Machine:
         self._source = drawplan.attach(self)
 
     def _preallocate(self) -> None:
-        """Place the footprint before the measured region starts.
+        """Place the whole footprint before the measured region starts.
 
         All evaluated applications allocate their memory during a load
         phase (graph construction, model load, DB population) that
         precedes the measured run, so placement is settled up front:
         either by the policy's static plan (Soar) or by first-touch in
-        the workload's allocation order.
+        the workload's allocation order.  The window loop allocates
+        nothing, so an order that leaves a page unplaced is an error.
         """
         plan = self.policy.placement_plan(self.workload, self.memory)
         order = plan if plan is not None else self.workload.allocation_order()
         self.memory.allocate_first_touch(order, prefer=self.policy.alloc_prefer)
+        unplaced = self.memory.footprint_pages - sum(self.memory.used)
+        if unplaced:
+            raise ValueError(
+                f"workload {self.workload.name!r} leaves {unplaced} of its "
+                f"{self.memory.footprint_pages} pages unplaced before window 0: "
+                "its allocation order must cover the footprint"
+            )
 
     # -- main loop ---------------------------------------------------------------
 
@@ -183,59 +191,39 @@ class Machine:
     def step(self) -> None:
         """Advance the simulation by one sampling window."""
         traffic = self.workload.next_window()
-        if not traffic.groups:
+        if not traffic.num_groups:
             self._step_empty_window()
             return
-        all_pages, all_counts, touched, shares, extra_bytes, extra_cycles = (
-            self._prepare_window(traffic)
-        )
+        touched, shares, extra_bytes, extra_cycles = self._prepare_window(traffic)
         outcome = self._planned_outcome(extra_bytes, extra_cycles)
         if outcome is None:
             with self.obs.profile("stall_solve"):
                 outcome = self.stall_model.solve(
                     shares, traffic.compute_cycles, extra_bytes=extra_bytes, extra_cycles=extra_cycles
                 )
-        self._finish_window(traffic, all_pages, all_counts, touched, outcome)
+        self._finish_window(traffic, touched, outcome)
 
     def _planned_outcome(self, extra_bytes, extra_cycles):
         """This window's pre-solved hardware outcome, or None to solve live."""
         return self._source.outcome(self._window, extra_bytes, extra_cycles)
 
     def _prepare_window(self, traffic):
-        """Everything before the stall solve: traffic concat, first-touch
-        allocation, the (group, tier) split, and contention inputs.
+        """Everything before the stall solve: the touched-page set, the
+        (group, tier) split, and contention inputs.
 
         Split out of :meth:`step` so the multi-run driver
         (:mod:`repro.sim.runbatch`) can prepare every run's window, solve
         them all in one batched call, then finish each run."""
-        # Concatenate the window's traffic once and reuse it for both
-        # the touched-page set (first-touch allocation, the policy's
-        # Observation) and the LRU/activity touch in _finish_window --
-        # ``traffic.touched_pages()`` would redo the same concatenation.
-        groups = traffic.groups
-        if traffic.flat_pages is not None and traffic.flat_counts is not None:
-            # Replayed windows are contiguous slices of one flat trace
-            # column; reuse the slice instead of re-concatenating.
-            all_pages, all_counts = traffic.flat_pages, traffic.flat_counts
-        elif len(groups) == 1:
-            all_pages, all_counts = groups[0].pages, groups[0].counts
-        else:
-            all_pages = np.concatenate([g.pages for g in groups])
-            all_counts = np.concatenate([g.counts for g in groups])
-        # The sorted touched-page set exists for two consumers: first-touch
-        # allocation and the Observation's touched_slow/touched_fast
-        # fields.  Once the footprint is fully allocated (normally right
-        # after _preallocate) and the policy declares it never reads the
-        # touched fields, the build is skipped.  It is one sort + run-flag
-        # pass: about 0.1 ms on a 12k-entry window, ~17x under numpy's
+        # The sorted touched-page set feeds only the Observation's
+        # touched_slow/touched_fast fields, so it is built only for
+        # policies that read them.  It is one sort + run-flag pass:
+        # about 0.1 ms on a 12k-entry window, ~17x under numpy's
         # hash-table np.unique (DESIGN.md §3b).
-        if self.memory.fully_allocated and not self.policy.needs_touched_pages:
-            touched = None
-        else:
-            touched = sorted_unique(all_pages[all_counts > 0])
-            self.memory.allocate_first_touch(touched, prefer=self.policy.alloc_prefer)
+        touched = None
+        if self.policy.needs_touched_pages:
+            touched = sorted_unique(traffic.pages[traffic.counts > 0])
 
-        shares = self._source.shares(self._window, traffic, all_pages, all_counts)
+        shares = self._source.shares(self._window, traffic)
 
         extra_bytes = self._pending_bytes
         if self.contender is not None:
@@ -245,9 +233,9 @@ class Machine:
         extra_cycles = self._pending_overhead_cycles
         self._pending_overhead_cycles = 0.0
         self._pending_bytes = [0.0] * self.num_tiers
-        return all_pages, all_counts, touched, shares, extra_bytes, extra_cycles
+        return touched, shares, extra_bytes, extra_cycles
 
-    def _finish_window(self, traffic, all_pages, all_counts, touched, outcome) -> None:
+    def _finish_window(self, traffic, touched, outcome) -> None:
         """Everything after the stall solve: counters, observation,
         policy decision, migration, and window bookkeeping."""
         # Sample after the solve so TPEBS-style latency reporting sees
@@ -259,11 +247,9 @@ class Machine:
         # regressions are attributable per stage.
         with self.obs.profile("hw_observe"):
             with self.obs.profile("hw_draw"):
-                pebs_drawn, cha_jitter, perf_jitter = self._draw_hw(
-                    traffic, all_counts, outcome.shares
-                )
+                pebs_drawn, cha_jitter, perf_jitter = self._draw_hw(traffic, outcome.shares)
             with self.obs.profile("hw_merge"):
-                pebs_batch = self._merge_hw(pebs_drawn, all_pages, all_counts, outcome.shares)
+                pebs_batch = self._merge_hw(pebs_drawn, traffic, outcome.shares)
                 self._pending_overhead_cycles += pebs_batch.overhead_cycles
                 self.cha.advance(outcome.shares, jitter=cha_jitter)
                 self.perf.advance(outcome, jitter=perf_jitter)
@@ -271,9 +257,9 @@ class Machine:
         # ``last_touch`` (as they always have) while adding no activity.
         if not self._skip_touch:
             self.memory.touch(
-                all_pages,
+                traffic.pages,
                 self._window,
-                counts=self._source.touch_counts(self._window, all_counts),
+                counts=self._source.touch_counts(self._window, traffic.counts),
             )
 
         obs = self._observe(pebs_batch, touched, outcome.duration_cycles)
@@ -334,7 +320,7 @@ class Machine:
 
     # -- internals ----------------------------------------------------------------
 
-    def _draw_hw(self, traffic, all_counts, shares):
+    def _draw_hw(self, traffic, shares):
         """The window's RNG stage: PEBS records and jitter factors.
 
         Returns ``(pebs_drawn, cha_jitter, perf_jitter)``.  Every value
@@ -348,26 +334,25 @@ class Machine:
         T = self.num_tiers
         pebs_drawn = cha_jitter = perf_jitter = None
         if self._cha_jitter is not None and shares.n:
-            pairs = self._cha_jitter.window_values(
-                w, 2 * len(traffic.groups) * T
-            ).reshape(-1, 2)
+            pairs = self._cha_jitter.window_values(w, 2 * traffic.num_groups * T).reshape(-1, 2)
             cha_jitter = pairs[shares.group_index * T + shares.tier_codes]
         if self._perf_jitter is not None:
             perf_jitter = self._perf_jitter.window_values(w, 2 * T)
         if self.policy.needs_pebs and not self._chmu:
-            group_ptr, group_lf = group_layout(traffic.groups)
-            pebs_drawn = self.pebs.draw(w, all_counts, group_ptr, group_lf)
+            pebs_drawn = self.pebs.draw(
+                w, traffic.counts, traffic.group_ptr, traffic.load_fraction
+            )
         return pebs_drawn, cha_jitter, perf_jitter
 
-    def _merge_hw(self, pebs_drawn, all_pages, all_counts, shares) -> PebsBatch:
+    def _merge_hw(self, pebs_drawn, traffic, shares) -> PebsBatch:
         """The window's merge stage: turn draws into a PebsBatch."""
         if not self.policy.needs_pebs:
             return PebsBatch.empty(self.pebs.rate)
-        placement = self.memory.placement
+        pages, placement = traffic.pages, self.memory.placement
         if self._chmu:
             # RNG-free accumulation of the entries in the device's tier.
-            return self.pebs.sample(all_pages, all_counts, placement[all_pages])
-        return self.pebs.merge(pebs_drawn, all_pages, placement, shares=shares)
+            return self.pebs.sample(pages, traffic.counts, placement[pages])
+        return self.pebs.merge(pebs_drawn, pages, placement, shares=shares)
 
     def _observe(
         self, pebs_batch: PebsBatch, touched: Optional[np.ndarray], duration: float

@@ -160,10 +160,10 @@ class TieringPolicy(abc.ABC):
 
     #: Whether this policy reads ``Observation.touched_slow`` /
     #: ``touched_fast`` (hint-fault and page-table-scan designs: NBT,
-    #: Nomad, TPP).  Policies that declare ``False`` let the machine
-    #: skip building the sorted touched-page set each window (one sort
-    #: of the window's trace entries, about 0.1 ms per 12k entries) once
-    #: the footprint is fully allocated.  Defaults to ``True`` (safe).
+    #: Nomad, TPP).  The machine builds the sorted touched-page set (one
+    #: sort of the window's trace entries, about 0.1 ms per 12k entries)
+    #: only for policies that declare ``True``; the others see empty sets.
+    #: Defaults to ``True`` (safe).
     needs_touched_pages: bool = True
 
     #: Access-sampling backend: "pebs" (host event sampling) or "chmu"

@@ -89,24 +89,24 @@ class MultiMachine:
         machines = self.machines
         traffics = [m.workload.next_window() for m in machines]
         # One trace drives all runs, so windows are empty together.
-        if not traffics[0].groups:
+        if not traffics[0].num_groups:
             for m in machines:
                 m._step_empty_window()
             return
         preps = [m._prepare_window(t) for m, t in zip(machines, traffics)]
-        outcomes = [m._planned_outcome(p[4], p[5]) for m, p in zip(machines, preps)]
+        outcomes = [m._planned_outcome(p[2], p[3]) for m, p in zip(machines, preps)]
         live = [r for r, outcome in enumerate(outcomes) if outcome is None]
         if live:
             solved = machines[0].stall_model.solve_many(
-                [preps[r][3] for r in live],
+                [preps[r][1] for r in live],
                 [traffics[r].compute_cycles for r in live],
-                [preps[r][4] for r in live],
-                [preps[r][5] for r in live],
+                [preps[r][2] for r in live],
+                [preps[r][3] for r in live],
             )
             for r, outcome in zip(live, solved):
                 outcomes[r] = outcome
         for m, traffic, prep, outcome in zip(machines, traffics, preps, outcomes):
-            m._finish_window(traffic, prep[0], prep[1], prep[2], outcome)
+            m._finish_window(traffic, prep[0], outcome)
 
     def run(self, max_windows: int = 200_000) -> List[RunResult]:
         """Simulate all runs to completion; results in machine order."""

@@ -1,12 +1,13 @@
 """Workload abstraction and access-pattern building blocks.
 
 A workload is a deterministic generator of per-window memory traffic
-(:class:`repro.hw.access.WindowTraffic`).  Each window it emits a set of
-access groups -- (pages, per-page LLC-miss counts, pattern MLP) -- plus
-the compute cycles interleaved with that traffic.  Workloads carry a
-fixed amount of total work (LLC misses) and report completion, so a
-simulation's runtime is "wall-clock until the work is done", exactly the
-paper's primary metric.
+(:class:`repro.hw.access.WindowTraffic`).  Each window its ``_emit``
+returns a set of access groups -- (pages, per-page LLC-miss counts,
+pattern MLP) -- which ``next_window`` packs into the window's flat
+entry columns together with the compute cycles interleaved with that
+traffic.  Workloads carry a fixed amount of total work (LLC misses)
+and report completion, so a simulation's runtime is "wall-clock until
+the work is done", exactly the paper's primary metric.
 
 Footprints are scaled down from the paper's 6.6-40 GB RSS to tens of
 thousands of 4KB pages so a full run takes seconds; every policy-visible
@@ -121,46 +122,24 @@ class Workload(abc.ABC):
     # -- traffic generation ----------------------------------------------------
 
     def next_window(self) -> WindowTraffic:
-        """Emit one window of traffic and consume the matching work."""
+        """Emit one window of traffic and consume the matching work.
+
+        The groups :meth:`_emit` returns are packed here, once, into the
+        window's flat entry columns (:meth:`WindowTraffic.from_groups`).
+        """
         budget = min(self.misses_per_window, self.total_misses - self._consumed)
         if budget <= 0:
-            return WindowTraffic(groups=[], compute_cycles=0.0, done=True)
+            return WindowTraffic.from_groups([], 0.0, done=True)
         groups = self._emit(budget, self._rng)
         emitted = sum(g.total_misses for g in groups)
         self._consumed += emitted if emitted > 0 else budget
         self._window += 1
-        traffic = WindowTraffic(
-            groups=groups,
-            compute_cycles=self._compute_cycles(emitted),
+        return WindowTraffic.from_groups(
+            groups,
+            self._compute_cycles(emitted),
             done=self.done,
             phase=self.phase_name(),
         )
-        return traffic
-
-    def next_windows(self, k: int) -> List[WindowTraffic]:
-        """Emit up to ``k`` windows of traffic in one call.
-
-        The bulk path for trace recording (:mod:`repro.workloads.tracestore`):
-        the default implementation simply loops ``next_window`` and stops
-        early once the workload is done, so it is stream-identical by
-        construction.  Subclasses with vectorisable generators override
-        this to amortise RNG draws across the batch; overrides must emit
-        the exact window sequence the serial path would (the trace
-        round-trip tests pin this property).
-
-        Each returned window carries ``extra["consumed_after"]``: the
-        work counter as of that window.  Recording needs the per-window
-        value, which is unrecoverable after the fact when emission rules
-        differ by subclass; overrides must stamp it too.
-        """
-        windows: List[WindowTraffic] = []
-        for _ in range(k):
-            if self.done:
-                break
-            traffic = self.next_window()
-            traffic.extra["consumed_after"] = self._consumed
-            windows.append(traffic)
-        return windows
 
     def _compute_cycles(self, emitted_misses: int) -> float:
         return emitted_misses * self.compute_cycles_per_miss
@@ -186,11 +165,17 @@ class Workload(abc.ABC):
         (vertex metadata, indexes), which is precisely why first-touch
         performs poorly and tiering pays off (§5.2).  The default is
         page-id order; workloads override to reflect their load phase.
+
+        The order must cover the whole footprint: the machine places
+        every page before window 0 and rejects a workload that leaves
+        one unplaced.  :meth:`_order_from_regions` appends the pages its
+        regions miss.
         """
         return np.arange(self.footprint_pages, dtype=np.int64)
 
     def _order_from_regions(self, region_names: Sequence[str]) -> np.ndarray:
-        """Allocation order visiting the named object regions in sequence."""
+        """Allocation order visiting the named object regions in sequence,
+        then every footprint page they leave out (in page-id order)."""
         by_name = {region.name: region for region in self.objects}
         parts = [by_name[name].pages() for name in region_names]
         order = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

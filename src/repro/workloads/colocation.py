@@ -61,23 +61,17 @@ class ColocatedWorkload(Workload):
         return {"member_finish_window": list(self.member_finish_window)}
 
     def next_window(self) -> WindowTraffic:
-        groups: List[AccessGroup] = []
+        """The running members' windows, concatenated in member order:
+        page ids offset into each member's range, labels prefixed with
+        the member's name."""
+        parts = []
         compute = 0.0
         emitted = 0
         for i, member in enumerate(self.members):
             if member.done:
                 continue
             traffic = member.next_window()
-            for group in traffic.groups:
-                groups.append(
-                    AccessGroup(
-                        pages=group.pages + self._offsets[i],
-                        counts=group.counts,
-                        mlp=group.mlp,
-                        load_fraction=group.load_fraction,
-                        label=f"{member.name}:{group.label}",
-                    )
-                )
+            parts.append((i, traffic))
             # Colocated processes run on separate cores; the shared-window
             # compute is the max of the members, not the sum.
             compute = max(compute, traffic.compute_cycles)
@@ -86,10 +80,25 @@ class ColocatedWorkload(Workload):
                 self.member_finish_window[i] = self._window
         self._consumed += emitted
         self._window += 1
+        done = all(m.done for m in self.members)
+        if not parts:
+            return WindowTraffic.from_groups([], compute, done=done, phase=self.phase_name())
+        group_ptr = [np.zeros(1, dtype=np.int64)]
+        entries = 0
+        for _, traffic in parts:
+            group_ptr.append(traffic.group_ptr[1:] + entries)
+            entries += traffic.pages.size
         return WindowTraffic(
-            groups=groups,
+            pages=np.concatenate([t.pages + self._offsets[i] for i, t in parts]),
+            counts=np.concatenate([t.counts for _, t in parts]),
+            group_ptr=np.concatenate(group_ptr),
+            mlp=np.concatenate([t.mlp for _, t in parts]),
+            load_fraction=np.concatenate([t.load_fraction for _, t in parts]),
+            labels=[
+                f"{self.members[i].name}:{label}" for i, t in parts for label in t.labels
+            ],
             compute_cycles=compute,
-            done=all(m.done for m in self.members),
+            done=done,
             phase=self.phase_name(),
         )
 

@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from repro.hw.access import AccessGroup, WindowTraffic
+from repro.hw.access import AccessGroup
 from repro.mem.page import ObjectRegion
 from repro.workloads.base import Workload, region_group
 
@@ -66,51 +66,3 @@ class Gups(Workload):
 
     def phase_name(self) -> str:
         return "sequential" if self._phase_is_sequential() else "random"
-
-    def next_windows(self, k: int) -> List[WindowTraffic]:
-        """Bulk generation amortising the multinomial draws.
-
-        ``rng.multinomial(n, p, size=j)`` consumes the bit stream
-        exactly as ``j`` sequential ``rng.multinomial(n, p)`` calls do,
-        so batching runs of equal-budget windows (every window except a
-        final remainder) reproduces the serial sequence bit-for-bit --
-        the trace round-trip tests compare both paths directly.
-        """
-        table = self.objects[0]
-        table_pages = table.pages()
-        p = np.full(table.num_pages, 1.0 / table.num_pages)
-        windows: List[WindowTraffic] = []
-        while len(windows) < k and not self.done:
-            remaining = self.total_misses - self._consumed
-            budget = min(self.misses_per_window, remaining)
-            # Consecutive full-budget windows share one batched draw; a
-            # short final window is drawn on its own.
-            if budget == self.misses_per_window:
-                batch = min(k - len(windows), max(remaining // budget, 1))
-            else:
-                batch = 1
-            counts = self._rng.multinomial(budget, p, size=batch).astype(np.int64)
-            for row in counts:
-                if self._phase_is_sequential():
-                    mlp, label = SEQUENTIAL_MLP, "seq-phase"
-                else:
-                    mlp, label = RANDOM_MLP, "rand-phase"
-                hit = row > 0
-                group = AccessGroup(
-                    pages=table_pages[hit],
-                    counts=row[hit],
-                    mlp=mlp,
-                    load_fraction=0.5,
-                    label=label,
-                )
-                self._consumed += budget
-                self._window += 1
-                traffic = WindowTraffic(
-                    groups=[group],
-                    compute_cycles=self._compute_cycles(budget),
-                    done=self.done,
-                    phase=self.phase_name(),
-                )
-                traffic.extra["consumed_after"] = self._consumed
-                windows.append(traffic)
-        return windows

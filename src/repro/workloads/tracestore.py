@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.hw.access import AccessGroup, WindowTraffic
+from repro.hw.access import WindowTraffic
 from repro.mem.page import ObjectRegion
 from repro.workloads.base import Workload
 
@@ -66,9 +66,6 @@ TRACE_MAGIC = b"NPT1"
 
 #: Alignment of the first column block (and the header padding).
 _ALIGN = 64
-
-#: Windows generated per bulk ``next_windows`` call during recording.
-RECORD_CHUNK = 64
 
 #: Environment variable selecting the on-disk trace directory.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
@@ -188,9 +185,9 @@ def record_stream(workload: Workload, max_windows: int = 200_000) -> TraceData:
 
     page_parts: List[np.ndarray] = []
     count_parts: List[np.ndarray] = []
-    group_sizes: List[int] = []
-    group_mlp: List[float] = []
-    group_lf: List[float] = []
+    size_parts: List[np.ndarray] = []
+    mlp_parts: List[np.ndarray] = []
+    lf_parts: List[np.ndarray] = []
     group_label: List[int] = []
     win_groups: List[int] = []
     win_compute: List[float] = []
@@ -200,25 +197,22 @@ def record_stream(workload: Workload, max_windows: int = 200_000) -> TraceData:
     phases: Dict[str, int] = {}
     labels: Dict[str, int] = {}
 
-    recorded = 0
-    while not workload.done and recorded < max_windows:
-        chunk = workload.next_windows(min(RECORD_CHUNK, max_windows - recorded))
-        if not chunk:
-            break
-        for traffic in chunk:
-            for group in traffic.groups:
-                page_parts.append(group.pages)
-                count_parts.append(group.counts)
-                group_sizes.append(group.pages.shape[0])
-                group_mlp.append(float(group.mlp))
-                group_lf.append(float(group.load_fraction))
-                group_label.append(labels.setdefault(group.label, len(labels)))
-            win_groups.append(len(traffic.groups))
-            win_compute.append(float(traffic.compute_cycles))
-            win_consumed.append(int(traffic.extra["consumed_after"]))
-            win_done.append(bool(traffic.done))
-            win_phase.append(phases.setdefault(traffic.phase, len(phases)))
-            recorded += 1
+    while not workload.done and len(win_groups) < max_windows:
+        traffic = workload.next_window()
+        page_parts.append(traffic.pages)
+        count_parts.append(traffic.counts)
+        size_parts.append(np.diff(traffic.group_ptr))
+        mlp_parts.append(traffic.mlp)
+        lf_parts.append(traffic.load_fraction)
+        group_label.extend(labels.setdefault(label, len(labels)) for label in traffic.labels)
+        win_groups.append(traffic.num_groups)
+        win_compute.append(float(traffic.compute_cycles))
+        # The work counter after this window: emission rules differ by
+        # workload (an empty window still consumes its budget), so it is
+        # read rather than re-derived from the entries.
+        win_consumed.append(int(workload._consumed))
+        win_done.append(bool(traffic.done))
+        win_phase.append(phases.setdefault(traffic.phase, len(phases)))
 
     final_metrics = copy.deepcopy(workload.final_metrics())
     alloc_order = np.ascontiguousarray(workload.allocation_order(), dtype=np.int64)
@@ -230,12 +224,12 @@ def record_stream(workload: Workload, max_windows: int = 200_000) -> TraceData:
         "window_consumed": np.asarray(win_consumed, dtype=np.int64),
         "window_done": np.asarray(win_done, dtype=np.uint8),
         "window_phase": np.asarray(win_phase, dtype=np.uint32),
-        "group_page_ptr": _ptr(group_sizes),
-        "group_mlp": np.asarray(group_mlp, dtype=np.float64),
-        "group_load_fraction": np.asarray(group_lf, dtype=np.float64),
+        "group_page_ptr": _ptr(_concat(size_parts, np.int64)),
+        "group_mlp": _concat(mlp_parts, np.float64),
+        "group_load_fraction": _concat(lf_parts, np.float64),
         "group_label": np.asarray(group_label, dtype=np.uint32),
-        "pages": _concat_int64(page_parts),
-        "counts": _concat_int64(count_parts),
+        "pages": _concat(page_parts, np.int64),
+        "counts": _concat(count_parts, np.int64),
         "alloc_order": alloc_order,
     }
     return TraceData(
@@ -257,17 +251,17 @@ def record_stream(workload: Workload, max_windows: int = 200_000) -> TraceData:
     )
 
 
-def _ptr(sizes: List[int]) -> np.ndarray:
+def _ptr(sizes) -> np.ndarray:
     ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
-    if sizes:
+    if len(sizes):
         np.cumsum(np.asarray(sizes, dtype=np.int64), out=ptr[1:])
     return ptr
 
 
-def _concat_int64(parts: List[np.ndarray]) -> np.ndarray:
+def _concat(parts: List[np.ndarray], dtype) -> np.ndarray:
     if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([np.asarray(p, dtype=np.int64) for p in parts])
+        return np.empty(0, dtype=dtype)
+    return np.concatenate([np.asarray(p, dtype=dtype) for p in parts])
 
 
 def _table(index: Dict[str, int]) -> List[str]:
@@ -355,8 +349,8 @@ def write_npt(data: TraceData, path: PathLike) -> Path:
     return path
 
 
-def read_npt(path: PathLike, mmap: bool = True) -> TraceData:
-    """Load a ``.npt`` trace, zero-copy via ``np.memmap`` by default.
+def read_npt(path: PathLike) -> TraceData:
+    """Load a ``.npt`` trace, zero-copy via ``np.memmap``.
 
     Raises :class:`TraceFormatError` on bad magic, version mismatch,
     unparsable headers, or truncated column data -- callers (the trace
@@ -405,20 +399,14 @@ def read_npt(path: PathLike, mmap: bool = True) -> TraceData:
             )
         if length == 0:
             columns[name] = np.empty(0, dtype=np.dtype(dtype))
-        elif mmap:
-            mm = np.memmap(path, dtype=np.dtype(dtype), mode="r",
-                           offset=offset, shape=(length,))
-            # View as a plain ndarray: same mmap-backed buffer (the
-            # memmap stays alive via .base, so page-cache sharing across
-            # sweep workers is unchanged) but slicing no longer pays the
-            # memmap.__array_finalize__ subclass overhead -- the replay
-            # hot loop slices these columns thousands of times per run.
-            columns[name] = mm.view(np.ndarray)
-        else:
-            with path.open("rb") as fh:
-                fh.seek(offset)
-                buf = fh.read(length * np.dtype(dtype).itemsize)
-            columns[name] = np.frombuffer(buf, dtype=np.dtype(dtype)).copy()
+            continue
+        mm = np.memmap(path, dtype=np.dtype(dtype), mode="r", offset=offset, shape=(length,))
+        # View as a plain ndarray: same mmap-backed buffer (the memmap
+        # stays alive via .base, so page-cache sharing across sweep
+        # workers is unchanged) but slicing no longer pays the
+        # memmap.__array_finalize__ subclass overhead -- the replay hot
+        # loop slices these columns thousands of times per run.
+        columns[name] = mm.view(np.ndarray)
     for ptr_name, indexed in (("window_group_ptr", "group_mlp"), ("group_page_ptr", "pages")):
         ptr = columns[ptr_name]
         if ptr.shape[0] == 0 or ptr[0] != 0 or np.any(np.diff(ptr) < 0):
@@ -464,8 +452,10 @@ def record_to_file(
 def _validate(data: TraceData, path: PathLike) -> None:
     """Reject a user's trace whose contents cannot describe a run.
 
-    An O(entries) scan, so only :meth:`ReplayWorkload.from_file` makes
-    it; the runner reads traces this module recorded itself.
+    Checks every column a replay reads beyond the layout
+    :func:`read_npt` checks.  An O(entries) scan, so only
+    :meth:`ReplayWorkload.from_file` makes it; the runner reads traces
+    this module recorded itself.
     """
     footprint = int(data.workload["footprint_pages"])
     if footprint <= 0:
@@ -480,6 +470,25 @@ def _validate(data: TraceData, path: PathLike) -> None:
         raise TraceFormatError(f"{path}: negative access count")
     if not np.all(np.isfinite(mlp) & (mlp > 0)):
         raise TraceFormatError(f"{path}: mlp must be finite and positive")
+    lf = c["group_load_fraction"]
+    if not np.all((lf >= 0.0) & (lf <= 1.0)):
+        raise TraceFormatError(f"{path}: load_fraction must be finite and in [0, 1]")
+    for column, table in (("group_label", data.labels), ("window_phase", data.phases)):
+        codes = c[column]
+        if codes.shape[0] and int(codes.max()) >= len(table):
+            raise TraceFormatError(
+                f"{path}: {column} code {int(codes.max())} past its {len(table)}-entry table"
+            )
+    # The machine places every page before window 0 in this order, so
+    # it must be a permutation of the footprint (read_npt checked its
+    # length).
+    order = c["alloc_order"]
+    if (
+        order.min() < 0
+        or order.max() >= footprint
+        or not np.all(np.bincount(order, minlength=footprint) == 1)
+    ):
+        raise TraceFormatError(f"{path}: alloc_order is not a permutation of [0, {footprint})")
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +519,9 @@ class ReplayWorkload(Workload):
         done = data.columns["window_done"]
         self._complete = len(done) > 0 and bool(done[-1])
         self._cursor = 0
+        #: Every recorded group's label, decoded once.
+        codes = data.columns["group_label"].tolist()
+        self._group_labels = [data.labels[code] for code in codes]
         super().__init__(
             name=meta["name"],
             footprint_pages=int(meta["footprint_pages"]),
@@ -529,9 +541,9 @@ class ReplayWorkload(Workload):
             self._window_emitted = np.diff(totals[bounds])
 
     @classmethod
-    def from_file(cls, path: PathLike, loop: bool = False, mmap: bool = True) -> "ReplayWorkload":
+    def from_file(cls, path: PathLike, loop: bool = False) -> "ReplayWorkload":
         """Load a ``.npt`` trace file, validated (:class:`TraceFormatError`)."""
-        data = read_npt(path, mmap=mmap)
+        data = read_npt(path)
         _validate(data, path)
         return cls(data, loop=loop)
 
@@ -601,23 +613,10 @@ class ReplayWorkload(Workload):
                     f"windows (recorded under a smaller window budget?)"
                 )
             i = 0
-        data = self._data
-        c = data.columns
-        wgp = c["window_group_ptr"]
+        c = self._data.columns
+        wgp, gpp = c["window_group_ptr"], c["group_page_ptr"]
         g0, g1 = int(wgp[i]), int(wgp[i + 1])
-        gpp = c["group_page_ptr"]
-        pages, counts = c["pages"], c["counts"]
-        mlp, lf, lab = c["group_mlp"], c["group_load_fraction"], c["group_label"]
-        groups = [
-            AccessGroup(
-                pages=pages[gpp[g] : gpp[g + 1]],
-                counts=counts[gpp[g] : gpp[g + 1]],
-                mlp=float(mlp[g]),
-                load_fraction=float(lf[g]),
-                label=data.labels[lab[g]],
-            )
-            for g in range(g0, g1)
-        ]
+        p0, p1 = int(gpp[g0]), int(gpp[g1])
         self._cursor = i + 1
         self._window += 1
         if self.loop:
@@ -626,14 +625,16 @@ class ReplayWorkload(Workload):
         else:
             self._consumed = int(c["window_consumed"][i])
             done = bool(c["window_done"][i])
-        p0, p1 = int(gpp[g0]), int(gpp[g1])
         return WindowTraffic(
-            groups=groups,
+            pages=c["pages"][p0:p1],
+            counts=c["counts"][p0:p1],
+            group_ptr=gpp[g0 : g1 + 1] - p0,
+            mlp=c["group_mlp"][g0:g1],
+            load_fraction=c["group_load_fraction"][g0:g1],
+            labels=self._group_labels[g0:g1],
             compute_cycles=float(c["window_compute"][i]),
             done=done,
-            phase=data.phases[int(c["window_phase"][i])],
-            flat_pages=pages[p0:p1],
-            flat_counts=counts[p0:p1],
+            phase=self._data.phases[int(c["window_phase"][i])],
         )
 
     def _emit(self, budget, rng):  # pragma: no cover - next_window overridden
@@ -823,7 +824,6 @@ def reset_default_trace_store() -> None:
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
-    "RECORD_CHUNK",
     "ReplayWorkload",
     "TRACE_DIR_ENV",
     "TRACE_FORMAT_VERSION",

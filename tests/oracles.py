@@ -6,7 +6,8 @@ something independent to compare with:
 
 * :func:`reference_split` / :func:`reference_solve` -- the
   object-per-share split and the ordered per-share fixed point of the
-  stall model (:mod:`repro.hw.stall`);
+  stall model (:mod:`repro.hw.stall`), over a window's groups
+  (:func:`window_groups` rebuilds them from a window's columns);
 * :class:`PerHopMigrator` -- migration applied as it is decided: one
   :meth:`~repro.mem.tiered.TieredMemory.move` per hop, victims ranked
   against live memory, outcomes merged as the hops land
@@ -27,6 +28,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.common.units import CACHE_LINE_SIZE, ns_to_cycles
+from repro.hw.access import AccessGroup
 from repro.hw.stall import (
     _FIXED_POINT_ITERATIONS,
     MAX_UTILISATION,
@@ -96,6 +98,22 @@ def assert_same_shares(got: dict, want: dict) -> None:
         np.testing.assert_array_equal(got[name], want[name], err_msg=name)
     for name in ("labels", "tier_misses"):
         assert got[name] == want[name], name
+
+
+def window_groups(traffic) -> List[AccessGroup]:
+    """A :class:`~repro.hw.access.WindowTraffic`'s groups, one record
+    each, sliced out of its entry columns by ``group_ptr``."""
+    ptr = traffic.group_ptr
+    return [
+        AccessGroup(
+            pages=traffic.pages[ptr[g] : ptr[g + 1]],
+            counts=traffic.counts[ptr[g] : ptr[g + 1]],
+            mlp=float(traffic.mlp[g]),
+            load_fraction=float(traffic.load_fraction[g]),
+            label=traffic.labels[g],
+        )
+        for g in range(traffic.num_groups)
+    ]
 
 
 def reference_split(groups, placement: np.ndarray, num_tiers: int = 2) -> List[Share]:

@@ -33,8 +33,8 @@ def recorded_draws(policy, workload):
     draws = {}
     original = Machine._draw_hw
 
-    def recording(self, traffic, all_counts, shares):
-        pebs, cha, perf = original(self, traffic, all_counts, shares)
+    def recording(self, traffic, shares):
+        pebs, cha, perf = original(self, traffic, shares)
         cells = {}
         if cha is not None:
             for g, t, pair in zip(shares.group_index, shares.tier_codes, cha):

@@ -56,11 +56,6 @@ class TestMigrationPlanner:
         p = MigrationPlanner(m=0)
         assert p.plan(np.array([], dtype=np.int64), fake_obs()).empty
 
-    def test_promotion_cap(self):
-        p = MigrationPlanner(m=0, max_promotions_per_window=4)
-        decision = p.plan(np.arange(10), fake_obs())
-        assert decision.promote.size == 4
-
     def test_victims_come_from_lru_tail(self):
         p = MigrationPlanner(m=0)
         decision = p.plan(np.arange(3), fake_obs())

@@ -24,7 +24,13 @@ from repro.sim.policy_api import NoTierPolicy
 from repro.workloads import make_workload
 from repro.workloads.tracestore import ReplayWorkload, record_stream
 
-from oracles import assert_same_shares, batch_columns, make_batch, reference_split
+from oracles import (
+    assert_same_shares,
+    batch_columns,
+    make_batch,
+    reference_split,
+    window_groups,
+)
 
 
 def recorded(total_misses=600_000, seed=7, name="gups"):
@@ -52,14 +58,13 @@ class TestStaticSplit:
         replay = ReplayWorkload(data)
         for w in range(data.num_windows):
             traffic = replay.next_window()
-            if not traffic.groups:
+            if not traffic.num_groups:
                 assert batches[w] is None
                 continue
             plan = batch_columns(batches[w])
-            assert_same_shares(plan, batch_columns(model.split_groups(traffic.groups, placement)))
-            assert_same_shares(
-                plan, batch_columns(make_batch(reference_split(traffic.groups, placement)))
-            )
+            assert_same_shares(plan, batch_columns(model.split_groups(traffic, placement)))
+            reference = reference_split(window_groups(traffic), placement)
+            assert_same_shares(plan, batch_columns(make_batch(reference)))
 
     def test_empty_window_entries_are_none(self):
         data = recorded(total_misses=200_000)
@@ -68,16 +73,6 @@ class TestStaticSplit:
         wgp = np.asarray(data.columns["window_group_ptr"])
         for w in range(data.num_windows):
             assert (batches[w] is None) == (wgp[w + 1] == wgp[w])
-
-
-def window_entries(traffic):
-    """A window's trace entries as the machine reads them."""
-    if traffic.flat_pages is not None:
-        return traffic.flat_pages, traffic.flat_counts
-    return (
-        np.concatenate([g.pages for g in traffic.groups]),
-        np.concatenate([g.counts for g in traffic.groups]),
-    )
 
 
 class TestSamplerPlans:
@@ -95,13 +90,12 @@ class TestSamplerPlans:
         drained = 0
         for _ in range(data.num_windows):
             replayed, traffic = replay.next_window(), live_workload.next_window()
-            if not traffic.groups:
-                assert not replayed.groups
+            if not traffic.num_groups:
+                assert not replayed.num_groups
                 continue
-            pages, counts = window_entries(replayed)
-            live_pages, live_counts = window_entries(traffic)
-            got = planned.sample(pages, counts, placement[pages])
-            want = live.sample(live_pages, live_counts, placement[live_pages])
+            pages, live_pages = replayed.pages, traffic.pages
+            got = planned.sample(pages, replayed.counts, placement[pages])
+            want = live.sample(live_pages, traffic.counts, placement[live_pages])
             np.testing.assert_array_equal(got.pages, want.pages)
             np.testing.assert_array_equal(got.counts, want.counts)
             assert got.overhead_cycles == want.overhead_cycles

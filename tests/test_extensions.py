@@ -52,11 +52,9 @@ class TestTraceWorkload:
         w.reset()
         for want in expected:
             got = w.next_window()
-            assert len(got.groups) == len(want.groups)
-            for g, h in zip(got.groups, want.groups):
-                np.testing.assert_array_equal(g.pages, h.pages)
-                np.testing.assert_array_equal(g.counts, h.counts)
-                assert g.mlp == h.mlp
+            for column in ("pages", "counts", "group_ptr", "mlp", "load_fraction"):
+                np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
+            assert list(got.labels) == list(want.labels)
         assert w.done
 
     def test_looping_stretches_work(self, tmp_path):
@@ -218,10 +216,21 @@ class TestTraceValidation:
             (set_first("group_mlp", np.nan), "mlp"),
             (set_first("group_mlp", np.inf), "mlp"),
             (no_footprint, "footprint_pages"),
+            (set_first("alloc_order", 1), "alloc_order"),
+            (set_first("alloc_order", -1), "alloc_order"),
+            (set_first("alloc_order", 10**6), "alloc_order"),
+            (set_first("group_load_fraction", 1.5), "load_fraction"),
+            (set_first("group_load_fraction", -0.5), "load_fraction"),
+            (set_first("group_load_fraction", np.nan), "load_fraction"),
+            (set_first("group_label", 99), "group_label"),
+            (set_first("window_phase", 99), "window_phase"),
         ],
         ids=[
             "negative-page", "negative-count", "zero-mlp", "negative-mlp",
-            "nan-mlp", "inf-mlp", "zero-footprint",
+            "nan-mlp", "inf-mlp", "zero-footprint", "alloc-order-duplicate",
+            "alloc-order-negative", "alloc-order-outside", "load-fraction-above-one",
+            "load-fraction-negative", "nan-load-fraction", "label-past-table",
+            "phase-past-table",
         ],
     )
     def test_rejects_bad_values(self, tmp_path, change, message):

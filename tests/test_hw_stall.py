@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.common.units import CXL_SPEC, DRAM_SPEC, NUMA_SPEC
-from repro.hw.access import AccessGroup
+from repro.hw.access import AccessGroup, WindowTraffic
 from repro.hw.stall import StallModel
-from repro.mem.page import Tier, UNALLOCATED
+from repro.mem.page import Tier
 
 from oracles import Share, make_batch
 
@@ -31,7 +31,7 @@ class TestSplitGroups:
         model = make_model()
         placement = np.array([0, 0, 1, 1], dtype=np.int8)
         group = AccessGroup(pages=np.arange(4), counts=np.array([1, 2, 3, 4]), mlp=3.0)
-        shares = model.split_groups([group], placement)
+        shares = model.split_groups(WindowTraffic.from_groups([group], 0.0), placement)
         assert shares.n == 2
         [fast] = np.flatnonzero(shares.tier_codes == int(Tier.FAST))
         [slow] = np.flatnonzero(shares.tier_codes == int(Tier.SLOW))
@@ -39,19 +39,13 @@ class TestSplitGroups:
         assert shares.misses[slow] == 7
         assert shares.mlp[fast] == 3.0
 
-    def test_unallocated_pages_excluded(self):
-        model = make_model()
-        placement = np.full(4, UNALLOCATED, dtype=np.int8)
-        group = AccessGroup(pages=np.arange(4), counts=np.ones(4, dtype=np.int64), mlp=2.0)
-        assert model.split_groups([group], placement).n == 0
-
     def test_load_fraction_propagates(self):
         model = make_model()
         placement = np.zeros(2, dtype=np.int8)
         group = AccessGroup(
             pages=np.arange(2), counts=np.ones(2, dtype=np.int64), mlp=2.0, load_fraction=0.5
         )
-        shares = model.split_groups([group], placement)
+        shares = model.split_groups(WindowTraffic.from_groups([group], 0.0), placement)
         assert shares.load_fraction[0] == 0.5
 
 

@@ -65,7 +65,7 @@ class StuckWorkload(Workload):
         return []
 
     def next_window(self) -> WindowTraffic:
-        return WindowTraffic(groups=[], compute_cycles=0.0, done=False)
+        return WindowTraffic.from_groups([], 0.0, done=False)
 
 
 class BurstyWorkload(TinyWorkload):
@@ -82,7 +82,7 @@ class BurstyWorkload(TinyWorkload):
     def next_window(self) -> WindowTraffic:
         self._calls += 1
         if self._calls % 2 == 0:
-            return WindowTraffic(groups=[], compute_cycles=0.0, done=self.done)
+            return WindowTraffic.from_groups([], 0.0, done=self.done)
         return super().next_window()
 
 

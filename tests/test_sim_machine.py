@@ -74,6 +74,16 @@ class TestMachineRun:
         assert (machine.memory.placement != UNALLOCATED).all()
         assert_placement_consistent(machine.memory)
 
+    def test_unplaced_page_rejected_at_construction(self, config):
+        # The window loop allocates nothing: a page the allocation order
+        # leaves out would reach the share split without a tier.
+        class PartialOrder(TinyWorkload):
+            def allocation_order(self):
+                return np.arange(3, self.footprint_pages, dtype=np.int64)
+
+        with pytest.raises(ValueError, match=r"'tiny' leaves 3 of its 512 pages unplaced"):
+            Machine(PartialOrder(), NoTierPolicy(), config=config, ratio="1:4")
+
     def test_allocation_order_respected(self, config):
         workload = TinyWorkload()
         machine = Machine(workload, NoTierPolicy(), config=config, ratio="1:1")

@@ -27,9 +27,9 @@ from hypothesis import strategies as st
 
 from repro.baselines import make_policy
 from repro.common.units import CXL_SPEC, DRAM_SPEC, NUMA_SPEC, ns_to_cycles
-from repro.hw.access import AccessGroup
+from repro.hw.access import AccessGroup, WindowTraffic
 from repro.hw.stall import MAX_UTILISATION, ShareBatch, StallModel
-from repro.mem.page import UNALLOCATED, Tier
+from repro.mem.page import Tier
 from repro.obs import Observability
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
@@ -48,17 +48,21 @@ def make_model():
     return StallModel([DRAM_SPEC, CXL_SPEC])
 
 
+def split(model, groups, placement, **hints):
+    """``model``'s split of the window these groups make."""
+    return model.split_groups(WindowTraffic.from_groups(groups, 0.0), placement, **hints)
+
+
 def random_window(seed):
     """A randomized (groups, placement) pair spanning both tiers.
 
-    Placement mixes FAST, SLOW, and UNALLOCATED pages; groups overlap
-    pages, vary in MLP/load_fraction, and include single-page extremes.
+    Placement mixes FAST and SLOW pages (every page is placed, as the
+    machine guarantees before window 0); groups overlap pages, vary in
+    MLP/load_fraction, and include single-page extremes.
     """
     rng = np.random.default_rng(seed)
     footprint = int(rng.integers(64, 2048))
-    placement = rng.choice(
-        np.array([-1, 0, 1], dtype=np.int8), size=footprint, p=[0.1, 0.4, 0.5]
-    )
+    placement = rng.choice(np.array([0, 1], dtype=np.int8), size=footprint, p=[0.45, 0.55])
     groups = []
     for gi in range(int(rng.integers(1, 8))):
         n = int(rng.integers(1, min(footprint, 256) + 1))
@@ -80,12 +84,11 @@ def random_window(seed):
 SPECS = {2: [DRAM_SPEC, CXL_SPEC], 3: [DRAM_SPEC, NUMA_SPEC, CXL_SPEC]}
 
 
-def edge_window(rng, n_groups, num_tiers, unallocated, zero_counts):
+def edge_window(rng, n_groups, num_tiers, zero_counts):
     """A window shaped for the split's edge cases: empty groups, pages
-    shared across groups, zero counts, UNALLOCATED pages."""
+    shared across groups, zero counts."""
     footprint = int(rng.integers(1, 300))
-    low = UNALLOCATED if unallocated else 0
-    placement = rng.integers(low, num_tiers, size=footprint).astype(np.int8)
+    placement = rng.integers(0, num_tiers, size=footprint).astype(np.int8)
     groups = []
     for gi in range(n_groups):
         size = min(int(rng.integers(0, 24)), footprint)  # 0: an empty group
@@ -107,32 +110,26 @@ class TestBatchMatchesLegacy:
         seed=st.integers(0, 10**9),
         n_groups=st.integers(0, 40),
         num_tiers=st.sampled_from([2, 3]),
-        unallocated=st.booleans(),
         zero_counts=st.booleans(),
     )
-    def test_split_groups_matches_legacy(
-        self, seed, n_groups, num_tiers, unallocated, zero_counts
-    ):
+    def test_split_groups_matches_legacy(self, seed, n_groups, num_tiers, zero_counts):
         """The one split == the object-per-share reference, with and
         without each replay hint, and it conserves misses."""
         rng = np.random.default_rng(seed)
-        groups, placement = edge_window(rng, n_groups, num_tiers, unallocated, zero_counts)
+        groups, placement = edge_window(rng, n_groups, num_tiers, zero_counts)
         model = StallModel(SPECS[num_tiers])
         want = batch_columns(
             make_batch(reference_split(groups, placement, num_tiers), num_tiers)
         )
-        batch = model.split_groups(groups, placement)
+        batch = split(model, groups, placement)
         assert isinstance(batch, ShareBatch)
         got = batch_columns(batch)
         assert_same_shares(got, want)
 
         sizes = [g.pages.size for g in groups]
-        pages = np.concatenate([g.pages for g in groups]) if groups else np.empty(0, np.int64)
         counts = np.concatenate([g.counts for g in groups]) if groups else np.empty(0, np.int64)
-        tiers = placement[pages]
-        # Every miss on an allocated page lands in exactly one row.
-        allocated = int(counts[tiers >= 0].sum())
-        assert int(got["misses"].sum()) == allocated == sum(got["tier_misses"])
+        # Every miss lands in exactly one row.
+        assert int(got["misses"].sum()) == int(counts.sum()) == sum(got["tier_misses"])
 
         # Each replay hint, given where its precondition holds, changes
         # no bit -- alone and all together.
@@ -142,12 +139,8 @@ class TestBatchMatchesLegacy:
         }
         if counts.min(initial=1) >= 1:
             hints["counts_positive"] = True
-        if tiers.min(initial=0) >= 0:
-            hints["assume_allocated"] = True
         for given_hints in [{name: value} for name, value in hints.items()] + [hints]:
-            hinted = model.split_groups(
-                groups, placement, pages=pages, counts=counts, **given_hints
-            )
+            hinted = split(model, groups, placement, **given_hints)
             assert_same_shares(batch_columns(hinted), want)
 
     @settings(max_examples=30, deadline=None)
@@ -159,7 +152,7 @@ class TestBatchMatchesLegacy:
         extra_cycles = float(rng.uniform(0.0, 1e5))
         extra_bytes = [float(rng.uniform(0.0, 1e8)), float(rng.uniform(0.0, 1e8))]
         model = make_model()
-        batch = model.split_groups(groups, placement)
+        batch = split(model, groups, placement)
         vec = model.solve(batch, compute, extra_bytes=extra_bytes, extra_cycles=extra_cycles)
         vec_units = [float(u) for u in batch.unit_stall_cycles]
 
@@ -185,7 +178,7 @@ class TestBatchMatchesLegacy:
 
     def test_empty_window_solves_identically(self):
         model = make_model()
-        batch = model.split_groups([], np.empty(0, dtype=np.int8))
+        batch = split(model, [], np.empty(0, dtype=np.int8))
         vec = model.solve(batch, 1e6)
         ref_loads, ref_duration = reference_solve(model, [], 1e6)
         assert vec.duration_cycles == ref_duration
@@ -210,12 +203,12 @@ class TestModelInvariants:
         groups, placement = random_window(seed)
         compute, extra_bytes, extra_cycles = random_extras(np.random.default_rng(seed + 3))
         model = make_model()
-        batch = model.split_groups(groups, placement)
+        batch = split(model, groups, placement)
         hw = model.solve(batch, compute, extra_bytes=extra_bytes, extra_cycles=extra_cycles)
 
-        # Every miss on an allocated page lands in exactly one tier.
-        allocated = sum(int(g.counts[placement[g.pages] >= 0].sum()) for g in groups)
-        assert sum(load.misses for load in hw.tier_loads) == allocated
+        # Every miss lands in exactly one tier.
+        misses = sum(g.total_misses for g in groups)
+        assert sum(load.misses for load in hw.tier_loads) == misses
         assert hw.duration_cycles >= compute + extra_cycles
         for tier, load in enumerate(hw.tier_loads):
             assert load.tier == tier
@@ -240,7 +233,7 @@ class TestModelInvariants:
         # One splitting model per window: a batch aliases its model's scratch.
         models = [make_model() for _ in range(R)]
         batches = [
-            m.split_groups(*random_window(int(s)))
+            split(m, *random_window(int(s)))
             for m, s in zip(models, rng.integers(0, 10**9, size=R))
         ]
         inputs = [random_extras(rng) for _ in range(R)]
@@ -274,7 +267,7 @@ class TestDurationMonotoneInExtraBytes:
         prev = None
         for extra in (0.0, 1e3, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10):
             # The batch aliases model scratch, so re-split per solve.
-            batch = model.split_groups(groups, placement)
+            batch = split(model, groups, placement)
             hw = model.solve(
                 batch,
                 compute,

@@ -33,7 +33,7 @@ from repro.baselines import make_policy
 from repro.common.rngutil import KeyedStream, make_rng, philox_key
 from repro.exp.cache import canonical, content_hash, result_to_dict
 from repro.hw import pebs as pebs_module
-from repro.hw.pebs import PebsSampler, group_layout
+from repro.hw.pebs import PebsSampler
 from repro.hw.substream import KeyedJitter, KeyedPebsSampler
 from repro.sim.config import MachineConfig
 from repro.sim.engine import run_policy
@@ -357,12 +357,16 @@ class TestEndToEnd:
             assert result_to_dict(lock) == result_to_dict(solo)
 
     def test_window_groups_layout(self):
+        # The PEBS load thin reads a window's group_ptr and load
+        # fractions: a replayed window carries the live window's.
         data = record_stream(make_workload("silo", total_misses=300_000), 512)
         traffic = ReplayWorkload(data).next_window()
-        group_ptr, group_lf = group_layout(traffic.groups)
-        assert group_ptr[-1] == traffic.flat_counts.size
-        for g, group in enumerate(traffic.groups):
-            np.testing.assert_array_equal(
-                traffic.flat_counts[group_ptr[g] : group_ptr[g + 1]], group.counts
-            )
-            assert group_lf[g] == group.load_fraction
+        live = make_workload("silo", total_misses=300_000)
+        live.reset()
+        want = live.next_window()
+        assert traffic.num_groups > 1
+        assert traffic.group_ptr[0] == 0
+        assert traffic.group_ptr[-1] == traffic.counts.size
+        np.testing.assert_array_equal(traffic.group_ptr, want.group_ptr)
+        np.testing.assert_array_equal(traffic.load_fraction, want.load_fraction)
+        assert traffic.group_ptr.dtype == want.group_ptr.dtype == np.int64

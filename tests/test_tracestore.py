@@ -3,7 +3,7 @@
 Covers the ``.npt`` on-disk format (round-trip, corruption handling),
 :class:`ReplayWorkload` exact and looping modes, the content-addressed
 :class:`TraceStore` (dedup, disk persistence, corrupt-file recovery),
-the batched ``Workload.next_windows`` contract, runner integration
+what ``record_stream`` reads from a live workload, runner integration
 (the runner's replayed results equal live engine runs), and the
 once-per-offender un-picklable warning of pooled sweeps.
 """
@@ -22,7 +22,7 @@ from repro.baselines import make_policy
 from repro.exp.cache import canonical, content_hash, result_to_dict, workload_fingerprint
 from repro.sim.config import MachineConfig
 from repro.sim.engine import run_policy
-from repro.workloads import make_workload
+from repro.workloads import ALL_WORKLOADS, make_workload
 from repro.workloads.tracestore import (
     ReplayWorkload,
     TraceExhausted,
@@ -57,19 +57,22 @@ def stream_windows(workload):
     return out
 
 
+#: Every column of a window record.
+WINDOW_COLUMNS = ("pages", "counts", "group_ptr", "mlp", "load_fraction")
+
+
 def assert_streams_equal(live, replayed):
+    """Window by window, every column and field is exactly equal."""
     assert len(live) == len(replayed)
     for a, b in zip(live, replayed):
         assert a.phase == b.phase
         assert a.done == b.done
-        assert a.compute_cycles == pytest.approx(b.compute_cycles)
-        assert len(a.groups) == len(b.groups)
-        for ga, gb in zip(a.groups, b.groups):
-            np.testing.assert_array_equal(np.asarray(ga.pages), np.asarray(gb.pages))
-            np.testing.assert_array_equal(np.asarray(ga.counts), np.asarray(gb.counts))
-            assert ga.mlp == pytest.approx(gb.mlp)
-            assert ga.load_fraction == pytest.approx(gb.load_fraction)
-            assert ga.label == gb.label
+        assert a.compute_cycles == b.compute_cycles
+        assert list(a.labels) == list(b.labels)
+        for column in WINDOW_COLUMNS:
+            got, want = getattr(b, column), getattr(a, column)
+            assert got.dtype == want.dtype, column
+            np.testing.assert_array_equal(got, want, err_msg=column)
 
 
 class TestNptRoundTrip:
@@ -99,21 +102,17 @@ class TestNptRoundTrip:
             os.umask(old)
         assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
-    def test_mmap_and_eager_reads_agree(self, tmp_path):
-        path = tmp_path / "t.npt"
-        record_to_file(small_workload(), path)
-        mapped = read_npt(path, mmap=True)
-        eager = read_npt(path, mmap=False)
-        for name in mapped.columns:
-            np.testing.assert_array_equal(
-                np.asarray(mapped.columns[name]), eager.columns[name]
-            )
-
     def test_replayed_stream_equals_live(self, tmp_path):
         live = small_workload()
         path = tmp_path / "t.npt"
         record_to_file(small_workload(), path)
         replay = ReplayWorkload.from_file(path)
+        assert_streams_equal(stream_windows(live), stream_windows(replay))
+
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    def test_replayed_stream_equals_live_for_every_workload(self, name):
+        live = small_workload(name, total_misses=600_000)
+        replay = ReplayWorkload(record_stream(small_workload(name, total_misses=600_000)))
         assert_streams_equal(stream_windows(live), stream_windows(replay))
 
     def test_machine_run_over_replay_is_bit_identical(self, tmp_path):
@@ -279,19 +278,27 @@ class TestReplayWorkload:
         assert replay.allocation_order()[0] != -1
 
     def test_flat_columns_match_groups(self, tmp_path):
+        # A replayed window is a slice of the recorded columns: its
+        # entries view the mapped file, its group_ptr is the recorded
+        # group_page_ptr made window-local.
         path = tmp_path / "t.npt"
         record_to_file(small_workload(), path)
         replay = ReplayWorkload.from_file(path)
-        traffic = replay.next_window()
-        assert traffic.flat_pages is not None
-        np.testing.assert_array_equal(
-            np.asarray(traffic.flat_pages),
-            np.concatenate([np.asarray(g.pages) for g in traffic.groups]),
-        )
-        np.testing.assert_array_equal(
-            np.asarray(traffic.flat_counts),
-            np.concatenate([np.asarray(g.counts) for g in traffic.groups]),
-        )
+        c = replay.trace_data.columns
+        wgp, gpp = c["window_group_ptr"], c["group_page_ptr"]
+        for w in range(replay.trace_windows):
+            traffic = replay.next_window()
+            g0, g1 = int(wgp[w]), int(wgp[w + 1])
+            p0, p1 = int(gpp[g0]), int(gpp[g1])
+            assert np.shares_memory(traffic.pages, c["pages"])
+            assert np.shares_memory(traffic.counts, c["counts"])
+            np.testing.assert_array_equal(traffic.pages, c["pages"][p0:p1])
+            np.testing.assert_array_equal(traffic.counts, c["counts"][p0:p1])
+            np.testing.assert_array_equal(traffic.group_ptr, gpp[g0 : g1 + 1] - p0)
+            np.testing.assert_array_equal(traffic.mlp, c["group_mlp"][g0:g1])
+            assert list(traffic.labels) == [
+                replay.trace_data.labels[code] for code in c["group_label"][g0:g1]
+            ]
 
 
 class TestTraceStore:
@@ -338,37 +345,28 @@ class TestTraceStore:
         assert store.stats()["records"] == 3
 
 
-class TestNextWindows:
-    @pytest.mark.parametrize("name", ["masim", "gups", "bc-kron"])
-    def test_batched_equals_serial(self, name):
-        serial = small_workload(name)
-        serial.reset()
-        serial_stream = []
-        while not serial.done:
-            serial_stream.append(serial.next_window())
-        batched = small_workload(name)
-        batched.reset()
-        batched_stream = []
-        while not batched.done:
-            batched_stream.extend(batched.next_windows(7))
-        assert_streams_equal(serial_stream, batched_stream)
-
+class TestRecordStream:
     @pytest.mark.parametrize("name", ["masim", "gups"])
-    def test_consumed_after_is_stamped_per_window(self, name):
-        workload = small_workload(name)
-        workload.reset()
-        windows = workload.next_windows(5)
-        assert 2 <= len(windows) <= 5
-        consumed = [w.extra["consumed_after"] for w in windows]
-        assert consumed == sorted(consumed)
-        assert len(set(consumed)) == len(consumed)  # strictly per-window
+    def test_window_consumed_is_live_work_counter(self, name):
+        # The recorder steps next_window as the machine does and reads
+        # the work counter after each window.
+        live = small_workload(name)
+        live.reset()
+        counters = []
+        while not live.done:
+            live.next_window()
+            counters.append(live._consumed)
+        data = record_stream(small_workload(name))
+        assert data.columns["window_consumed"].tolist() == counters
+        assert counters == sorted(set(counters))  # strictly per-window
 
-    def test_respects_done(self):
-        workload = small_workload("gups", total_misses=100_000)
-        workload.reset()
-        windows = workload.next_windows(10_000)
-        assert windows[-1].done
-        assert workload.next_windows(5) == []
+    def test_stops_when_done_or_at_budget(self):
+        data = record_stream(small_workload("gups", total_misses=100_000))
+        assert data.num_windows == 1
+        assert data.columns["window_done"].tolist() == [1]
+        short = record_stream(small_workload("gups"), max_windows=1)
+        assert short.num_windows == 1
+        assert short.columns["window_done"].tolist() == [0]
 
 
 class TestRunnerIntegration:

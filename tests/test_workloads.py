@@ -23,6 +23,8 @@ from repro.workloads import (
 )
 from repro.workloads.graph import GraphWorkload
 
+from oracles import window_groups
+
 
 class TestHelpers:
     def test_spread_counts_conserves_total(self, rng):
@@ -81,10 +83,10 @@ class TestWorkloadContract:
         w = make_workload(name, total_misses=2_000_000)
         w.reset()
         traffic = w.next_window()
-        assert traffic.groups
+        assert traffic.num_groups
         emitted = traffic.total_misses()
         assert emitted == pytest.approx(w.misses_per_window, rel=0.05)
-        for group in traffic.groups:
+        for group in window_groups(traffic):
             assert group.mlp >= 1.0
             assert (group.pages >= 0).all()
             assert (group.pages < w.footprint_pages).all()
@@ -108,11 +110,9 @@ class TestWorkloadContract:
         first = w.next_window()
         w.reset()
         second = w.next_window()
-        assert len(first.groups) == len(second.groups)
-        for a, b in zip(first.groups, second.groups):
-            assert np.array_equal(a.pages, b.pages)
-            assert np.array_equal(a.counts, b.counts)
-            assert a.mlp == b.mlp
+        for column in ("pages", "counts", "group_ptr", "mlp", "load_fraction"):
+            assert np.array_equal(getattr(first, column), getattr(second, column))
+        assert list(first.labels) == list(second.labels)
 
     @pytest.mark.parametrize("name", ALL_WORKLOADS)
     def test_allocation_order_is_permutation(self, name):
@@ -132,7 +132,7 @@ class TestMasim:
     def test_mixed_emits_both_patterns(self, rng):
         w = Masim(pattern="mixed")
         w.reset()
-        labels = {g.label for g in w.next_window().groups}
+        labels = {g.label for g in window_groups(w.next_window())}
         assert labels == {"seq", "chase"}
 
     def test_sequential_mlp_exceeds_random(self):
@@ -140,7 +140,7 @@ class TestMasim:
         seq.reset()
         rnd = Masim(pattern="random")
         rnd.reset()
-        assert seq.next_window().groups[0].mlp > rnd.next_window().groups[0].mlp
+        assert seq.next_window().mlp[0] > rnd.next_window().mlp[0]
 
 
 class TestGups:
@@ -156,7 +156,7 @@ class TestGups:
     def test_half_loads(self):
         w = Gups()
         w.reset()
-        assert w.next_window().groups[0].load_fraction == 0.5
+        assert w.next_window().load_fraction[0] == 0.5
 
 
 class TestGraph:
@@ -188,7 +188,9 @@ class TestGraph:
         chase_fracs = []
         for _ in range(10):
             traffic = w.next_window()
-            chase = sum(g.total_misses for g in traffic.groups if g.label == "vertex-chase")
+            chase = sum(
+                g.total_misses for g in window_groups(traffic) if g.label == "vertex-chase"
+            )
             chase_fracs.append(chase / traffic.total_misses())
         assert max(chase_fracs) > 2 * min(chase_fracs)
 
@@ -206,7 +208,7 @@ class TestSilo:
     def test_log_is_store_dominated(self):
         w = Silo()
         w.reset()
-        log_groups = [g for g in w.next_window().groups if g.label == "log"]
+        log_groups = [g for g in window_groups(w.next_window()) if g.label == "log"]
         assert log_groups and log_groups[0].load_fraction < 0.5
 
 
@@ -302,10 +304,46 @@ class TestColocation:
         colo.reset()
         traffic = colo.next_window()
         member_b_pages = np.concatenate(
-            [g.pages for g in traffic.groups if g.label.startswith("masim-random")]
+            [g.pages for g in window_groups(traffic) if g.label.startswith("masim-random")]
         )
         assert member_b_pages.min() >= 1000
         assert member_b_pages.max() < 1500
+
+    def test_window_is_members_windows_offset_and_labelled(self):
+        def members():
+            return [
+                Masim(pattern="sequential", footprint_pages=1000, total_misses=600_000,
+                      misses_per_window=200_000),
+                Masim(pattern="mixed", footprint_pages=500, total_misses=1_000_000,
+                      misses_per_window=200_000),
+            ]
+
+        colo = ColocatedWorkload(members())
+        colo.reset()
+        solo = members()
+        for member in solo:
+            member.reset()
+        offsets = [0, 1000]
+        while not colo.done:
+            traffic = colo.next_window()
+            parts = [(m, off, m.next_window()) for m, off in zip(solo, offsets) if not m.done]
+            np.testing.assert_array_equal(
+                traffic.pages, np.concatenate([t.pages + off for _, off, t in parts])
+            )
+            for column in ("counts", "mlp", "load_fraction"):
+                np.testing.assert_array_equal(
+                    getattr(traffic, column),
+                    np.concatenate([getattr(t, column) for _, _, t in parts]),
+                )
+            sizes = np.concatenate([np.diff(t.group_ptr) for _, _, t in parts])
+            np.testing.assert_array_equal(np.diff(traffic.group_ptr), sizes)
+            assert traffic.group_ptr[0] == 0
+            assert list(traffic.labels) == [
+                f"{m.name}:{label}" for m, _, t in parts for label in t.labels
+            ]
+            assert traffic.compute_cycles == max(t.compute_cycles for _, _, t in parts)
+            assert traffic.done == all(m.done for m in solo)
+        assert colo.window_index == 5  # the longer member's windows
 
     def test_member_finish_windows_recorded(self):
         a = Masim(pattern="sequential", footprint_pages=500, total_misses=400_000,
@@ -340,6 +378,6 @@ class TestCorpus:
         b = generate_corpus()[5]
         a.reset()
         b.reset()
-        ga = a.next_window().groups[0]
-        gb = b.next_window().groups[0]
+        ga = window_groups(a.next_window())[0]
+        gb = window_groups(b.next_window())[0]
         assert np.array_equal(ga.counts, gb.counts)
