@@ -27,10 +27,10 @@ window source for its whole run, one per placement regime:
   fed the trace's :class:`EntryMetaPlan` when the run is replayed and
   unhinted on live traffic.
 
-A source answers three questions per window: its shares
-(``shares``), the counts the LRU/activity touch reads
-(``touch_counts``), and its pre-solved outcome if it has one
-(``outcome``).
+A source answers two questions per window: its shares (``shares``)
+and its pre-solved outcome if it has one (``outcome``).  A dynamic
+source also gives the counts the page-activity touch reads
+(``touch_counts``); static runs skip that touch.
 """
 
 from __future__ import annotations
@@ -272,9 +272,6 @@ class StaticSource:
 
     def shares(self, window: int, traffic) -> ShareBatch:  # noqa: ARG002
         return self.batches[window]
-
-    def touch_counts(self, window: int, counts: np.ndarray) -> np.ndarray:  # noqa: ARG002
-        return counts
 
     def outcome(self, window: int, extra_bytes, extra_cycles: float):
         """The pre-solved outcome, or None to solve live.

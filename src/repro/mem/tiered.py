@@ -1,4 +1,4 @@
-"""N-tier memory with placement tracking, first-touch allocation, and LRU.
+"""N-tier memory: placement, capacity accounting, and the reclaim LRU state.
 
 ``TieredMemory`` models an ordered hierarchy of memory tiers (tier 0 is
 the fastest; the paper's testbed is the two-tier DRAM/CXL special
@@ -8,20 +8,23 @@ case).  It owns:
 * per-tier capacity accounting -- including *fractional* page-frame
   accounting for compressed tiers, where a page with compression ratio
   ``r`` consumes ``1/r`` physical frames,
-* an approximate LRU clock per page (fed by the access stream, standing
-  in for the kernel's (MG)LRU lists that PACT's eager demotion consults),
+* the two per-page orders of the kernel's (MG)LRU lists that PACT's
+  eager demotion and the baselines' watermark reclaim consult: decayed
+  access ``activity`` (fed by the access stream) and tier ``arrival``
+  order,
 * first-touch allocation (fill the preferred tier, then spill down the
   hierarchy), which is also the paper's NoTier baseline.
 
-Tier accounting is incremental: mutators (``allocate_first_touch``,
-``apply_moves``, ``touch``) maintain per-tier resident counts and activity sums
-in O(pages changed), and the derived queries (``pages_in_tier``,
-``mean_activity``, ``resident_fraction``) are served from
-generation-stamped caches instead of rescanning ``placement`` on every
-call.  The cached answers are bit-identical to the full scans they
-replace (same sorted page arrays, same ``np.mean`` reduction); setting
-``REPRO_DEBUG_ACCOUNTING=1`` cross-checks every mutation against a
-from-scratch scan.
+Migrations are planned on a :class:`PlacementOverlay` (victim ranking,
+capacity clipping) and committed by :meth:`TieredMemory.apply_moves`.
+Tier accounting is incremental: the mutators (``allocate_first_touch``,
+``apply_moves``) maintain per-tier resident counts and frame sums in
+O(pages changed), and the derived queries (``pages_in_tier``,
+``mean_activity``) are served from generation-stamped caches instead of
+rescanning ``placement`` on every call.  The cached answers are
+bit-identical to the full scans they replace (same sorted page arrays,
+same ``np.mean`` reduction); setting ``REPRO_DEBUG_ACCOUNTING=1``
+cross-checks every placement change against a from-scratch scan.
 
 Tiers are named by code (0 the fastest), and per-tier state is a list
 indexed by code.  Every operation reduces to the exact pre-tier-graph
@@ -36,12 +39,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.arrays import sorted_unique
-from repro.common.units import TierSpec
 from repro.mem.page import Tier, UNALLOCATED, tier_label
 
 #: Environment switch: cross-check incremental accounting against full
 #: placement scans after every mutation (slow; meant for tests).
 DEBUG_ACCOUNTING_ENV = "REPRO_DEBUG_ACCOUNTING"
+
+#: Per-window decay of page ``activity`` (applied lazily, on touch).
+ACTIVITY_DECAY = 0.7
 
 
 class CapacityError(ValueError):
@@ -52,23 +57,78 @@ class AccountingError(RuntimeError):
     """Incremental tier accounting diverged from a full placement scan."""
 
 
-class TieredMemory:
+class _Occupancy:
+    """Placement and per-tier occupancy: the arithmetic the memory and
+    its planning overlay share.
+
+    Holders keep ``placement``, ``used`` and ``_frames_used`` and read
+    the tiers' ``capacity`` and ``_page_frame_cost`` (None = one frame
+    per page; an array models a compressed tier's per-page
+    compressibility).
+    """
+
+    placement: np.ndarray
+    used: List[int]
+    _frames_used: List[float]
+    capacity: List[int]
+    _page_frame_cost: List[Optional[np.ndarray]]
+
+    def tier_of(self, pages: np.ndarray) -> np.ndarray:
+        """Placement of each page id (UNALLOCATED for untouched pages)."""
+        return self.placement[np.asarray(pages, dtype=np.int64)]
+
+    def free_pages(self, tier: int) -> int:
+        """Whole pages the tier can still admit.
+
+        Exact for uncompressed tiers.  For a compressed tier this is a
+        conservative lower bound (free frames at one frame per page);
+        the mutators admit by exact per-page frame cost instead.
+        """
+        if self._page_frame_cost[tier] is None:
+            return self.capacity[tier] - self.used[tier]
+        return int(np.floor(self.capacity[tier] - self._frames_used[tier]))
+
+    def _admit_count(self, tier: int, pages: np.ndarray) -> int:
+        """How many of ``pages`` (in order) the tier can still admit."""
+        cost = self._page_frame_cost[tier]
+        if cost is None:
+            return max(min(self.capacity[tier] - self.used[tier], pages.size), 0)
+        free = self.capacity[tier] - self._frames_used[tier]
+        if free <= 0.0 or pages.size == 0:
+            return 0
+        cum = np.cumsum(cost[pages])
+        return int(np.searchsorted(cum, free, side="right"))
+
+    def _charge_frames(self, tier: int, pages: np.ndarray, sign: float) -> None:
+        cost = self._page_frame_cost[tier]
+        if cost is not None and pages.size:
+            self._frames_used[tier] += sign * float(cost[pages].sum())
+
+    def _shift(self, pages: np.ndarray, src: int, dst: int) -> None:
+        """Move the occupancy of ``pages`` from ``src`` to ``dst`` (not
+        their placement)."""
+        self.used[src] -= pages.size
+        self._charge_frames(src, pages, -1.0)
+        self.used[dst] += pages.size
+        self._charge_frames(dst, pages, +1.0)
+
+
+class TieredMemory(_Occupancy):
     """Placement state for a footprint of ``footprint_pages`` 4KB pages."""
 
     def __init__(
         self,
         footprint_pages: int,
         capacities: Sequence[int],
-        specs: Sequence[TierSpec],
+        *,
         page_frame_costs: Optional[Sequence[Optional[np.ndarray]]] = None,
         debug_accounting: Optional[bool] = None,
     ):
         if footprint_pages <= 0:
             raise ValueError("footprint must be positive")
         capacities = [int(c) for c in capacities]
-        specs = list(specs)
-        if len(capacities) < 2 or len(capacities) != len(specs):
-            raise ValueError("need one spec per tier and at least two tiers")
+        if len(capacities) < 2:
+            raise ValueError("need at least two tiers")
         if any(c < 0 for c in capacities):
             raise ValueError("capacities must be non-negative")
         # Conservative fit check: a compressed page never grows, so each
@@ -80,55 +140,37 @@ class TieredMemory:
             )
         self.footprint_pages = footprint_pages
         self.num_tiers = len(capacities)
-        self.capacity: List[int] = capacities
-        self.spec: List[TierSpec] = specs
-        #: Per-tier physical frames consumed per stored page (None = one
-        #: frame per page; an array models a compressed tier's per-page
-        #: compressibility).
+        self.capacity = capacities
         if page_frame_costs is None:
             page_frame_costs = [None] * self.num_tiers
-        self._page_frame_cost: List[Optional[np.ndarray]] = list(page_frame_costs)
+        self._page_frame_cost = list(page_frame_costs)
         if len(self._page_frame_cost) != self.num_tiers:
             raise ValueError("need one page-frame cost entry per tier")
         #: Fractional frames used, tracked only for compressed tiers.
-        self._frames_used: List[float] = [0.0] * self.num_tiers
+        self._frames_used = [0.0] * self.num_tiers
         self.placement = np.full(footprint_pages, UNALLOCATED, dtype=np.int8)
-        self.used: List[int] = [0] * self.num_tiers
-        #: Window index of each page's most recent access (LRU clock).
-        self.last_touch = np.full(footprint_pages, -1, dtype=np.int64)
+        self.used = [0] * self.num_tiers
         #: Decayed per-page access intensity -- the simulator's stand-in
         #: for the kernel's (MG)LRU generations: pages accessed every
         #: window stay "active", pages that go quiet decay toward zero
         #: and become demotion victims.
         self.activity = np.zeros(footprint_pages, dtype=float)
-        #: Per-window decay applied to ``activity`` (lazily).
-        self.activity_decay = 0.7
         self._last_decay_window = 0
         #: Monotonic stamp of when each page last entered its tier --
         #: physical LRU-list position for FIFO-style reclaim.
         self.arrival = np.zeros(footprint_pages, dtype=np.int64)
         self._arrival_counter = 0
-        #: Pages pinned in the fast tier (Nomad shadow copies, etc.).
-        self._pinned = np.zeros(footprint_pages, dtype=bool)
 
         # -- incremental accounting state ---------------------------------
         #: Bumped whenever placement changes (allocation, migration).
         self._placement_gen = 0
-        #: Bumped whenever ``activity`` changes (touch, lazy decay).
+        #: Bumped whenever ``activity`` changes (touch and its decay).
         self._activity_gen = 0
-        #: O(delta)-maintained per-tier sum of resident pages' activity.
-        self._activity_sum: List[float] = [0.0] * self.num_tiers
-        #: When True the sums above are stale and :meth:`activity_sum`
-        #: recomputes them from a full scan.  The window touch sets it
-        #: instead of paying a per-window bincount for a value nothing
-        #: on the hot path reads (see :meth:`activity_sum`'s contract:
-        #: within float rounding, not bit-stable).
-        self._activity_sums_stale = False
         #: tier index -> (placement generation, sorted resident page ids).
         self._resident_cache: Dict[int, Tuple[int, np.ndarray]] = {}
         #: tier index -> ((placement gen, activity gen), mean activity).
         self._mean_cache: Dict[int, Tuple[Tuple[int, int], float]] = {}
-        #: Reusable scratch mask for ``lru_victims`` protection.
+        #: Reusable scratch mask for victim protection.
         self._protect_scratch = np.zeros(footprint_pages, dtype=bool)
         if debug_accounting is None:
             debug_accounting = bool(os.environ.get(DEBUG_ACCOUNTING_ENV))
@@ -141,18 +183,6 @@ class TieredMemory:
         """Tier indices, fastest first."""
         return range(self.num_tiers)
 
-    def free_pages(self, tier: int) -> int:
-        """Whole pages the tier can still admit.
-
-        Exact for uncompressed tiers.  For a compressed tier this is a
-        conservative lower bound (free frames at one frame per page);
-        the mutators admit by exact per-page frame cost instead.
-        """
-        cost = self._page_frame_cost[tier]
-        if cost is None:
-            return self.capacity[tier] - self.used[tier]
-        return int(np.floor(self.capacity[tier] - self._frames_used[tier]))
-
     def frames_used(self, tier: int) -> float:
         """Physical frames occupied in ``tier`` (== pages when uncompressed)."""
         if self._page_frame_cost[tier] is None:
@@ -163,10 +193,6 @@ class TieredMemory:
         """Fraction of the tier's physical frames in use."""
         cap = self.capacity[tier]
         return self.frames_used(tier) / cap if cap > 0 else 0.0
-
-    def tier_of(self, pages: np.ndarray) -> np.ndarray:
-        """Placement of each page id (UNALLOCATED for untouched pages)."""
-        return self.placement[np.asarray(pages, dtype=np.int64)]
 
     def pages_in_tier(self, tier: int) -> np.ndarray:
         """All page ids currently resident in ``tier`` (sorted ascending).
@@ -191,51 +217,24 @@ class TieredMemory:
             return 0.0
         return self.used[tier] / allocated
 
-    def activity_sum(self, tier: int) -> float:
-        """Per-tier sum of the tier's resident-page activity.
+    def mean_activity(self, tier: int) -> float:
+        """Average access intensity of the tier's resident pages.
 
-        Maintained incrementally by the migration mutators and
-        recomputed lazily after window touches (the touch marks the
-        sums stale instead of paying a per-window reduction for a value
-        nothing on the hot path reads).  Within float rounding of
-        ``activity[pages_in_tier(tier)].sum()`` (the debug cross-check
-        asserts the two agree).  Decision paths that must be bit-stable
-        use :meth:`mean_activity`, which reduces over the cached
-        resident array exactly as the pre-incremental code did.
+        Computed over the cached resident array with the same ``np.mean``
+        reduction as the original full-scan version (so thresholds built
+        from it stay bit-identical), then memoised until either the
+        placement or the activity state changes.
         """
-        if self._activity_sums_stale:
-            self._refresh_activity_sums()
-        return self._activity_sum[tier]
-
-    def _refresh_activity_sums(self) -> None:
-        """Recompute the per-tier activity sums with full scans.
-
-        Uses the very reduction the debug cross-check compares against
-        (masked ``.sum()`` per tier), so a refreshed sum passes it
-        exactly.
-        """
-        for tier in self.tiers:
-            resident = self.placement == int(tier)
-            self._activity_sum[tier] = float(self.activity[resident].sum())
-        self._activity_sums_stale = False
+        key = (self._placement_gen, self._activity_gen)
+        cached = self._mean_cache.get(tier)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        resident = self.pages_in_tier(tier)
+        value = float(self.activity[resident].mean()) if resident.size else 0.0
+        self._mean_cache[tier] = (key, value)
+        return value
 
     # -- allocation and access tracking --------------------------------------
-
-    def _admit_count(self, tier: int, pages: np.ndarray) -> int:
-        """How many of ``pages`` (in order) the tier can still admit."""
-        cost = self._page_frame_cost[tier]
-        if cost is None:
-            return max(min(self.capacity[tier] - self.used[tier], pages.size), 0)
-        free = self.capacity[tier] - self._frames_used[tier]
-        if free <= 0.0 or pages.size == 0:
-            return 0
-        cum = np.cumsum(cost[pages])
-        return int(np.searchsorted(cum, free, side="right"))
-
-    def _charge_frames(self, tier: int, pages: np.ndarray, sign: float) -> None:
-        cost = self._page_frame_cost[tier]
-        if cost is not None and pages.size:
-            self._frames_used[tier] += sign * float(cost[pages].sum())
 
     def allocate_first_touch(
         self, pages: np.ndarray, prefer: int = Tier.FAST
@@ -273,10 +272,6 @@ class TieredMemory:
             self.placement[chunk] = tier
             self.used[tier] += take
             self._charge_frames(tier, chunk, +1.0)
-            # Pages can carry activity from touches predating allocation;
-            # fold it into the destination tiers' running sums.
-            if not self._activity_sums_stale:
-                self._activity_sum[tier] += float(self.activity[chunk].sum())
             pos += take
         self._placement_gen += 1
         # Allocation order is LRU-list arrival order.
@@ -286,75 +281,21 @@ class TieredMemory:
             self.check_accounting()
         return (int(takes[0]), int(fresh.size - takes[0]))
 
-    def touch(
-        self,
-        pages: np.ndarray,
-        window: int,
-        counts: Optional[np.ndarray] = None,
-    ) -> None:
-        """Record accesses during ``window`` (feeds LRU clock and activity).
+    def touch(self, pages: np.ndarray, window: int, counts: np.ndarray) -> None:
+        """Record ``window``'s accesses: ``counts[i]`` accesses to ``pages[i]``.
 
-        ``counts`` gives per-page access counts for the window; when
-        omitted, each page counts as one touch (fancy-indexed ``+= 1``:
-        once per *unique* page).  The per-tier activity sums are only
-        marked stale here -- :meth:`activity_sum` recomputes on demand,
-        so the window loop never pays for them.
+        Activity decays lazily, by every window elapsed since the last
+        touch, before the window's counts are added.
         """
         pages = np.asarray(pages, dtype=np.int64)
-        self._decay_activity(window)
-        self.last_touch[pages] = window
-        if counts is None:
-            self.activity[pages] += 1.0
-        else:
-            np.add.at(self.activity, pages, np.asarray(counts, dtype=float))
-        self._activity_sums_stale = True
-        self._activity_gen += 1
-        if self.debug_accounting:
-            self.check_accounting()
-
-    def _decay_activity(self, window: int) -> None:
         steps = window - self._last_decay_window
         if steps > 0:
-            factor = self.activity_decay**steps
-            self.activity *= factor
-            if not self._activity_sums_stale:
-                for tier in self.tiers:
-                    self._activity_sum[tier] *= factor
+            self.activity *= ACTIVITY_DECAY**steps
             self._last_decay_window = window
-            self._activity_gen += 1
+        np.add.at(self.activity, pages, np.asarray(counts, dtype=float))
+        self._activity_gen += 1
 
-    def mean_activity(self, tier: int) -> float:
-        """Average access intensity of the tier's resident pages.
-
-        Computed over the cached resident array with the same ``np.mean``
-        reduction as the original full-scan version (so thresholds built
-        from it stay bit-identical), then memoised until either the
-        placement or the activity state changes.
-        """
-        key = (self._placement_gen, self._activity_gen)
-        cached = self._mean_cache.get(tier)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        resident = self.pages_in_tier(tier)
-        value = float(self.activity[resident].mean()) if resident.size else 0.0
-        self._mean_cache[tier] = (key, value)
-        return value
-
-    # -- migration primitives -------------------------------------------------
-
-    def move(self, pages: np.ndarray, dst: int, src: int) -> np.ndarray:
-        """Move the ``pages`` resident in ``src`` to ``dst``; returns pages moved.
-
-        One migration hop, planned on an overlay and committed with
-        :meth:`apply_moves` -- the select/clip arithmetic the migration
-        engine's window plans use.  Pages outside ``src``, pinned pages
-        on a demotion, and pages beyond the destination's free capacity
-        are silently skipped (the kernel's ``move_pages()`` likewise
-        partially succeeds).
-        """
-        moved = self.overlay().clip_move(pages, dst, src)
-        self.apply_moves([(moved, src, dst)])
-        return moved
+    # -- migration ------------------------------------------------------------
 
     def apply_moves(self, moves: Sequence[Tuple[np.ndarray, int, int]]) -> None:
         """Apply pre-clipped migration hops with one fused scatter.
@@ -365,8 +306,8 @@ class TieredMemory:
         admit at that point of the sequence.  The planner's
         :class:`PlacementOverlay` produces such hops by construction.
 
-        The float accounting (activity sums, compressed-tier frame
-        charges) runs per hop in hop order; the placement and arrival
+        The occupancy accounting (compressed-tier frame charges are
+        floats) runs per hop in hop order; the placement and arrival
         writes -- pure scatters whose final value per page is the last
         hop touching it, exactly as sequential scatters would leave
         them -- are fused into one concatenated store each.
@@ -380,14 +321,7 @@ class TieredMemory:
         arrival_parts: List[np.ndarray] = []
         dst_parts: List[np.ndarray] = []
         for pages, src, dst in live:
-            self.used[src] -= pages.size
-            self._charge_frames(src, pages, -1.0)
-            if not self._activity_sums_stale:
-                moved_activity = float(self.activity[pages].sum())
-                self._activity_sum[src] -= moved_activity
-                self._activity_sum[dst] += moved_activity
-            self.used[dst] += pages.size
-            self._charge_frames(dst, pages, +1.0)
+            self._shift(pages, src, dst)
             self._arrival_counter += 1
             dst_parts.append(np.full(pages.size, dst, dtype=self.placement.dtype))
             arrival_parts.append(
@@ -405,104 +339,22 @@ class TieredMemory:
         if self.debug_accounting:
             self.check_accounting()
 
-    def lru_victims(
-        self,
-        tier: int,
-        count: int,
-        protect: Optional[np.ndarray] = None,
-        max_activity: Optional[float] = None,
-        fifo: bool = False,
-    ) -> np.ndarray:
-        """Up to ``count`` reclaim victims resident in ``tier``.
-
-        By default victims are ranked by decayed access intensity
-        (coldest first).  ``protect`` pages (e.g. just-promoted ones)
-        are excluded.  ``max_activity`` restricts eligibility to
-        genuinely inactive pages -- a page accessed every window never
-        reaches the kernel's inactive list, so it can never be a victim;
-        ``None`` allows any resident page (aggressive watermark-style
-        reclaim).  ``fifo`` instead ranks by tier-arrival order --
-        physical LRU-list position, which is what simple watermark
-        reclaim actually walks, hot pages included.
-        """
-        if count <= 0:
-            return np.empty(0, dtype=np.int64)
-        return self.select_victims(
-            self.pages_in_tier(tier),
-            tier,
-            count,
-            protect=protect,
-            max_activity=max_activity,
-            fifo=fifo,
-        )
-
-    def select_victims(
-        self,
-        resident: np.ndarray,
-        tier: int,
-        count: int,
-        protect: Optional[np.ndarray] = None,
-        max_activity: Optional[float] = None,
-        fifo: bool = False,
-    ) -> np.ndarray:
-        """The :meth:`lru_victims` ranking over a caller-supplied
-        resident set (sorted ascending, as ``pages_in_tier`` returns).
-
-        Exposed separately so the migration engine's fused planner can
-        rank victims against its *planned* placement (mid-window state
-        that exists only as an overlay) with exactly the eligibility and
-        ordering rules the live path uses.
-        """
-        if count <= 0:
-            return np.empty(0, dtype=np.int64)
-        if int(tier) != int(Tier.FAST):
-            resident = resident[~self._pinned[resident]]
-        if protect is not None and protect.size:
-            # Membership test through a reusable boolean scratch mask:
-            # O(resident + protect) instead of np.isin's sort/search.
-            protect = np.asarray(protect, dtype=np.int64)
-            scratch = self._protect_scratch
-            scratch[protect] = True
-            resident = resident[~scratch[resident]]
-            scratch[protect] = False
-        if max_activity is not None:
-            resident = resident[self.activity[resident] <= max_activity]
-        if resident.size == 0:
-            return resident
-        keys = self.arrival[resident] if fifo else self.activity[resident]
-        if count >= resident.size:
-            order = np.argsort(keys, kind="stable")
-            return resident[order]
-        part = np.argpartition(keys, count)[:count]
-        order = np.argsort(keys[part], kind="stable")
-        return resident[part[order]]
-
     def overlay(self) -> "PlacementOverlay":
         """Scratch placement/capacity state for migration *planning*."""
         return PlacementOverlay(self)
-
-    # -- pinning (used by non-exclusive tiering a la Nomad) -------------------
-
-    def pin(self, pages: np.ndarray) -> None:
-        self._pinned[np.asarray(pages, dtype=np.int64)] = True
-
-    def unpin(self, pages: np.ndarray) -> None:
-        self._pinned[np.asarray(pages, dtype=np.int64)] = False
 
     # -- debug cross-checks ----------------------------------------------------
 
     def check_accounting(self) -> None:
         """Validate the incremental accounting against full scans.
 
-        Recomputes per-tier residency, activity, and (for compressed
-        tiers) frame aggregates from the ``placement``/``activity``
-        arrays and raises :class:`AccountingError` on any divergence.
-        Runs after every mutation when ``debug_accounting`` is set (or
-        the ``REPRO_DEBUG_ACCOUNTING`` environment variable is
-        non-empty).
+        Recomputes per-tier residency and (for compressed tiers) frame
+        sums from the ``placement`` array, and bounds every tier's
+        occupancy by its capacity; raises :class:`AccountingError` on
+        any divergence.  Runs after every placement change when
+        ``debug_accounting`` is set (or the ``REPRO_DEBUG_ACCOUNTING``
+        environment variable is non-empty).
         """
-        if self._activity_sums_stale:
-            self._refresh_activity_sums()
         for tier in self.tiers:
             label = tier_label(tier)
             scan = np.flatnonzero(self.placement == int(tier)).astype(np.int64)
@@ -514,12 +366,6 @@ class TieredMemory:
             if cached is not None and cached[0] == self._placement_gen:
                 if not np.array_equal(cached[1], scan):
                     raise AccountingError(f"resident cache for {label} is stale")
-            true_sum = float(self.activity[scan].sum())
-            if not np.isclose(self._activity_sum[tier], true_sum, rtol=1e-9, atol=1e-6):
-                raise AccountingError(
-                    f"activity_sum[{label}]={self._activity_sum[tier]!r} "
-                    f"but scan sums to {true_sum!r}"
-                )
             cost = self._page_frame_cost[tier]
             if cost is not None:
                 true_frames = float(cost[scan].sum())
@@ -530,48 +376,40 @@ class TieredMemory:
                         f"frames_used[{label}]={self._frames_used[tier]!r} "
                         f"but scan sums to {true_frames!r}"
                     )
-                if self._frames_used[tier] > self.capacity[tier] + 1e-6:
-                    raise AccountingError(
-                        f"frames_used[{label}]={self._frames_used[tier]!r} "
-                        f"exceeds capacity {self.capacity[tier]}"
-                    )
+            if self.frames_used(tier) > self.capacity[tier] + 1e-6:
+                raise AccountingError(
+                    f"{label} holds {self.frames_used(tier)!r} frames, "
+                    f"over its capacity {self.capacity[tier]}"
+                )
 
 
-class PlacementOverlay:
+class PlacementOverlay(_Occupancy):
     """Scratch placement/capacity state for planning a window's migrations.
 
     The migration engine plans a whole window's hops against this
     overlay *before* touching the real memory: the overlay copies the
-    placement array and the per-tier used/frame counters, and
-    :meth:`clip_move` -- the one implementation of a hop's
-    select/clip arithmetic (dedupe, source filter, pinned filter,
-    capacity/frame clipping) -- mutates only the scratch state.  The
-    hop page arrays it returns are ready for
-    :meth:`TieredMemory.apply_moves`'s single fused scatter;
-    :meth:`TieredMemory.move` is the one-hop case of the same
-    plan-then-apply.
+    placement array and the per-tier used/frame counters, ranks victims
+    against the planned resident sets (:meth:`lru_victims`), and
+    :meth:`clip_move` -- the one implementation of a hop's select/clip
+    arithmetic (dedupe, source filter, capacity/frame clipping) --
+    mutates only the scratch state.  The hop page arrays it returns are
+    ready for :meth:`TieredMemory.apply_moves`'s single fused scatter.
 
-    Activity and pinning are read straight from the underlying memory:
-    neither changes during migration application, so no copy is needed.
+    Capacities, frame costs, activity and arrival order are read
+    straight from the underlying memory: none changes while a window's
+    migrations are planned, so no copy is needed.
     """
 
     def __init__(self, memory: TieredMemory):
         self._memory = memory
+        self.capacity = memory.capacity
+        self._page_frame_cost = memory._page_frame_cost
         self.placement = memory.placement.copy()
-        self.used: List[int] = list(memory.used)
-        self._frames_used: List[float] = list(memory._frames_used)
+        self.used = list(memory.used)
+        self._frames_used = list(memory._frames_used)
         #: False until the first planned hop: pristine overlays can keep
         #: serving the memory's cached resident arrays.
         self._mutated = False
-
-    def tier_of(self, pages: np.ndarray) -> np.ndarray:
-        return self.placement[np.asarray(pages, dtype=np.int64)]
-
-    def free_pages(self, tier: int) -> int:
-        """Planned-state analogue of :meth:`TieredMemory.free_pages`."""
-        if self._memory._page_frame_cost[tier] is None:
-            return self._memory.capacity[tier] - self.used[tier]
-        return int(np.floor(self._memory.capacity[tier] - self._frames_used[tier]))
 
     def pages_in_tier(self, tier: int) -> np.ndarray:
         """Sorted resident ids under the planned placement."""
@@ -587,67 +425,55 @@ class PlacementOverlay:
         max_activity: Optional[float] = None,
         fifo: bool = False,
     ) -> np.ndarray:
-        """Victim ranking over the planned resident set.
+        """Up to ``count`` reclaim victims planned-resident in ``tier``.
 
-        Delegates to :meth:`TieredMemory.select_victims` so eligibility
-        and ordering rules stay byte-for-byte those of the live path.
+        By default victims are ranked by decayed access intensity
+        (coldest first, stable on ties).  ``protect`` pages (e.g.
+        just-promoted ones) are excluded.  ``max_activity`` restricts
+        eligibility to genuinely inactive pages -- a page accessed every
+        window never reaches the kernel's inactive list, so it can never
+        be a victim; ``None`` allows any resident page (aggressive
+        watermark-style reclaim).  ``fifo`` instead ranks by
+        tier-arrival order -- physical LRU-list position, which is what
+        simple watermark reclaim actually walks, hot pages included.
         """
         if count <= 0:
             return np.empty(0, dtype=np.int64)
-        return self._memory.select_victims(
-            self.pages_in_tier(tier),
-            tier,
-            count,
-            protect=protect,
-            max_activity=max_activity,
-            fifo=fifo,
-        )
-
-    def _admit_count(self, tier: int, pages: np.ndarray) -> int:
-        cost = self._memory._page_frame_cost[tier]
-        if cost is None:
-            return max(min(self._memory.capacity[tier] - self.used[tier], pages.size), 0)
-        free = self._memory.capacity[tier] - self._frames_used[tier]
-        if free <= 0.0 or pages.size == 0:
-            return 0
-        cum = np.cumsum(cost[pages])
-        return int(np.searchsorted(cum, free, side="right"))
-
-    def _charge_frames(self, tier: int, pages: np.ndarray, sign: float) -> None:
-        cost = self._memory._page_frame_cost[tier]
-        if cost is not None and pages.size:
-            self._frames_used[tier] += sign * float(cost[pages].sum())
+        memory = self._memory
+        resident = self.pages_in_tier(tier)
+        if protect is not None and protect.size:
+            # Membership test through a reusable boolean scratch mask:
+            # O(resident + protect) instead of np.isin's sort/search.
+            protect = np.asarray(protect, dtype=np.int64)
+            scratch = memory._protect_scratch
+            scratch[protect] = True
+            resident = resident[~scratch[resident]]
+            scratch[protect] = False
+        if max_activity is not None:
+            resident = resident[memory.activity[resident] <= max_activity]
+        if resident.size == 0:
+            return resident
+        keys = memory.arrival[resident] if fifo else memory.activity[resident]
+        if count >= resident.size:
+            return resident[np.argsort(keys, kind="stable")]
+        part = np.argpartition(keys, count)[:count]
+        return resident[part[np.argsort(keys[part], kind="stable")]]
 
     def clip_move(self, pages: np.ndarray, dst: int, src: int) -> np.ndarray:
         """Select/clip one migration hop and commit it to the overlay.
 
         Sorted dedupe, source filter against the planned placement,
-        pinned filter on demotions, then capacity (or exact per-page
-        frame) clipping against the planned occupancy.  Returns the
-        pages the hop moves.
+        then capacity (or exact per-page frame) clipping against the
+        planned occupancy.  Returns the pages the hop moves.
         """
         # Sort-based dedupe: identical array to np.unique, several times
         # faster at migration batch sizes (see repro.common.arrays).
         pages = sorted_unique(np.asarray(pages, dtype=np.int64))
-        dst_i = int(dst)
-        place = self.placement[pages]
-        movable = pages[place == int(src)]
-        if dst_i != int(Tier.FAST):
-            # Demotions away from the top tier skip pinned pages.
-            movable = movable[~self._memory._pinned[movable]]
-        cost = self._memory._page_frame_cost[dst_i]
-        if cost is None:
-            room = self._memory.capacity[dst_i] - self.used[dst_i]
-            if movable.size > room:
-                movable = movable[:room]
-        else:
-            movable = movable[: self._admit_count(dst_i, movable)]
+        src, dst = int(src), int(dst)
+        movable = pages[self.placement[pages] == src]
+        movable = movable[: self._admit_count(dst, movable)]
         if movable.size:
-            src_i = int(src)
-            self.used[src_i] -= movable.size
-            self._charge_frames(src_i, movable, -1.0)
-            self.placement[movable] = dst_i
-            self.used[dst_i] += movable.size
-            self._charge_frames(dst_i, movable, +1.0)
+            self._shift(movable, src, dst)
+            self.placement[movable] = dst
             self._mutated = True
         return movable

@@ -107,7 +107,6 @@ class Machine:
         self.memory = TieredMemory(
             footprint_pages=footprint,
             capacities=caps,
-            specs=specs,
             page_frame_costs=costs,
         )
         self.stall_model = StallModel(
@@ -145,11 +144,6 @@ class Machine:
         self._runtime_cycles = 0.0
         self._window = 0
         self._empty_windows = 0
-        #: Static runs whose policy never reads activity/LRU state skip
-        #: the per-window touch -- nothing observable depends on it.
-        self._skip_touch = bool(
-            policy.static_placement and not policy.reads_page_activity
-        )
 
         workload.reset()
         policy.attach(self)
@@ -253,9 +247,9 @@ class Machine:
                 self._pending_overhead_cycles += pebs_batch.overhead_cycles
                 self.cha.advance(outcome.shares, jitter=cha_jitter)
                 self.perf.advance(outcome, jitter=perf_jitter)
-        # Count-zero entries are deliberately kept: they stamp
-        # ``last_touch`` (as they always have) while adding no activity.
-        if not self._skip_touch:
+        # Page activity feeds only reclaim, which a static run never
+        # issues, so static runs skip the touch.
+        if not self.policy.static_placement:
             self.memory.touch(
                 traffic.pages,
                 self._window,

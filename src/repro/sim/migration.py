@@ -10,16 +10,15 @@ promotions always target tier 0; demotions follow the topology's
 demotion mode -- ``"through"`` moves a victim one tier down (cascading
 further demotions when the intermediate tier is full), ``"direct"``
 sends it straight to the bottom tier.  Every hop is separately subject
-to capacity admission (and the optional :attr:`MigrationEngine.admission`
-hook), and its copy traffic is charged to the two tiers it actually
-touches.  Both modes reduce to the single fast->slow hop on the default
-two-tier pair.
+to capacity admission, and its copy traffic is charged to the two
+tiers it actually touches.  Both modes reduce to the single fast->slow
+hop on the default two-tier pair.
 
 A window's decision is applied by one plan/apply split
 (:meth:`MigrationEngine.apply_window`): the plan phase walks reclaim,
 explicit demotions, cascades and promotions against a
 :class:`~repro.mem.tiered.PlacementOverlay` -- one ``tier_of`` gather
-per order batch, victim selection and capacity clipping against the
+per order batch, victim ranking and capacity clipping against the
 *planned* placement -- and resolves the whole window into a single
 :class:`MovePlan`; the apply phase commits the plan with one fused
 placement scatter (:meth:`~repro.mem.tiered.TieredMemory.apply_moves`)
@@ -31,7 +30,7 @@ golden digests pin its cascades.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -157,10 +156,6 @@ class MigrationEngine:
         self.num_tiers = memory.num_tiers
         #: Demotion routing for multi-hop hierarchies (see module doc).
         self.demotion_mode = config.demotion_mode
-        #: Optional per-hop admission gate: ``(src, dst, pages) -> pages``
-        #: lets a policy veto or trim individual hops (e.g. refuse to
-        #: demote compressible-unfriendly pages into a compressed tier).
-        self.admission: Optional[Callable[[int, int, np.ndarray], np.ndarray]] = None
         #: Optional :class:`repro.obs.Observability` sink for cumulative
         #: promotion/demotion/cost counters (None = no publishing).
         self._obs = obs
@@ -196,11 +191,6 @@ class MigrationEngine:
         if self.demotion_mode == "direct":
             return bottom
         return min(src + 1, bottom)
-
-    def _admit(self, src: int, dst: int, pages: np.ndarray) -> np.ndarray:
-        if self.admission is None or pages.size == 0:
-            return pages
-        return np.asarray(self.admission(src, dst, pages), dtype=np.int64)
 
     # -- fused window apply ------------------------------------------------------
 
@@ -302,9 +292,6 @@ class MigrationEngine:
             if sub.size == 0:
                 continue
             dst = self._demote_dst(src)
-            sub = self._admit(src, dst, sub)
-            if sub.size == 0:
-                continue
             if dst < self.num_tiers - 1:
                 deficit = sub.size - overlay.free_pages(dst)
                 if deficit > 0:
@@ -333,9 +320,6 @@ class MigrationEngine:
         if victims.size == 0:
             return node
         dst = self._demote_dst(tier)
-        victims = self._admit(tier, dst, victims)
-        if victims.size == 0:
-            return node
         if dst < self.num_tiers - 1:
             deficit = victims.size - overlay.free_pages(dst)
             if deficit > 0:
@@ -357,9 +341,6 @@ class MigrationEngine:
         top = int(Tier.FAST)
         for src in range(1, self.num_tiers):
             sub = pages[place == src]
-            if sub.size == 0:
-                continue
-            sub = self._admit(src, top, sub)
             if sub.size == 0:
                 continue
             moved = overlay.clip_move(sub, top, src=src)

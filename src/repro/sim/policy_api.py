@@ -48,7 +48,8 @@ class Observation:
     tor_mlp: List[float]
     #: PEBS records for this window (slow-tier loads by default).
     pebs: PebsBatch
-    #: Kernel-visible memory state: placement, LRU clocks, capacities.
+    #: Kernel-visible memory state: placement, occupancy, capacities,
+    #: and the LRU state (page activity and arrival order) reclaim reads.
     memory: TieredMemory
     #: Raw TOR counter deltas (T1 = occupancy integral, T2 = busy cycles),
     #: so policies aggregating over longer sampling periods can recompute
@@ -175,20 +176,12 @@ class TieringPolicy(abc.ABC):
     #: policy never drives the migration engine.  Static runs under a
     #: replayed trace let the machine pre-split every window's traffic
     #: (and, when nothing samples, pre-solve every window) for the whole
-    #: run up front (:mod:`repro.hw.drawplan`).  The machine hard-fails
-    #: if a policy declaring this ever migrates a page.  Defaults to
+    #: run up front (:mod:`repro.hw.drawplan`).  Page activity feeds
+    #: only reclaim, which a static run never issues, so the machine
+    #: also skips the per-window activity touch.  It hard-fails if a
+    #: policy declaring this ever migrates a page.  Defaults to
     #: ``False``.
     static_placement: bool = False
-
-    #: Whether this policy (or anything observing the run on its behalf)
-    #: reads the memory's page-activity / LRU-clock state -- via
-    #: ``Observation.memory`` (``activity``, ``mean_activity``,
-    #: ``activity_sum``, ``last_touch``) or by issuing ``demote_lru``
-    #: orders.  Policies that declare ``False`` *and* are static let the
-    #: machine skip the per-window LRU/activity touch entirely: with no
-    #: reader the scatter-add changes nothing observable.  Defaults to
-    #: ``True`` (safe).
-    reads_page_activity: bool = True
 
     #: Scales the engine's migration cost for this policy (transactional
     #: double-copy designs pay more than a plain ``move_pages()``).
@@ -236,7 +229,6 @@ class NoTierPolicy(TieringPolicy):
     needs_pebs = False
     needs_touched_pages = False
     static_placement = True
-    reads_page_activity = False
 
     def observe(self, obs: Observation) -> Decision:  # noqa: ARG002
         return Decision.none()
@@ -251,7 +243,6 @@ class SlowOnlyPolicy(TieringPolicy):
     needs_pebs = False
     needs_touched_pages = False
     static_placement = True
-    reads_page_activity = False
 
     def observe(self, obs: Observation) -> Decision:  # noqa: ARG002
         return Decision.none()

@@ -338,7 +338,8 @@ def write_npt(data: TraceData, path: PathLike) -> Path:
             for name, dtype, _ in _COLUMN_SPECS:
                 meta = column_meta[name]
                 fh.seek(meta["offset"])
-                fh.write(np.ascontiguousarray(data.columns[name], dtype=dtype).tobytes())
+                # Write the array's buffer: no second copy of a large column.
+                fh.write(memoryview(np.ascontiguousarray(data.columns[name], dtype=dtype)))
         os.replace(tmp, path)
     except OSError:
         try:

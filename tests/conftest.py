@@ -77,11 +77,7 @@ def config():
 
 @pytest.fixture
 def memory():
-    return TieredMemory(
-        footprint_pages=256,
-        capacities=[128, 256],
-        specs=MachineConfig().tier_specs(),
-    )
+    return TieredMemory(footprint_pages=256, capacities=[128, 256])
 
 
 @pytest.fixture

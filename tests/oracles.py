@@ -9,10 +9,13 @@ something independent to compare with:
   stall model (:mod:`repro.hw.stall`), over a window's groups
   (:func:`window_groups` rebuilds them from a window's columns);
 * :class:`PerHopMigrator` -- migration applied as it is decided: one
-  :meth:`~repro.mem.tiered.TieredMemory.move` per hop, victims ranked
-  against live memory, outcomes merged as the hops land
+  :func:`move` per hop, victims ranked against live memory, outcomes
+  merged as the hops land
   (:meth:`~repro.sim.migration.MigrationEngine.apply_window` plans the
   whole window on an overlay first).
+
+:func:`move` is one migration hop committed straight to memory, the
+way tests set placement up.
 
 :func:`make_batch` packs plain :class:`Share` records into a
 :class:`~repro.hw.stall.ShareBatch`, the one share type the hardware
@@ -178,12 +181,24 @@ def reference_solve(
     return loads, duration
 
 
+def move(memory, pages, dst: int, src: int) -> np.ndarray:
+    """Move the ``pages`` resident in ``src`` to ``dst``; returns pages moved.
+
+    One hop, clipped on a fresh overlay and committed with
+    ``apply_moves``: pages outside ``src`` and pages beyond the
+    destination's free capacity are skipped (the kernel's
+    ``move_pages()`` likewise partially succeeds).
+    """
+    moved = memory.overlay().clip_move(pages, dst, src)
+    memory.apply_moves([(moved, src, dst)])
+    return moved
+
+
 class PerHopMigrator:
     """Applies a decision hop by hop against live memory.
 
     Shares the engine's memory and helpers (THP expansion, demotion
-    routing, admission, cost accounting); what it does not share is
-    the planning.
+    routing, cost accounting); what it does not share is the planning.
     """
 
     def __init__(self, engine):
@@ -210,7 +225,7 @@ class PerHopMigrator:
             max_activity = self.engine.config.cold_activity_fraction * self.memory.mean_activity(
                 Tier.FAST
             )
-        victims = self.memory.lru_victims(
+        victims = self.memory.overlay().lru_victims(
             Tier.FAST,
             count,
             protect=protect,
@@ -228,7 +243,7 @@ class PerHopMigrator:
         place = self.memory.tier_of(pages)
         for src in range(engine.num_tiers - 1):
             dst = engine._demote_dst(src)
-            sub = engine._admit(src, dst, pages[place == src])
+            sub = pages[place == src]
             if sub.size:
                 outcome.merge(self._make_room(sub, dst))
                 outcome.merge(self._move(sub, src, dst, promoted=False))
@@ -243,15 +258,14 @@ class PerHopMigrator:
         deficit = incoming.size - self.memory.free_pages(tier)
         if deficit > 0:
             dst = engine._demote_dst(tier)
-            victims = self.memory.lru_victims(tier, deficit, protect=incoming)
-            victims = engine._admit(tier, dst, victims)
+            victims = self.memory.overlay().lru_victims(tier, deficit, protect=incoming)
             if victims.size:
                 outcome.merge(self._make_room(victims, dst))
                 outcome.merge(self._move(victims, tier, dst, promoted=False))
         return outcome
 
     def _move(self, pages, src, dst, promoted) -> MigrationOutcome:
-        moved = self.memory.move(pages, dst, src)
+        moved = move(self.memory, pages, dst, src)
         return self.engine._account(moved, promoted=promoted, src=src, dst=dst)
 
     def promote(self, pages) -> MigrationOutcome:
@@ -263,7 +277,7 @@ class PerHopMigrator:
         place = self.memory.tier_of(pages)
         top = int(Tier.FAST)
         for src in range(1, engine.num_tiers):
-            sub = engine._admit(src, top, pages[place == src])
+            sub = pages[place == src]
             if sub.size:
                 outcome.merge(self._move(sub, src, top, promoted=True))
         return outcome

@@ -48,8 +48,7 @@ def make_obs(
 
 @pytest.fixture
 def mem256():
-    config = MachineConfig()
-    memory = TieredMemory(256, [128, 256], config.tier_specs())
+    memory = TieredMemory(256, [128, 256])
     memory.allocate_first_touch(np.arange(256))
     return memory
 

@@ -9,9 +9,9 @@ from repro.sim.machine import Machine
 from repro.sim.migration import MigrationEngine
 from repro.sim.policy_api import Decision, NoTierPolicy, SlowOnlyPolicy, TieringPolicy
 from repro.mem.tiered import TieredMemory
-from repro.common.units import CXL_SPEC, DRAM_SPEC
 
 from conftest import TinyWorkload, assert_placement_consistent
+from oracles import move
 
 
 class TestRatioParsing:
@@ -161,13 +161,13 @@ class TestMigrationAccounting:
 
 class TestMigrationEngineThp:
     def _engine(self, thp):
-        memory = TieredMemory(2048, [1024, 2048], [DRAM_SPEC, CXL_SPEC])
+        memory = TieredMemory(2048, [1024, 2048])
         memory.allocate_first_touch(np.arange(2048))
         return MigrationEngine(memory, MachineConfig(thp=thp)), memory
 
     def test_thp_expands_to_whole_huge_page(self):
         engine, memory = self._engine(thp=True)
-        memory.move(np.arange(0, 512), Tier.SLOW, Tier.FAST)  # free half the fast tier
+        move(memory, np.arange(0, 512), Tier.SLOW, Tier.FAST)  # free half the fast tier
         outcome = engine.apply_window(Decision(promote=np.array([1030])))
         # Page 1030 lives in huge page 2, so all of pages 1024..1535
         # (slow-resident, and fitting the freed room) move together.
@@ -186,7 +186,7 @@ class TestMigrationEngineThp:
 
     def test_4k_mode_moves_only_selected(self):
         engine, memory = self._engine(thp=False)
-        memory.move(np.arange(0, 4), Tier.SLOW, Tier.FAST)
+        move(memory, np.arange(0, 4), Tier.SLOW, Tier.FAST)
         outcome = engine.apply_window(Decision(promote=np.array([1030, 1031])))
         assert outcome.promoted == 2
         assert memory.placement[1032] == int(Tier.SLOW)

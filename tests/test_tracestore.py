@@ -10,6 +10,7 @@ once-per-offender un-picklable warning of pooled sweeps.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import stat
@@ -88,6 +89,24 @@ class TestNptRoundTrip:
         assert loaded.objects == data.objects
         assert loaded.final_metrics == data.final_metrics
         assert loaded.path == path
+        for name, col in data.columns.items():
+            np.testing.assert_array_equal(np.asarray(loaded.columns[name]), col)
+
+    def test_strided_columns_write_the_same_bytes(self, tmp_path):
+        data = record_stream(small_workload())
+        contiguous = write_npt(data, tmp_path / "contiguous.npt")
+        strided = {}
+        for name, col in data.columns.items():
+            wide = np.zeros((col.shape[0], 2), dtype=col.dtype)
+            wide[:, 1] = col
+            strided[name] = wide[:, 1]  # a view of every other element
+            assert strided[name].base is wide
+            assert col.size <= 1 or not strided[name].flags.c_contiguous
+        path = write_npt(
+            dataclasses.replace(data, columns=strided), tmp_path / "strided.npt"
+        )
+        assert path.read_bytes() == contiguous.read_bytes()
+        loaded = read_npt(path)
         for name, col in data.columns.items():
             np.testing.assert_array_equal(np.asarray(loaded.columns[name]), col)
 

@@ -5,11 +5,9 @@ gets an explicit oracle here:
 
 * the fused plan/apply migration path (:meth:`MigrationEngine.apply_window`)
   against the per-hop reference (``PerHopMigrator`` in ``oracles.py``)
-  over randomised placements, multi-tier cascades, direct demotion, THP
-  expansion, and admission-hook trimming -- plus the invariants the
-  model itself implies (conservation, capacity bounds, link bytes);
-* the lazily-recomputed per-tier activity sums against a from-scratch
-  masked sum after arbitrary touch/move/first-touch interleavings;
+  over randomised placements, multi-tier cascades, direct demotion and
+  THP expansion -- plus the invariants the model itself implies
+  (conservation, capacity bounds, link bytes);
 * the tracker's incrementally-merged tracked-page list against a
   ``flatnonzero`` rebuild;
 * the attach-time prestaged :class:`EntryMetaPlan` against the live
@@ -19,11 +17,9 @@ gets an explicit oracle here:
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.units import CXL_SPEC, DRAM_SPEC
 from repro.hw.drawplan import EntryMetaPlan
 from repro.hw.pebs import PebsDraw, PebsSampler
 from repro.mem.page import Tier
@@ -49,12 +45,11 @@ def make_config(num_tiers=2, thp=False, demotion="through", compressed=False):
 
 def make_memory(config, footprint, fast, mid=None):
     if config.topology is None:
-        return TieredMemory(footprint, [fast, footprint], [DRAM_SPEC, CXL_SPEC])
+        return TieredMemory(footprint, [fast, footprint])
     caps = [fast, footprint if mid is None else mid, footprint]
     return TieredMemory(
         footprint,
         capacities=caps,
-        specs=config.topology.effective_specs(),
         page_frame_costs=config.topology.page_frame_costs(footprint),
     )
 
@@ -75,15 +70,12 @@ def clone_memory(memory, config, footprint, fast, mid=None):
     other = make_memory(config, footprint, fast, mid=mid)
     other.placement[:] = memory.placement
     other.activity[:] = memory.activity
-    other.last_touch[:] = memory.last_touch
     other.arrival[:] = memory.arrival
     other.used = list(memory.used)
     other._frames_used = list(memory._frames_used)
     other._last_decay_window = memory._last_decay_window
     other._arrival_counter = memory._arrival_counter
-    # Derived caches rebuild lazily; mark the sums stale so both sides
-    # recompute from the same activity array.
-    other._activity_sums_stale = True
+    # Derived caches rebuild lazily.
     other._placement_gen += 1
     other._activity_gen += 1
     return other
@@ -113,7 +105,7 @@ def assert_outcomes_equal(fused, legacy):
     np.testing.assert_array_equal(fused.demoted_pages, legacy.demoted_pages)
 
 
-def run_fused_vs_legacy(seed, num_tiers=2, thp=False, demotion="through", admission=None):
+def run_fused_vs_legacy(seed, num_tiers=2, thp=False, demotion="through"):
     rng = np.random.default_rng(seed)
     footprint = int(rng.integers(96, 512))
     fast = int(rng.integers(16, footprint))
@@ -126,9 +118,6 @@ def run_fused_vs_legacy(seed, num_tiers=2, thp=False, demotion="through", admiss
 
     eng_a = MigrationEngine(mem_a, config)
     eng_b = MigrationEngine(mem_b, config)
-    if admission is not None:
-        eng_a.admission = admission
-        eng_b.admission = admission
 
     for trial in range(3):
         decision = random_decision(rng, footprint)
@@ -169,15 +158,6 @@ class TestFusedApplyMatchesLegacy:
     @given(seed=st.integers(0, 10**9))
     def test_thp_expansion(self, seed):
         run_fused_vs_legacy(seed, thp=True)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_admission_hook_trims_hops(self, seed):
-        def admit(src, dst, pages):
-            # Deterministically veto a slice of every hop.
-            return pages[pages % 3 != 0]
-
-        run_fused_vs_legacy(seed, num_tiers=3, admission=admit)
 
     def test_empty_decision_is_a_noop(self):
         config = make_config()
@@ -246,41 +226,7 @@ class TestApplyWindowInvariants:
         check_apply_invariants(seed, thp=True)
 
 
-# -- lazy activity sums / incremental caches -------------------------------------
-
-
-class TestLazyActivitySums:
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_matches_from_scratch_sum(self, seed):
-        rng = np.random.default_rng(seed)
-        footprint = int(rng.integers(64, 512))
-        fast = int(rng.integers(16, footprint))
-        memory = TieredMemory(footprint, [fast, footprint], [DRAM_SPEC, CXL_SPEC])
-        memory.allocate_first_touch(rng.permutation(footprint))
-        for w in range(1, 6):
-            pages = np.unique(rng.integers(0, footprint, size=int(rng.integers(1, 200))))
-            memory.touch(pages, window=w, counts=rng.integers(1, 20, size=pages.size).astype(float))
-            if rng.integers(0, 2):
-                movable = np.flatnonzero(memory.placement == int(Tier.SLOW))
-                if movable.size:
-                    memory.move(
-                        movable[: int(rng.integers(1, movable.size + 1))], Tier.FAST, Tier.SLOW
-                    )
-            for tier in memory.tiers:
-                resident = memory.placement == int(tier)
-                expected = float(memory.activity[resident].sum())
-                assert memory.activity_sum(tier) == pytest.approx(expected, rel=1e-9)
-        memory.check_accounting()
-
-    def test_check_accounting_refreshes_stale_sums(self):
-        # Debug accounting would refresh the sums on every mutation.
-        memory = TieredMemory(128, [64, 128], [DRAM_SPEC, CXL_SPEC], debug_accounting=False)
-        memory.allocate_first_touch(np.arange(128))
-        memory.touch(np.arange(64), window=1, counts=np.full(64, 3.0))
-        assert memory._activity_sums_stale
-        memory.check_accounting()
-        assert not memory._activity_sums_stale
+# -- incremental caches ----------------------------------------------------------
 
 
 class TestIncrementalCachesMatchRebuild:
