@@ -9,10 +9,6 @@ distributions exhibit (§4.5):
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 
 def freedman_diaconis_width(q1: float, q3: float, n: int) -> float:
     """Bin width from the Freedman-Diaconis rule.
@@ -26,38 +22,3 @@ def freedman_diaconis_width(q1: float, q3: float, n: int) -> float:
     if iqr <= 0.0:
         return 0.0
     return 2.0 * iqr / float(n) ** (1.0 / 3.0)
-
-
-def bin_index(value: float, width: float, num_bins: int) -> int:
-    """Map a non-negative value onto one of ``num_bins`` bins.
-
-    Bin ``num_bins - 1`` is the highest-priority bin; values beyond the
-    covered range clamp into it.
-    """
-    if num_bins <= 0:
-        raise ValueError("num_bins must be positive")
-    if width <= 0.0:
-        return num_bins - 1 if value > 0.0 else 0
-    idx = int(value / width)
-    if idx >= num_bins:
-        return num_bins - 1
-    if idx < 0:
-        return 0
-    return idx
-
-
-def bin_indices(values: Sequence[float], width: float, num_bins: int) -> np.ndarray:
-    """Vectorised :func:`bin_index` over an array of values."""
-    arr = np.asarray(values, dtype=float)
-    if num_bins <= 0:
-        raise ValueError("num_bins must be positive")
-    if width <= 0.0:
-        return np.where(arr > 0.0, num_bins - 1, 0).astype(np.int64)
-    idx = (arr / width).astype(np.int64)
-    return np.clip(idx, 0, num_bins - 1)
-
-
-def histogram_counts(values: Sequence[float], width: float, num_bins: int) -> np.ndarray:
-    """Per-bin page counts for a set of values under the current width."""
-    idx = bin_indices(values, width, num_bins)
-    return np.bincount(idx, minlength=num_bins)

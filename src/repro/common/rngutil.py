@@ -10,14 +10,7 @@ stream.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Create a generator from an explicit integer seed."""
-    return np.random.default_rng(seed)
 
 
 #: Domain tag mixed into every keyed derivation.  Part of the key
@@ -69,13 +62,6 @@ class KeyedStream:
         self._counter[3] = counter
         self._bitgen.state = self._state
         return self._gen
-
-
-def child_seeds(seed: int, n: int) -> Iterator[int]:
-    """Yield ``n`` distinct child seeds derived from ``seed``."""
-    state = np.random.SeedSequence(seed)
-    for child in state.spawn(n):
-        yield int(child.generate_state(1)[0])
 
 
 def _stable_hash(label: str) -> int:

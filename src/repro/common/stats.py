@@ -6,8 +6,7 @@ policies do not require scipy at runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,75 +37,39 @@ def quantiles_linear(values: np.ndarray, qs: np.ndarray) -> np.ndarray:
     ``np.quantile`` spends more time in axis/dtype dispatch than in the
     partition for the small arrays the policies feed it every window.
     This replica implements only the default ``'linear'`` method for a
-    1-D float64 array with no NaNs, reproducing numpy's arithmetic
-    exactly: virtual index ``q * (n - 1)``, a partition at the floor and
-    ceil positions, then numpy's ``_lerp`` including its ``t >= 0.5``
-    rewrite (``b - diff * (1 - t)``) so rounding matches in every bit.
+    non-empty 1-D float64 array with no NaNs, reproducing numpy's
+    arithmetic exactly: virtual index ``q * (n - 1)``, a partition at the
+    floor and ceil positions, then numpy's ``_lerp`` including its
+    ``t >= 0.5`` rewrite (``b - diff * (1 - t)``) so rounding matches in
+    every bit.  The arithmetic runs on Python floats (IEEE doubles, as
+    numpy's), which skips a dozen small-array dispatches for the one or
+    two quantiles every per-window caller asks for.
     """
     n = values.size
-    if qs.size <= 2 and n:
-        # One or two quantiles (every per-window caller): python floats
-        # are IEEE doubles, so the virtual-index and _lerp arithmetic
-        # below matches the array path bit for bit while skipping a
-        # dozen two-element array dispatches.
-        kth = []
-        pos = []
-        for q in qs.tolist():
-            virtual = q * (n - 1.0)
-            prev = float(np.floor(virtual))
-            lo = int(prev)
-            hi = min(lo + 1, n - 1)
-            kth.append(lo)
-            kth.append(hi)
-            pos.append((lo, hi, virtual - prev))
-        part = np.partition(values, kth)
-        out = np.empty(qs.size, dtype=np.float64)
-        for i, (lo, hi, gamma) in enumerate(pos):
-            a = float(part[lo])
-            b = float(part[hi])
-            diff = b - a
-            if gamma >= 0.5:
-                out[i] = b - diff * (1.0 - gamma)
-            else:
-                out[i] = a + diff * gamma
-        return out
-    virtual = qs * (n - 1.0)
-    prev = np.floor(virtual)
-    gamma = virtual - prev
-    lo = prev.astype(np.intp)
-    hi = np.minimum(lo + 1, n - 1)
-    # partition() accepts unsorted/duplicate kth, so skip the np.unique
-    # numpy's generic path pays -- the handful of positions the callers
-    # use never makes deduplication worthwhile.
-    part = np.partition(values, np.concatenate([lo, hi]))
-    a, b = part[lo], part[hi]
-    diff = b - a
-    out = a + diff * gamma
-    mask = gamma >= 0.5
-    out[mask] = b[mask] - diff[mask] * (1.0 - gamma[mask])
+    kth = []
+    pos = []
+    for q in qs.tolist():
+        virtual = q * (n - 1.0)
+        prev = float(np.floor(virtual))
+        lo = int(prev)
+        hi = min(lo + 1, n - 1)
+        kth.append(lo)
+        kth.append(hi)
+        pos.append((lo, hi, virtual - prev))
+    part = np.partition(values, kth)
+    out = np.empty(qs.size, dtype=np.float64)
+    for i, (lo, hi, gamma) in enumerate(pos):
+        a = float(part[lo])
+        b = float(part[hi])
+        diff = b - a
+        if gamma >= 0.5:
+            out[i] = b - diff * (1.0 - gamma)
+        else:
+            out[i] = a + diff * gamma
     return out
 
 
 _QUARTILE_QS = np.array([0.25, 0.75])
-
-
-def quartiles(values: Sequence[float]) -> "tuple[float, float]":
-    """Return (Q1, Q3) of ``values`` using linear interpolation."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return (0.0, 0.0)
-    q1, q3 = quantiles_linear(arr, _QUARTILE_QS)
-    return float(q1), float(q3)
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean; values must be positive."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return 0.0
-    if np.any(arr <= 0):
-        raise ValueError("geometric_mean() requires positive values")
-    return float(np.exp(np.log(arr).mean()))
 
 
 def cdf_points(values: Sequence[float]) -> "tuple[np.ndarray, np.ndarray]":
@@ -116,57 +79,3 @@ def cdf_points(values: Sequence[float]) -> "tuple[np.ndarray, np.ndarray]":
         return arr, arr
     frac = np.arange(1, arr.size + 1, dtype=float) / arr.size
     return arr, frac
-
-
-@dataclass
-class StreamingStats:
-    """Online mean/variance/min/max via Welford's algorithm."""
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = 0.0
-    min: float = field(default=float("inf"))
-    max: float = field(default=float("-inf"))
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the running moments."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def add_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(float(value))
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the observations seen so far."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def std(self) -> float:
-        return self.variance**0.5
-
-    def merge(self, other: "StreamingStats") -> "StreamingStats":
-        """Return a new ``StreamingStats`` combining two streams."""
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            return other
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        merged = StreamingStats(
-            count=total,
-            mean=self.mean + delta * other.count / total,
-            min=min(self.min, other.min),
-            max=max(self.max, other.max),
-        )
-        merged._m2 = self._m2 + other._m2 + delta**2 * self.count * other.count / total
-        return merged

@@ -46,11 +46,6 @@ def format_count(n: float) -> str:
     return f"{n:.0f}"
 
 
-def format_pct(x: float, digits: int = 1) -> str:
-    """Format a ratio as a signed percentage string."""
-    return f"{100.0 * x:+.{digits}f}%"
-
-
 def _cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.3f}"

@@ -47,11 +47,6 @@ def ns_to_cycles(ns: float, freq_ghz: float = CPU_FREQ_GHZ) -> float:
     return ns * freq_ghz
 
 
-def cycles_to_ns(cycles: float, freq_ghz: float = CPU_FREQ_GHZ) -> float:
-    """Convert CPU cycles to nanoseconds."""
-    return cycles / freq_ghz
-
-
 def cycles_to_ms(cycles: float, freq_ghz: float = CPU_FREQ_GHZ) -> float:
     """Convert CPU cycles to milliseconds."""
     return cycles / freq_ghz / NS_PER_MS

@@ -21,7 +21,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.common.histogram import bin_indices, freedman_diaconis_width
+from repro.common.histogram import freedman_diaconis_width
 from repro.common.reservoir import Reservoir
 
 DEFAULT_NUM_BINS = 20
@@ -116,15 +116,6 @@ class AdaptiveBinner:
         self._width = base * 2.0**self._scale_exp
 
     # -- selection -----------------------------------------------------------------
-
-    def assign_bins(self, values: np.ndarray) -> np.ndarray:
-        """Priority-bin index (0..num_bins-1) for each value.
-
-        For display/priority purposes the histogram is clamped to
-        ``num_bins`` bins; candidate selection uses the unclamped
-        indices (see :meth:`top_bin_mask`).
-        """
-        return bin_indices(values, self._width, self.num_bins)
 
     def top_bin_threshold(self, vmax: float) -> float:
         """Lower edge of the top bin for a distribution peaking at ``vmax``.

@@ -104,12 +104,11 @@ def workload_fingerprint(workload) -> Dict[str, Any]:
     aggregate parameters).
 
     Replaying workloads (:mod:`repro.workloads.tracestore`) expose
-    ``replay_fingerprint``: an exact replay of a complete recording
-    passes the *recorded* workload's fingerprint through, so a replayed
-    run and a live run of the same workload share one cache identity --
-    replay is an execution detail, never a result-key input.  A looping
-    or truncated replay's names what differs, since it runs another
-    stream.
+    ``replay_fingerprint``: a replay of a complete recording passes the
+    *recorded* workload's fingerprint through, so a replayed run and a
+    live run of the same workload share one cache identity -- replay is
+    an execution detail, never a result-key input.  A truncated
+    replay's names what differs, since it runs another stream.
     """
     replay_fp = getattr(workload, "replay_fingerprint", None)
     if replay_fp is not None:

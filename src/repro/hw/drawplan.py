@@ -1,4 +1,4 @@
-"""Window sources: where each window's shares (and outcome) come from.
+"""Window sources: where each window's shares come from.
 
 Once a traffic stream is recorded (:mod:`repro.workloads.tracestore`),
 every window's entries are known before the run.  Nothing here draws a
@@ -13,23 +13,21 @@ of the loop is placement-independent, RNG-free work:
   columns by (window, group, tier) for a *frozen* placement and hands
   every window a pre-sliced :class:`~repro.hw.stall.ShareBatch` view --
   rows in share order (per group: tier 0 then tier 1, ...).
-* :func:`plan_window_solves` solves a static no-PEBS run's stall fixed
-  points in one batched pass.
 
 :func:`attach` gives each :class:`~repro.sim.machine.Machine` one
-window source for its whole run, one per placement regime:
+window source for its whole run, chosen from two facts (is the run
+replayed? is its placement static?):
 
 * :class:`StaticSource` -- a static-placement policy driven by a
-  non-looping :class:`~repro.workloads.tracestore.ReplayWorkload`: the
-  pre-split batches, plus the pre-solved outcomes where the solve
-  inputs are final at attach;
+  :class:`~repro.workloads.tracestore.ReplayWorkload`: the pre-split
+  batches;
 * :class:`DynamicSource` -- every other run: the live per-window split,
   fed the trace's :class:`EntryMetaPlan` when the run is replayed and
   unhinted on live traffic.
 
-A source answers two questions per window: its shares (``shares``)
-and its pre-solved outcome if it has one (``outcome``).  A dynamic
-source also gives the counts the page-activity touch reads
+A source answers one question per window: its shares (``shares``).
+Every window is solved live, from whichever source.  A dynamic source
+also gives the counts the page-activity touch reads
 (``touch_counts``); static runs skip that touch.
 """
 
@@ -228,62 +226,20 @@ def entry_meta_for(data, num_tiers: int) -> EntryMetaPlan:
     return cached[1]
 
 
-def plan_window_solves(model, batches: List[Optional[ShareBatch]], compute_cycles) -> List:
-    """Solve the whole run's stall fixed points in one batched pass.
-
-    With a static placement, no PEBS overhead, and no MLC contender,
-    every window's solve inputs are already final at attach time: the
-    pre-split :class:`ShareBatch`, the recorded compute cycles, and
-    zero carried-over bytes/cycles (migration copies and sampling drains
-    are the only sources of either, and a static no-PEBS run produces
-    neither).  The windows are therefore independent fixed points, and
-    ``solve_many`` -- whose per-element bit-identity to serial solves
-    the multi-run tests pin -- computes them all in one fused pass.
-    Returns one :class:`~repro.hw.stall.WindowHardware` per window
-    (``None`` where the window recorded no groups).
-    """
-    idx = [w for w, b in enumerate(batches) if b is not None]
-    solved = model.solve_many(
-        [batches[w] for w in idx],
-        [float(compute_cycles[w]) for w in idx],
-        [None] * len(idx),
-        [0.0] * len(idx),
-    )
-    outcomes: List = [None] * len(batches)
-    for w, outcome in zip(idx, solved):
-        outcomes[w] = outcome
-    return outcomes
-
-
 class StaticSource:
     """A frozen placement under replay: every window split at attach.
 
     ``batches`` holds one pre-split :class:`ShareBatch` per recorded
-    window; ``outcomes``, when the run's solve inputs are final at
-    attach (no PEBS drain, no contender, no per-window observability),
-    the pre-solved hardware outcome per window.
+    window.
     """
 
-    __slots__ = ("batches", "outcomes")
+    __slots__ = ("batches",)
 
-    def __init__(self, batches: List[Optional[ShareBatch]], outcomes: Optional[List] = None):
+    def __init__(self, batches: List[Optional[ShareBatch]]):
         self.batches = batches
-        self.outcomes = outcomes
 
     def shares(self, window: int, traffic) -> ShareBatch:  # noqa: ARG002
         return self.batches[window]
-
-    def outcome(self, window: int, extra_bytes, extra_cycles: float):
-        """The pre-solved outcome, or None to solve live.
-
-        The extra inputs are provably zero every window of a run that
-        has outcomes; they are checked anyway, so that a surprise
-        carry-over falls back to a live solve.  ``extra_bytes`` is one
-        entry per tier, so "none" means every entry is zero.
-        """
-        if self.outcomes is not None and extra_cycles == 0.0 and not any(extra_bytes):
-            return self.outcomes[window]
-        return None
 
 
 class DynamicSource:
@@ -291,8 +247,8 @@ class DynamicSource:
 
     With ``meta`` (the trace's :class:`EntryMetaPlan`) the split reads
     prestaged key bases and float counts, and the touch reads the float
-    counts; without it (live traffic, a looping replay) the split runs
-    unhinted.  A source is truthy exactly when it carries a plan.
+    counts; without it (live traffic) the split runs unhinted.  A
+    source is truthy exactly when it carries a plan.
     """
 
     __slots__ = ("model", "memory", "meta")
@@ -326,43 +282,31 @@ class DynamicSource:
             return counts
         return self.meta.window(window)[1]
 
-    def outcome(self, window: int, extra_bytes, extra_cycles: float):  # noqa: ARG002
-        return None
-
 
 def attach(machine):
     """The run's window source, chosen once per :class:`Machine`.
 
     Called at the end of ``Machine.__init__`` (placement is settled by
-    then).  A static placement under non-looping replay gets a
-    :class:`StaticSource` (with pre-solved outcomes where they apply);
+    then).  A static placement under replay gets a :class:`StaticSource`;
     every other replayed run gets a :class:`DynamicSource` hinted by
-    the trace's :class:`EntryMetaPlan`, and live traffic an unhinted one.  The source is truthy exactly when
-    a plan engaged, i.e. for every non-looping replayed run.
+    the trace's :class:`EntryMetaPlan`, and live traffic an unhinted
+    one.  The source is truthy exactly when a plan engaged, i.e. for
+    every replayed run.
     """
     from repro.workloads.tracestore import ReplayWorkload
 
     model, memory = machine.stall_model, machine.memory
     workload = machine.workload
-    if not isinstance(workload, ReplayWorkload) or workload.loop:
+    if not isinstance(workload, ReplayWorkload):
         return DynamicSource(model, memory)
     data = workload.trace_data
-    policy = machine.policy
-    if not policy.static_placement:
-        # Dynamic placement: the split itself stays in the loop, but its
-        # trace-determined inputs (key bases, float counts) leave it.
-        meta = entry_meta_for(data, machine.num_tiers)
-        meta.prestage_split()
-        return DynamicSource(model, memory, meta)
-    batches = build_static_batches(data, memory.placement, machine.num_tiers)
-    outcomes = None
-    if not policy.needs_pebs and machine.contender is None and not machine.obs.enabled:
-        # No sampler drain, no contender, no per-window observability:
-        # every window's solve inputs are final now, so solve the whole
-        # run up front (obs-enabled runs keep the live path to preserve
-        # per-window accounting gauges).
-        outcomes = plan_window_solves(model, batches, data.columns["window_compute"])
-    return StaticSource(batches, outcomes)
+    if machine.policy.static_placement:
+        return StaticSource(build_static_batches(data, memory.placement, machine.num_tiers))
+    # Dynamic placement: the split itself stays in the loop, but its
+    # trace-determined inputs (key bases, float counts) leave it.
+    meta = entry_meta_for(data, machine.num_tiers)
+    meta.prestage_split()
+    return DynamicSource(model, memory, meta)
 
 
 __all__ = [
@@ -372,5 +316,4 @@ __all__ = [
     "attach",
     "build_static_batches",
     "entry_meta_for",
-    "plan_window_solves",
 ]

@@ -18,10 +18,10 @@ window's misses over the packed (group, tier) key, so a batch carries
 per-share totals, never page lists), and one private Python-float
 kernel (:meth:`StallModel._fixed_point`) runs the damped fixed point
 for R independent windows: ``solve`` is the R = 1 case, ``solve_many``
-the lockstep and whole-run case.  At the handful of rows a window
-carries, plain IEEE doubles beat small-array numpy dispatches, and
-per-tier sums accumulate in row order, so results do not depend on how
-windows are batched.
+the lockstep case.  At the handful of rows a window carries, plain
+IEEE doubles beat small-array numpy dispatches, and per-tier sums
+accumulate in row order, so results do not depend on how windows are
+batched.
 
 Note the deliberate architecture: policies never see this module's
 outputs directly.  They observe only the counters derived from it
@@ -309,13 +309,11 @@ class StallModel:
     ) -> List[WindowHardware]:
         """Solve ``R`` independent windows in one call.
 
-        The multi-run driver (:mod:`repro.sim.runbatch`) steps R machines
-        over one recorded trace in lockstep, and
-        :func:`repro.hw.drawplan.plan_window_solves` solves a static
-        run's whole trace up front.  Each returned
-        :class:`WindowHardware` is bit-identical to a ``solve`` call on
-        the same inputs.  No residual gauge is published: neither caller
-        runs with observability enabled.
+        The multi-run driver (:mod:`repro.sim.runbatch`), its one
+        caller, steps R machines over one recorded trace in lockstep.
+        Each returned :class:`WindowHardware` is bit-identical to a
+        ``solve`` call on the same inputs.  No residual gauge is
+        published: lockstep runs with observability off.
         """
         return self._fixed_point(
             batches, compute_cycles, extra_bytes_list, extra_cycles_list

@@ -150,13 +150,6 @@ class TierTopology:
         )
 
 
-def default_topology(
-    fast_spec: TierSpec = DRAM_SPEC, slow_spec: TierSpec = CXL_SPEC
-) -> TierTopology:
-    """The legacy two-tier pair expressed as a topology."""
-    return TierTopology(tiers=(TierDef(fast_spec), TierDef(slow_spec)))
-
-
 #: Named topologies selectable from the CLI (``--topology``).
 _TOPOLOGY_BUILDERS = {
     # The paper's testbed pair (normalises to the legacy path).

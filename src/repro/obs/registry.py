@@ -83,12 +83,6 @@ class MetricsRegistry:
 
     # -- reading -------------------------------------------------------------
 
-    def counter_value(self, name: str) -> float:
-        return self._counters.get(name, 0.0)
-
-    def gauge_value(self, name: str, default: float = 0.0) -> float:
-        return self._gauges.get(name, default)
-
     def gauges(self) -> Dict[str, float]:
         """Current gauge values, sorted by name (per-window snapshot)."""
         return {name: self._gauges[name] for name in sorted(self._gauges)}

@@ -148,9 +148,9 @@ class Machine:
         workload.reset()
         policy.attach(self)
         self._preallocate()
-        #: Where each window's shares (and pre-solved outcome, if any)
-        #: come from: one :mod:`repro.hw.drawplan` source per run, chosen
-        #: by placement regime once placement is settled.
+        #: Where each window's shares come from: one
+        #: :mod:`repro.hw.drawplan` source per run, chosen by placement
+        #: regime once placement is settled.
         self._source = drawplan.attach(self)
 
     def _preallocate(self) -> None:
@@ -189,17 +189,11 @@ class Machine:
             self._step_empty_window()
             return
         touched, shares, extra_bytes, extra_cycles = self._prepare_window(traffic)
-        outcome = self._planned_outcome(extra_bytes, extra_cycles)
-        if outcome is None:
-            with self.obs.profile("stall_solve"):
-                outcome = self.stall_model.solve(
-                    shares, traffic.compute_cycles, extra_bytes=extra_bytes, extra_cycles=extra_cycles
-                )
+        with self.obs.profile("stall_solve"):
+            outcome = self.stall_model.solve(
+                shares, traffic.compute_cycles, extra_bytes=extra_bytes, extra_cycles=extra_cycles
+            )
         self._finish_window(traffic, touched, outcome)
-
-    def _planned_outcome(self, extra_bytes, extra_cycles):
-        """This window's pre-solved hardware outcome, or None to solve live."""
-        return self._source.outcome(self._window, extra_bytes, extra_cycles)
 
     def _prepare_window(self, traffic):
         """Everything before the stall solve: the touched-page set, the

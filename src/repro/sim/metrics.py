@@ -97,12 +97,6 @@ class RunResult:
             raise ValueError("baseline runtime must be positive")
         return self.runtime_cycles / baseline.runtime_cycles - 1.0
 
-    def speedup_over(self, other: "RunResult") -> float:
-        """Relative performance improvement of this run over ``other``."""
-        if self.runtime_cycles <= 0:
-            raise ValueError("runtime must be positive")
-        return other.runtime_cycles / self.runtime_cycles - 1.0
-
 
 def result_to_dict(result: RunResult) -> Dict[str, Any]:
     """The one JSON document of a run result.

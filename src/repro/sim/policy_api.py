@@ -175,12 +175,11 @@ class TieringPolicy(abc.ABC):
     #: ``observe`` always returns an empty :class:`Decision` and the
     #: policy never drives the migration engine.  Static runs under a
     #: replayed trace let the machine pre-split every window's traffic
-    #: (and, when nothing samples, pre-solve every window) for the whole
-    #: run up front (:mod:`repro.hw.drawplan`).  Page activity feeds
-    #: only reclaim, which a static run never issues, so the machine
-    #: also skips the per-window activity touch.  It hard-fails if a
-    #: policy declaring this ever migrates a page.  Defaults to
-    #: ``False``.
+    #: for the whole run up front (:mod:`repro.hw.drawplan`).  Page
+    #: activity feeds only reclaim, which a static run never issues, so
+    #: the machine also skips the per-window activity touch.  It
+    #: hard-fails if a policy declaring this ever migrates a page.
+    #: Defaults to ``False``.
     static_placement: bool = False
 
     #: Scales the engine's migration cost for this policy (transactional

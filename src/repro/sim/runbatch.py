@@ -13,10 +13,8 @@ across runs at all.
 :class:`~repro.sim.machine.Machine` instances window by window, keeping
 each machine's prepare/finish phases (placement, counters, keyed draws,
 policy) exactly as they run solo, but fusing the R per-window stall
-solves into one :meth:`~repro.hw.stall.StallModel.solve_many` call.
-Members whose whole run was pre-solved at construction (static no-PEBS
-replay, :func:`repro.hw.drawplan.plan_window_solves`) take their
-window from that plan, as they do solo, and stay out of the batch.
+solves into one :meth:`~repro.hw.stall.StallModel.solve_many` call;
+every member joins it, static and dynamic placement alike.
 Every run's result is **bit-identical** to running its machine alone --
 the property tests assert it -- so multi-run execution is purely an
 execution strategy, invisible to caches and digests.
@@ -31,7 +29,7 @@ Constraints (a :class:`ValueError` asks the caller to fall back to
 serial execution):
 
 * every machine replays the same recorded trace (same fingerprint and
-  window count), non-looping, so the runs stay in lockstep;
+  window count), so the runs stay in lockstep;
 * observability and tracing are off (the batched solver publishes no
   fixed-point residual gauge);
 * identical tier count, tier specs, and clock, so one solver serves all.
@@ -59,13 +57,13 @@ class MultiMachine:
 
         first = self.machines[0]
         ref = first.workload
-        if not isinstance(ref, ReplayWorkload) or ref.loop:
-            raise ValueError("multi-run execution needs non-looping replay workloads")
+        if not isinstance(ref, ReplayWorkload):
+            raise ValueError("multi-run execution needs replay workloads")
         model0 = first.stall_model
         for m in self.machines:
             wl = m.workload
-            if not isinstance(wl, ReplayWorkload) or wl.loop:
-                raise ValueError("multi-run execution needs non-looping replay workloads")
+            if not isinstance(wl, ReplayWorkload):
+                raise ValueError("multi-run execution needs replay workloads")
             if (
                 wl.replay_fingerprint != ref.replay_fingerprint
                 or wl.trace_windows != ref.trace_windows
@@ -82,10 +80,7 @@ class MultiMachine:
                 raise ValueError("all runs must share one tier topology and clock")
 
     def step(self) -> None:
-        """Advance every run by one window.
-
-        Members without a whole-run solve plan share one batched solve.
-        """
+        """Advance every run by one window: one batched solve for all."""
         machines = self.machines
         traffics = [m.workload.next_window() for m in machines]
         # One trace drives all runs, so windows are empty together.
@@ -94,17 +89,12 @@ class MultiMachine:
                 m._step_empty_window()
             return
         preps = [m._prepare_window(t) for m, t in zip(machines, traffics)]
-        outcomes = [m._planned_outcome(p[2], p[3]) for m, p in zip(machines, preps)]
-        live = [r for r, outcome in enumerate(outcomes) if outcome is None]
-        if live:
-            solved = machines[0].stall_model.solve_many(
-                [preps[r][1] for r in live],
-                [traffics[r].compute_cycles for r in live],
-                [preps[r][2] for r in live],
-                [preps[r][3] for r in live],
-            )
-            for r, outcome in zip(live, solved):
-                outcomes[r] = outcome
+        outcomes = machines[0].stall_model.solve_many(
+            [p[1] for p in preps],
+            [t.compute_cycles for t in traffics],
+            [p[2] for p in preps],
+            [p[3] for p in preps],
+        )
         for m, traffic, prep, outcome in zip(machines, traffics, preps, outcomes):
             m._finish_window(traffic, prep[0], outcome)
 

@@ -6,7 +6,6 @@ from repro.workloads.base import (
     Workload,
     region_group,
     spread_counts,
-    subset_group,
     zipf_weights,
 )
 from repro.workloads.colocation import ColocatedWorkload
@@ -45,6 +44,5 @@ __all__ = [
     "make_workload",
     "region_group",
     "spread_counts",
-    "subset_group",
     "zipf_weights",
 ]

@@ -252,24 +252,3 @@ def region_group(
         load_fraction=load_fraction,
         label=label or region.name,
     )
-
-
-def subset_group(
-    rng: np.random.Generator,
-    pages: np.ndarray,
-    misses: int,
-    mlp: float,
-    load_fraction: float = 1.0,
-    label: str = "",
-) -> AccessGroup:
-    """An access group spreading ``misses`` uniformly over explicit pages."""
-    pages = np.asarray(pages, dtype=np.int64)
-    counts = spread_counts(rng, pages.size, misses)
-    hit = counts > 0
-    return AccessGroup(
-        pages=pages[hit],
-        counts=counts[hit],
-        mlp=mlp,
-        load_fraction=load_fraction,
-        label=label,
-    )

@@ -103,7 +103,7 @@ class TraceFormatError(ValueError):
 
 
 class TraceExhausted(RuntimeError):
-    """A non-looping replay was asked for more windows than it recorded."""
+    """A replay was asked for more windows than it recorded."""
 
 
 def _source_fingerprint(workload: Workload) -> Dict[str, Any]:
@@ -498,21 +498,18 @@ def _validate(data: TraceData, path: PathLike) -> None:
 
 
 class ReplayWorkload(Workload):
-    """Replays a recorded stream bit-identically (or loops it).
+    """Replays a recorded stream bit-identically.
 
-    In the default exact mode the per-window consumed-work counter,
-    ``done`` transitions, phases, and ``final_metrics`` come straight
-    from the recording, so a :class:`Machine` run over this workload is
-    indistinguishable from one over the live generator it was recorded
-    from.  With ``loop=True`` the trace wraps around at the end instead,
-    for trace-driven evaluation over a work budget longer than one pass
-    (:meth:`set_total_misses`).
+    The per-window consumed-work counter, ``done`` transitions, phases,
+    and ``final_metrics`` come straight from the recording, so a
+    :class:`Machine` run over this workload is indistinguishable from
+    one over the live generator it was recorded from.  The replay ends
+    with the recording's last window.
     """
 
-    def __init__(self, data: TraceData, loop: bool = False):
+    def __init__(self, data: TraceData):
         meta = data.workload
         self._data = data
-        self.loop = loop
         self._recorded_fingerprint = copy.deepcopy(data.fingerprint)
         self._num_windows = data.num_windows
         #: False when the recording stops before its workload is done
@@ -532,40 +529,24 @@ class ReplayWorkload(Workload):
             seed=meta["seed"],
             objects=[ObjectRegion(name, start, num) for name, start, num in data.objects],
         )
-        if loop:
-            # Looping replays re-derive progress from each window's
-            # emitted misses (the trace may cover the budget many times):
-            # window i owns entries [bounds[i], bounds[i + 1]).
-            c = data.columns
-            totals = np.concatenate([[0], np.cumsum(c["counts"])])
-            bounds = c["group_page_ptr"][c["window_group_ptr"]]
-            self._window_emitted = np.diff(totals[bounds])
 
     @classmethod
-    def from_file(cls, path: PathLike, loop: bool = False) -> "ReplayWorkload":
+    def from_file(cls, path: PathLike) -> "ReplayWorkload":
         """Load a ``.npt`` trace file, validated (:class:`TraceFormatError`)."""
         data = read_npt(path)
         _validate(data, path)
-        return cls(data, loop=loop)
+        return cls(data)
 
     @property
     def replay_fingerprint(self) -> Dict[str, Any]:
         """Cache identity (read by :func:`repro.exp.cache.workload_fingerprint`).
 
-        An exact replay of a complete recording passes the *recorded*
+        A replay of a complete recording passes the *recorded*
         workload's fingerprint through, so replayed and live runs share
-        result-cache entries and trace-store keys.  Any other replay
-        runs another stream, so its identity names the recording and
-        what differs: a recording that stops before its workload is
-        done, its window count; a looping replay, the loop and the
-        current work budget (:meth:`set_total_misses` moves it).
+        result-cache entries and trace-store keys.  A recording that
+        stops before its workload is done runs another stream, so its
+        identity names the recording and its window count.
         """
-        if self.loop:
-            return {
-                "replay_of": self._recorded_fingerprint,
-                "loop": True,
-                "total_misses": int(self.total_misses),
-            }
         if self._complete:
             return self._recorded_fingerprint
         return {"replay_of": self._recorded_fingerprint, "windows": self._num_windows}
@@ -582,17 +563,9 @@ class ReplayWorkload(Workload):
 
     @property
     def done(self) -> bool:
-        # A non-looping replay also ends with its last recorded window:
-        # a trace recorded under a window budget stops before its workload.
-        return super().done or (not self.loop and self._cursor >= self._num_windows)
-
-    def set_total_misses(self, total: int) -> None:
-        """Stretch/shrink the work budget (looping replays only)."""
-        if total <= 0:
-            raise ValueError("total must be positive")
-        if not self.loop:
-            raise ValueError("cannot stretch a non-looping replay")
-        self.total_misses = total
+        # A replay also ends with its last recorded window: a trace
+        # recorded under a window budget stops before its workload.
+        return super().done or self._cursor >= self._num_windows
 
     def _on_reset(self) -> None:
         self._cursor = 0
@@ -608,24 +581,17 @@ class ReplayWorkload(Workload):
     def next_window(self) -> WindowTraffic:
         i = self._cursor
         if i >= self._num_windows:
-            if not self.loop:
-                raise TraceExhausted(
-                    f"replay of {self.name!r} exhausted after {self._num_windows} "
-                    f"windows (recorded under a smaller window budget?)"
-                )
-            i = 0
+            raise TraceExhausted(
+                f"replay of {self.name!r} exhausted after {self._num_windows} "
+                f"windows (recorded under a smaller window budget?)"
+            )
         c = self._data.columns
         wgp, gpp = c["window_group_ptr"], c["group_page_ptr"]
         g0, g1 = int(wgp[i]), int(wgp[i + 1])
         p0, p1 = int(gpp[g0]), int(gpp[g1])
         self._cursor = i + 1
         self._window += 1
-        if self.loop:
-            self._consumed += int(self._window_emitted[i])
-            done = self.done
-        else:
-            self._consumed = int(c["window_consumed"][i])
-            done = bool(c["window_done"][i])
+        self._consumed = int(c["window_consumed"][i])
         return WindowTraffic(
             pages=c["pages"][p0:p1],
             counts=c["counts"][p0:p1],
@@ -634,7 +600,7 @@ class ReplayWorkload(Workload):
             load_fraction=c["group_load_fraction"][g0:g1],
             labels=self._group_labels[g0:g1],
             compute_cycles=float(c["window_compute"][i]),
-            done=done,
+            done=bool(c["window_done"][i]),
             phase=self._data.phases[int(c["window_phase"][i])],
         )
 
@@ -650,8 +616,8 @@ class ReplayWorkload(Workload):
 class TraceStore:
     """Two-tier (memory + optional ``.npt`` directory) trace cache.
 
-    ``replay`` is the single entry point: given a live workload and a
-    window budget it returns a :class:`ReplayWorkload` over the cached
+    :meth:`ensure_spec` is the single lookup: given a workload's
+    fingerprint, a builder and a window budget it returns the cached
     stream, recording it first if this is the stream's first use.  With
     a directory configured, recorded traces are persisted and replayed
     through ``np.memmap`` -- concurrent sweep workers all share the one
@@ -678,9 +644,6 @@ class TraceStore:
             return None
         return self.directory / f"{key}.npt"
 
-    def key_for(self, workload: Workload, max_windows: int) -> str:
-        return trace_key(_source_fingerprint(workload), max_windows)
-
     def get(self, key: str) -> Optional[TraceData]:
         """The cached stream for ``key``, or None (corrupt files = miss)."""
         with self._lock:
@@ -701,21 +664,13 @@ class TraceStore:
         self.misses += 1
         return None
 
-    def ensure(self, workload: Workload, max_windows: int) -> Tuple[str, TraceData]:
-        """The cached stream for ``workload``, recording it on first use."""
-        key = self.key_for(workload, max_windows)
-        data = self.get(key)
-        if data is None:
-            data = self._record(workload, max_windows, key)
-        return key, data
-
     def ensure_spec(
         self,
         fingerprint: Dict[str, Any],
         builder,
         max_windows: int,
     ) -> Tuple[str, TraceData]:
-        """Like :meth:`ensure`, keyed by fingerprint instead of instance.
+        """``(key, stream)`` for ``fingerprint``, recording it on first use.
 
         ``builder`` is a zero-argument callable producing the live
         workload; it is invoked only on a recording miss.  This is the
@@ -744,15 +699,6 @@ class TraceStore:
                 pass
         self._remember(key, data)
         return data
-
-    def replay(
-        self, workload: Workload, max_windows: int = 200_000, loop: bool = False
-    ) -> Workload:
-        """A replaying stand-in for ``workload`` (already-replaying: no-op)."""
-        if isinstance(workload, ReplayWorkload):
-            return workload
-        _, data = self.ensure(workload, max_windows)
-        return ReplayWorkload(data, loop=loop)
 
     def _remember(self, key: str, data: TraceData) -> None:
         # Disk-backed entries hold memmaps (shared page cache, ~free);

@@ -21,6 +21,10 @@ way tests set placement up.
 :class:`~repro.hw.stall.ShareBatch`, the one share type the hardware
 consumers take; :func:`batch_columns` and :func:`assert_same_shares`
 compare batches column by column.
+
+:func:`ensure` and :func:`replay` look a workload instance up in a
+:class:`~repro.workloads.tracestore.TraceStore` through its one lookup,
+``ensure_spec``, the way tests record and replay a stream.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ from repro.hw.stall import (
     ShareBatch,
     TierLoad,
 )
+from repro.exp.cache import workload_fingerprint
 from repro.mem.page import Tier
 from repro.sim.migration import MigrationOutcome
+from repro.workloads.tracestore import ReplayWorkload
 
 
 @dataclass
@@ -179,6 +185,20 @@ def reference_solve(
         inv = sum(s.misses / s.mlp for s in mine)
         load.mlp = load.misses / inv if load.misses and inv > 0 else 1.0
     return loads, duration
+
+
+def ensure(store, workload, max_windows: int = 200_000):
+    """``(key, stream)`` for ``workload`` in ``store``, recording it on first use."""
+    return store.ensure_spec(workload_fingerprint(workload), lambda: workload, max_windows)
+
+
+def replay(store, workload, max_windows: int = 200_000):
+    """A :class:`ReplayWorkload` over ``workload``'s stream in ``store``
+    (a replay passes through unchanged)."""
+    if isinstance(workload, ReplayWorkload):
+        return workload
+    _, data = ensure(store, workload, max_windows)
+    return ReplayWorkload(data)
 
 
 def move(memory, pages, dst: int, src: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The accounting cross-checks over a small run matrix.
+"""The accounting cross-checks and per-window invariants over a small run matrix.
 
 ``REPRO_DEBUG_ACCOUNTING=1`` makes every placement change re-derive the
 memory's used counts, resident caches and frame sums from scratch, and
@@ -6,17 +6,29 @@ bound every tier by its capacity
 (:meth:`~repro.mem.tiered.TieredMemory.check_accounting`).  Each run
 below goes once with the check off and once with it on: the check must
 run, must pass, and must leave the result unchanged -- it only reads.
+
+Every window, whatever its source, is solved by ``StallModel.solve``
+and every migration is applied by ``MigrationEngine.apply_window``, so
+those two seams check every window of every placement regime
+(:class:`WindowAudit`).  Each case runs audited twice: live, and
+replayed from its recording, which must equal the live run.
 """
 
+import numpy as np
 import pytest
 
 from repro.baselines import ALL_POLICIES, make_policy
+from repro.hw.stall import MAX_UTILISATION, StallModel
 from repro.mem.tiered import DEBUG_ACCOUNTING_ENV, TieredMemory
 from repro.mem.topology import make_topology
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.metrics import result_to_dict
+from repro.sim.migration import MigrationEngine
 from repro.workloads import make_workload
+from repro.workloads.tracestore import ReplayWorkload, TraceStore
+
+import oracles
 
 #: About 16 windows on gups and bc-kron.
 TOTAL_MISSES = 4_000_000
@@ -53,15 +65,90 @@ CASES = (
 )
 
 
-def _run(workload, policy, ratio, config):
+class WindowAudit:
+    """Records what a run's windows read and solve, and what it migrates.
+
+    Wraps the workload classes' ``next_window``, ``StallModel.solve``
+    and ``MigrationEngine.apply_window``.  :meth:`run` clears the
+    records after the machine is built, so a policy's own profiling run
+    (Soar's ``placement_plan``) stays out of them.
+    """
+
+    def __init__(self, monkeypatch, *workload_classes):
+        self.traffic, self.solves, self.moves = [], [], []
+        solve = StallModel.solve
+        apply_window = MigrationEngine.apply_window
+
+        def audited(next_window):
+            def audited_next_window(workload):
+                traffic = next_window(workload)
+                self.traffic.append(traffic)
+                return traffic
+
+            return audited_next_window
+
+        def audited_solve(model, shares, compute_cycles, extra_bytes=None, extra_cycles=0.0):
+            outcome = solve(model, shares, compute_cycles, extra_bytes, extra_cycles)
+            # The machine solves each window right after pulling it.
+            self.solves.append((self.traffic[-1], outcome, extra_cycles))
+            return outcome
+
+        def audited_apply_window(engine, decision):
+            before = engine.memory.placement.copy()
+            outcome = apply_window(engine, decision)
+            changed = int(np.count_nonzero(engine.memory.placement != before))
+            self.moves.append((engine, outcome, changed))
+            return outcome
+
+        for cls in workload_classes:
+            monkeypatch.setattr(cls, "next_window", audited(cls.next_window))
+        monkeypatch.setattr(StallModel, "solve", audited_solve)
+        monkeypatch.setattr(MigrationEngine, "apply_window", audited_apply_window)
+
+    def run(self, machine):
+        self.traffic.clear()
+        self.solves.clear()
+        self.moves.clear()
+        result = machine.run()
+        self.check(result)
+        return result
+
+    def check(self, result):
+        assert len(self.traffic) == result.windows
+        assert len(self.solves) == result.windows - result.empty_windows
+        if result.promoted or result.demoted:
+            assert self.moves
+        for traffic, outcome, extra_cycles in self.solves:
+            loads = outcome.tier_loads
+            assert sum(load.misses for load in loads) == traffic.counts.sum()
+            assert outcome.duration_cycles >= outcome.compute_cycles + extra_cycles
+            for load in loads:
+                assert load.stall_cycles >= 0.0
+                assert 0.0 <= load.utilisation <= MAX_UTILISATION
+        for engine, outcome, changed in self.moves:
+            promoted, demoted = outcome.promoted_pages, outcome.demoted_pages
+            assert sum(outcome.link_bytes.values()) == outcome.bytes_moved
+            assert outcome.promoted == promoted.size
+            assert outcome.demoted == demoted.size
+            overlap = np.intersect1d(promoted, demoted).size
+            assert changed == outcome.promoted + outcome.demoted - overlap
+            if engine.num_tiers == 2 or engine.demotion_mode == "direct":
+                assert overlap == 0
+
+
+def _workload(name):
+    return make_workload(name, total_misses=TOTAL_MISSES, seed=0)
+
+
+def _run(workload, policy, ratio, config, audit=None):
     machine = Machine(
-        workload=make_workload(workload, total_misses=TOTAL_MISSES, seed=0),
+        workload=workload,
         policy=make_policy(policy),
         config=config,
         ratio=ratio,
         seed=0,
     )
-    return machine.run(), machine
+    return (audit.run(machine) if audit else machine.run()), machine
 
 
 @pytest.mark.parametrize("workload, policy, ratio, config, migrates", CASES)
@@ -77,11 +164,13 @@ def test_checked_run_passes_and_equals_unchecked(
 
     monkeypatch.setattr(TieredMemory, "check_accounting", counted)
     monkeypatch.delenv(DEBUG_ACCOUNTING_ENV, raising=False)
-    unchecked, machine = _run(workload, policy, ratio, config)
+    live = _workload(workload)
+    audit = WindowAudit(monkeypatch, type(live), ReplayWorkload)
+    unchecked, machine = _run(live, policy, ratio, config, audit)
     assert not machine.memory.debug_accounting and not checks
 
     monkeypatch.setenv(DEBUG_ACCOUNTING_ENV, "1")
-    checked, machine = _run(workload, policy, ratio, config)
+    checked, machine = _run(_workload(workload), policy, ratio, config)
     assert machine.memory.debug_accounting and checks
     assert result_to_dict(checked) == result_to_dict(unchecked)
     assert checked.windows >= 16
@@ -89,3 +178,9 @@ def test_checked_run_passes_and_equals_unchecked(
         assert checked.promoted and checked.demoted
     if checked.promoted or checked.demoted:
         assert len(checks) > 1  # the moves were checked, not only allocation
+
+    # The same run from its recording, audited (and accounting-checked)
+    # window by window on the replayed sources.
+    replay = oracles.replay(TraceStore(), _workload(workload))
+    replayed, _ = _run(replay, policy, ratio, config, audit)
+    assert result_to_dict(replayed) == result_to_dict(unchecked)

@@ -19,6 +19,7 @@ from repro.workloads import make_workload
 from repro.workloads.tracestore import TraceStore
 
 from conftest import TinyWorkload
+from oracles import replay
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +202,7 @@ class TestSoar:
             return observe(self, pebs_batch, touched, duration)
 
         monkeypatch.setattr(Machine, "_observe", spy)
-        workload = TraceStore().replay(make_workload("gups", total_misses=2_000_000))
+        workload = replay(TraceStore(), make_workload("gups", total_misses=2_000_000))
         run_policy(workload, make_policy("Soar"), ratio="1:4", config=MachineConfig())
         assert received and not any(received)
 

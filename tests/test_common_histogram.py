@@ -1,16 +1,10 @@
-"""Freedman-Diaconis rule and bin assignment."""
+"""The Freedman-Diaconis bin-width rule."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.histogram import (
-    bin_index,
-    bin_indices,
-    freedman_diaconis_width,
-    histogram_counts,
-)
+from repro.common.histogram import freedman_diaconis_width
 
 
 class TestFreedmanDiaconis:
@@ -36,39 +30,3 @@ class TestFreedmanDiaconis:
         w_small = freedman_diaconis_width(0.0, 10.0, 10)
         w_big = freedman_diaconis_width(0.0, 10.0, 10_000)
         assert w_big < w_small
-
-
-class TestBinIndex:
-    def test_basic_mapping(self):
-        assert bin_index(0.5, width=1.0, num_bins=10) == 0
-        assert bin_index(5.5, width=1.0, num_bins=10) == 5
-
-    def test_clamps_to_top_bin(self):
-        assert bin_index(1e9, width=1.0, num_bins=10) == 9
-
-    def test_zero_width_routes_by_positivity(self):
-        assert bin_index(5.0, width=0.0, num_bins=10) == 9
-        assert bin_index(0.0, width=0.0, num_bins=10) == 0
-
-    def test_invalid_num_bins(self):
-        with pytest.raises(ValueError):
-            bin_index(1.0, 1.0, 0)
-
-    def test_vectorised_matches_scalar(self):
-        values = [0.1, 3.7, 25.0, 0.0]
-        vec = bin_indices(values, width=2.0, num_bins=8)
-        scalars = [bin_index(v, 2.0, 8) for v in values]
-        assert list(vec) == scalars
-
-
-class TestHistogramCounts:
-    def test_counts_sum_to_input_size(self):
-        values = np.linspace(0, 100, 57)
-        counts = histogram_counts(values, width=10.0, num_bins=12)
-        assert counts.sum() == 57
-        assert counts.size == 12
-
-    def test_clamped_tail_accumulates_in_top_bin(self):
-        values = [100.0, 200.0, 300.0]
-        counts = histogram_counts(values, width=1.0, num_bins=5)
-        assert counts[4] == 3

@@ -1,18 +1,11 @@
-"""Statistics helpers: pearson, quartiles, CDFs, streaming moments."""
+"""Statistics helpers: quantiles, pearson, CDFs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.stats import (
-    StreamingStats,
-    cdf_points,
-    geometric_mean,
-    pearson,
-    quantiles_linear,
-    quartiles,
-)
+from repro.common.stats import cdf_points, pearson, quantiles_linear
 
 
 class TestQuantilesLinear:
@@ -65,33 +58,6 @@ class TestPearson:
         assert pearson(x, y) == pytest.approx(np.corrcoef(x, y)[0, 1], abs=1e-10)
 
 
-class TestQuartiles:
-    def test_known_values(self):
-        q1, q3 = quartiles([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert q1 == pytest.approx(2.0)
-        assert q3 == pytest.approx(4.0)
-
-    def test_empty_returns_zeros(self):
-        assert quartiles([]) == (0.0, 0.0)
-
-    @given(st.lists(st.floats(0, 1e6), min_size=4, max_size=60))
-    def test_ordering(self, values):
-        q1, q3 = quartiles(values)
-        assert q1 <= q3
-
-
-class TestGeometricMean:
-    def test_simple(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_empty_is_zero(self):
-        assert geometric_mean([]) == 0.0
-
-
 class TestCdf:
     def test_sorted_and_normalised(self):
         xs, fracs = cdf_points([3.0, 1.0, 2.0])
@@ -102,41 +68,3 @@ class TestCdf:
     def test_empty(self):
         xs, fracs = cdf_points([])
         assert xs.size == 0 and fracs.size == 0
-
-
-class TestStreamingStats:
-    def test_mean_and_variance_match_numpy(self, rng):
-        data = rng.normal(5.0, 2.0, size=500)
-        s = StreamingStats()
-        s.add_many(data)
-        assert s.mean == pytest.approx(float(data.mean()), rel=1e-9)
-        assert s.variance == pytest.approx(float(data.var()), rel=1e-6)
-        assert s.min == pytest.approx(float(data.min()))
-        assert s.max == pytest.approx(float(data.max()))
-
-    def test_variance_of_single_sample_is_zero(self):
-        s = StreamingStats()
-        s.add(3.0)
-        assert s.variance == 0.0
-        assert s.std == 0.0
-
-    @settings(max_examples=30)
-    @given(
-        st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=50),
-        st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=50),
-    )
-    def test_merge_equals_combined_stream(self, a, b):
-        sa, sb, sc = StreamingStats(), StreamingStats(), StreamingStats()
-        sa.add_many(a)
-        sb.add_many(b)
-        sc.add_many(a + b)
-        merged = sa.merge(sb)
-        assert merged.count == sc.count
-        assert merged.mean == pytest.approx(sc.mean, rel=1e-6, abs=1e-6)
-        assert merged.variance == pytest.approx(sc.variance, rel=1e-4, abs=1e-4)
-
-    def test_merge_with_empty(self):
-        s = StreamingStats()
-        s.add(1.0)
-        assert s.merge(StreamingStats()) is s
-        assert StreamingStats().merge(s) is s

@@ -11,9 +11,9 @@ def test_page_geometry():
     assert units.PAGES_PER_HUGE_PAGE == 512
 
 
-def test_cycle_conversions_roundtrip():
-    ns = 123.4
-    assert units.cycles_to_ns(units.ns_to_cycles(ns)) == pytest.approx(ns)
+def test_ns_to_cycles():
+    assert units.ns_to_cycles(123.4) == pytest.approx(123.4 * units.CPU_FREQ_GHZ)
+    assert units.ns_to_cycles(100.0, freq_ghz=3.0) == pytest.approx(300.0)
 
 
 def test_cycles_to_ms():

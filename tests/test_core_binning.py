@@ -117,12 +117,7 @@ class TestTopBin:
             assert mask[np.argmax(values)]
 
 
-class TestAssignBins:
-    def test_priority_bins_clamped(self):
-        b = make_binner(static_width=1.0, num_bins=10)
-        bins = b.assign_bins(np.array([0.5, 5.5, 100.0]))
-        assert list(bins) == [0, 5, 9]
-
+class TestDebugInfo:
     def test_debug_info_keys(self):
         b = make_binner()
         info = b.debug_info()

@@ -2,11 +2,12 @@
 
 Each :class:`~repro.sim.machine.Machine` takes its windows from one
 :mod:`repro.hw.drawplan` source, chosen at attach: the whole-run static
-split (with pre-solved outcomes where they apply) or the live split,
-hinted by the trace under replay.  These tests assert that the static
-split equals the per-window reference split, that pre-solved outcomes
-equal live solves, that attach picks the expected source, and that full
-machine runs on each source equal the same workload run live.
+split or the live split, hinted by the trace under replay.  Every
+window is solved live, whatever its source.  These tests assert that
+the static split equals the per-window reference split, that attach
+picks the expected source, that a static replay solves every window,
+and that full machine runs on each source equal the same workload run
+live.
 """
 
 import numpy as np
@@ -155,36 +156,10 @@ class TestMachineBitIdentity:
         assert planned.runtime_cycles == live.runtime_cycles
 
 
-class TestSolvePlan:
-    def test_plan_outcomes_match_live_solves(self):
-        data = recorded(total_misses=400_000, seed=17)
-        placement = static_placement_for(data, seed=17)
-        batches = drawplan.build_static_batches(data, placement, num_tiers=2)
-        model = StallModel([DRAM_SPEC, CXL_SPEC])
-        plan = drawplan.plan_window_solves(
-            model, batches, data.columns["window_compute"]
-        )
-        compute = np.asarray(data.columns["window_compute"])
-        live_model = StallModel([DRAM_SPEC, CXL_SPEC])
-        for w, batch in enumerate(batches):
-            if batch is None:
-                assert plan[w] is None
-                continue
-            live = live_model.solve(batch, float(compute[w]))
-            planned = plan[w]
-            assert planned.duration_cycles == live.duration_cycles
-            assert planned.compute_cycles == live.compute_cycles
-            assert planned.tier_loads == live.tier_loads
-
-    def test_static_no_pebs_replay_engages_solve_plan(self):
-        data = recorded(total_misses=300_000)
-        _, machine = run_once(make_policy("NoTier"), ReplayWorkload(data))
-        assert machine._source.outcomes is not None
-
-    def test_static_no_pebs_replay_makes_no_live_solves(self, monkeypatch):
-        # The planned outcomes are served, not just built: every window's
-        # carried-over inputs read as "none" (an all-zero per-tier
-        # extra-bytes list included), so no window falls back to solve.
+class TestLiveSolve:
+    def test_static_replay_solves_every_window_live(self, monkeypatch):
+        # A static replay's windows come pre-split, but each one is
+        # solved in the loop: one solve per window that carried traffic.
         data = recorded(total_misses=300_000)
         calls = []
         live_solve = StallModel.solve
@@ -197,26 +172,7 @@ class TestSolvePlan:
         result, machine = run_once(make_policy("NoTier"), ReplayWorkload(data))
         assert isinstance(machine._source, StaticSource)
         assert result.windows > 0
-        assert calls == []
-
-    def test_observability_keeps_live_solves(self):
-        data = recorded(total_misses=300_000)
-        machine = Machine(
-            workload=ReplayWorkload(data),
-            policy=make_policy("NoTier"),
-            config=MachineConfig(),
-            ratio="1:2",
-            seed=0,
-            trace=True,
-        )
-        assert isinstance(machine._source, StaticSource)
-        assert machine._source.outcomes is None
-
-    def test_pebs_policy_keeps_live_solves(self):
-        data = recorded(total_misses=300_000)
-        _, machine = run_once(StaticChmuPolicy(), ReplayWorkload(data))
-        assert isinstance(machine._source, StaticSource)
-        assert machine._source.outcomes is None
+        assert len(calls) == result.windows - result.empty_windows
 
 
 class TestTouchSkip:
@@ -248,12 +204,6 @@ class TestAttachGating:
         _, machine = run_once(
             make_policy("NoTier"), make_workload("gups", total_misses=200_000)
         )
-        assert isinstance(machine._source, DynamicSource)
-        assert machine._source.meta is None and not machine._source
-
-    def test_looping_replay_gets_no_plans(self):
-        data = recorded(total_misses=200_000)
-        _, machine = run_once(make_policy("NoTier"), ReplayWorkload(data, loop=True))
         assert isinstance(machine._source, DynamicSource)
         assert machine._source.meta is None and not machine._source
 

@@ -1,10 +1,9 @@
-"""Trace-driven replay of ``.npt`` files, multi-seed statistics, and charts."""
+"""Trace-driven replay of ``.npt`` files and multi-seed statistics."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.repeat import RepeatedResult, repeat_runs, significantly_better
-from repro.common.charts import bar_chart, series_with_sparkline, sparkline
 from repro.exp.cache import result_to_dict, workload_fingerprint
 from repro.sim.engine import clear_baseline_cache, ideal_baseline, run_policy
 from repro.sim.machine import Machine
@@ -48,7 +47,7 @@ class TestTraceWorkload:
         live.reset()
         expected = [live.next_window(), live.next_window()]
         assert live.done
-        w = ReplayWorkload.from_file(recorded(tmp_path), loop=False)
+        w = ReplayWorkload.from_file(recorded(tmp_path))
         w.reset()
         for want in expected:
             got = w.next_window()
@@ -56,17 +55,6 @@ class TestTraceWorkload:
                 np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
             assert list(got.labels) == list(want.labels)
         assert w.done
-
-    def test_looping_stretches_work(self, tmp_path):
-        w = ReplayWorkload.from_file(recorded(tmp_path), loop=True)
-        assert w.trace_windows == 2
-        w.set_total_misses(4 * w.total_misses)  # four passes over the trace
-        w.reset()
-        windows = 0
-        while not w.done and windows < 50:
-            w.next_window()
-            windows += 1
-        assert windows == 8
 
     def test_validation(self, tmp_path):
         def outside(data):
@@ -81,13 +69,13 @@ class TestTraceWorkload:
 
     def test_record_and_replay_round_trip(self, tmp_path, config):
         source = TinyWorkload(total_misses=4 * 30_000)
-        replay = ReplayWorkload.from_file(recorded(tmp_path, source), loop=False)
+        replay = ReplayWorkload.from_file(recorded(tmp_path, source))
         result = Machine(replay, NoTierPolicy(), config=config).run()
         assert result.windows == 4
         assert result.total_misses > 0
 
     def test_file_round_trip(self, tmp_path):
-        w = ReplayWorkload.from_file(recorded(tmp_path), loop=False)
+        w = ReplayWorkload.from_file(recorded(tmp_path))
         assert w.footprint_pages == two_window_workload().footprint_pages
         assert w.trace_windows == 2
 
@@ -96,51 +84,10 @@ class TestTraceWorkload:
         path = recorded(tmp_path, TinyWorkload(total_misses=12 * 30_000))
         from repro.baselines import make_policy
 
-        workload = ReplayWorkload.from_file(path, loop=False)
-        baseline = ideal_baseline(ReplayWorkload.from_file(path, loop=False), config=config)
+        workload = ReplayWorkload.from_file(path)
+        baseline = ideal_baseline(ReplayWorkload.from_file(path), config=config)
         result = run_policy(workload, make_policy("PACT"), ratio="1:2", config=config)
         assert result.slowdown(baseline) < 1.5
-
-
-def stretched(path):
-    """The two-window trace looped over four passes (eight windows)."""
-    w = ReplayWorkload.from_file(path, loop=True)
-    w.set_total_misses(4 * w.total_misses)
-    return w
-
-
-class TestLoopingReplayIdentity:
-    """A looping replay is keyed as its own stream: it names the
-    recording, the loop, and its current work budget, so it shares no
-    cached result or recorded stream with an exact replay of the file."""
-
-    def test_fingerprint_moves_with_the_budget(self, tmp_path):
-        path = recorded(tmp_path)
-        exact = ReplayWorkload.from_file(path)
-        loop = ReplayWorkload.from_file(path, loop=True)
-        assert workload_fingerprint(exact) == workload_fingerprint(two_window_workload())
-        one_pass = workload_fingerprint(loop)
-        assert one_pass != workload_fingerprint(exact)
-        loop.set_total_misses(4 * loop.total_misses)
-        assert workload_fingerprint(loop) != one_pass
-
-    @pytest.mark.parametrize("stretched_first", [False, True])
-    def test_exact_and_stretched_replays_do_not_alias(
-        self, tmp_path, config, isolated_stores, stretched_first
-    ):
-        path = recorded(tmp_path)
-        cases = [(ReplayWorkload.from_file, 2), (stretched, 8)]
-        if stretched_first:
-            cases.reverse()
-        for make, windows in cases:
-            got = ideal_baseline(make(path), config=config)
-            workload = make(path)
-            live = Machine(
-                workload, NoTierPolicy(), config=config,
-                fast_capacity_override=workload.footprint_pages,
-            ).run()
-            assert got.windows == live.windows == windows
-            assert result_to_dict(got) == result_to_dict(live)
 
 
 def gups_2m():
@@ -258,24 +205,3 @@ class TestRepeat:
         assert significantly_better(a, b)
         assert not significantly_better(b, a)
         assert not significantly_better(a, a)
-
-
-class TestCharts:
-    def test_sparkline_shape(self):
-        line = sparkline([0, 1, 2, 3])
-        assert len(line) == 4
-        assert line[0] == "▁" and line[-1] == "█"
-
-    def test_sparkline_flat_and_empty(self):
-        assert sparkline([5, 5, 5]) == "▁▁▁"
-        assert sparkline([]) == ""
-
-    def test_bar_chart(self):
-        out = bar_chart({"PACT": 0.1, "TPP": 0.4})
-        lines = out.splitlines()
-        assert len(lines) == 2
-        assert lines[1].count("#") > lines[0].count("#")
-
-    def test_series_with_sparkline(self):
-        out = series_with_sparkline("promos", [1.0, 2.0])
-        assert "promos" in out and "max 2" in out

@@ -23,6 +23,8 @@ from repro.sim.engine import run_policy
 from repro.workloads import make_workload
 from repro.workloads.mlc import MlcContender
 
+import oracles
+
 #: (policy, workload, thp, contender_threads) -> digest.  Re-recorded
 #: once, on top of commit d1d8819, when PEBS sampling became one keyed
 #: geometric-gap draw over each window's miss stream and counter jitter
@@ -86,7 +88,7 @@ def result_digest(policy, workload, thp, contender_threads, trace_store=None):
     )
     instance = make_workload(workload, total_misses=2_000_000)
     if trace_store is not None:
-        instance = trace_store.replay(instance)
+        instance = oracles.replay(trace_store, instance)
     result = run_policy(
         instance,
         make_policy(policy),
@@ -126,7 +128,7 @@ def ntier_digest(policy, workload, topology, demotion, thp, trace_store=None):
     config = MachineConfig(thp=thp, topology=make_topology(topology, demotion=demotion))
     instance = make_workload(workload, total_misses=2_000_000)
     if trace_store is not None:
-        instance = trace_store.replay(instance)
+        instance = oracles.replay(trace_store, instance)
     result = run_policy(
         instance, make_policy(policy), ratio="1:4:16", config=config, seed=0
     )
@@ -136,7 +138,7 @@ def ntier_digest(policy, workload, topology, demotion, thp, trace_store=None):
 def chmu_digest(trace_store=None):
     workload = make_workload("gups", total_misses=2_000_000)
     if trace_store is not None:
-        workload = trace_store.replay(workload)
+        workload = oracles.replay(trace_store, workload)
     result = run_policy(
         workload,
         make_policy("PACT", access_sampler="chmu"),
@@ -169,7 +171,7 @@ def colocation_digest(trace_store=None):
         ]
     )
     if trace_store is not None:
-        workload = trace_store.replay(workload)
+        workload = oracles.replay(trace_store, workload)
     result = run_policy(
         workload,
         make_policy("PACT"),

@@ -96,13 +96,13 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.count("a")
         reg.count("a", 4)
-        assert reg.counter_value("a") == 5.0
+        assert reg.counters()["a"] == 5.0
 
     def test_gauges_hold_latest(self):
         reg = MetricsRegistry()
         reg.gauge("g", 1.0)
         reg.gauge("g", 7.5)
-        assert reg.gauge_value("g") == 7.5
+        assert reg.gauges()["g"] == 7.5
 
     def test_bulk_accessors_sorted(self):
         reg = MetricsRegistry()

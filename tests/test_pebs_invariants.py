@@ -33,6 +33,8 @@ from repro.sim.engine import run_policy
 from repro.workloads import make_workload
 from repro.workloads.tracestore import TraceStore
 
+import oracles
+
 #: Test id -> (policy, policy kwargs): every policy in ``ALL_POLICIES``
 #: that consumes PEBS records, and PACT with TPEBS latencies.
 PEBS_POLICIES = {
@@ -105,7 +107,7 @@ def checked_run(case, workload, replay=False):
     name, kwargs = PEBS_POLICIES[case]
     instance = make_workload(workload, total_misses=2_000_000)
     if replay:
-        instance = TraceStore().replay(instance)
+        instance = oracles.replay(TraceStore(), instance)
     return run_policy(
         instance, make_policy(name, **kwargs), ratio="1:4", config=MachineConfig(), seed=0
     )

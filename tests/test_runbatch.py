@@ -27,6 +27,7 @@ from repro.exp.runner import (
 )
 from repro.exp.service import CampaignDriver
 from repro.exp.spec import ExperimentSpec, PolicySpec, RunRequest, WorkloadSpec
+from repro.hw.drawplan import StaticSource
 from repro.hw.stall import StallModel
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
@@ -117,9 +118,9 @@ class TestMultiMachine:
         for lock, solo, gen in zip(multi, serial, live):
             assert result_to_dict(lock) == result_to_dict(solo) == result_to_dict(gen)
 
-    def test_presolved_members_stay_out_of_the_batched_solve(self, monkeypatch):
-        # NoTier replay solves its whole run at construction; in a group
-        # only the members without such a plan may reach solve_many.
+    def test_every_member_joins_the_batched_solve(self, monkeypatch):
+        # Static (NoTier: pre-split windows) and dynamic (PACT) members
+        # alike solve each window in the group's one solve_many call.
         data = record_stream(
             make_workload("gups", total_misses=600_000, seed=4), max_windows=512
         )
@@ -128,7 +129,7 @@ class TestMultiMachine:
         ]
         serial = [build_machine(data, p, r, s).run() for p, s, r in grid]
         machines = [build_machine(data, p, r, s) for p, s, r in grid]
-        assert [getattr(m._source, "outcomes", None) is not None for m in machines] == [
+        assert [isinstance(m._source, StaticSource) for m in machines] == [
             p == "NoTier" for p, _, _ in grid
         ]
         batch_sizes = []
@@ -140,7 +141,7 @@ class TestMultiMachine:
 
         monkeypatch.setattr(StallModel, "solve_many", spy)
         multi = MultiMachine(machines).run()
-        assert batch_sizes and set(batch_sizes) == {2}
+        assert batch_sizes and set(batch_sizes) == {len(grid)}
         for lock, solo in zip(multi, serial):
             assert result_to_dict(lock) == result_to_dict(solo)
 
@@ -148,23 +149,6 @@ class TestMultiMachine:
         machines = [
             Machine(
                 workload=make_workload("gups", total_misses=200_000),
-                policy=make_policy("NoTier"),
-                config=MachineConfig(),
-                ratio="1:2",
-                seed=s,
-            )
-            for s in (0, 1)
-        ]
-        with pytest.raises(ValueError, match="replay"):
-            MultiMachine(machines)
-
-    def test_rejects_looping_replay(self):
-        data = record_stream(
-            make_workload("gups", total_misses=200_000), max_windows=512
-        )
-        machines = [
-            Machine(
-                workload=ReplayWorkload(data, loop=True),
                 policy=make_policy("NoTier"),
                 config=MachineConfig(),
                 ratio="1:2",

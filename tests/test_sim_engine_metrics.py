@@ -47,10 +47,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             make_result(100.0).slowdown(make_result(0.0))
 
-    def test_speedup_over(self):
-        fast, slow = make_result(100.0), make_result(150.0)
-        assert fast.speedup_over(slow) == pytest.approx(0.5)
-
     def test_improvement_from_slowdowns(self):
         # Self at 20% slowdown vs other at 50%: (1.5/1.2) - 1 = 25%.
         assert improvement(0.2, 0.5) == pytest.approx(0.25)

@@ -227,7 +227,7 @@ class TestModelInvariants:
     @settings(max_examples=2, deadline=None)
     @given(seed=st.integers(0, 10**9))
     def test_solve_many_matches_solve_at_whole_run_width(self, seed):
-        # plan_window_solves hands solve_many a whole run's windows at once.
+        # solve_many stays bit-identical to solve at a whole run's width.
         rng = np.random.default_rng(seed)
         R = int(rng.integers(200, 241))
         # One splitting model per window: a batch aliases its model's scratch.

@@ -151,12 +151,11 @@ class TestPathSelection:
     def test_static_pebs_policy_is_misses_only(self):
         # The PEBS merge reads trace columns, never page lists, and its
         # draws run live per window: the static source carries the
-        # pre-split batches and no pre-solved outcomes.
+        # pre-split batches.
         data = recorded()
         machine = machine_for(data, StaticPebsPolicy())
         assert isinstance(machine._source, StaticSource)
         assert any(b is not None and b.n for b in machine._source.batches)
-        assert machine._source.outcomes is None
 
     def test_static_chmu_policy_samples_live(self):
         # CHMU reads the window's entries in its own tier, live, beside
@@ -164,7 +163,6 @@ class TestPathSelection:
         data = recorded()
         machine = machine_for(data, StaticChmuPolicy())
         assert isinstance(machine._source, StaticSource)
-        assert machine._source.outcomes is None
         live = Machine(
             workload=make_workload("gups", total_misses=500_000, seed=3),
             policy=StaticChmuPolicy(),

@@ -30,7 +30,7 @@ import pytest
 import scipy.stats as stats
 
 from repro.baselines import make_policy
-from repro.common.rngutil import KeyedStream, make_rng, philox_key
+from repro.common.rngutil import KeyedStream, philox_key
 from repro.exp.cache import canonical, content_hash, result_to_dict
 from repro.hw import pebs as pebs_module
 from repro.hw.pebs import PebsSampler
@@ -41,6 +41,8 @@ from repro.sim.machine import Machine
 from repro.sim.runbatch import MultiMachine
 from repro.workloads import make_workload
 from repro.workloads.tracestore import ReplayWorkload, TraceStore, record_stream
+
+from oracles import replay
 
 #: Count classes of the law-test window.
 CLASSES = ("zero", "one", "small", "zipf", "huge")
@@ -83,7 +85,7 @@ def law_samples(make_sampler, rate, mixed, windows, seed=0):
     got = np.stack(
         [sampler_records(sampler, w, counts, group_ptr, group_lf) for w in range(windows)]
     )
-    ref_rng = make_rng(1000 + rate)
+    ref_rng = np.random.default_rng(1000 + rate)
     want = np.stack(
         [
             ref_rng.binomial(ref_rng.binomial(counts, entry_lf), 1.0 / rate)
@@ -308,7 +310,7 @@ class TestJitterMarginals:
         noise = 0.05
         jitter = KeyedJitter(seed=21, purpose="cha", noise=noise)
         sample = np.concatenate([jitter.window_values(w, 40) for w in range(200)])
-        reference = np.exp(make_rng(22).normal(0.0, noise, size=8_000))
+        reference = np.exp(np.random.default_rng(22).normal(0.0, noise, size=8_000))
         assert stats.ks_2samp(reference, sample).pvalue > 1e-3
 
     def test_rejects_zero_noise(self):
@@ -333,7 +335,7 @@ class TestEndToEnd:
             )
             return content_hash(canonical(result_to_dict(result)))
 
-        replayed = digest(store.replay(make_workload("gups", total_misses=500_000)))
+        replayed = digest(replay(store, make_workload("gups", total_misses=500_000)))
         assert digest(make_workload("gups", total_misses=500_000)) == replayed
 
     def test_multimachine_lockstep_matches_serial(self):

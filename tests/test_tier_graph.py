@@ -34,7 +34,6 @@ from repro.mem.topology import (
     CompressionSpec,
     TierDef,
     TierTopology,
-    default_topology,
     make_topology,
 )
 from repro.sim.config import MachineConfig, parse_ratio, parse_ratio_parts
@@ -215,7 +214,7 @@ class TestTopology:
         np.testing.assert_allclose(costs, 1.0 / a)
 
     def test_default_pair_normalises_to_none(self):
-        config = MachineConfig(topology=default_topology())
+        config = MachineConfig(topology=make_topology("dram-cxl"))
         assert config.topology is None
         assert config.num_tiers == 2
 
@@ -245,7 +244,7 @@ class TestFingerprints:
     def test_default_pair_topology_fingerprints_like_no_topology(self):
         # The key invariant behind keeping CACHE_VERSION at 2: spelling
         # out the default pair must not orphan existing cached results.
-        assert _request_key(MachineConfig(topology=default_topology())) == _request_key(
+        assert _request_key(MachineConfig(topology=make_topology("dram-cxl"))) == _request_key(
             MachineConfig()
         )
 

@@ -1,7 +1,7 @@
 """The binary trace store: record-once, replay-bit-identically.
 
 Covers the ``.npt`` on-disk format (round-trip, corruption handling),
-:class:`ReplayWorkload` exact and looping modes, the content-addressed
+:class:`ReplayWorkload`, the content-addressed
 :class:`TraceStore` (dedup, disk persistence, corrupt-file recovery),
 what ``record_stream`` reads from a live workload, runner integration
 (the runner's replayed results equal live engine runs), and the
@@ -34,6 +34,8 @@ from repro.workloads.tracestore import (
     record_to_file,
     write_npt,
 )
+
+from oracles import ensure, replay
 
 
 def small_workload(name="masim", **kwargs):
@@ -227,16 +229,16 @@ class TestCorruption:
 
     def test_store_treats_corrupt_file_as_miss_and_rerecords(self, tmp_path):
         store = TraceStore(tmp_path)
-        key, data = store.ensure(small_workload(), 200_000)
+        key, data = ensure(store, small_workload(), 200_000)
         path = store.path_for(key)
         assert path is not None and path.is_file()
         # Clobber the on-disk trace and drop the memory copy: the next
         # lookup must fall through to a fresh recording, not crash.
         path.write_bytes(b"garbage")
         store.clear_memory()
-        replay = store.replay(small_workload())
+        replayed = replay(store, small_workload())
         assert store.stats()["records"] == 2
-        assert run_digest(replay) == run_digest(small_workload())
+        assert run_digest(replayed) == run_digest(small_workload())
 
 
 class TestReplayWorkload:
@@ -253,7 +255,7 @@ class TestReplayWorkload:
 
     def test_window_budget_trace_replays_to_its_end(self, tmp_path):
         # A trace recorded under a window budget ends before its
-        # workload does; a non-looping replay ends with its last window.
+        # workload does; its replay ends with its last window.
         path = tmp_path / "short.npt"
         record_to_file(make_workload("gups", total_misses=2_000_000), path, max_windows=3)
         replay = ReplayWorkload.from_file(path)
@@ -268,25 +270,6 @@ class TestReplayWorkload:
         )
         assert replayed.windows == 3
         assert result_to_dict(replayed) == result_to_dict(live)
-
-    def test_loop_mode_wraps_and_stretches(self, tmp_path):
-        path = tmp_path / "t.npt"
-        record_to_file(small_workload(), path)
-        replay = ReplayWorkload.from_file(path, loop=True)
-        one_pass = replay.trace_windows
-        replay.set_total_misses(replay.total_misses * 3)
-        count = 0
-        while not replay.done and count < 100_000:
-            replay.next_window()
-            count += 1
-        assert count > one_pass  # wrapped past the recorded end
-
-    def test_exact_mode_rejects_set_total_misses(self, tmp_path):
-        path = tmp_path / "t.npt"
-        record_to_file(small_workload(), path)
-        replay = ReplayWorkload.from_file(path)
-        with pytest.raises(ValueError, match="non-looping"):
-            replay.set_total_misses(123)
 
     def test_allocation_order_is_writable_copy(self, tmp_path):
         path = tmp_path / "t.npt"
@@ -323,8 +306,8 @@ class TestReplayWorkload:
 class TestTraceStore:
     def test_ensure_records_once_then_hits_memory(self):
         store = TraceStore()
-        key1, _ = store.ensure(small_workload(), 200_000)
-        key2, _ = store.ensure(small_workload(), 200_000)
+        key1, _ = ensure(store, small_workload(), 200_000)
+        key2, _ = ensure(store, small_workload(), 200_000)
         assert key1 == key2
         stats = store.stats()
         assert stats["records"] == 1
@@ -333,16 +316,16 @@ class TestTraceStore:
 
     def test_different_budget_is_a_different_stream(self):
         store = TraceStore()
-        key_full, _ = store.ensure(small_workload(), 200_000)
-        key_short, _ = store.ensure(small_workload(), 3)
+        key_full, _ = ensure(store, small_workload(), 200_000)
+        key_short, _ = ensure(store, small_workload(), 3)
         assert key_full != key_short
 
     def test_disk_persistence_across_store_instances(self, tmp_path):
         first = TraceStore(tmp_path)
-        key, data = first.ensure(small_workload(), 200_000)
+        key, data = ensure(first, small_workload(), 200_000)
         assert data.path is not None
         second = TraceStore(tmp_path)
-        _, again = second.ensure(small_workload(), 200_000)
+        _, again = ensure(second, small_workload(), 200_000)
         stats = second.stats()
         assert stats["records"] == 0
         assert stats["disk_hits"] == 1
@@ -350,17 +333,17 @@ class TestTraceStore:
 
     def test_replay_wraps_and_is_idempotent(self):
         store = TraceStore()
-        replay = store.replay(small_workload())
-        assert isinstance(replay, ReplayWorkload)
-        assert store.replay(replay) is replay  # no double-wrapping
+        replayed = replay(store, small_workload())
+        assert isinstance(replayed, ReplayWorkload)
+        assert replay(store, replayed) is replayed  # no double-wrapping
 
     def test_memory_budget_evicts_oldest(self):
         store = TraceStore(memory_budget_bytes=1)
-        store.ensure(small_workload(), 200_000)
-        store.ensure(small_workload("gups", total_misses=400_000), 200_000)
+        ensure(store, small_workload(), 200_000)
+        ensure(store, small_workload("gups", total_misses=400_000), 200_000)
         # Over-budget with two memory-only entries: the first is evicted,
         # so re-ensuring it records again.
-        store.ensure(small_workload(), 200_000)
+        ensure(store, small_workload(), 200_000)
         assert store.stats()["records"] == 3
 
 
