@@ -16,6 +16,7 @@ from repro.common.stats import pearson
 from repro.common.tables import format_series, format_table
 from repro.hw.cha import littles_law_mlp
 from repro.mem.page import Tier
+from repro.obs import Observability
 from repro.sim.machine import Machine
 from repro.sim.policy_api import Decision, Observation, TieringPolicy
 from repro.workloads import make_workload
@@ -54,7 +55,7 @@ def test_fig03_tor_mlp(benchmark, config):
         holder = {}
         probe = _MlpProbe(lambda: holder["m"])
         machine = Machine(workload, probe, config=config, fast_capacity_override=0,
-                          seed=4, trace=True)
+                          seed=4, obs=Observability())
         holder["m"] = machine
         result = machine.run()
         truth = [rec.mlp_slow for rec in result.trace]

@@ -153,10 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace file path (default: JSONL on stdout; required for csv)",
     )
     trace_p.add_argument(
-        "--downsample", type=int, default=1, help="keep one window in every N"
+        "--downsample", type=_positive_int, default=1, help="keep one window in every N"
     )
     trace_p.add_argument(
-        "--trace-capacity", type=int, default=DEFAULT_TRACE_CAPACITY,
+        "--trace-capacity", type=_positive_int, default=DEFAULT_TRACE_CAPACITY,
         help="ring-buffer bound on retained windows (oldest dropped first)",
     )
     trace_p.add_argument("--max-windows", type=int, default=200_000)
@@ -172,6 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available workloads and policies")
     return parser
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1 (else a usage error, exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _common_args(p: argparse.ArgumentParser, cache_dir_default: Optional[str] = None) -> None:
@@ -447,22 +458,24 @@ def cmd_trace(args, out) -> int:
         obs=obs,
         max_windows=args.max_windows,
     )
-    # Export straight from the recorder's columns (no per-row record
-    # materialisation); identical rows to exporting from the result.
     if args.trace_format == "csv":
-        traceio.write_trace_csv(obs.recorder, args.output)
-        rows = len(obs.recorder)
-    elif args.output:
-        rows = traceio.write_trace_jsonl(obs.recorder, args.output)
+        traceio.write_trace_csv(result, args.output)
     else:
-        rows = traceio.write_trace_jsonl(obs.recorder, out)
+        traceio.write_trace_jsonl(result, args.output or out)
     if args.output:
         print(f"{args.workload} under {args.policy} at {args.ratio}:", file=out)
-        print(f"wrote {rows} windows to {args.output}", file=out)
+        print(f"wrote {len(result.trace)} windows to {args.output}", file=out)
         summary_rows = [
             [name, f"{value:.6g}"] for name, value in result.metrics_summary.items()
         ]
         print(format_table(["metric", "value"], summary_rows), file=out)
+    if obs.recorder.dropped:
+        # Truncation is never silent; without -o, stdout carries the JSONL.
+        print(
+            f"dropped the oldest {obs.recorder.dropped} windows: the ring holds "
+            f"{obs.recorder.capacity} (raise --trace-capacity)",
+            file=out if args.output else sys.stderr,
+        )
     if args.timings:
         timing_rows = [
             [label, f"{t['seconds'] * 1e3:.2f} ms", f"{int(t['calls'])}"]

@@ -40,29 +40,14 @@ class Reservoir:
         """Total number of observations offered to the reservoir."""
         return self._seen
 
-    @property
-    def full(self) -> bool:
-        return self._size >= self.capacity
-
-    def offer(self, value: float) -> bool:
-        """Offer one observation; return True if it entered the buffer."""
-        self._seen += 1
-        if self._size < self.capacity:
-            self._data[self._size] = value
-            self._size += 1
-            return True
-        # Algorithm 3, lines 4-6: replace slot rnd if rnd < capacity.
-        slot = int(self._rng.integers(0, self._seen))
-        if slot < self.capacity:
-            self._data[slot] = value
-            return True
-        return False
-
     def offer_many(self, values: Iterable[float]) -> None:
-        """Offer a batch of observations; bit-identical to looped ``offer``.
+        """Offer a batch of observations, in order.
 
-        The steady-state loop draws one bounded integer per observation,
-        with the bound advancing by one each draw.  numpy's broadcast
+        Bit-identical to offering them one at a time (Algorithm 3, lines
+        4-6: observation ``n`` replaces slot ``integers(0, n)`` when that
+        slot exists; ``tests/oracles.py`` keeps that loop).  The
+        steady-state loop draws one bounded integer per observation, with
+        the bound advancing by one each draw.  numpy's broadcast
         ``integers(0, highs)`` consumes the generator stream exactly as
         the equivalent sequence of scalar calls does (same values, same
         state afterwards), so the whole batch collapses into a single
@@ -103,8 +88,3 @@ class Reservoir:
             return (0.0, 0.0)
         q1, q3 = quantiles_linear(self._data[: self._size], _QUARTILE_QS)
         return float(q1), float(q3)
-
-    def clear(self) -> None:
-        """Drop the sample and the stream counter."""
-        self._size = 0
-        self._seen = 0

@@ -141,7 +141,6 @@ def run_fingerprint(
     contender,
     max_windows: int,
     trace: bool,
-    obs: bool = False,
 ) -> Dict[str, Any]:
     """The complete cache key document for one run.
 
@@ -149,13 +148,8 @@ def run_fingerprint(
     the contender's full parameter set (tier and per-thread bandwidth,
     not just its thread count), so differently-configured runs can never
     alias.
-
-    ``obs`` marks runs that carry an observability bundle (their results
-    include telemetry).  It is added to the document *only when set*:
-    observability-off runs keep exactly the fingerprint they had before
-    the observability layer existed.
     """
-    doc = {
+    return {
         "version": CACHE_VERSION,
         "kind": kind,
         "workload": workload_fp,
@@ -167,9 +161,6 @@ def run_fingerprint(
         "max_windows": max_windows,
         "trace": bool(trace),
     }
-    if obs:
-        doc["obs"] = True
-    return doc
 
 
 def content_hash(fingerprint: Dict[str, Any]) -> str:

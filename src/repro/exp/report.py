@@ -9,7 +9,7 @@ declare *what* ran and reuse *how* it is reported.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.common.tables import format_count, format_table
 from repro.exp.runner import ExperimentResult
@@ -88,39 +88,3 @@ def promotion_table(
     ]
     return format_table(["policy"] + list(ratios), rows)
 
-
-def metrics_table(
-    result: ExperimentResult,
-    workload: str,
-    policies: Sequence[str],
-    ratio: str,
-    seed: int = 0,
-    contender=None,
-    keys: Optional[Sequence[str]] = None,
-) -> str:
-    """Observability telemetry (metric x policy) for one workload.
-
-    Requires runs executed with ``obs=True`` (``RunRequest.obs`` /
-    ``ExperimentSpec.obs``): each run's ``metrics_summary`` -- which
-    survives the cache and worker processes -- supplies the rows.  By
-    default every metric any listed policy reported is shown; pass
-    ``keys`` to select specific ones.
-    """
-    summaries = {
-        policy: result.find(
-            workload=workload, policy=policy, ratio=ratio, seed=seed, contender=contender
-        ).metrics_summary
-        for policy in policies
-    }
-    if keys is None:
-        names = sorted({name for summary in summaries.values() for name in summary})
-    else:
-        names = list(keys)
-    rows = []
-    for name in names:
-        row = [name]
-        for policy in policies:
-            value = summaries[policy].get(name)
-            row.append("-" if value is None else f"{value:.4g}")
-        rows.append(row)
-    return format_table(["metric"] + list(policies), rows)

@@ -77,9 +77,6 @@ def execute_request(request: RunRequest) -> RunResult:
         policy, ratio, fast_capacity = NoTierPolicy(), "1:1", workload.footprint_pages
     else:  # slow-only reference run
         policy, ratio, fast_capacity = SlowOnlyPolicy(), "1:1", 0
-    # Requests asking for telemetry get a fresh bundle (with a bounded
-    # trace ring when tracing too); otherwise the machine resolves the
-    # plain trace flag itself, exactly as before the obs layer.
     machine = Machine(
         workload=workload,
         policy=policy,
@@ -88,8 +85,7 @@ def execute_request(request: RunRequest) -> RunResult:
         fast_capacity_override=fast_capacity,
         contender=request.contender,
         seed=request.seed,
-        trace=request.trace,
-        obs=Observability(trace=request.trace) if request.obs else None,
+        obs=Observability() if request.trace else None,
     )
     return machine.run(max_windows=request.max_windows)
 
@@ -150,15 +146,15 @@ def group_requests(requests: Sequence[RunRequest]) -> List[RequestUnit]:
 
     Policy-kind requests that differ only in seed and/or capacity
     ratio share one recorded trace and one machine shape, so they
-    become one multi-run unit.  Trace/telemetry requests and reference
-    runs stay singles.  Unit order follows first appearance, and member
+    become one multi-run unit.  Traced requests and reference runs stay
+    singles.  Unit order follows first appearance, and member
     order within a group follows request order, so fan-out results map
     back deterministically.
     """
     groups: Dict[object, List[RunRequest]] = {}
     order: List[object] = []
     for i, req in enumerate(requests):
-        if req.kind != KIND_POLICY or req.trace or req.obs:
+        if req.kind != KIND_POLICY or req.trace:
             key: object = ("single", i)
         else:
             key = _group_key(req)

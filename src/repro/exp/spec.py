@@ -126,11 +126,10 @@ class RunRequest:
     config: Optional[MachineConfig] = None
     contender: Optional[MlcContender] = None
     max_windows: int = DEFAULT_MAX_WINDOWS
+    #: Trace the run: it carries a :mod:`repro.obs` bundle, so its result
+    #: holds the window trace, the final fast-tier pages and
+    #: ``metrics_summary`` telemetry.
     trace: bool = False
-    #: Attach a :mod:`repro.obs` bundle to the run so its result carries
-    #: ``metrics_summary`` telemetry (and a bounded trace when ``trace``
-    #: is also set).  Affects the cache key only when True.
-    obs: bool = False
     kind: str = KIND_POLICY
     #: Pre-recorded ``.npt`` trace for this run's workload.  Set by the
     #: runner before fan-out so worker processes memory-map one shared
@@ -190,7 +189,6 @@ class RunRequest:
             contender=self.contender,
             max_windows=self.max_windows,
             trace=self.trace,
-            obs=self.obs,
         )
 
     @property
@@ -239,11 +237,9 @@ class ExperimentSpec:
     config: Optional[MachineConfig] = None
     contenders: Sequence[Optional[MlcContender]] = (None,)
     max_windows: int = DEFAULT_MAX_WINDOWS
+    #: Trace every policy run in the grid (reference runs stay untraced,
+    #: so their cache entries are shared with untraced experiments).
     trace: bool = False
-    #: Attach observability to every policy run in the grid (reference
-    #: runs stay plain so their cache entries are shared with obs-off
-    #: experiments).
-    obs: bool = False
     #: Emit the shared slow-only reference run for each (workload,
     #: seed, contender) combination exactly once, beside the ideal one
     #: every slowdown needs.
@@ -291,7 +287,6 @@ class ExperimentSpec:
                                     contender=contender,
                                     max_windows=self.max_windows,
                                     trace=self.trace,
-                                    obs=self.obs,
                                 )
                             )
         return requests

@@ -7,39 +7,38 @@ traces, loop-health counters):
 
 * a :class:`~repro.obs.registry.MetricsRegistry` that the machine, the
   migration engine, the stall solver, and policies publish into,
-* a bounded :class:`~repro.obs.recorder.TraceRecorder` ring buffer of
-  :class:`~repro.sim.metrics.WindowRecord` rows (written as JSONL/CSV by
+* a bounded :class:`~repro.obs.recorder.TraceRecorder` ring of
+  :class:`~repro.sim.metrics.WindowRecord` rows, which becomes the
+  run's ``RunResult.trace`` (written as JSONL/CSV by
   :mod:`repro.sim.traceio`),
 * a :class:`~repro.obs.profiler.SpanProfiler` for host wall-clock spans
   around the hot loop.
+
+Telemetry has one mode: a run either carries an enabled bundle, which
+records metrics *and* a bounded window trace, or it carries
+``NULL_OBS``, the disabled singleton, on which every publish is a
+no-op behind a single flag check and nothing is stored.  Experiment
+requests opt in with ``RunRequest(trace=True)``.
 
 Guarantees:
 
 * **Zero perturbation** -- publishing reads simulator state, never
   mutates it: a run with observability enabled is bit-identical to the
-  same run without it, and cache fingerprints ignore disabled
-  observability entirely.
+  same run without it.
 * **Deterministic telemetry** -- ``summary()`` contains only simulated
   quantities with sorted keys, so serial, parallel, and cache-restored
   runs report identical metrics.  Wall-clock spans live separately in
   ``profiler.timings()``.
-* **Bounded memory** -- the recorder's ring replaces the old unbounded
-  trace list; overflow drops the oldest windows and reports the count.
-
-``NULL_OBS`` is the disabled singleton a machine uses when nothing asks
-for telemetry: every publish is a no-op behind a single flag check.
+* **Bounded memory** -- the recorder's ring drops the oldest windows on
+  overflow and counts them (``recorder.dropped``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict
 
 from repro.obs.profiler import SpanProfiler
-from repro.obs.recorder import (
-    DEFAULT_TRACE_CAPACITY,
-    NullRecorder,
-    TraceRecorder,
-)
+from repro.obs.recorder import DEFAULT_TRACE_CAPACITY, TraceRecorder
 from repro.obs.registry import HistogramSummary, MetricsRegistry
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "MetricsRegistry",
     "HistogramSummary",
     "TraceRecorder",
-    "NullRecorder",
     "SpanProfiler",
     "DEFAULT_TRACE_CAPACITY",
     "NULL_OBS",
@@ -60,27 +58,13 @@ class Observability:
     def __init__(
         self,
         enabled: bool = True,
-        trace: bool = True,
         trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         downsample: int = 1,
     ) -> None:
         self.enabled = enabled
         self.registry = MetricsRegistry()
-        self.recorder: Union[TraceRecorder, NullRecorder]
-        if enabled and trace:
-            self.recorder = TraceRecorder(capacity=trace_capacity, downsample=downsample)
-        else:
-            self.recorder = NullRecorder()
+        self.recorder = TraceRecorder(capacity=trace_capacity, downsample=downsample)
         self.profiler = SpanProfiler(enabled=enabled)
-
-    @classmethod
-    def disabled(cls) -> "Observability":
-        return cls(enabled=False, trace=False)
-
-    @property
-    def wants_trace(self) -> bool:
-        """Whether window records should be built and retained."""
-        return self.recorder.keeps_records
 
     # -- publishing (no-ops when disabled) -----------------------------------
 
@@ -102,12 +86,6 @@ class Observability:
 
     # -- reading -------------------------------------------------------------
 
-    def window_metrics(self) -> Dict[str, float]:
-        """Current gauges (the per-window metric snapshot for traces)."""
-        if not self.enabled:
-            return {}
-        return self.registry.gauges()
-
     def summary(self) -> Dict[str, float]:
         """Deterministic run-level metric summary (empty when disabled)."""
         if not self.enabled:
@@ -119,19 +97,5 @@ class Observability:
         return self.profiler.timings()
 
 
-#: Shared disabled instance: all publishes are no-ops, nothing is stored.
-NULL_OBS = Observability.disabled()
-
-
-def resolve(obs: Optional[Observability], trace: bool) -> Observability:
-    """The observability a machine should use.
-
-    An explicit ``obs`` wins; otherwise ``trace=True`` gets a fresh
-    enabled bundle (metrics + ring-buffer trace) and ``trace=False``
-    gets the shared no-op singleton -- the pre-observability fast path.
-    """
-    if obs is not None:
-        return obs
-    if trace:
-        return Observability()
-    return NULL_OBS
+#: The one disabled bundle: all publishes are no-ops, nothing is stored.
+NULL_OBS = Observability(enabled=False)

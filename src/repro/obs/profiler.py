@@ -83,7 +83,3 @@ class SpanProfiler:
             label: {"seconds": self._seconds[label], "calls": float(self._calls[label])}
             for label in sorted(self._seconds)
         }
-
-    def clear(self) -> None:
-        self._seconds.clear()
-        self._calls.clear()

@@ -104,8 +104,3 @@ class MetricsRegistry:
         for name, hist in self._histograms.items():
             flat.update(hist.as_dict(name))
         return {name: flat[name] for name in sorted(flat)}
-
-    def clear(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()

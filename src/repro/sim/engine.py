@@ -16,14 +16,15 @@ results are those of a live run.  A failing reference run raises
 :class:`~repro.exp.service.RequestExecutionError`, naming the request.
 
 :func:`run_policy` is the uncached live run: it takes a policy
-instance and an optional :class:`repro.obs.Observability` bundle, which
-no experiment request can carry.
+instance and an optional :class:`repro.obs.Observability` bundle (an
+experiment request gets a default one with ``trace=True``).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.obs import Observability
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.metrics import RunResult
@@ -42,14 +43,13 @@ def run_policy(
     config: Optional[MachineConfig] = None,
     seed: int = 0,
     contender: Optional[MlcContender] = None,
-    trace: bool = False,
     max_windows: int = DEFAULT_MAX_WINDOWS,
-    obs=None,
+    obs: Optional[Observability] = None,
 ) -> RunResult:
     """Run one workload under one policy at one fast:slow ratio.
 
-    Pass an :class:`repro.obs.Observability` as ``obs`` to collect
-    metric telemetry (and a bounded window trace) for the run.
+    Pass an :class:`repro.obs.Observability` as ``obs`` to trace the run:
+    its result then carries metric telemetry and the bounded window trace.
     """
     machine = Machine(
         workload=workload,
@@ -58,7 +58,6 @@ def run_policy(
         ratio=ratio,
         contender=contender,
         seed=seed,
-        trace=trace,
         obs=obs,
     )
     return machine.run(max_windows=max_windows)

@@ -33,11 +33,11 @@ from repro.hw.pebs import PebsBatch, PebsSampler
 from repro.hw.perf import PerfCounters
 from repro.hw.stall import StallModel
 from repro.hw.substream import KeyedJitter
-from repro.obs import Observability, resolve as resolve_obs
+from repro.obs import NULL_OBS, Observability
 from repro.mem.page import Tier
 from repro.mem.tiered import TieredMemory
 from repro.sim.config import MachineConfig
-from repro.sim.metrics import RunResult
+from repro.sim.metrics import RunResult, WindowRecord
 from repro.sim.migration import MigrationEngine, MigrationOutcome
 from repro.sim.policy_api import Decision, Observation, TieringPolicy
 from repro.workloads.base import Workload
@@ -59,7 +59,6 @@ class Machine:
         fast_capacity_override: Optional[int] = None,
         contender: Optional[MlcContender] = None,
         seed: int = 0,
-        trace: bool = False,
         obs: Optional[Observability] = None,
     ):
         self.workload = workload
@@ -67,10 +66,9 @@ class Machine:
         self.config = config if config is not None else MachineConfig()
         self.ratio = ratio
         self.contender = contender
-        #: Observability bundle: an explicit ``obs`` wins, else
-        #: ``trace=True`` builds an enabled one, else the no-op singleton.
-        self.obs = resolve_obs(obs, trace)
-        self.trace_enabled = self.obs.wants_trace
+        #: Observability bundle: an enabled one records metrics and the
+        #: window trace; without one the run carries the no-op singleton.
+        self.obs = obs if obs is not None else NULL_OBS
 
         footprint = workload.footprint_pages
         caps = self.config.tier_capacities(footprint, ratio)
@@ -281,8 +279,7 @@ class Machine:
         self._last_duration = duration
         if self.obs.enabled:
             self._publish_window(outcome, migration, duration)
-        if self.trace_enabled:
-            self._record(traffic.phase, outcome, migration, obs, duration)
+            self._record(traffic.phase, outcome, migration, duration)
         self._window += 1
 
     def _step_empty_window(self) -> None:
@@ -412,7 +409,7 @@ class Machine:
                 o.gauge(f"machine/tier{i}/effective_latency_cycles", load.effective_latency_cycles)
                 o.gauge(f"machine/tier{i}/occupancy", self.memory.occupancy_fraction(i))
 
-    def _record(self, phase, outcome, migration, obs, duration) -> None:
+    def _record(self, phase, outcome, migration, duration) -> None:
         loads = outcome.tier_loads
         # "Slow" aggregates every tier below tier 0; mlp_slow reports the
         # nearest lower tier (the CXL link on the paper's testbed).
@@ -425,21 +422,25 @@ class Machine:
         for i, label in enumerate(shares.labels):
             prefix = label.split(":", 1)[0] if label else ""
             label_stalls[prefix] = label_stalls.get(prefix, 0.0) + float(stalls[i])
-        self.obs.recorder.append_window(
-            window=self._window,
-            duration_cycles=duration,
-            stall_cycles=outcome.total_stall_cycles,
-            slow_misses=slow_misses,
-            fast_misses=loads[0].misses,
-            promoted=migration.promoted,
-            demoted=migration.demoted,
-            mlp_slow=loads[1].mlp,
-            mlp_fast=loads[0].mlp,
-            fast_resident_fraction=self.memory.resident_fraction(Tier.FAST),
-            phase=phase,
-            policy_debug=self.policy.debug_info(),
-            label_stalls=label_stalls,
-            metrics=self.obs.window_metrics(),
+        # Counts are stored as ints (the slow sum is a float) and the rest
+        # as Python floats, so the trace's JSON keeps its exact bytes.
+        self.obs.recorder.append(
+            WindowRecord(
+                window=int(self._window),
+                duration_cycles=float(duration),
+                stall_cycles=float(outcome.total_stall_cycles),
+                slow_misses=int(slow_misses),
+                fast_misses=int(loads[0].misses),
+                promoted=int(migration.promoted),
+                demoted=int(migration.demoted),
+                mlp_slow=float(loads[1].mlp),
+                mlp_fast=float(loads[0].mlp),
+                fast_resident_fraction=float(self.memory.resident_fraction(Tier.FAST)),
+                phase=phase,
+                policy_debug=self.policy.debug_info(),
+                label_stalls=label_stalls,
+                metrics=self.obs.registry.gauges(),
+            )
         )
 
     def result(self) -> RunResult:
@@ -457,11 +458,11 @@ class Machine:
             total_misses=sum(perf.llc_misses),
             tier_misses=dict(enumerate(perf.llc_misses)),
             empty_windows=self._empty_windows,
-            trace=self.obs.recorder.records() if self.trace_enabled else None,
+            trace=self.obs.recorder.records() if self.obs.enabled else None,
             workload_metrics=self.workload.final_metrics(),
             fast_pages=(
                 np.flatnonzero(self.memory.placement == int(Tier.FAST)).tolist()
-                if self.trace_enabled
+                if self.obs.enabled
                 else None
             ),
             metrics_summary=self.obs.summary(),

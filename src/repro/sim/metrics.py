@@ -12,13 +12,17 @@ from repro.mem.page import tier_from_label, tier_label
 
 @dataclass
 class WindowRecord:
-    """Per-window trace row (kept only when tracing is enabled)."""
+    """Per-window trace row (kept only when the run is traced).
+
+    Counts are ints (``Machine._record`` casts them), so a trace
+    re-serialises ``5``, never ``5.0``.
+    """
 
     window: int
     duration_cycles: float
     stall_cycles: float
-    slow_misses: float
-    fast_misses: float
+    slow_misses: int
+    fast_misses: int
     promoted: int
     demoted: int
     mlp_slow: float
@@ -32,24 +36,7 @@ class WindowRecord:
     label_stalls: Dict[str, float] = field(default_factory=dict)
     #: Observability gauge snapshot for this window (per-tier utilisation
     #: and effective latency, eviction-bar level, solver residual, ...).
-    #: Empty when the run carries no :mod:`repro.obs` bundle.
     metrics: Dict[str, float] = field(default_factory=dict)
-
-
-#: Column schema for columnar window-trace storage
-#: (:class:`repro.obs.recorder.TraceRecorder` keeps one array per scalar
-#: column and materialises :class:`WindowRecord` views lazily).  The
-#: int/float split preserves JSON round-trips exactly: miss and
-#: migration counts must re-serialise as integers, not ``5.0``.
-WINDOW_INT_COLUMNS = ("window", "slow_misses", "fast_misses", "promoted", "demoted")
-WINDOW_FLOAT_COLUMNS = (
-    "duration_cycles",
-    "stall_cycles",
-    "mlp_slow",
-    "mlp_fast",
-    "fast_resident_fraction",
-)
-WINDOW_OBJECT_COLUMNS = ("phase", "policy_debug", "label_stalls", "metrics")
 
 
 @dataclass

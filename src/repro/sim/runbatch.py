@@ -30,8 +30,8 @@ serial execution):
 
 * every machine replays the same recorded trace (same fingerprint and
   window count), so the runs stay in lockstep;
-* observability and tracing are off (the batched solver publishes no
-  fixed-point residual gauge);
+* observability is off (the batched solver publishes no fixed-point
+  residual gauge, and no member records a trace);
 * identical tier count, tier specs, and clock, so one solver serves all.
 """
 
@@ -69,7 +69,7 @@ class MultiMachine:
                 or wl.trace_windows != ref.trace_windows
             ):
                 raise ValueError("all runs must replay the same recorded trace")
-            if m.obs.enabled or m.trace_enabled:
+            if m.obs.enabled:
                 raise ValueError("multi-run execution requires observability off")
             if (
                 m.num_tiers != first.num_tiers

@@ -44,74 +44,44 @@ def write_json(result: RunResult, path: PathLike) -> Path:
     return path
 
 
-def _is_recorder(source) -> bool:
-    """Duck-typed: TraceRecorder/NullRecorder expose ``keeps_records``."""
-    return getattr(source, "keeps_records", None) is not None
+def _traced(result: RunResult):
+    if result.trace is None:
+        raise ValueError("run was not traced; run it with obs=Observability()")
+    return result.trace
 
 
-def write_trace_csv(source, path: PathLike) -> Path:
-    """Write the per-window trace as CSV.
-
-    ``source`` is a traced :class:`RunResult`, or -- the fast path -- a
-    :class:`~repro.obs.recorder.TraceRecorder`, whose columns are
-    written directly without materialising a record object per row.
-    """
+def write_trace_csv(result: RunResult, path: PathLike) -> Path:
+    """Write a traced run's per-window trace as CSV (scalar columns)."""
+    trace = _traced(result)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_TRACE_COLUMNS)
-        if _is_recorder(source):
-            cols = source.column_lists()
-            for i in range(len(source)):
-                writer.writerow([cols[col][i] for col in _TRACE_COLUMNS])
-        else:
-            if source.trace is None:
-                raise ValueError(
-                    "run was not traced; construct the Machine with trace=True"
-                )
-            for rec in source.trace:
-                writer.writerow([getattr(rec, col) for col in _TRACE_COLUMNS])
+        for rec in trace:
+            writer.writerow([getattr(rec, col) for col in _TRACE_COLUMNS])
     return path
 
 
-def trace_rows(source) -> list:
-    """JSON-serialisable per-window rows.
-
-    Accepts a traced :class:`RunResult` or a recorder; the recorder path
-    builds rows columnar-first (no per-row :class:`WindowRecord`).
-    """
-    if _is_recorder(source):
-        cols = source.column_lists()
-        return [
-            {
-                **{col: cols[col][i] for col in _TRACE_COLUMNS},
-                "policy_debug": cols["policy_debug"][i],
-                "metrics": cols["metrics"][i],
-            }
-            for i in range(len(source))
-        ]
-    if source.trace is None:
-        raise ValueError("run was not traced; construct the Machine with trace=True")
+def trace_rows(result: RunResult) -> list:
+    """A traced run's per-window rows, JSON-serialisable."""
     return [
         {
             **{col: getattr(rec, col) for col in _TRACE_COLUMNS},
             "policy_debug": rec.policy_debug,
             "metrics": rec.metrics,
         }
-        for rec in source.trace
+        for rec in _traced(result)
     ]
 
 
-def write_trace_jsonl(source, target) -> int:
-    """Write the per-window trace as JSONL (one window per line).
+def write_trace_jsonl(result: RunResult, target) -> int:
+    """Write a traced run's per-window trace as JSONL (one window per line).
 
-    ``target`` may be a path or an open text stream; returns the number
-    of rows written.  ``source`` is a traced :class:`RunResult`
-    (including ones restored from the experiment cache) or a
-    :class:`~repro.obs.recorder.TraceRecorder` for the columnar path.
+    ``result`` may come from the machine or the result store; ``target``
+    may be a path or an open text stream.  Returns the rows written.
     """
-    rows = trace_rows(source)
+    rows = trace_rows(result)
     if hasattr(target, "write"):
         for row in rows:
             target.write(json.dumps(row, sort_keys=True) + "\n")

@@ -25,6 +25,10 @@ compare batches column by column.
 :func:`ensure` and :func:`replay` look a workload instance up in a
 :class:`~repro.workloads.tracestore.TraceStore` through its one lookup,
 ``ensure_spec``, the way tests record and replay a stream.
+
+:func:`reservoir_offer` is Algorithm R one observation at a time, the
+reference :meth:`~repro.common.reservoir.Reservoir.offer_many` must
+match draw for draw.
 """
 
 from __future__ import annotations
@@ -199,6 +203,23 @@ def replay(store, workload, max_windows: int = 200_000):
         return workload
     _, data = ensure(store, workload, max_windows)
     return ReplayWorkload(data)
+
+
+def reservoir_offer(reservoir, value: float) -> None:
+    """Offer one observation to ``reservoir`` (Vitter's Algorithm R).
+
+    The first ``capacity`` observations fill the buffer; observation
+    ``n`` then replaces slot ``integers(0, n)`` when that slot exists
+    (Algorithm 3, lines 4-6).
+    """
+    reservoir._seen += 1
+    if reservoir._size < reservoir.capacity:
+        reservoir._data[reservoir._size] = value
+        reservoir._size += 1
+        return
+    slot = int(reservoir._rng.integers(0, reservoir._seen))
+    if slot < reservoir.capacity:
+        reservoir._data[slot] = value
 
 
 def move(memory, pages, dst: int, src: int) -> np.ndarray:

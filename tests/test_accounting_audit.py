@@ -12,12 +12,19 @@ and every migration is applied by ``MigrationEngine.apply_window``, so
 those two seams check every window of every placement regime
 (:class:`WindowAudit`).  Each case runs audited twice: live, and
 replayed from its recording, which must equal the live run.
+
+Every audited run's per-tier misses sum to its total, and for each
+workload and configuration of the matrix the ideal reference run
+(every page in tier 0) is faster than the slow-only one (no page in
+tier 0); perfbench checks both per run (there, ideal <= slow-only).
 """
 
 import numpy as np
 import pytest
 
 from repro.baselines import ALL_POLICIES, make_policy
+from repro.exp import runner
+from repro.exp.spec import RunRequest, WorkloadSpec
 from repro.hw.stall import MAX_UTILISATION, StallModel
 from repro.mem.tiered import DEBUG_ACCOUNTING_ENV, TieredMemory
 from repro.mem.topology import make_topology
@@ -105,15 +112,19 @@ class WindowAudit:
         monkeypatch.setattr(StallModel, "solve", audited_solve)
         monkeypatch.setattr(MigrationEngine, "apply_window", audited_apply_window)
 
-    def run(self, machine):
+    def reset(self):
         self.traffic.clear()
         self.solves.clear()
         self.moves.clear()
+
+    def run(self, machine):
+        self.reset()
         result = machine.run()
         self.check(result)
         return result
 
     def check(self, result):
+        assert sum(result.tier_misses.values()) == result.total_misses
         assert len(self.traffic) == result.windows
         assert len(self.solves) == result.windows - result.empty_windows
         if result.promoted or result.demoted:
@@ -184,3 +195,35 @@ def test_checked_run_passes_and_equals_unchecked(
     replay = oracles.replay(TraceStore(), _workload(workload))
     replayed, _ = _run(replay, policy, ratio, config, audit)
     assert result_to_dict(replayed) == result_to_dict(unchecked)
+
+
+#: The matrix's machine configurations, for the reference runs (which
+#: migrate nothing, so the N-tier demotion mode does not matter).
+REFERENCE_CONFIGS = [
+    pytest.param(MachineConfig(), id="default"),
+    pytest.param(MachineConfig(thp=True), id="thp"),
+    pytest.param(
+        MachineConfig(topology=make_topology("dram-cxlz-nvme")), id="dram-cxlz-nvme"
+    ),
+]
+
+
+@pytest.mark.parametrize("config", REFERENCE_CONFIGS)
+@pytest.mark.parametrize("workload", ["gups", "bc-kron"])
+def test_ideal_run_is_faster_than_slow_only(monkeypatch, isolated_stores, workload, config):
+    # ``execute_request`` maps each reference kind to its policy and
+    # fast-tier capacity, exactly as every experiment's references run.
+    spec = WorkloadSpec.registry(workload, total_misses=TOTAL_MISSES, seed=0)
+    audit = WindowAudit(monkeypatch, ReplayWorkload)
+    runtimes = {}
+    for request in (
+        RunRequest.ideal(spec, config=config),
+        RunRequest.slow_only(spec, config=config),
+    ):
+        audit.reset()
+        result = runner.execute_request(request)
+        audit.check(result)
+        assert result.windows >= 16
+        runtimes[request.kind] = result.runtime_cycles
+    # Strictly: in every configuration tier 0 is the fastest tier.
+    assert runtimes["ideal"] < runtimes["slow_only"]

@@ -12,6 +12,7 @@ from repro.baselines.nomad import NomadPolicy
 from repro.baselines.soar import SoarPolicy
 from repro.baselines.tpp import TppPolicy
 from repro.mem.page import Tier
+from repro.obs import Observability
 from repro.sim.config import MachineConfig
 from repro.sim.engine import clear_baseline_cache, ideal_baseline, run_policy
 from repro.sim.machine import Machine
@@ -142,7 +143,8 @@ class TestMemtis:
     def test_budget_limits_per_window_migration(self, config):
         workload = TinyWorkload()
         machine = Machine(
-            workload, MemtisPolicy(budget_fraction=0.01), config=config, ratio="1:1", trace=True
+            workload, MemtisPolicy(budget_fraction=0.01), config=config, ratio="1:1",
+            obs=Observability(),
         )
         result = machine.run(max_windows=10)
         budget = int(machine.memory.capacity[Tier.FAST] * 0.01) + 1

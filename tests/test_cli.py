@@ -173,6 +173,35 @@ class TestTrace:
         header = target.read_text().splitlines()[0]
         assert "window" in header and "stall_cycles" in header
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("flag", ["--downsample", "--trace-capacity"])
+    def test_ring_flags_below_one_are_usage_errors(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("trace", "gups", "PACT", "--work", "2000000", flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
+    def test_full_ring_reports_what_it_dropped(self, tmp_path, capsys):
+        argv = ("trace", "gups", "PACT", "--ratio", "1:2", "--work", "2000000")
+        code, full = run_cli(*argv)
+        assert code == 0
+        windows = full.splitlines()
+        target = tmp_path / "tail.jsonl"
+        code, text = run_cli(*argv, "--trace-capacity", "3", "-o", str(target))
+        assert code == 0
+        # The ring keeps the run's last three windows, row for row.
+        assert target.read_text().splitlines() == windows[-3:]
+        assert "wrote 3 windows" in text
+        assert (
+            f"dropped the oldest {len(windows) - 3} windows: the ring holds 3 "
+            "(raise --trace-capacity)" in text
+        )
+        # With the JSONL on stdout, the note goes to stderr.
+        code, text = run_cli(*argv, "--trace-capacity", "3")
+        assert code == 0
+        assert text.splitlines() == windows[-3:]
+        assert "--trace-capacity" in capsys.readouterr().err
+
     def test_timings_table(self):
         code, text = run_cli(
             "trace", "gups", "PACT", "--work", "2000000",

@@ -18,6 +18,7 @@ from repro.baselines import make_policy
 from repro.exp.cache import CACHE_VERSION, canonical, content_hash, result_to_dict
 from repro.exp.spec import PolicySpec, RunRequest, WorkloadSpec
 from repro.mem.page import Tier
+from repro.obs import Observability
 from repro.sim.config import MachineConfig
 from repro.sim.engine import run_policy
 from repro.workloads import make_workload
@@ -103,7 +104,7 @@ def result_digest(policy, workload, thp, contender_threads, trace_store=None):
 #: Extended scenarios beyond the policy matrix: a CHMU-sampler run (the
 #: CXL 3.2 hotness-monitoring path) and a traced colocation run
 #: (multi-member traffic, per-member metrics, and the window-trace
-#: serialisation, which pins the columnar recorder).
+#: serialisation, which pins the recorder's int/float casts).
 GOLDEN_CHMU_DIGEST = "74826f45978e894750e2b0058c63adadf8153d459d133023f0f48ca631233d07"
 GOLDEN_COLOCATION_DIGEST = "20361f9f2f3c64f9b6c09f3df4c1c1f87ecda39942196ecbedc4c9a65a1a8970"
 
@@ -178,7 +179,7 @@ def colocation_digest(trace_store=None):
         ratio="1:1",
         config=MachineConfig(),
         seed=8,
-        trace=True,
+        obs=Observability(),
     )
     return content_hash(canonical(result_to_dict(result)))
 

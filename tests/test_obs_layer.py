@@ -19,7 +19,6 @@ import pytest
 from repro.core.pact import PactPolicy
 from repro.exp.cache import ResultStore, result_from_dict, result_to_dict
 from repro.exp.runner import run_requests
-from repro.exp.report import metrics_table
 from repro.exp.spec import RunRequest, WorkloadSpec
 from repro.exp.store import SqliteResultStore
 from repro.hw.access import WindowTraffic
@@ -27,7 +26,6 @@ from repro.mem.page import Tier
 from repro.obs import (
     NULL_OBS,
     MetricsRegistry,
-    NullRecorder,
     Observability,
     SpanProfiler,
     TraceRecorder,
@@ -140,6 +138,12 @@ def _record(window: int) -> WindowRecord:
     )
 
 
+def _traced_run(config, windows, **obs_kwargs):
+    obs = Observability(**obs_kwargs)
+    machine = Machine(TinyWorkload(), NoTierPolicy(), config=config, obs=obs)
+    return machine.run(max_windows=windows)
+
+
 class TestTraceRecorder:
     def test_ring_bounds_memory(self):
         rec = TraceRecorder(capacity=8)
@@ -162,27 +166,19 @@ class TestTraceRecorder:
         with pytest.raises(ValueError):
             TraceRecorder(downsample=0)
 
-    def test_jsonl_export(self, tmp_path):
-        rec = TraceRecorder(capacity=4)
-        for i in range(3):
-            rec.append(_record(i))
+    def test_jsonl_export(self, config, tmp_path):
+        result = _traced_run(config, windows=3, trace_capacity=4)
         path = tmp_path / "trace.jsonl"
-        assert traceio.write_trace_jsonl(rec, path) == 3
+        assert traceio.write_trace_jsonl(result, path) == 3
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["window"] for r in rows] == [0, 1, 2]
 
-    def test_csv_export(self, tmp_path):
-        rec = TraceRecorder(capacity=4)
-        rec.append(_record(0))
+    def test_csv_export(self, config, tmp_path):
+        result = _traced_run(config, windows=1, trace_capacity=4)
         path = tmp_path / "trace.csv"
-        header, *rows = traceio.write_trace_csv(rec, path).read_text().splitlines()
+        header, *rows = traceio.write_trace_csv(result, path).read_text().splitlines()
         assert len(rows) == 1
         assert "window" in header and "duration_cycles" in header
-
-    def test_null_recorder_stores_nothing(self):
-        rec = NullRecorder()
-        rec.append(_record(0))
-        assert len(rec) == 0 and rec.records() == []
 
 
 class TestSpanProfiler:
@@ -237,7 +233,7 @@ class TestEmptyWindows:
         assert result.windows > result.empty_windows
 
     def test_empty_windows_metric_published(self, config):
-        obs = Observability(trace=False)
+        obs = Observability()
         machine = Machine(StuckWorkload(), NoTierPolicy(), config=config, obs=obs)
         machine.run(max_windows=7)
         summary = obs.summary()
@@ -329,7 +325,7 @@ class TestThpPromotionBudget:
         config = MachineConfig(thp=True)
         workload = TinyWorkload(footprint_pages=25_600, total_misses=300_000)
         machine = Machine(
-            workload, PactPolicy(), config=config, ratio="1:1", trace=True
+            workload, PactPolicy(), config=config, ratio="1:1", obs=Observability()
         )
         result = machine.run(max_windows=20)
         cap = max(int(0.08 * machine.memory.capacity[Tier.FAST]), 64)
@@ -363,16 +359,8 @@ class TestZeroPerturbation:
         assert not machine.obs.enabled
         assert machine.result().metrics_summary == {}
 
-    def test_obs_flag_absent_from_disabled_fingerprint(self):
-        spec = WorkloadSpec.registry("gups", total_misses=600_000)
-        off = RunRequest(workload=spec, policy="PACT", ratio="1:2")
-        on = RunRequest(workload=spec, policy="PACT", ratio="1:2", obs=True)
-        assert "obs" not in off.fingerprint()
-        assert on.fingerprint()["obs"] is True
-        assert on.key != off.key
-
     def test_summary_roundtrips_through_result_serialisation(self, config):
-        obs = Observability(trace=False)
+        obs = Observability()
         machine = Machine(BurstyWorkload(), NoTierPolicy(), config=config, obs=obs)
         result = machine.run()
         back = result_from_dict(result_to_dict(result))
@@ -380,29 +368,29 @@ class TestZeroPerturbation:
         assert back.empty_windows == result.empty_windows
 
 
-def _obs_requests():
+def _traced_requests():
     spec = WorkloadSpec.registry("gups", total_misses=600_000)
     return [
-        RunRequest(workload=spec, policy="PACT", ratio="1:2", obs=True),
-        RunRequest(workload=spec, policy="NoTier", ratio="1:2", obs=True),
+        RunRequest(workload=spec, policy="PACT", ratio="1:2", trace=True),
+        RunRequest(workload=spec, policy="NoTier", ratio="1:2", trace=True),
     ]
 
 
 class TestExpTelemetry:
     def test_serial_equals_parallel_telemetry(self):
         serial = run_requests(
-            _obs_requests(), jobs=1, store=ResultStore(), use_cache=False
+            _traced_requests(), jobs=1, store=ResultStore(), use_cache=False
         )
         fanned = run_requests(
-            _obs_requests(), jobs=2, store=ResultStore(), use_cache=False
+            _traced_requests(), jobs=2, store=ResultStore(), use_cache=False
         )
-        for req_s, req_p in zip(_obs_requests(), _obs_requests()):
+        for req_s, req_p in zip(_traced_requests(), _traced_requests()):
             summary_s = serial[req_s].metrics_summary
             summary_p = fanned[req_p].metrics_summary
             assert summary_s and summary_s == summary_p
 
     def test_telemetry_survives_disk_cache(self, tmp_path):
-        requests = _obs_requests()
+        requests = _traced_requests()
         first = run_requests(requests, store=SqliteResultStore(tmp_path / "cache"))
         # A fresh store instance reading the same database: pure disk hit.
         store = SqliteResultStore(tmp_path / "cache")
@@ -411,9 +399,3 @@ class TestExpTelemetry:
         for req in requests:
             assert second[req].metrics_summary == first[req].metrics_summary
             assert second[req].metrics_summary["machine/windows"] > 0
-
-    def test_metrics_table_renders(self):
-        result = run_requests(_obs_requests(), store=ResultStore(), use_cache=False)
-        table = metrics_table(result, "gups", ["PACT", "NoTier"], "1:2")
-        assert "machine/windows" in table
-        assert "PACT" in table and "NoTier" in table

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mem.page import Tier, UNALLOCATED
+from repro.obs import Observability
 from repro.sim.config import MachineConfig, MigrationCost, parse_ratio, PAPER_RATIOS
 from repro.sim.machine import Machine
 from repro.sim.migration import MigrationEngine
@@ -108,7 +109,7 @@ class TestMachineRun:
 
     def test_trace_collects_window_records(self, config):
         result = Machine(
-            TinyWorkload(), NoTierPolicy(), config=config, trace=True
+            TinyWorkload(), NoTierPolicy(), config=config, obs=Observability()
         ).run(max_windows=5)
         assert result.trace is not None and len(result.trace) == 5
         rec = result.trace[0]

@@ -287,7 +287,7 @@ class TestFixedPointResidual:
 
     @pytest.mark.parametrize("workload", ALL_WORKLOADS)
     def test_residual_bounded_across_corpus(self, workload):
-        obs = Observability(trace=True)
+        obs = Observability()
         machine = Machine(
             make_workload(workload, total_misses=1_500_000),
             make_policy("PACT"),

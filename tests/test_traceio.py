@@ -1,23 +1,30 @@
 """Trace export: JSON round-trips and CSV structure."""
 
 import csv
+import io
 import json
 
 import pytest
 
+from repro.exp.runner import run_requests
+from repro.exp.spec import RunRequest, WorkloadSpec
+from repro.exp.store import SqliteResultStore
 from repro.mem.topology import make_topology
+from repro.obs import Observability
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.metrics import RunResult, result_to_dict
 from repro.sim.policy_api import NoTierPolicy
-from repro.sim.traceio import read_json, write_json, write_trace_csv
+from repro.sim.traceio import read_json, write_json, write_trace_csv, write_trace_jsonl
 
 from conftest import TinyWorkload
 
 
 @pytest.fixture(scope="module")
 def traced_result():
-    machine = Machine(TinyWorkload(), NoTierPolicy(), config=MachineConfig(), trace=True)
+    machine = Machine(
+        TinyWorkload(), NoTierPolicy(), config=MachineConfig(), obs=Observability()
+    )
     return machine.run(max_windows=6)
 
 
@@ -78,3 +85,41 @@ class TestCsv:
         result = machine.run(max_windows=2)
         with pytest.raises(ValueError):
             write_trace_csv(result, tmp_path / "x.csv")
+
+
+class TestTracedRequest:
+    """One trace form end to end: a traced request's result exports the
+    same bytes whether it was just simulated or read back from disk."""
+
+    COUNTS = ("window", "slow_misses", "fast_misses", "promoted", "demoted")
+
+    @staticmethod
+    def _exports(result, path):
+        jsonl = io.StringIO()
+        assert write_trace_jsonl(result, jsonl) == len(result.trace)
+        return jsonl.getvalue(), write_trace_csv(result, path).read_bytes()
+
+    def test_cold_and_warm_exports_are_identical(self, isolated_stores, tmp_path):
+        request = RunRequest(
+            workload=WorkloadSpec.registry("gups", total_misses=2_000_000),
+            policy="PACT",
+            ratio="1:2",
+            trace=True,
+        )
+        store = SqliteResultStore(tmp_path / "cache")
+        cold = run_requests([request], store=store)[request]
+        store.close()
+        # A reopened store serves the run from disk, simulating nothing.
+        store = SqliteResultStore(tmp_path / "cache")
+        warm = run_requests([request], store=store)[request]
+        assert store.disk_hits == 1
+        store.close()
+
+        assert cold.trace and len(warm.trace) == len(cold.trace)
+        assert cold.metrics_summary and cold.fast_pages is not None
+        assert self._exports(warm, tmp_path / "warm.csv") == self._exports(
+            cold, tmp_path / "cold.csv"
+        )
+        for result in (cold, warm):
+            for rec in result.trace:
+                assert all(type(getattr(rec, name)) is int for name in self.COUNTS)
