@@ -42,9 +42,8 @@ class _MlpProbe(TieringPolicy):
         self.tor_mlp.append(obs.tor_mlp[Tier.SLOW])
         duration_ns = obs.window_cycles / machine.config.freq_ghz
         slow_bytes = obs.perf.bytes[Tier.SLOW]
-        self.littles.append(
-            littles_law_mlp(slow_bytes, machine.config.slow_spec.latency_ns, duration_ns)
-        )
+        latency_ns = machine.stall_model.spec[Tier.SLOW].latency_ns
+        self.littles.append(littles_law_mlp(slow_bytes, latency_ns, duration_ns))
         return Decision.none()
 
 

@@ -21,6 +21,7 @@ from repro.common.units import TierSpec
 from repro.core.calibration import CalibrationPoint, collect_points
 from repro.core.pac import fit_k
 from repro.mem.page import Tier
+from repro.mem.topology import TierDef, TierTopology
 from repro.sim.config import MachineConfig
 from repro.workloads.base import Workload
 
@@ -65,13 +66,16 @@ def aggregate_per_workload(points: Sequence[CalibrationPoint]) -> List[Calibrati
 
 def evaluate_stall_model(
     workloads: Sequence[Workload],
-    slow_spec: TierSpec,
+    spec: TierSpec,
     base_config: Optional[MachineConfig] = None,
     max_windows_each: int = 25,
     seed: int = 0,
 ) -> ModelFitResult:
-    """Fit and score Equation 1 with the corpus pinned to ``slow_spec``."""
-    config = (base_config or MachineConfig()).with_(slow_spec=slow_spec)
+    """Fit and score Equation 1 with the corpus pinned to a lower tier
+    of latency configuration ``spec``, under the base config's tier 0."""
+    base = base_config or MachineConfig()
+    topology = TierTopology(tiers=(base.topology.tiers[0], TierDef(spec)))
+    config = base.with_(topology=topology)
     raw_points = collect_points(
         workloads, config=config, tier=Tier.SLOW, max_windows_each=max_windows_each, seed=seed
     )
@@ -81,7 +85,7 @@ def evaluate_stall_model(
     y = [p.stall_cycles for p in points]
     k = fit_k(x_model, y)
     return ModelFitResult(
-        config_name=slow_spec.name,
+        config_name=spec.name,
         k_cycles=k,
         pearson_model=pearson(x_model, y),
         pearson_misses=pearson(x_misses, y),

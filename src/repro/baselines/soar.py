@@ -118,14 +118,15 @@ class SoarPolicy(TieringPolicy):
         """Run the slow-tier profiling pass and score each object."""
         from repro.sim.machine import Machine  # deferred: avoids cycle
 
-        config = self._machine.config if self._machine is not None else None
-        slow_spec = config.slow_spec if config is not None else _default_slow_spec()
-        coefficients = PacModelCoefficients.default_for(slow_spec)
+        # Equation 1 models the nearest lower tier of the machine Soar
+        # places for, as PACT's does.
+        attached = self._machine
+        coefficients = PacModelCoefficients.default_for(attached.stall_model.spec[1])
         profiler = _ObjectProfiler(workload.footprint_pages, coefficients)
         machine = Machine(
             workload=workload,
             policy=profiler,
-            config=config,
+            config=attached.config,
             fast_capacity_override=0,
             seed=self._seed,
         )
@@ -142,8 +143,3 @@ class SoarPolicy(TieringPolicy):
     def observe(self, obs: Observation) -> Decision:  # noqa: ARG002
         return Decision.none()
 
-
-def _default_slow_spec():
-    from repro.common.units import CXL_SPEC
-
-    return CXL_SPEC

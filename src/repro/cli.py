@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-capacity", type=_positive_int, default=DEFAULT_TRACE_CAPACITY,
         help="ring-buffer bound on retained windows (oldest dropped first)",
     )
-    trace_p.add_argument("--max-windows", type=int, default=200_000)
+    trace_p.add_argument("--max-windows", type=_positive_int, default=200_000)
     trace_p.add_argument(
         "--timings", action="store_true",
         help="also print host wall-clock span totals (not part of the trace)",
@@ -167,7 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     _common_args(trace_p)
 
     cal_p = sub.add_parser("calibrate", help="fit Equation 1's k on the corpus")
-    cal_p.add_argument("--windows", type=int, default=10, help="windows per corpus point")
+    cal_p.add_argument(
+        "--windows", type=_positive_int, default=10, help="windows per corpus point"
+    )
     cal_p.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("list", help="list available workloads and policies")
@@ -186,13 +188,17 @@ def _positive_int(text: str) -> int:
 
 
 def _common_args(p: argparse.ArgumentParser, cache_dir_default: Optional[str] = None) -> None:
-    p.add_argument("--work", type=int, default=DEFAULT_WORK, help="total misses per run")
+    p.add_argument(
+        "--work", type=_positive_int, default=DEFAULT_WORK, help="total misses per run"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--thp", action="store_true", help="2MB transparent huge pages")
-    p.add_argument("--pebs-rate", type=int, default=400, help="PEBS 1-in-N sampling rate")
     p.add_argument(
-        "--topology", default=None, choices=TOPOLOGY_NAMES,
-        help="tier hierarchy (default: the paper's DRAM/CXL pair); "
+        "--pebs-rate", type=_positive_int, default=400, help="PEBS 1-in-N sampling rate"
+    )
+    p.add_argument(
+        "--topology", default="dram-cxl", choices=TOPOLOGY_NAMES,
+        help="tier hierarchy (default: %(default)s, the paper's testbed); "
         "N-tier ratios take N parts, e.g. --ratio 1:4:16",
     )
     p.add_argument(
@@ -221,14 +227,10 @@ def _common_args(p: argparse.ArgumentParser, cache_dir_default: Optional[str] = 
 
 
 def _config(args) -> MachineConfig:
-    topology = None
-    name = getattr(args, "topology", None)
-    if name is not None:
-        topology = make_topology(name, demotion=getattr(args, "demotion", "through"))
     return MachineConfig(
-        thp=getattr(args, "thp", False),
-        pebs_rate=getattr(args, "pebs_rate", 400),
-        topology=topology,
+        thp=args.thp,
+        pebs_rate=args.pebs_rate,
+        topology=make_topology(args.topology, demotion=args.demotion),
     )
 
 
@@ -515,13 +517,13 @@ def _cmd_trace_record(args, out) -> int:
 def cmd_calibrate(args, out) -> int:
     corpus = generate_corpus(total_misses=2_000_000, misses_per_window=200_000)
     coeff = calibrate_k(corpus, max_windows_each=args.windows, seed=args.seed)
-    config = MachineConfig()
+    lower = MachineConfig().tier_specs()[1]
     print(
         format_table(
             ["quantity", "value"],
             [
                 ["fitted k (cycles)", f"{coeff.k_cycles:.1f}"],
-                ["slow-tier idle latency (cycles)", f"{config.slow_spec.latency_cycles:.1f}"],
+                ["slow-tier idle latency (cycles)", f"{lower.latency_cycles:.1f}"],
                 ["calibration workloads", len(corpus)],
             ],
         ),

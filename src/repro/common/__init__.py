@@ -7,7 +7,6 @@ from repro.common.units import (
     CACHE_LINE_SIZE,
     CPU_FREQ_GHZ,
     CXL_SPEC,
-    DEFAULT_WINDOW_MS,
     DRAM_SPEC,
     GB,
     HUGE_PAGE_SIZE,
@@ -33,7 +32,6 @@ __all__ = [
     "CACHE_LINE_SIZE",
     "CPU_FREQ_GHZ",
     "CXL_SPEC",
-    "DEFAULT_WINDOW_MS",
     "DRAM_SPEC",
     "GB",
     "HUGE_PAGE_SIZE",

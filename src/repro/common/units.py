@@ -38,9 +38,6 @@ NS_PER_S = 1_000_000_000
 #: Default CPU frequency of the paper's Skylake testbed (§5.1).
 CPU_FREQ_GHZ = 2.2
 
-#: Default PAC sampling window (§4.3.3).
-DEFAULT_WINDOW_MS = 20.0
-
 
 def ns_to_cycles(ns: float, freq_ghz: float = CPU_FREQ_GHZ) -> float:
     """Convert nanoseconds to CPU cycles."""

@@ -127,9 +127,12 @@ class PactPolicy(TieringPolicy):
     # -- lifecycle ------------------------------------------------------------------
 
     def attach(self, machine) -> None:
+        # Eq. 1 models the nearest lower tier of the built machine (after
+        # interior-tier elision): the CXL link on the paper's testbed.
+        lower = machine.stall_model.spec[1]
         coefficients = self._coefficients
         if coefficients is None:
-            coefficients = PacModelCoefficients.default_for(machine.config.slow_spec)
+            coefficients = PacModelCoefficients.default_for(lower)
         self.tracker = PacTracker(machine.workload.footprint_pages)
         self.sampler = PacSampler(
             tracker=self.tracker,
@@ -138,7 +141,7 @@ class PactPolicy(TieringPolicy):
             period_windows=self.period_windows,
             latency_weighted=self.latency_weighted,
             mlp_source=self.mlp_source,
-            slow_latency_ns=machine.config.slow_spec.latency_ns,
+            slow_latency_ns=lower.latency_ns,
             freq_ghz=machine.config.freq_ghz,
         )
         self.binner = AdaptiveBinner(
@@ -152,6 +155,9 @@ class PactPolicy(TieringPolicy):
         self.planner = MigrationPlanner(m=self.m)
         self._thp = machine.config.thp
         self.planner.unit_pages = 512 if self._thp else 1
+        #: THP promotion budget carried across planning windows, in 4KB
+        #: pages (see :meth:`_rank_candidates`).
+        self._promotion_credit = 0
         self._last_candidate_count = 0
         self._last_top_occupancy = 0
         self._promoted_at = np.full(machine.workload.footprint_pages, -(10**9), dtype=np.int64)
@@ -292,22 +298,30 @@ class PactPolicy(TieringPolicy):
         # candidates -- no sudden migration storms even when the width
         # adaptation transiently degenerates (uniform PAC, cold start).
         want = min(want, cap)
+        if self._thp:
+            # Migration moves whole 2MB regions, so the budget is a
+            # credit in 4KB pages: each planning window adds ``want``,
+            # clamps the credit to one window's cap or one huge page,
+            # whichever is larger, and each huge-page candidate spends
+            # 512.  With the full-cap offer, a cap of at least 512 pages
+            # budgets ``cap // 512`` huge pages every window; a smaller
+            # one (a small fast tier) earns one huge page every
+            # ceil(512 / cap) windows, and the long-run rate stays
+            # within the cap.
+            self._promotion_credit = min(
+                self._promotion_credit + want, max(cap, PAGES_PER_HUGE_PAGE)
+            )
         elig_pages = tracked[eligible]
         elig_values = values[eligible]
         if elig_pages.size == 0 or want <= 0:
             self._last_candidate_count = 0
             return np.empty(0, dtype=np.int64)
         if self._thp:
-            # Migration moves whole 2MB regions: rank huge pages by
-            # their hottest constituent page and budget in whole units.
-            # The budget stays clamped to the per-window cap in 4KB
-            # pages: when the cap cannot fit even one huge page (tiny
-            # fast tiers), promote nothing rather than overshoot the
-            # migration bound by flooring the budget up to 2MB.
+            # Rank huge pages by their hottest constituent page.
             # ``elig_pages`` is ascending (tracked_pages order), so each
             # huge page is one contiguous run and reduceat yields its
             # peak PAC without sorting all pages.
-            want //= PAGES_PER_HUGE_PAGE
+            want = self._promotion_credit // PAGES_PER_HUGE_PAGE
             huge = elig_pages >> 9
             starts = np.flatnonzero(np.r_[True, huge[1:] != huge[:-1]])
             if want <= 0:
@@ -327,6 +341,7 @@ class PactPolicy(TieringPolicy):
                     # Any resident page stands for its huge page: the
                     # engine expands promotions to the whole 2MB region.
                     candidates = elig_pages[starts[top]]
+            self._promotion_credit -= PAGES_PER_HUGE_PAGE * int(candidates.size)
         else:
             top = _top_k_indices(elig_values, want)
             if top is None:

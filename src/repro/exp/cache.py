@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -41,7 +42,11 @@ from repro.sim.metrics import result_to_dict as result_to_dict
 #: THP promotion-budget clamp) make results differ from v1 entries.
 #: v3: PEBS records come from one keyed geometric-gap draw and counter
 #: jitter from keyed substreams, so every stochastic result moved.
-CACHE_VERSION = 3
+#: v4: the machine has one tier description (``MachineConfig.topology``,
+#: always in the key), every workload knob is keyed, THP PACT carries
+#: its promotion credit across windows, and N-tier cascades protect the
+#: window's promotions.
+CACHE_VERSION = 4
 
 #: Environment variable selecting a disk directory for the default store.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -56,14 +61,9 @@ NO_CACHE_ENV = "REPRO_NO_CACHE"
 def canonical(obj: Any) -> Any:
     """A deterministic, JSON-serialisable view of ``obj``.
 
-    Dataclasses are tagged with their class name so two configs of
-    different types never alias; enums collapse to ``Class.NAME``.
-
-    A dataclass may name fields in a ``_canonical_omit_none`` class
-    attribute: those are dropped from the document while ``None``, so a
-    later-added optional field (e.g. ``MachineConfig.topology``) does
-    not change the fingerprint of configs that never set it -- existing
-    cache keys survive the field's introduction.
+    Dataclasses are tagged with their class name and list every field,
+    so two configs of different types never alias; enums collapse to
+    ``Class.NAME``.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -73,12 +73,8 @@ def canonical(obj: Any) -> Any:
         return f"{type(obj).__name__}.{obj.name}"
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         doc = {"__class__": type(obj).__qualname__}
-        omit_none = getattr(type(obj), "_canonical_omit_none", ())
         for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            if value is None and f.name in omit_none:
-                continue
-            doc[f.name] = canonical(value)
+            doc[f.name] = canonical(getattr(obj, f.name))
         return doc
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
@@ -97,11 +93,9 @@ def workload_fingerprint(workload) -> Dict[str, Any]:
     """Identity of a workload *instance* for cache keying.
 
     Captures the base parameters every :class:`Workload` carries, the
-    subclass's own generator parameters that differ from their defaults
-    (:meth:`Workload.knobs`; left out at their defaults, so the keys of
-    default instances predate them), and, recursively, the members of
-    colocated workloads (whose access mix differs even at identical
-    aggregate parameters).
+    subclass's own generator parameters (:meth:`Workload.knobs`, defaults
+    included), and, recursively, the members of colocated workloads
+    (whose access mix differs even at identical aggregate parameters).
 
     Replaying workloads (:mod:`repro.workloads.tracestore`) expose
     ``replay_fingerprint``: a replay of a complete recording passes the
@@ -122,9 +116,7 @@ def workload_fingerprint(workload) -> Dict[str, Any]:
         "misses_per_window": workload.misses_per_window,
         "compute_cycles_per_miss": workload.compute_cycles_per_miss,
     }
-    knobs = workload.knobs()
-    if knobs:
-        fp["knobs"] = canonical(knobs)
+    fp["knobs"] = canonical(workload.knobs())
     members = getattr(workload, "members", None)
     if members:
         fp["members"] = [workload_fingerprint(m) for m in members]
@@ -156,11 +148,20 @@ def run_fingerprint(
         "policy": policy_fp,
         "ratio": ratio,
         "seed": seed,
-        "config": canonical(config),
+        "config": _canonical_config(config),
         "contender": canonical(contender),
         "max_windows": max_windows,
         "trace": bool(trace),
     }
+
+
+@functools.lru_cache(maxsize=64)
+def _canonical_config(config) -> Dict[str, Any]:
+    """``canonical(config)``, memoised: a grid's requests share a handful
+    of (frozen, hashable) machine configs, and walking one costs more
+    than the rest of a request key.  Fingerprints share the returned
+    document, so callers must not mutate it."""
+    return canonical(config)
 
 
 def content_hash(fingerprint: Dict[str, Any]) -> str:

@@ -1,9 +1,8 @@
 """Ordered tier graphs: N-tier hierarchies with optional compression.
 
-The simulator's original core hardwired the paper's two-tier DRAM/CXL
-pair.  A :class:`TierTopology` generalises that to an ordered list of
-tiers (index 0 is the fastest; demotion flows toward higher indices),
-each described by a :class:`TierDef`:
+A :class:`TierTopology` is the machine's one description of its memory
+hierarchy: an ordered list of tiers (index 0 is the fastest; demotion
+flows toward higher indices), each described by a :class:`TierDef`:
 
 * a :class:`~repro.common.units.TierSpec` (latency / bandwidth), and
 * an optional :class:`CompressionSpec` modelling a compressed tier
@@ -16,10 +15,9 @@ Topologies also carry the demotion routing mode (``"through"`` cascades
 victims one tier down; ``"direct"`` sends them straight to the bottom
 tier), making the multi-hop ablation a pure configuration choice.
 
-A two-tier, uncompressed, demote-through topology is *the default
-pair*: :class:`repro.sim.config.MachineConfig` normalises it away so
-the legacy code path (and every cache fingerprint and golden digest)
-stays bit-identical.
+The paper's testbed is ``make_topology("dram-cxl")``, the default of
+:class:`repro.sim.config.MachineConfig`; its tiers are uncompressed, so
+the stall model sees the ``DRAM_SPEC``/``CXL_SPEC`` objects themselves.
 """
 
 from __future__ import annotations
@@ -140,19 +138,10 @@ class TierTopology:
             for td in self.tiers
         ]
 
-    def is_default_pair(self, fast_spec: TierSpec, slow_spec: TierSpec) -> bool:
-        """True when this topology is exactly the legacy two-tier pair."""
-        return (
-            self.num_tiers == 2
-            and self.demotion == "through"
-            and self.tiers[0] == TierDef(fast_spec)
-            and self.tiers[1] == TierDef(slow_spec)
-        )
-
 
 #: Named topologies selectable from the CLI (``--topology``).
 _TOPOLOGY_BUILDERS = {
-    # The paper's testbed pair (normalises to the legacy path).
+    # The paper's testbed pair: the default machine.
     "dram-cxl": lambda: (TierDef(DRAM_SPEC), TierDef(CXL_SPEC)),
     # Three uncompressed tiers.
     "dram-cxl-nvme": lambda: (TierDef(DRAM_SPEC), TierDef(CXL_SPEC), TierDef(NVME_SPEC)),

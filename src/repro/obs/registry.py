@@ -9,7 +9,8 @@ cover the paper's introspection needs:
 
 * **counters** accumulate monotonically (``promoted_pages``,
   ``empty_windows``),
-* **gauges** hold the latest value (``util_fast``, ``eviction_bar``),
+* **gauges** hold the latest value (``machine/tier0/util``,
+  ``eviction_bar``),
 * **histograms** keep count / sum / min / max so distributions
   (window durations) can be summarised without storing every sample.
 

@@ -1,4 +1,4 @@
-"""Machine configuration: tier specs, ratios, window and cost parameters.
+"""Machine configuration: tier topology, ratios and cost parameters.
 
 There is no RNG switch: every stochastic hardware draw follows the one
 counter-keyed convention of :mod:`repro.hw.substream`, and
@@ -9,20 +9,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List
 
-from repro.common.units import (
-    CPU_FREQ_GHZ,
-    CXL_SPEC,
-    DEFAULT_WINDOW_MS,
-    DRAM_SPEC,
-    TierSpec,
-)
+from repro.common.units import CPU_FREQ_GHZ, TierSpec
 from repro.hw.pebs import DEFAULT_PEBS_RATE
-from repro.mem.topology import TierTopology
+from repro.mem.topology import TierTopology, make_topology
 
 #: The fast:slow capacity ratios evaluated in the paper (§5.1).
 PAPER_RATIOS = ("8:1", "4:1", "2:1", "1:1", "1:2", "1:4", "1:8")
+
+#: The paper's testbed: local DRAM over one CXL expander (§5.1).  A
+#: module constant, not a per-instance factory: building a topology on
+#: every ``MachineConfig()`` would double its cost, and request keys
+#: build one per call.
+DEFAULT_TOPOLOGY = make_topology("dram-cxl")
+
 
 def _split_ratio(ratio: str) -> List[float]:
     """Raw (unnormalised) parts of a colon-separated ratio string.
@@ -83,10 +84,7 @@ class MigrationCost:
 class MachineConfig:
     """Full description of the simulated testbed."""
 
-    fast_spec: TierSpec = DRAM_SPEC
-    slow_spec: TierSpec = CXL_SPEC
     freq_ghz: float = CPU_FREQ_GHZ
-    window_ms: float = DEFAULT_WINDOW_MS
     pebs_rate: int = DEFAULT_PEBS_RATE
     counter_noise: float = 0.01
     thp: bool = False
@@ -99,24 +97,23 @@ class MachineConfig:
     #: tier's mean -- the simulator's model of the kernel's LRU
     #: inactive list (constantly-touched pages are never demotable).
     cold_activity_fraction: float = 0.25
-    #: Optional N-tier topology.  ``None`` (the default) selects the
-    #: legacy two-tier ``fast_spec``/``slow_spec`` pair; a topology that
-    #: *is* exactly that pair is normalised back to ``None`` so the
-    #: compatibility path (and its cache fingerprints) always applies.
-    #: Omitted from cache fingerprints when ``None`` -- see
-    #: ``_canonical_omit_none`` and :func:`repro.exp.cache.canonical`.
-    topology: Optional[TierTopology] = None
-
-    #: Fields :func:`repro.exp.cache.canonical` drops when ``None``, so
-    #: default configs fingerprint exactly as they did before the field
-    #: existed (pinned cache keys must survive the tier-graph refactor).
-    _canonical_omit_none = ("topology",)
+    #: The tier hierarchy, fastest first (default: the paper's DRAM/CXL
+    #: pair).
+    topology: TierTopology = DEFAULT_TOPOLOGY
 
     def __post_init__(self) -> None:
-        if self.topology is not None and self.topology.is_default_pair(
-            self.fast_spec, self.slow_spec
-        ):
-            object.__setattr__(self, "topology", None)
+        if not self.pebs_rate >= 1:
+            raise ValueError(f"pebs_rate must be at least 1, got {self.pebs_rate!r}")
+        if not (math.isfinite(self.freq_ghz) and self.freq_ghz > 0.0):
+            raise ValueError(f"freq_ghz must be finite and positive, got {self.freq_ghz!r}")
+        if not (math.isfinite(self.counter_noise) and self.counter_noise >= 0.0):
+            raise ValueError(
+                f"counter_noise must be finite and non-negative, got {self.counter_noise!r}"
+            )
+        if not isinstance(self.topology, TierTopology):
+            raise ValueError(
+                f"topology must be a TierTopology, got {type(self.topology).__name__}"
+            )
 
     @property
     def rng_schema_effective(self) -> int:
@@ -132,17 +129,15 @@ class MachineConfig:
 
     @property
     def num_tiers(self) -> int:
-        return 2 if self.topology is None else self.topology.num_tiers
+        return self.topology.num_tiers
 
     def tier_specs(self) -> "List[TierSpec]":
         """Effective per-tier specs, fastest first.
 
-        For the default pair these are the ``fast_spec``/``slow_spec``
-        objects themselves; for a topology, compression latency is
-        folded into the affected tiers' specs.
+        Compression latency is folded into the affected tiers' specs;
+        an uncompressed tier's spec is its :class:`TierDef`'s own object
+        (``DRAM_SPEC``/``CXL_SPEC`` on the default pair).
         """
-        if self.topology is None:
-            return [self.fast_spec, self.slow_spec]
         return self.topology.effective_specs()
 
     def slow_capacity(self, footprint_pages: int) -> int:
@@ -180,7 +175,7 @@ class MachineConfig:
     @property
     def demotion_mode(self) -> str:
         """Multi-hop demotion routing ("through" cascades, "direct" skips)."""
-        return "through" if self.topology is None else self.topology.demotion
+        return self.topology.demotion
 
     def with_(self, **kwargs) -> "MachineConfig":
         """A modified copy (frozen-dataclass convenience)."""

@@ -75,10 +75,7 @@ class Machine:
         if fast_capacity_override is not None:
             caps[0] = fast_capacity_override
         specs = self.config.tier_specs()
-        if self.config.topology is not None:
-            costs = self.config.topology.page_frame_costs(footprint)
-        else:
-            costs = [None] * len(specs)
+        costs = self.config.topology.page_frame_costs(footprint)
         # Elide zero-capacity *interior* tiers before building anything:
         # an empty middle tier contributes no placement, no stall share,
         # and no counter stream, so collapsing it keeps the run
@@ -389,25 +386,11 @@ class Machine:
         o.observe("machine/window_duration_cycles", duration)
         o.gauge("migrate/promoted_last_window", migration.promoted)
         o.gauge("migrate/demoted_last_window", migration.demoted)
-        if self.config.topology is None:
-            # Default pair: keep the historical gauge names (dashboards
-            # and the trace-digest tests pin them).
-            o.gauge(
-                "machine/fast_resident_fraction", self.memory.resident_fraction(Tier.FAST)
-            )
-            for tier, tag in ((Tier.FAST, "fast"), (Tier.SLOW, "slow")):
-                load = outcome.tier_loads[tier]
-                o.gauge(f"hw/util_{tag}", load.utilisation)
-                o.gauge(f"hw/effective_latency_{tag}_cycles", load.effective_latency_cycles)
-                used = self.memory.used[tier]
-                cap = self.memory.capacity[tier]
-                o.gauge(f"mem/occupancy_{tag}", used / cap if cap > 0 else 0.0)
-        else:
-            o.gauge("machine/tier0/resident_fraction", self.memory.resident_fraction(Tier.FAST))
-            for i, load in enumerate(outcome.tier_loads):
-                o.gauge(f"machine/tier{i}/util", load.utilisation)
-                o.gauge(f"machine/tier{i}/effective_latency_cycles", load.effective_latency_cycles)
-                o.gauge(f"machine/tier{i}/occupancy", self.memory.occupancy_fraction(i))
+        o.gauge("machine/tier0/resident_fraction", self.memory.resident_fraction(Tier.FAST))
+        for i, load in enumerate(outcome.tier_loads):
+            o.gauge(f"machine/tier{i}/util", load.utilisation)
+            o.gauge(f"machine/tier{i}/effective_latency_cycles", load.effective_latency_cycles)
+            o.gauge(f"machine/tier{i}/occupancy", self.memory.occupancy_fraction(i))
 
     def _record(self, phase, outcome, migration, duration) -> None:
         loads = outcome.tier_loads

@@ -233,10 +233,13 @@ class MigrationEngine:
         the first order batch (always the LRU reclaim, which is what
         consults activity state) sees exactly the live state, and every
         later batch sees the placement its predecessors will have
-        produced.
+        produced.  A cascade never pushes down a page the window
+        promotes (its whole huge page under THP): that page would move
+        twice, down and straight back up.
         """
         plan = MovePlan()
         overlay = self.memory.overlay()
+        promote = self._expand_thp(np.asarray(decision.promote, dtype=np.int64))
         if decision.demote_lru > 0:
             self._plan_demote_lru(
                 overlay,
@@ -244,11 +247,12 @@ class MigrationEngine:
                 decision.demote_lru,
                 protect=decision.promote,
                 victim_mode=decision.demote_victim_mode,
+                promote=promote,
             )
         if decision.demote.size:
-            plan.program.append(self._plan_demote(overlay, plan, decision.demote))
-        if decision.promote.size:
-            plan.program.append(self._plan_promote(overlay, plan, decision.promote))
+            plan.program.append(self._plan_demote(overlay, plan, decision.demote, promote))
+        if promote.size:
+            plan.program.append(self._plan_promote(overlay, plan, promote))
         return plan
 
     def _plan_demote_lru(
@@ -258,6 +262,7 @@ class MigrationEngine:
         count: int,
         protect: np.ndarray,
         victim_mode: str,
+        promote: np.ndarray,
     ) -> None:
         if victim_mode not in ("cold", "lru_tail", "fifo"):
             raise ValueError(f"unknown victim mode {victim_mode!r}")
@@ -277,10 +282,10 @@ class MigrationEngine:
             max_activity=max_activity,
             fifo=victim_mode == "fifo",
         )
-        plan.program.append(self._plan_demote(overlay, plan, victims))
+        plan.program.append(self._plan_demote(overlay, plan, victims, promote))
 
     def _plan_demote(
-        self, overlay: PlacementOverlay, plan: MovePlan, pages: np.ndarray
+        self, overlay: PlacementOverlay, plan: MovePlan, pages: np.ndarray, promote: np.ndarray
     ) -> List:
         node: List = []
         pages = self._expand_thp(np.asarray(pages, dtype=np.int64))
@@ -295,7 +300,7 @@ class MigrationEngine:
             if dst < self.num_tiers - 1:
                 deficit = sub.size - overlay.free_pages(dst)
                 if deficit > 0:
-                    node.append(self._plan_cascade(overlay, plan, dst, deficit, protect=sub))
+                    node.append(self._plan_cascade(overlay, plan, dst, deficit, sub, promote))
             moved = overlay.clip_move(sub, dst, src=src)
             if moved.size:
                 plan.hops.append((moved, src, dst, False))
@@ -308,22 +313,26 @@ class MigrationEngine:
         plan: MovePlan,
         tier: int,
         count: int,
-        protect: np.ndarray,
+        incoming: np.ndarray,
+        promote: np.ndarray,
     ) -> List:
         """Push ``count`` LRU victims out of an intermediate tier.
 
-        Recursion depth is bounded by the tier chain: each level demotes
-        one hop further down, and the bottom tier always has room.
+        Neither the ``incoming`` pages nor the window's (expanded)
+        promotions are victims.  Recursion depth is bounded by the tier
+        chain: each level demotes one hop further down, and the bottom
+        tier always has room.
         """
         node: List = []
-        victims = overlay.lru_victims(tier, count, protect=protect)
+        # lru_victims marks protected pages by scatter: duplicates are fine.
+        victims = overlay.lru_victims(tier, count, protect=np.concatenate([incoming, promote]))
         if victims.size == 0:
             return node
         dst = self._demote_dst(tier)
         if dst < self.num_tiers - 1:
             deficit = victims.size - overlay.free_pages(dst)
             if deficit > 0:
-                node.append(self._plan_cascade(overlay, plan, dst, deficit, protect=victims))
+                node.append(self._plan_cascade(overlay, plan, dst, deficit, victims, promote))
         moved = overlay.clip_move(victims, dst, src=tier)
         if moved.size:
             plan.hops.append((moved, tier, dst, False))
@@ -333,10 +342,8 @@ class MigrationEngine:
     def _plan_promote(
         self, overlay: PlacementOverlay, plan: MovePlan, pages: np.ndarray
     ) -> List:
+        """Promotion hops for already THP-expanded ``pages``."""
         node: List = []
-        pages = self._expand_thp(np.asarray(pages, dtype=np.int64))
-        if pages.size == 0:
-            return node
         place = overlay.tier_of(pages)
         top = int(Tier.FAST)
         for src in range(1, self.num_tiers):

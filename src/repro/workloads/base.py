@@ -18,7 +18,6 @@ length) is preserved.
 from __future__ import annotations
 
 import abc
-import inspect
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,20 +90,13 @@ class Workload(abc.ABC):
         return {}
 
     def knobs(self) -> Dict[str, Any]:
-        """The :attr:`knob_names` values that differ from their defaults.
+        """Every :attr:`knob_names` value, defaults included.
 
         Part of the workload's cache identity
         (:func:`repro.exp.cache.workload_fingerprint`): instances that
         differ only in a knob run different streams.
         """
-        if not self.knob_names:
-            return {}
-        params = inspect.signature(type(self).__init__).parameters
-        return {
-            name: getattr(self, name)
-            for name in self.knob_names
-            if getattr(self, name) != params[name].default
-        }
+        return {name: getattr(self, name) for name in self.knob_names}
 
     @property
     def window_index(self) -> int:

@@ -248,19 +248,21 @@ class PerHopMigrator:
 
     def apply_window(self, decision) -> MigrationOutcome:
         total = MigrationOutcome()
+        # No cascade pushes down a page this window promotes.
+        promoting = self.engine._expand_thp(np.asarray(decision.promote, dtype=np.int64))
         if decision.demote_lru > 0:
             total.merge(
                 self.demote_lru(
-                    decision.demote_lru, decision.promote, decision.demote_victim_mode
+                    decision.demote_lru, decision.promote, decision.demote_victim_mode, promoting
                 )
             )
         if decision.demote.size:
-            total.merge(self.demote(decision.demote))
+            total.merge(self.demote(decision.demote, promoting))
         if decision.promote.size:
             total.merge(self.promote(decision.promote))
         return total
 
-    def demote_lru(self, count, protect, victim_mode) -> MigrationOutcome:
+    def demote_lru(self, count, protect, victim_mode, promoting) -> MigrationOutcome:
         max_activity = None
         if victim_mode == "cold":
             max_activity = self.engine.config.cold_activity_fraction * self.memory.mean_activity(
@@ -273,9 +275,9 @@ class PerHopMigrator:
             max_activity=max_activity,
             fifo=victim_mode == "fifo",
         )
-        return self.demote(victims)
+        return self.demote(victims, promoting)
 
-    def demote(self, pages) -> MigrationOutcome:
+    def demote(self, pages, promoting) -> MigrationOutcome:
         engine = self.engine
         pages = engine._expand_thp(np.asarray(pages, dtype=np.int64))
         outcome = MigrationOutcome()
@@ -286,12 +288,13 @@ class PerHopMigrator:
             dst = engine._demote_dst(src)
             sub = pages[place == src]
             if sub.size:
-                outcome.merge(self._make_room(sub, dst))
+                outcome.merge(self._make_room(sub, dst, promoting))
                 outcome.merge(self._move(sub, src, dst, promoted=False))
         return outcome
 
-    def _make_room(self, incoming, tier) -> MigrationOutcome:
-        """Cascade LRU victims out of a full intermediate ``tier``."""
+    def _make_room(self, incoming, tier, promoting) -> MigrationOutcome:
+        """Cascade LRU victims out of a full intermediate ``tier``,
+        sparing the incoming pages and the window's promotions."""
         engine = self.engine
         outcome = MigrationOutcome()
         if tier == engine.num_tiers - 1:
@@ -299,9 +302,10 @@ class PerHopMigrator:
         deficit = incoming.size - self.memory.free_pages(tier)
         if deficit > 0:
             dst = engine._demote_dst(tier)
-            victims = self.memory.overlay().lru_victims(tier, deficit, protect=incoming)
+            protect = np.concatenate([incoming, promoting])
+            victims = self.memory.overlay().lru_victims(tier, deficit, protect=protect)
             if victims.size:
-                outcome.merge(self._make_room(victims, dst))
+                outcome.merge(self._make_room(victims, dst, promoting))
                 outcome.merge(self._move(victims, tier, dst, promoted=False))
         return outcome
 

@@ -53,6 +53,31 @@ class TestParser:
             build_parser().parse_args(["run", "--workload", "gups", "--policy", "LRU2"])
 
 
+#: Every count flag of every verb, with the arguments the verb requires.
+COUNT_FLAGS = [
+    (verb, flag)
+    for verb in ("run", "sweep", "compare", "bench", "campaign", "trace")
+    for flag in ("--work", "--pebs-rate")
+] + [("trace", "--max-windows"), ("calibrate", "--windows")]
+
+REQUIRED_ARGS = {
+    "run": ("--workload", "gups", "--policy", "PACT"),
+    "sweep": ("--workload", "gups"),
+    "trace": ("gups", "PACT"),
+}
+
+
+@pytest.mark.parametrize("verb,flag", COUNT_FLAGS)
+def test_count_flag_of_zero_is_a_usage_error(verb, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(verb, *REQUIRED_ARGS.get(verb, ()), flag, "0")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro")
+    assert f"argument {flag}: must be at least 1" in err
+    assert "Traceback" not in err
+
+
 class TestCommands:
     def test_list(self):
         code, text = run_cli("list")
@@ -141,8 +166,8 @@ class TestTrace:
         assert rows[0]["window"] == 0
         for row in rows:
             assert "promoted" in row and "demoted" in row
-            assert "hw/util_fast" in row["metrics"]
-            assert "mem/occupancy_slow" in row["metrics"]
+            assert "machine/tier0/util" in row["metrics"]
+            assert "machine/tier1/occupancy" in row["metrics"]
             assert "pact/eviction_bar" in row["metrics"]
 
     def test_downsampled_jsonl_file(self, tmp_path):

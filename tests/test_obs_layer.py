@@ -6,8 +6,8 @@ Covers the PR's two halves together, because each guards the other:
   their zero-perturbation / deterministic-telemetry guarantees,
 * the loop fixes the instrumentation exists to catch -- empty windows
   that must count toward ``max_windows``, the eviction bar that must
-  decay in quiet phases, and the THP budget that must never overshoot
-  the per-window promotion cap.
+  decay in quiet phases, and the THP budget that must neither overshoot
+  the promotion cap nor starve a small fast tier.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.common.units import PAGES_PER_HUGE_PAGE
 from repro.core.pact import PactPolicy
 from repro.exp.cache import ResultStore, result_from_dict, result_to_dict
 from repro.exp.runner import run_requests
@@ -35,6 +36,7 @@ from repro.sim.machine import Machine
 from repro.sim.metrics import WindowRecord
 from repro.sim.config import MachineConfig
 from repro.sim.policy_api import NoTierPolicy
+from repro.workloads import make_workload
 from repro.workloads.base import Workload
 
 from conftest import TinyWorkload
@@ -307,19 +309,35 @@ class TestEvictionBarDecay:
 
 
 class TestThpPromotionBudget:
-    def test_tiny_fast_tier_never_overshoots_cap(self):
-        """Cap below one huge page: the old ``max(want // 512, 1)`` floor
-        promoted a whole 2MB region anyway; now nothing is promoted."""
+    def test_tiny_fast_tier_promotes_within_long_run_cap(self):
+        """Cap below one huge page: PACT saves the cap up as a credit and
+        promotes one 2MB region every ceil(512 / cap) windows, never more
+        than one per window and never above the cap in the long run."""
         config = MachineConfig(thp=True)
-        workload = TinyWorkload(footprint_pages=4096, total_misses=300_000)
+        workload = TinyWorkload(footprint_pages=4096, total_misses=600_000)
         machine = Machine(
-            workload, PactPolicy(), config=config, fast_capacity_override=768
+            workload, PactPolicy(), config=config, fast_capacity_override=768,
+            obs=Observability(),
         )
         # Sanity: the per-window cap genuinely cannot fit one huge page.
         cap = max(int(0.08 * machine.memory.capacity[Tier.FAST]), 64)
-        assert cap < 512
+        assert cap < PAGES_PER_HUGE_PAGE
         result = machine.run(max_windows=20)
-        assert result.promoted == 0
+        assert result.windows == 20
+        assert result.promoted >= PAGES_PER_HUGE_PAGE
+        assert result.promoted <= result.windows * cap + PAGES_PER_HUGE_PAGE
+        assert max(rec.promoted for rec in result.trace) <= PAGES_PER_HUGE_PAGE
+
+    @pytest.mark.parametrize("ratio", ["1:2", "1:4", "1:8"])
+    def test_promotes_whenever_the_fast_tier_holds_a_huge_page(self, ratio):
+        """bc-kron's fast tier holds several huge pages at each ratio,
+        though the cap falls below 512 pages from 1:4 down."""
+        machine = Machine(
+            make_workload("bc-kron", total_misses=2_000_000), PactPolicy(),
+            config=MachineConfig(thp=True), ratio=ratio,
+        )
+        assert machine.memory.capacity[Tier.FAST] >= PAGES_PER_HUGE_PAGE
+        assert machine.run().promoted > 0
 
     def test_promotions_stay_within_cap_per_window(self):
         config = MachineConfig(thp=True)

@@ -150,8 +150,9 @@ class TestReferenceRuns:
 
         assert key(phase_windows=DEFAULT_PHASE_WINDOWS) == key()
         assert key(phase_windows=1) != key()
-        assert TinyWorkload(chase_mlp=16.0).knobs() == {"chase_mlp": 16.0}
-        assert TinyWorkload().knobs() == {}
+        # Every knob is keyed, defaults included.
+        assert TinyWorkload(chase_mlp=16.0).knobs() == {"chase_mlp": 16.0, "stream_mlp": 16.0}
+        assert TinyWorkload().knobs() == {"chase_mlp": 2.0, "stream_mlp": 16.0}
 
     def test_clear_drops_recordings(self, config, isolated_stores):
         _, trace_store = isolated_stores

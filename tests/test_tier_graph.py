@@ -3,8 +3,8 @@
 Covers the tier-graph core along four axes:
 
 * ``parse_ratio`` N-part parsing with exact two-part back-compat,
-* topology construction, default-pair normalisation, and cache-key
-  fingerprints (topology enters the key only when non-default),
+* topology construction (the paper's DRAM/CXL pair is the default
+  config's topology) and cache-key fingerprints,
 * one tier vocabulary: tiers are int codes, labelled only at
   serialisation, and ``src/`` keys no dict by tier,
 * N-tier ``TieredMemory`` + multi-hop migration conservation properties,
@@ -38,6 +38,7 @@ from repro.mem.topology import (
 )
 from repro.sim.config import MachineConfig, parse_ratio, parse_ratio_parts
 from repro.sim.engine import run_policy
+from repro.sim.machine import Machine
 from repro.sim.migration import MigrationEngine
 from repro.sim.policy_api import Decision
 from repro.workloads import make_workload, tracestore
@@ -213,16 +214,89 @@ class TestTopology:
         costs = comp.page_frame_costs(512)
         np.testing.assert_allclose(costs, 1.0 / a)
 
-    def test_default_pair_normalises_to_none(self):
+    def test_default_pair_is_the_default_config(self):
         config = MachineConfig(topology=make_topology("dram-cxl"))
-        assert config.topology is None
+        assert config == MachineConfig()
         assert config.num_tiers == 2
+        # Uncompressed tiers hand the stall model the specs themselves.
+        assert config.tier_specs()[0] is DRAM_SPEC
+        assert config.tier_specs()[1] is CXL_SPEC
 
     def test_non_default_topology_is_kept(self):
         config = MachineConfig(topology=make_topology("dram-cxlz-nvme"))
-        assert config.topology is not None
+        assert config.topology == make_topology("dram-cxlz-nvme")
         assert config.num_tiers == 3
         assert config.demotion_mode == "through"
+
+
+class TestMachineConfigValidation:
+    """Bad machine settings fail where they enter, naming the field."""
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_pebs_rate_below_one(self, value):
+        with pytest.raises(ValueError, match="pebs_rate"):
+            MachineConfig(pebs_rate=value)
+
+    @pytest.mark.parametrize("value", [0.0, -2.2, float("nan"), float("inf")])
+    def test_freq_ghz_not_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="freq_ghz"):
+            MachineConfig(freq_ghz=value)
+
+    @pytest.mark.parametrize("value", [-0.01, float("nan"), float("inf")])
+    def test_counter_noise_not_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="counter_noise"):
+            MachineConfig(counter_noise=value)
+
+    @pytest.mark.parametrize("value", [None, "dram-cxl", (DRAM_SPEC, CXL_SPEC)])
+    def test_topology_not_a_tier_topology(self, value):
+        with pytest.raises(ValueError, match="topology"):
+            MachineConfig(topology=value)
+
+    def test_valid_edges_build(self):
+        MachineConfig(pebs_rate=1, counter_noise=0.0, freq_ghz=0.1)
+
+
+class TestPoliciesModelTheirLowerTier:
+    """PACT and Soar take Eq. 1's constant from the built machine's tier 1.
+
+    On ``dram-cxlz-nvme`` that is the compressed CXL tier, 190 + 40 ns =
+    506 cycles at 2.2 GHz, not the plain CXL pair's 418.
+    """
+
+    def _machine(self, policy, topology, ratio):
+        return Machine(
+            make_workload("gups", total_misses=500_000),
+            policy,
+            config=MachineConfig(topology=make_topology(topology)),
+            ratio=ratio,
+        )
+
+    @pytest.mark.parametrize(
+        "topology,ratio,k_cycles",
+        [("dram-cxl", "1:4", 418.0), ("dram-cxlz-nvme", "1:4:16", 506.0)],
+    )
+    def test_pact(self, topology, ratio, k_cycles):
+        sampler = self._machine(make_policy("PACT"), topology, ratio).policy.sampler
+        assert sampler.coefficients.k_cycles == pytest.approx(k_cycles)
+        assert sampler.slow_latency_ns == pytest.approx(k_cycles / 2.2)
+
+    @pytest.mark.parametrize(
+        "topology,ratio,k_cycles",
+        [("dram-cxl", "1:4", 418.0), ("dram-cxlz-nvme", "1:4:16", 506.0)],
+    )
+    def test_soar_profiler(self, monkeypatch, topology, ratio, k_cycles):
+        from repro.baselines import soar
+
+        seen = []
+        profiler = soar._ObjectProfiler
+
+        def recording(footprint_pages, coefficients):
+            seen.append(coefficients.k_cycles)
+            return profiler(footprint_pages, coefficients)
+
+        monkeypatch.setattr(soar, "_ObjectProfiler", recording)
+        self._machine(make_policy("Soar"), topology, ratio)
+        assert seen == [pytest.approx(k_cycles)]
 
 
 # -- cache-key fingerprints -------------------------------------------------------
@@ -242,16 +316,11 @@ def _request_key(config: MachineConfig) -> str:
 
 class TestFingerprints:
     def test_default_pair_topology_fingerprints_like_no_topology(self):
-        # The key invariant behind keeping CACHE_VERSION at 2: spelling
-        # out the default pair must not orphan existing cached results.
+        # Spelling out the default pair is the default config: one key.
         assert _request_key(MachineConfig(topology=make_topology("dram-cxl"))) == _request_key(
             MachineConfig()
         )
-
-    def test_canonical_omits_topology_only_when_none(self):
-        assert "topology" not in canonical(MachineConfig())
-        doc = canonical(MachineConfig(topology=make_topology("dram-cxlz-nvme")))
-        assert "topology" in doc
+        assert "topology" in canonical(MachineConfig())
 
     def test_non_default_topology_changes_the_key(self):
         base = _request_key(MachineConfig())
@@ -463,35 +532,33 @@ class TestThreeTierEndToEnd:
 
 
 class TestTierGauges:
-    def _summary(self, config):
+    """Every machine publishes one gauge vocabulary, ``machine/tier{i}/...``."""
+
+    def _check(self, config, ratio):
         from repro.obs import Observability
 
         result = run_policy(
             make_workload("gups", total_misses=500_000),
             make_policy("PACT"),
-            ratio="1:4" if config.topology is None else "1:4:16",
+            ratio=ratio,
             config=config,
             seed=0,
             obs=Observability(),
         )
-        return result.metrics_summary
-
-    def test_default_pair_keeps_legacy_gauge_names(self):
-        summary = self._summary(MachineConfig())
-        assert "hw/util_fast" in summary
-        assert "hw/util_slow" in summary
-        assert "mem/occupancy_fast" in summary
-        assert "machine/fast_resident_fraction" in summary
-        assert not any(name.startswith("machine/tier0/") for name in summary)
-
-    def test_n_tier_topology_publishes_per_tier_gauges(self):
-        summary = self._summary(MachineConfig(topology=make_topology("dram-cxlz-nvme")))
-        for i in range(3):
+        summary = result.metrics_summary
+        for i in range(config.num_tiers):
             assert f"machine/tier{i}/util" in summary
             assert f"machine/tier{i}/occupancy" in summary
             assert f"machine/tier{i}/effective_latency_cycles" in summary
+        assert f"machine/tier{config.num_tiers}/util" not in summary
         assert "machine/tier0/resident_fraction" in summary
-        assert "hw/util_fast" not in summary
+        assert not any(name.startswith(("hw/", "mem/")) for name in summary)
+
+    def test_default_pair_publishes_per_tier_gauges(self):
+        self._check(MachineConfig(), "1:4")
+
+    def test_n_tier_topology_publishes_per_tier_gauges(self):
+        self._check(MachineConfig(topology=make_topology("dram-cxlz-nvme")), "1:4:16")
 
 
 # -- CLI ---------------------------------------------------------------------------

@@ -36,15 +36,14 @@ from oracles import PerHopMigrator
 
 
 def make_config(num_tiers=2, thp=False, demotion="through", compressed=False):
-    topology = None
+    name = "dram-cxl"
     if num_tiers == 3:
         name = "dram-cxlz-nvme" if compressed else "dram-cxl-nvme"
-        topology = make_topology(name, demotion=demotion)
-    return MachineConfig(thp=thp, topology=topology)
+    return MachineConfig(thp=thp, topology=make_topology(name, demotion=demotion))
 
 
 def make_memory(config, footprint, fast, mid=None):
-    if config.topology is None:
+    if config.num_tiers == 2:
         return TieredMemory(footprint, [fast, footprint])
     caps = [fast, footprint if mid is None else mid, footprint]
     return TieredMemory(
