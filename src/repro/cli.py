@@ -52,7 +52,7 @@ from repro.mem.page import Tier, tier_label
 from repro.mem.topology import DEMOTION_MODES, TOPOLOGY_NAMES, make_topology
 from repro.obs import DEFAULT_TRACE_CAPACITY, Observability
 from repro.sim import traceio
-from repro.sim.config import MachineConfig, PAPER_RATIOS
+from repro.sim.config import MachineConfig, PAPER_RATIOS, parse_ratio_parts
 from repro.sim.engine import run_policy
 from repro.workloads import ALL_WORKLOADS, generate_corpus, make_workload
 from repro.workloads import tracestore
@@ -61,6 +61,10 @@ DEFAULT_WORK = 12_000_000
 
 #: Where ``bench`` persists results unless told otherwise.
 DEFAULT_BENCH_CACHE = "benchmarks/.cache"
+
+#: Every policy name a command accepts: the evaluated systems, plus the
+#: frequency-ranking and CXL-only baselines ``make_policy`` also builds.
+POLICY_CHOICES = ALL_POLICIES + ["Frequency", "CXL"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,47 +76,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="one workload under one policy")
     run_p.add_argument("--workload", required=True, choices=ALL_WORKLOADS)
-    run_p.add_argument("--policy", required=True, choices=sorted(set(ALL_POLICIES) | {"Frequency", "CXL"}))
-    run_p.add_argument("--ratio", default="1:1", help="fast:slow capacity, e.g. 1:4")
+    run_p.add_argument("--policy", required=True, choices=POLICY_CHOICES)
+    run_p.add_argument("--ratio", type=_ratio, default="1:1", help="fast:slow capacity, e.g. 1:4")
     _common_args(run_p)
 
     sweep_p = sub.add_parser("sweep", help="one workload across all paper ratios")
     sweep_p.add_argument("--workload", required=True, choices=ALL_WORKLOADS)
-    sweep_p.add_argument(
-        "--policies", nargs="+", default=["PACT", "Colloid", "Memtis", "NoTier"]
-    )
+    _policies_arg(sweep_p, default=("PACT", "Colloid", "Memtis", "NoTier"))
     _common_args(sweep_p)
 
     cmp_p = sub.add_parser("compare", help="several workloads, all systems, one ratio")
-    cmp_p.add_argument("--workloads", nargs="+", default=["bc-kron"])
-    cmp_p.add_argument("--ratio", default="1:1")
-    cmp_p.add_argument(
-        "--policies", nargs="+", default=["PACT", "Colloid", "Memtis", "NBT", "NoTier"]
-    )
+    cmp_p.add_argument("--workloads", nargs="+", default=["bc-kron"], choices=ALL_WORKLOADS)
+    cmp_p.add_argument("--ratio", type=_ratio, default="1:1")
+    _policies_arg(cmp_p)
     _common_args(cmp_p)
 
     bench_p = sub.add_parser(
         "bench",
         help="cached, parallel (workload x policy x ratio x seed) grid",
     )
-    bench_p.add_argument("--workloads", nargs="+", default=["bc-kron"], choices=ALL_WORKLOADS)
-    bench_p.add_argument(
-        "--policies", nargs="+", default=["PACT", "Colloid", "Memtis", "NBT", "NoTier"]
-    )
-    bench_p.add_argument("--ratios", nargs="+", default=list(PAPER_RATIOS))
-    bench_p.add_argument("--seeds", nargs="+", type=int, default=[0])
+    _grid_args(bench_p, workload="bc-kron")
     _common_args(bench_p, cache_dir_default=DEFAULT_BENCH_CACHE)
 
     camp_p = sub.add_parser(
         "campaign",
         help="stream a large grid through the persistent worker-pool service",
     )
-    camp_p.add_argument("--workloads", nargs="+", default=["gups"], choices=ALL_WORKLOADS)
-    camp_p.add_argument(
-        "--policies", nargs="+", default=["PACT", "Colloid", "Memtis", "NBT", "NoTier"]
-    )
-    camp_p.add_argument("--ratios", nargs="+", default=list(PAPER_RATIOS))
-    camp_p.add_argument("--seeds", nargs="+", type=int, default=[0])
+    _grid_args(camp_p, workload="gups")
     camp_p.add_argument(
         "--retries", type=int, default=service.DEFAULT_RETRIES,
         help="re-dispatches per failed request before giving up (default: %(default)s)",
@@ -144,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "policy", nargs="?", default=None,
         help="policy for the observed run; the workload name in record mode",
     )
-    trace_p.add_argument("--ratio", default="1:1", help="fast:slow capacity, e.g. 1:4")
+    trace_p.add_argument("--ratio", type=_ratio, default="1:1", help="fast:slow capacity, e.g. 1:4")
     trace_p.add_argument(
         "--format", choices=("jsonl", "csv"), default="jsonl", dest="trace_format"
     )
@@ -185,6 +175,47 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _ratio(text: str) -> str:
+    """argparse type: a capacity ratio such as ``1:4`` (else a usage error)."""
+    try:
+        parse_ratio_parts(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _policies_arg(p, default=("PACT", "Colloid", "Memtis", "NBT", "NoTier")) -> None:
+    p.add_argument("--policies", nargs="+", default=list(default), choices=POLICY_CHOICES)
+
+
+def _grid_args(p, workload: str) -> None:
+    """``bench``'s and ``campaign``'s (workload x policy x ratio x seed) axes."""
+    p.add_argument("--workloads", nargs="+", default=[workload], choices=ALL_WORKLOADS)
+    _policies_arg(p)
+    p.add_argument("--ratios", nargs="+", type=_ratio, default=list(PAPER_RATIOS))
+    p.add_argument("--seeds", nargs="+", type=int, default=[0])
+
+
+def _check_args(parser: argparse.ArgumentParser, args) -> None:
+    """Usage errors no argument's type can see: ``trace``'s policy (a
+    positional that holds a workload in record mode), and a ratio with
+    more parts than ``--topology`` has tiers (a shorter one is padded)."""
+    if args.command == "trace" and args.workload != "record" and args.policy not in POLICY_CHOICES:
+        parser.error(f"argument policy: trace needs one of: {', '.join(POLICY_CHOICES)}")
+    flag = "--ratios" if hasattr(args, "ratios") else "--ratio"
+    ratios = getattr(args, flag[2:], None)
+    if ratios is None:
+        return
+    tiers = make_topology(args.topology).num_tiers
+    for ratio in [ratios] if isinstance(ratios, str) else ratios:
+        parts = len(parse_ratio_parts(ratio))
+        if parts > tiers:
+            parser.error(
+                f"argument {flag}: ratio {ratio!r} has {parts} parts, "
+                f"but topology {args.topology!r} has {tiers} tiers"
+            )
 
 
 def _common_args(p: argparse.ArgumentParser, cache_dir_default: Optional[str] = None) -> None:
@@ -436,13 +467,6 @@ def cmd_trace(args, out) -> int:
     """
     if args.workload == "record":
         return _cmd_trace_record(args, out)
-    valid_policies = sorted(set(ALL_POLICIES) | {"Frequency", "CXL"})
-    if args.policy not in valid_policies:
-        print(
-            f"trace needs a policy (one of: {', '.join(valid_policies)})",
-            file=out,
-        )
-        return 2
     if args.trace_format == "csv" and not args.output:
         print("--format csv requires --output PATH", file=out)
         return 2
@@ -534,7 +558,7 @@ def cmd_calibrate(args, out) -> int:
 
 def cmd_list(args, out) -> int:  # noqa: ARG001
     print("workloads: " + ", ".join(ALL_WORKLOADS), file=out)
-    print("policies:  " + ", ".join(ALL_POLICIES + ["Frequency", "CXL"]), file=out)
+    print("policies:  " + ", ".join(POLICY_CHOICES), file=out)
     print("ratios:    " + ", ".join(PAPER_RATIOS), file=out)
     print("topologies: " + ", ".join(TOPOLOGY_NAMES), file=out)
     return 0
@@ -554,7 +578,9 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_args(parser, args)
     return _COMMANDS[args.command](args, out)
 
 

@@ -38,25 +38,11 @@ from repro.sim.policy_api import NoTierPolicy, SlowOnlyPolicy
 
 
 def _replay_data(request: RunRequest):
-    """The recorded stream a replayed request runs on.
-
-    Prefers the pre-recorded ``trace_path`` the driver attached before
-    fan-out (one memory-mapped copy shared across worker processes via
-    the page cache); unreadable/corrupt paths fall back to the trace
-    store, which re-records.  ``OSError`` covers a ``.npt`` deleted or
-    evicted mid-campaign -- without it one vanished file would crash a
-    worker instead of costing one re-record.  The live workload is built
-    only when the stream has to be recorded.
-    """
+    """The request's recorded stream, from the trace store (which builds
+    the live workload only when the stream has to be recorded)."""
     from repro.workloads import tracestore
 
-    if request.trace_path:
-        try:
-            return tracestore.read_npt(request.trace_path)
-        except (tracestore.TraceFormatError, OSError):
-            pass
-    store = tracestore.get_default_trace_store()
-    _, data = store.ensure_spec(
+    _, data = tracestore.get_default_trace_store().ensure_spec(
         request.workload.descriptor(), request.workload.build, request.max_windows
     )
     return data
@@ -281,37 +267,27 @@ def _prepare_replay(requests: Sequence[RunRequest]) -> None:
 
     A stream is keyed by (workload identity, window budget) -- never by
     policy, ratio, or contender -- so one recording serves every run in
-    a sweep that shares the workload.  When the trace store is
-    disk-backed the recorded ``.npt`` path is attached to the requests;
-    forked workers then memory-map one shared copy instead of each
-    regenerating (or unpickling) the traffic.  Memory-only stores still
-    help: forked children inherit the parent's recordings copy-on-write.
+    a sweep that shares the workload.  Forked workers find a
+    disk-backed store's recordings on disk, and inherit a memory-only
+    store's copy-on-write.
 
-    A stream whose recording raises is left unattached: each of its
+    A stream whose recording raises is left unrecorded: each of its
     requests records it again inside its own execution and fails there,
     through the driver's failure ledger and retries, so a broken
     workload costs only its own requests.
     """
     from repro.exp.cache import content_hash
-    from repro.workloads import tracestore
 
-    store = tracestore.get_default_trace_store()
-    prepared: Dict[tuple, Optional[str]] = {}
+    prepared = set()
     for req in requests:
         ident = (content_hash(req.workload.descriptor()), req.max_windows)
-        if ident not in prepared:
-            # Spec-level ensure: an already-recorded stream attaches its
-            # .npt path without ever building the live workload.
-            try:
-                _, data = store.ensure_spec(
-                    req.workload.descriptor(), req.workload.build, req.max_windows
-                )
-            except Exception:  # noqa: BLE001 - the request's own run reports it
-                prepared[ident] = None
-            else:
-                prepared[ident] = str(data.path) if data.path is not None else None
-        if req.trace_path is None and prepared[ident] is not None:
-            req.trace_path = prepared[ident]
+        if ident in prepared:
+            continue
+        prepared.add(ident)
+        try:
+            _replay_data(req)
+        except Exception:  # noqa: BLE001 - the request's own run reports it
+            pass
 
 
 def run_requests(

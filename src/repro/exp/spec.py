@@ -131,13 +131,6 @@ class RunRequest:
     #: ``metrics_summary`` telemetry.
     trace: bool = False
     kind: str = KIND_POLICY
-    #: Pre-recorded ``.npt`` trace for this run's workload.  Set by the
-    #: runner before fan-out so worker processes memory-map one shared
-    #: page-cache-warm copy instead of regenerating (or pickling) the
-    #: stream.  Unset or unreadable paths fall back to the trace store,
-    #: which records on a miss.  Replay is bit-identical to live
-    #: generation, so the path is outside :meth:`fingerprint`.
-    trace_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind == KIND_POLICY and self.policy is None:

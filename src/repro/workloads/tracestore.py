@@ -70,9 +70,10 @@ _ALIGN = 64
 #: Environment variable selecting the on-disk trace directory.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
-#: Soft cap on the memory layer of a :class:`TraceStore` (bytes).
-#: Disk-backed entries are memory-mapped and barely count; this bounds
-#: only traces recorded without a directory to spill to.
+#: Soft cap (bytes) on the recordings a :class:`TraceStore` holds in
+#: memory only: those recorded without a directory to spill to, which
+#: cannot be re-read and so are evicted first-in, first-out.  Mapped
+#: streams are bounded by count instead (one per store).
 DEFAULT_MEMORY_BUDGET = 768 * 1024 * 1024
 
 #: Schema: column name -> (dtype, length key).  Lengths are expressed
@@ -354,8 +355,9 @@ def read_npt(path: PathLike) -> TraceData:
     """Load a ``.npt`` trace, zero-copy via ``np.memmap``.
 
     Raises :class:`TraceFormatError` on bad magic, version mismatch,
-    unparsable headers, or truncated column data -- callers (the trace
-    store) treat any of those as a cache miss and re-record.
+    unparsable headers, truncated column data, or a file that cannot be
+    read or mapped -- callers (the trace store) treat any of those as a
+    cache miss and re-record.
     """
     path = Path(path)
     try:
@@ -401,7 +403,10 @@ def read_npt(path: PathLike) -> TraceData:
         if length == 0:
             columns[name] = np.empty(0, dtype=np.dtype(dtype))
             continue
-        mm = np.memmap(path, dtype=np.dtype(dtype), mode="r", offset=offset, shape=(length,))
+        try:
+            mm = np.memmap(path, dtype=np.dtype(dtype), mode="r", offset=offset, shape=(length,))
+        except OSError as exc:  # deleted or made unreadable since the header read
+            raise TraceFormatError(f"{path}: unreadable ({exc})") from exc
         # View as a plain ndarray: same mmap-backed buffer (the memmap
         # stays alive via .base, so page-cache sharing across sweep
         # workers is unchanged) but slicing no longer pays the
@@ -621,18 +626,14 @@ class TraceStore:
     stream, recording it first if this is the stream's first use.  With
     a directory configured, recorded traces are persisted and replayed
     through ``np.memmap`` -- concurrent sweep workers all share the one
-    page-cache-warm copy.
+    page-cache-warm copy -- and the memory layer holds one mapped
+    stream, the one the process is replaying, so every run of it shares
+    one ``TraceData`` (and its memoised draw plan).
     """
 
-    def __init__(
-        self,
-        directory: Optional[PathLike] = None,
-        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-    ):
+    def __init__(self, directory: Optional[PathLike] = None):
         self.directory = Path(directory) if directory else None
-        self.memory_budget_bytes = memory_budget_bytes
         self._memory: Dict[str, TraceData] = {}
-        self._memory_bytes = 0
         self._lock = threading.Lock()
         self.memory_hits = 0
         self.disk_hits = 0
@@ -673,11 +674,10 @@ class TraceStore:
         """``(key, stream)`` for ``fingerprint``, recording it on first use.
 
         ``builder`` is a zero-argument callable producing the live
-        workload; it is invoked only on a recording miss.  This is the
-        shared-map handoff path campaign drivers use: for the (typical)
-        case where the stream is already on disk, the workload is never
-        built at all -- the driver just attaches the memory-mappable
-        ``.npt`` path to thousands of requests.
+        workload; it is invoked only on a recording miss.  Every
+        experiment run gets its stream here: when the stream is already
+        on disk the workload is never built at all, and a file that has
+        vanished or turned unreadable costs one re-record.
         """
         key = trace_key(fingerprint, max_windows)
         data = self.get(key)
@@ -695,32 +695,35 @@ class TraceStore:
                 # Re-open memory-mapped so replays share the page
                 # cache instead of this process's private arrays.
                 data = read_npt(path)
-            except OSError:
+            except (OSError, TraceFormatError):
                 pass
         self._remember(key, data)
         return data
 
     def _remember(self, key: str, data: TraceData) -> None:
-        # Disk-backed entries hold memmaps (shared page cache, ~free);
-        # purely in-memory recordings count against the soft budget,
-        # evicting oldest-inserted first.
-        cost = 0 if data.path is not None else data.nbytes()
+        # A replayed mapped stream costs its size in RSS (its plan about
+        # as much again), and a process replays one stream at a time: a
+        # newly mapped stream evicts the previous one, which its file
+        # re-maps on demand.  Recordings held only in memory cannot be
+        # re-read; they go oldest-first once over DEFAULT_MEMORY_BUDGET.
         with self._lock:
             if key in self._memory:
                 return
+            if data.path is not None:
+                for old_key in [k for k, old in self._memory.items() if old.path is not None]:
+                    del self._memory[old_key]
+            else:
+                unmapped = [k for k, old in self._memory.items() if old.path is None]
+                total = data.nbytes() + sum(self._memory[k].nbytes() for k in unmapped)
+                for old_key in unmapped:
+                    if total <= DEFAULT_MEMORY_BUDGET:
+                        break
+                    total -= self._memory.pop(old_key).nbytes()
             self._memory[key] = data
-            self._memory_bytes += cost
-            while self._memory_bytes > self.memory_budget_bytes and len(self._memory) > 1:
-                old_key = next(iter(self._memory))
-                if old_key == key:
-                    break
-                old = self._memory.pop(old_key)
-                self._memory_bytes -= 0 if old.path is not None else old.nbytes()
 
     def clear_memory(self) -> None:
         with self._lock:
             self._memory.clear()
-            self._memory_bytes = 0
 
     def stats(self) -> Dict[str, int]:
         return {

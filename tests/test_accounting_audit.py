@@ -8,10 +8,11 @@ below goes once with the check off and once with it on: the check must
 run, must pass, and must leave the result unchanged -- it only reads.
 
 Every window, whatever its source, is solved by ``StallModel.solve``
-and every migration is applied by ``MigrationEngine.apply_window``, so
-those two seams check every window of every placement regime
-(:class:`WindowAudit`).  Each case runs audited twice: live, and
-replayed from its recording, which must equal the live run.
+(through its one kernel, ``StallModel._fixed_point``) and every
+migration is applied by ``MigrationEngine.apply_window``, so those seams
+check every window of every placement regime (:class:`WindowAudit`),
+the fixed point's residual included.  Each case runs audited twice:
+live, and replayed from its recording, which must equal the live run.
 
 Every audited run's per-tier misses sum to its total, and for each
 workload and configuration of the matrix the ideal reference run
@@ -36,6 +37,7 @@ from repro.workloads import make_workload
 from repro.workloads.tracestore import ReplayWorkload, TraceStore
 
 import oracles
+from conftest import FIXED_POINT_RESIDUAL_BOUND
 
 #: About 16 windows on gups and bc-kron.
 TOTAL_MISSES = 4_000_000
@@ -91,15 +93,17 @@ CASES = (
 class WindowAudit:
     """Records what a run's windows read and solve, and what it migrates.
 
-    Wraps the workload classes' ``next_window``, ``StallModel.solve``
-    and ``MigrationEngine.apply_window``.  :meth:`run` clears the
-    records after the machine is built, so a policy's own profiling run
-    (Soar's ``placement_plan``) stays out of them.
+    Wraps the workload classes' ``next_window``, ``StallModel.solve``,
+    its kernel ``StallModel._fixed_point`` and
+    ``MigrationEngine.apply_window``.  :meth:`run` clears the records
+    after the machine is built, so a policy's own profiling run (Soar's
+    ``placement_plan``) stays out of them.
     """
 
     def __init__(self, monkeypatch, *workload_classes):
-        self.traffic, self.solves, self.moves = [], [], []
+        self.traffic, self.solves, self.moves, self.residuals = [], [], [], []
         solve = StallModel.solve
+        fixed_point = StallModel._fixed_point
         apply_window = MigrationEngine.apply_window
 
         def audited(next_window):
@@ -116,6 +120,11 @@ class WindowAudit:
             self.solves.append((self.traffic[-1], outcome, extra_cycles))
             return outcome
 
+        def audited_fixed_point(model, *windows):
+            outcomes, residuals = fixed_point(model, *windows)
+            self.residuals.extend(residuals)
+            return outcomes, residuals
+
         def audited_apply_window(engine, decision):
             before = engine.memory.placement.copy()
             outcome = apply_window(engine, decision)
@@ -126,23 +135,31 @@ class WindowAudit:
         for cls in workload_classes:
             monkeypatch.setattr(cls, "next_window", audited(cls.next_window))
         monkeypatch.setattr(StallModel, "solve", audited_solve)
+        monkeypatch.setattr(StallModel, "_fixed_point", audited_fixed_point)
         monkeypatch.setattr(MigrationEngine, "apply_window", audited_apply_window)
 
     def reset(self):
         self.traffic.clear()
         self.solves.clear()
         self.moves.clear()
+        self.residuals.clear()
 
     def run(self, machine):
         self.reset()
         result = machine.run()
         self.check(result)
+        self.check_converged()
         return result
+
+    def check_converged(self):
+        """Every solved window's fixed point ended within the bound."""
+        assert max(self.residuals, default=0.0) < FIXED_POINT_RESIDUAL_BOUND
 
     def check(self, result):
         assert sum(result.tier_misses.values()) == result.total_misses
         assert len(self.traffic) == result.windows
         assert len(self.solves) == result.windows - result.empty_windows
+        assert len(self.residuals) == len(self.solves)
         if result.promoted or result.demoted:
             assert self.moves
         for traffic, outcome, extra_cycles in self.solves:
@@ -243,3 +260,36 @@ def test_ideal_run_is_faster_than_slow_only(monkeypatch, isolated_stores, worklo
         runtimes[request.kind] = result.runtime_cycles
     # Strictly: in every configuration tier 0 is the fastest tier.
     assert runtimes["ideal"] < runtimes["slow_only"]
+
+
+#: Four damped iterations from ``duration = compute`` stop short of the
+#: fixed point when the stalls outweigh compute a hundredfold: the
+#: windows whose misses all reach the NVMe tier end with residuals of
+#: ~0.83.  Converging them moves N-tier slow-only results.
+UNCONVERGED = pytest.mark.xfail(
+    strict=True, reason="bc-kron slow-only on dram-cxlz-nvme: residual ~0.83"
+)
+
+REFERENCE_RUNS = [
+    pytest.param(
+        workload, config.values[0], kind,
+        id=f"{workload}-{config.id}-{kind}",
+        marks=[UNCONVERGED]
+        if (workload, config.id, kind) == ("bc-kron", "dram-cxlz-nvme", "slow_only")
+        else [],
+    )
+    for workload in ("gups", "bc-kron")
+    for config in REFERENCE_CONFIGS
+    for kind in ("ideal", "slow_only")
+]
+
+
+@pytest.mark.parametrize("workload, config, kind", REFERENCE_RUNS)
+def test_reference_run_fixed_point_converges(
+    monkeypatch, isolated_stores, workload, config, kind
+):
+    spec = WorkloadSpec.registry(workload, total_misses=TOTAL_MISSES, seed=0)
+    make_request = RunRequest.ideal if kind == "ideal" else RunRequest.slow_only
+    audit = WindowAudit(monkeypatch, ReplayWorkload)
+    audit.check(runner.execute_request(make_request(spec, config=config)))
+    audit.check_converged()

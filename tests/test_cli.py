@@ -4,17 +4,19 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.baselines import make_policy
-from repro.cli import build_parser, main
+from repro.cli import POLICY_CHOICES, build_parser, main
 from repro.exp import report as exp_report
 from repro.exp.cache import result_to_dict
 from repro.exp.runner import run_experiment
 from repro.exp.spec import ExperimentSpec, WorkloadSpec
 from repro.exp.store import SqliteResultStore
-from repro.sim.config import PAPER_RATIOS
+from repro.mem.topology import TOPOLOGY_NAMES, make_topology
+from repro.sim.config import PAPER_RATIOS, parse_ratio_parts
 from repro.sim.engine import run_policy
-from repro.workloads import make_workload
+from repro.workloads import ALL_WORKLOADS, make_workload
 from repro.workloads.tracestore import ReplayWorkload
 
 
@@ -76,6 +78,135 @@ def test_count_flag_of_zero_is_a_usage_error(verb, flag, capsys):
     assert err.startswith("usage: repro")
     assert f"argument {flag}: must be at least 1" in err
     assert "Traceback" not in err
+
+
+#: A small run that would finish quickly, if anything ran.
+QUICK = ("--work", "200000", "--no-cache")
+
+#: Malformed ratios and names: each must stop at the parser, not fail
+#: with a traceback inside a run.
+BAD_ARGS = [
+    ("run", "--ratio", ("foo",)),
+    ("run", "--ratio", ("0:4",)),
+    ("trace", "--ratio", ("foo",)),
+    ("run", "--ratio", ("1:4:16",)),  # three parts, two tiers by default
+    ("sweep", "--policies", ("PACT", "Bogus")),
+    ("bench", "--policies", ("Nope",)),
+    ("compare", "--workloads", ("nope",)),
+    ("campaign", "--ratios", ("x",)),
+]
+
+
+def assert_usage_error(exc, capsys, count_runs):
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro")
+    assert "Traceback" not in err
+    assert count_runs == []
+    return err
+
+
+@pytest.mark.parametrize("verb,flag,values", BAD_ARGS)
+def test_malformed_ratio_or_name_is_a_usage_error(verb, flag, values, capsys, count_runs):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(verb, *REQUIRED_ARGS.get(verb, ()), flag, *values, *QUICK)
+    assert f"argument {flag}:" in assert_usage_error(exc, capsys, count_runs)
+
+
+def test_short_ratio_is_padded_on_a_deeper_topology():
+    code, text = run_cli(
+        "run", "--workload", "gups", "--policy", "PACT", "--ratio", "1:4",
+        "--topology", "dram-cxlz-nvme", *QUICK,
+    )
+    assert code == 0
+    assert "slowdown vs DRAM-only" in text
+
+
+def _parses(ratio: str) -> bool:
+    try:
+        parse_ratio_parts(ratio)
+    except ValueError:
+        return False
+    return True
+
+
+_PART = st.integers(1, 32).map(str)
+#: A ratio every topology takes.
+_GOOD_RATIO = st.lists(_PART, min_size=2, max_size=2).map(":".join)
+#: Names no choice list holds (never option-like).
+_BAD_NAME = st.text(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.:_", min_size=1, max_size=10
+).filter(lambda name: name not in POLICY_CHOICES and name not in ALL_WORKLOADS + ["record"])
+
+
+def _bad_ratio(tiers: int):
+    """A ratio that does not parse, or has more parts than ``tiers``."""
+    unparsable = st.text(
+        st.characters(min_codepoint=32, max_codepoint=126), max_size=10
+    ).filter(lambda text: not text.startswith("-") and not _parses(text))
+    zero_end = st.tuples(_PART, st.sampled_from(["0:{}", "{}:0", "0.0:{}"])).map(
+        lambda t: t[1].format(t[0])
+    )
+    too_deep = st.lists(_PART, min_size=tiers + 1, max_size=tiers + 3).map(":".join)
+    return st.one_of(unparsable, zero_end, too_deep)
+
+
+#: Each verb's name and ratio slots: (flag or None for a positional,
+#: ``"workload"``/``"policy"``/``"ratio"``, most values).
+VERB_SLOTS = {
+    "run": [("--workload", "workload", 1), ("--policy", "policy", 1), ("--ratio", "ratio", 1)],
+    "sweep": [("--workload", "workload", 1), ("--policies", "policy", 3)],
+    "compare": [
+        ("--workloads", "workload", 3), ("--policies", "policy", 3), ("--ratio", "ratio", 1),
+    ],
+    "bench": [
+        ("--workloads", "workload", 3), ("--policies", "policy", 3), ("--ratios", "ratio", 3),
+    ],
+    "campaign": [
+        ("--workloads", "workload", 3), ("--policies", "policy", 3), ("--ratios", "ratio", 3),
+    ],
+    "trace": [(None, "workload", 1), (None, "policy", 1), ("--ratio", "ratio", 1)],
+}
+
+
+@st.composite
+def argv_with_one_fault(draw, verb):
+    """A verb's argv in which exactly one ratio or name is malformed."""
+    topology = draw(st.sampled_from(TOPOLOGY_NAMES))
+    good = {
+        "workload": st.sampled_from(ALL_WORKLOADS),
+        "policy": st.sampled_from(POLICY_CHOICES),
+        "ratio": _GOOD_RATIO,
+    }
+    bad = {
+        "workload": _BAD_NAME,
+        "policy": _BAD_NAME,
+        "ratio": _bad_ratio(make_topology(topology).num_tiers),
+    }
+    slots = VERB_SLOTS[verb]
+    faulty = draw(st.integers(0, len(slots) - 1))
+    argv = [verb]
+    for i, (flag, kind, most) in enumerate(slots):
+        if i == faulty:
+            values = draw(st.lists(good[kind], max_size=most - 1))
+            values.insert(draw(st.integers(0, len(values))), draw(bad[kind]))
+        else:
+            values = draw(st.lists(good[kind], min_size=1, max_size=most))
+        argv += ([flag] if flag else []) + values
+    return argv + ["--topology", topology, *QUICK]
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_SLOTS))
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_generated_argv_with_one_fault_is_a_usage_error(verb, data, capsys, count_runs):
+    argv = data.draw(argv_with_one_fault(verb))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert_usage_error(exc, capsys, count_runs)
 
 
 class TestCommands:

@@ -35,6 +35,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.workloads import ALL_WORKLOADS, make_workload
 
+from conftest import FIXED_POINT_RESIDUAL_BOUND
 from oracles import (
     assert_same_shares,
     batch_columns,
@@ -281,10 +282,6 @@ class TestDurationMonotoneInExtraBytes:
 
 
 class TestFixedPointResidual:
-    #: Observed corpus max is ~0.095 (cold-start first windows); the
-    #: damped 4-iteration solve must stay comfortably convergent.
-    RESIDUAL_BOUND = 0.15
-
     @pytest.mark.parametrize("workload", ALL_WORKLOADS)
     def test_residual_bounded_across_corpus(self, workload):
         obs = Observability()
@@ -302,4 +299,4 @@ class TestFixedPointResidual:
             for rec in obs.recorder.records()
         ]
         assert residuals, "traced run recorded no windows"
-        assert max(residuals) < self.RESIDUAL_BOUND
+        assert max(residuals) < FIXED_POINT_RESIDUAL_BOUND

@@ -11,10 +11,12 @@ once-per-offender un-picklable warning of pooled sweeps.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import stat
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from repro.baselines import make_policy
 from repro.exp.cache import canonical, content_hash, result_to_dict, workload_fingerprint
 from repro.sim.config import MachineConfig
 from repro.sim.engine import run_policy
-from repro.workloads import ALL_WORKLOADS, make_workload
+from repro.workloads import ALL_WORKLOADS, make_workload, tracestore
 from repro.workloads.tracestore import (
     ReplayWorkload,
     TraceExhausted,
@@ -337,14 +339,30 @@ class TestTraceStore:
         assert isinstance(replayed, ReplayWorkload)
         assert replay(store, replayed) is replayed  # no double-wrapping
 
-    def test_memory_budget_evicts_oldest(self):
-        store = TraceStore(memory_budget_bytes=1)
+    def test_memory_budget_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(tracestore, "DEFAULT_MEMORY_BUDGET", 1)
+        store = TraceStore()
         ensure(store, small_workload(), 200_000)
         ensure(store, small_workload("gups", total_misses=400_000), 200_000)
         # Over-budget with two memory-only entries: the first is evicted,
         # so re-ensuring it records again.
         ensure(store, small_workload(), 200_000)
         assert store.stats()["records"] == 3
+
+    def test_one_mapped_stream_is_held(self, tmp_path):
+        store = TraceStore(tmp_path)
+        _, first = ensure(store, small_workload(), 200_000)
+        assert first.path is not None
+        held = weakref.ref(first)
+        del first
+        # Mapping a second stream drops the first: nothing else holds it.
+        ensure(store, small_workload("gups", total_misses=400_000), 200_000)
+        gc.collect()
+        assert held() is None
+        # Its file maps again on the next lookup, without re-recording.
+        _, again = ensure(store, small_workload(), 200_000)
+        assert again.path is not None
+        assert store.stats()["records"] == 2
 
 
 class TestRecordStream:
@@ -372,7 +390,7 @@ class TestRecordStream:
 
 
 class TestRunnerIntegration:
-    def _requests(self):
+    def _requests(self, policies=("PACT", "NoTier")):
         from repro.exp.spec import PolicySpec, RunRequest, WorkloadSpec
 
         return [
@@ -383,14 +401,13 @@ class TestRunnerIntegration:
                 seed=0,
                 config=MachineConfig(),
             )
-            for policy in ("PACT", "NoTier")
+            for policy in policies
         ]
 
     def test_replay_on_and_off_give_identical_results(self):
         # The runner replays every request; an engine-level run of the
         # live workload is the reference it must match bit for bit.
         from repro.exp.runner import run_requests
-        from repro.workloads import tracestore
 
         tracestore.reset_default_trace_store()
         try:
@@ -406,20 +423,33 @@ class TestRunnerIntegration:
         finally:
             tracestore.reset_default_trace_store()
 
-    def test_trace_path_attached_when_store_is_disk_backed(self, tmp_path):
-        from repro.exp.runner import _prepare_replay
-        from repro.workloads import tracestore
+    def test_one_plan_serves_a_disk_backed_sweep(self, tmp_path, monkeypatch):
+        # Both reference runs and both policies replay one mapped
+        # stream, so they share its memoised entry-meta plan.
+        from repro.exp.runner import run_requests
+        from repro.exp.spec import RunRequest
+        from repro.hw import drawplan
 
+        built = []
+        init = drawplan.EntryMetaPlan.__init__
+
+        def counted(plan, *args, **kwargs):
+            built.append(plan)
+            init(plan, *args, **kwargs)
+
+        monkeypatch.setattr(drawplan.EntryMetaPlan, "__init__", counted)
         previous = tracestore.set_default_trace_store(tracestore.TraceStore(tmp_path))
         try:
-            requests = self._requests()
-            _prepare_replay(requests)
-            paths = {req.trace_path for req in requests}
-            assert len(paths) == 1  # one stream serves both policies
-            (path,) = paths
-            assert path is not None and path.endswith(".npt")
+            requests = self._requests(("PACT", "Memtis"))
+            spec = requests[0].workload
+            requests += [
+                RunRequest.ideal(spec, config=MachineConfig()),
+                RunRequest.slow_only(spec, config=MachineConfig()),
+            ]
+            run_requests(requests, jobs=1, use_cache=False)
         finally:
             tracestore.set_default_trace_store(previous)
+        assert len(built) == 1
 
 
 class TestUnpicklableWarning:
