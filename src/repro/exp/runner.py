@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.exp.cache import ResultStore
+from repro.exp.cache import ResultStore, content_hash
 from repro.exp.spec import (
     KIND_IDEAL,
     KIND_POLICY,
@@ -119,26 +119,35 @@ def execute_request_group(requests: Sequence[RunRequest]) -> List[RunResult]:
 
 def _group_key(request: RunRequest) -> str:
     """Group identity: the request fingerprint with seed and ratio nulled."""
-    from repro.exp.cache import content_hash
-
     fp = request.fingerprint()
     fp["seed"] = None
     fp["ratio"] = None
     return content_hash(fp)
 
 
+def _stream_ident(request: RunRequest) -> tuple:
+    """The recorded stream a request replays: (workload identity, window
+    budget) -- never its policy, ratio, seed or contender."""
+    return (content_hash(request.workload.descriptor()), request.max_windows)
+
+
 def group_requests(requests: Sequence[RunRequest]) -> List[RequestUnit]:
-    """Collapse run-axis-compatible requests into lockstep groups.
+    """Collapse run-axis-compatible requests into lockstep groups, and
+    order the units by the stream they replay.
 
     Policy-kind requests that differ only in seed and/or capacity
     ratio share one recorded trace and one machine shape, so they
     become one multi-run unit.  Traced requests and reference runs stay
-    singles.  Unit order follows first appearance, and member
-    order within a group follows request order, so fan-out results map
-    back deterministically.
+    singles.  One stream's units run consecutively: streams come in
+    order of first appearance, and a stream's units in order of first
+    appearance.  A process holds one mapped stream at a time, so its
+    memo (entry-meta plan and keyed draws) is built once per run of
+    consecutive units.  Member order within a group follows request
+    order, so fan-out results map back deterministically; execution
+    order moves no result.
     """
     groups: Dict[object, List[RunRequest]] = {}
-    order: List[object] = []
+    streams: Dict[tuple, List[object]] = {}
     for i, req in enumerate(requests):
         if req.kind != KIND_POLICY or req.trace:
             key: object = ("single", i)
@@ -146,15 +155,13 @@ def group_requests(requests: Sequence[RunRequest]) -> List[RequestUnit]:
             key = _group_key(req)
         if key not in groups:
             groups[key] = []
-            order.append(key)
+            streams.setdefault(_stream_ident(req), []).append(key)
         groups[key].append(req)
     units: List[RequestUnit] = []
-    for key in order:
-        members = groups[key]
-        if len(members) >= 2:
-            units.append(members)
-        else:
-            units.append(members[0])
+    for keys in streams.values():
+        for key in keys:
+            members = groups[key]
+            units.append(members if len(members) >= 2 else members[0])
     return units
 
 
@@ -276,11 +283,9 @@ def _prepare_replay(requests: Sequence[RunRequest]) -> None:
     through the driver's failure ledger and retries, so a broken
     workload costs only its own requests.
     """
-    from repro.exp.cache import content_hash
-
     prepared = set()
     for req in requests:
-        ident = (content_hash(req.workload.descriptor()), req.max_windows)
+        ident = _stream_ident(req)
         if ident in prepared:
             continue
         prepared.add(ident)

@@ -1,14 +1,19 @@
-"""Window sources: where each window's shares come from.
+"""Window sources, and the memo every replay of one stream shares.
 
 Once a traffic stream is recorded (:mod:`repro.workloads.tracestore`),
-every window's entries are known before the run.  Nothing here draws a
-random number: every stochastic draw is keyed per window
-(:mod:`repro.hw.substream`) and made live in the loop.  What moves out
-of the loop is placement-independent, RNG-free work:
+every window's entries are known before the run.  What moves out of
+the loop is placement-independent work, filled on first use:
 
+* :class:`StreamMemo` is the one memo of a replayed stream, shared by
+  every run in the process that replays it.  It holds the stream's
+  :class:`EntryMetaPlan` and each window's keyed draws (PEBS records
+  and CHA/perf jitter), which depend on (seed, window, the window's
+  entries) and never on placement or policy.  The samplers look a
+  window up here before they draw (:mod:`repro.hw.substream`); nothing
+  here draws a random number, and no draw is made before the window
+  that first asks for it.
 * :class:`EntryMetaPlan` holds each window's trace-determined split
-  inputs (packed ``group * num_tiers`` key bases, float counts), memoised
-  on the trace so that every run replaying it shares one.
+  inputs (packed ``group * num_tiers`` key bases, float counts).
 * :func:`build_static_batches` splits the *whole run's* recorded CSR
   columns by (window, group, tier) for a *frozen* placement and hands
   every window a pre-sliced :class:`~repro.hw.stall.ShareBatch` view --
@@ -34,7 +39,7 @@ also gives the counts the page-activity touch reads
 from __future__ import annotations
 
 from functools import cached_property
-from typing import List, Optional
+from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
@@ -208,22 +213,83 @@ class EntryMetaPlan:
         kb = self.key_base[e0:e1] if self.key_base is not None else None
         return kb, self.counts_f[e0:e1]
 
+    def nbytes(self) -> int:
+        """Bytes of the arrays the plan owns: the fields built so far."""
+        built = (self.__dict__.get(name) for name in ("key_base", "counts_f", "group_misses"))
+        return self.entry_ptr.nbytes + sum(a.nbytes for a in built if a is not None)
+
+
+#: The most a :class:`StreamMemo` stores in keyed draws, as a fraction
+#: of its stream's column bytes.  At the default PEBS rate a seed's
+#: draws take a few percent of the stream; at rate 1 (every miss a
+#: record) they take about its whole size, so past this bound draws are
+#: computed and not stored.
+DRAW_MEMO_FRACTION = 0.25
+
+
+class StreamMemo:
+    """What every run replaying one stream shares, filled on first use.
+
+    One memo belongs to one :class:`~repro.workloads.tracestore.TraceData`
+    and lives and dies with it.  It holds the stream's
+    :class:`EntryMetaPlan` (for one tier count at a time) and the
+    stream's keyed draws: a draw is a pure function of its key and the
+    stream's window, so a run that asks for a key another run already
+    drew gets the stored value instead of drawing it again.  Stored
+    arrays are read-only, so a consumer that wrote into one would fail
+    rather than change another run's draws.  Draws are kept while they
+    fit in ``DRAW_MEMO_FRACTION`` of the stream's column bytes; past
+    that they are computed and not stored.  Hits depend on what ran
+    before in the process, so nothing about them reaches a result.
+    """
+
+    __slots__ = ("plan", "draw_bytes", "_stream_bytes", "_draws", "__weakref__")
+
+    def __init__(self, stream_bytes: int):
+        #: The stream's :class:`EntryMetaPlan` (see :func:`entry_meta_for`).
+        self.plan: Optional[EntryMetaPlan] = None
+        #: Bytes of the stored draws' arrays.
+        self.draw_bytes = 0
+        self._stream_bytes = stream_bytes
+        self._draws: Dict[Hashable, object] = {}
+
+    def nbytes(self) -> int:
+        """Bytes the memo holds: its plan's arrays and its draws'."""
+        plan = self.plan.nbytes() if self.plan is not None else 0
+        return plan + self.draw_bytes
+
+    def recall(self, key: Hashable, draw, *args):
+        """``draw(*args)``, stored under ``key`` the first time it is made.
+
+        ``draw`` returns an array or a tuple of arrays, and ``key`` must
+        name everything it reads besides the stream's window columns.
+        """
+        value = self._draws.get(key)
+        if value is not None:
+            return value
+        value = draw(*args)
+        arrays = value if isinstance(value, tuple) else (value,)
+        size = sum(a.nbytes for a in arrays)
+        if self.draw_bytes + size <= DRAW_MEMO_FRACTION * self._stream_bytes:
+            for a in arrays:
+                a.flags.writeable = False
+            self._draws[key] = value
+            self.draw_bytes += size
+        return value
+
 
 def entry_meta_for(data, num_tiers: int) -> EntryMetaPlan:
-    """The trace's :class:`EntryMetaPlan`, memoised on the trace data.
+    """The trace's :class:`EntryMetaPlan`, held by its :class:`StreamMemo`.
 
     The plan depends only on (trace, ``num_tiers``), so every run that
     replays the trace -- lockstep multi-run members, and the static and
-    dynamic runs of one sweep -- shares one.
+    dynamic runs of one sweep -- shares one.  The memo keeps the plan
+    of the last tier count asked for.
     """
-    cached = getattr(data, "_entry_meta_cache", None)
-    if cached is None or cached[0] != num_tiers:
-        cached = (num_tiers, EntryMetaPlan(data, num_tiers))
-        try:
-            data._entry_meta_cache = cached
-        except AttributeError:  # pragma: no cover - slotted data
-            pass
-    return cached[1]
+    memo = data.memo
+    if memo.plan is None or memo.plan.num_tiers != num_tiers:
+        memo.plan = EntryMetaPlan(data, num_tiers)
+    return memo.plan
 
 
 class StaticSource:
@@ -310,9 +376,11 @@ def attach(machine):
 
 
 __all__ = [
+    "DRAW_MEMO_FRACTION",
     "DynamicSource",
     "EntryMetaPlan",
     "StaticSource",
+    "StreamMemo",
     "attach",
     "build_static_batches",
     "entry_meta_for",

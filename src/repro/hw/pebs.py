@@ -13,12 +13,15 @@ entry whose group has load fraction ``lf < 1`` is kept with probability
 
 The draw is keyed by (seed, ``"pebs"``) at the window's counter
 (:class:`~repro.common.rngutil.KeyedStream`) and reads only the
-window's trace entries.  It therefore depends on (seed, window,
-entries) alone -- never on placement, the policy, or which runs share a
-lockstep group -- so policies compared at one seed see common random
-numbers.  The merge applies the policy-dependent part: it gathers the
-placement of the sampled entries only, keeps those resident in a
-sampled tier, and merges duplicate pages.
+window's trace entries.  It therefore depends on (seed, rate,
+``loads_only``, window, entries) alone -- never on placement, the
+policy, or which runs share a lockstep group -- so policies compared at
+one seed see common random numbers.  A replayed run's sampler draws a
+window once per stream: the stream's
+:class:`~repro.hw.drawplan.StreamMemo` keeps the draw for every later
+run with the same key.  The merge applies the policy-dependent part:
+it gathers the placement of the sampled entries only, keeps those
+resident in a sampled tier, and merges duplicate pages.
 
 The sampler also models the cost of consuming PEBS records (the
 dedicated processing thread of §4.6): each record costs a fixed number
@@ -126,6 +129,8 @@ def entries_of(prefix: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 _NO_ENTRIES = np.empty(0, dtype=np.intp)
 _NO_RECORDS = np.empty(0, dtype=np.int64)
+_NO_ENTRIES.flags.writeable = False
+_NO_RECORDS.flags.writeable = False
 
 
 class PebsSampler:
@@ -139,6 +144,8 @@ class PebsSampler:
         "num_tiers",
         "_p",
         "_stream",
+        "_memo",
+        "_memo_key",
         "_code_mask",
         "_all_codes",
     )
@@ -152,6 +159,7 @@ class PebsSampler:
         num_tiers: int = 2,
         loads_only: bool = True,
         report_latency: bool = False,
+        memo=None,
     ):
         if rate < 1:
             raise ValueError("PEBS rate must be >= 1")
@@ -163,6 +171,12 @@ class PebsSampler:
         self.num_tiers = num_tiers
         self._p = 1.0 / rate
         self._stream = KeyedStream(seed, "pebs")
+        #: The replayed stream's StreamMemo (None on live traffic); with
+        #: one, every draw must be given that stream's window columns.
+        self._memo = memo
+        # The memo key is every input of _draw besides the window's
+        # columns: a new input to the draw must enter it.
+        self._memo_key = ("pebs", seed, rate, loads_only)
         #: Lookup table over tier codes: True where the policy samples.
         mask = np.zeros(num_tiers, dtype=bool)
         mask[[int(c) for c in sampled_codes]] = True
@@ -184,11 +198,22 @@ class PebsSampler:
         ``load_fraction``) feed the load thin; without them every entry
         counts as all-load.  The load fraction is looked up for the sampled
         entries only.  At rate 1 every miss is a sample, so the entry
-        counts pass through without a draw.
+        counts pass through without a draw.  A replayed run looks the
+        window up in its stream's memo first.
         """
+        if self._memo is None:
+            entries, records = self._draw(window, counts, group_ptr, group_lf)
+        else:
+            entries, records = self._memo.recall(
+                (self._memo_key, window), self._draw, window, counts, group_ptr, group_lf
+            )
+        return PebsDraw(entries, records, group_ptr)
+
+    def _draw(self, window, counts, group_ptr, group_lf):
+        """``(entries, records)`` of one window, drawn at its counter."""
         prefix = np.cumsum(counts)
         if not prefix.size or prefix[-1] <= 0:
-            return PebsDraw(_NO_ENTRIES, _NO_RECORDS, group_ptr)
+            return _NO_ENTRIES, _NO_RECORDS
         rng = self._stream.at(window)
         if self.rate == 1:
             entries = np.flatnonzero(counts)
@@ -208,7 +233,7 @@ class PebsSampler:
             records[part] = rng.binomial(records[part], lf[part])
             kept = records > 0
             entries, records = entries[kept], records[kept]
-        return PebsDraw(entries, records, group_ptr)
+        return entries, records
 
     def merge(
         self,

@@ -8,8 +8,9 @@ windows; each window the machine
    (with bandwidth contention from the app, any MLC contender, and last
    window's migration copies),
 3. draws PEBS samples and counter jitter from keyed substreams (one
-   per (seed, purpose), positioned at the window's counter) and advances
-   the CHA/TOR and perf counters,
+   per (seed, purpose), positioned at the window's counter; a replayed
+   run reads a draw another run of its stream already made) and
+   advances the CHA/TOR and perf counters,
 4. hands the policy an :class:`Observation` and applies its
    :class:`Decision` through the migration engine,
 5. charges migration costs: synchronously for hint-fault designs,
@@ -42,6 +43,7 @@ from repro.sim.migration import MigrationEngine, MigrationOutcome
 from repro.sim.policy_api import Decision, Observation, TieringPolicy
 from repro.workloads.base import Workload
 from repro.workloads.mlc import MlcContender
+from repro.workloads.tracestore import ReplayWorkload
 
 #: Duration guess for the first window's contender traffic (20 ms).
 _INITIAL_WINDOW_CYCLES = 44_000_000.0
@@ -111,10 +113,14 @@ class Machine:
         )
         self.cha = ChaTorCounters(num_tiers=self.num_tiers)
         self.perf = PerfCounters(num_tiers=self.num_tiers)
+        # A replayed run draws through its stream's memo, which every run
+        # replaying the stream shares; live traffic has no stream
+        # identity, so it draws every window itself.
+        memo = workload.trace_data.memo if isinstance(workload, ReplayWorkload) else None
         #: Keyed counter-noise substreams (None when noise is off).
         noise = self.config.counter_noise
-        self._cha_jitter = KeyedJitter(seed, "cha", noise) if noise > 0.0 else None
-        self._perf_jitter = KeyedJitter(seed, "perf", noise) if noise > 0.0 else None
+        self._cha_jitter = KeyedJitter(seed, "cha", noise, memo) if noise > 0.0 else None
+        self._perf_jitter = KeyedJitter(seed, "perf", noise, memo) if noise > 0.0 else None
         self._chmu = policy.access_sampler == "chmu"
         if self._chmu:
             self.pebs = ChmuSampler(footprint_pages=footprint)
@@ -125,6 +131,7 @@ class Machine:
                 sampled_codes=range(0 if policy.sample_fast_tier else 1, self.num_tiers),
                 num_tiers=self.num_tiers,
                 report_latency=policy.wants_pebs_latency,
+                memo=memo,
             )
         self.engine = MigrationEngine(
             self.memory, self.config, obs=self.obs if self.obs.enabled else None

@@ -45,13 +45,14 @@ import json
 import os
 import secrets
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.hw.access import WindowTraffic
+from repro.hw.drawplan import StreamMemo
 from repro.mem.page import ObjectRegion
 from repro.workloads.base import Workload
 
@@ -72,8 +73,9 @@ TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 #: Soft cap (bytes) on the recordings a :class:`TraceStore` holds in
 #: memory only: those recorded without a directory to spill to, which
-#: cannot be re-read and so are evicted first-in, first-out.  Mapped
-#: streams are bounded by count instead (one per store).
+#: cannot be re-read and so are evicted first-in, first-out.  Each
+#: counts its columns and its memo (plan and draws).  Mapped streams are
+#: bounded by count instead (one per store).
 DEFAULT_MEMORY_BUDGET = 768 * 1024 * 1024
 
 #: Schema: column name -> (dtype, length key).  Lengths are expressed
@@ -139,7 +141,13 @@ def trace_key(workload_fp: Dict[str, Any], max_windows: int) -> str:
 
 @dataclass
 class TraceData:
-    """One recorded stream: header metadata plus the column arrays."""
+    """One recorded stream: header metadata plus the column arrays.
+
+    ``memo`` is the stream's :class:`~repro.hw.drawplan.StreamMemo`:
+    every run replaying this object shares its entry-meta plan and its
+    keyed draws.  It is not part of the stream's value, so equality and
+    ``repr`` ignore it.
+    """
 
     workload: Dict[str, Any]
     fingerprint: Dict[str, Any]
@@ -150,6 +158,10 @@ class TraceData:
     columns: Dict[str, np.ndarray]
     source_class: str = ""
     path: Optional[Path] = None
+    memo: StreamMemo = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.memo = StreamMemo(self.nbytes())
 
     @property
     def num_windows(self) -> int:
@@ -628,7 +640,7 @@ class TraceStore:
     through ``np.memmap`` -- concurrent sweep workers all share the one
     page-cache-warm copy -- and the memory layer holds one mapped
     stream, the one the process is replaying, so every run of it shares
-    one ``TraceData`` (and its memoised draw plan).
+    one ``TraceData`` (and its memo: entry-meta plan and keyed draws).
     """
 
     def __init__(self, directory: Optional[PathLike] = None):
@@ -701,11 +713,13 @@ class TraceStore:
         return data
 
     def _remember(self, key: str, data: TraceData) -> None:
-        # A replayed mapped stream costs its size in RSS (its plan about
+        # A replayed mapped stream costs its size in RSS (its memo about
         # as much again), and a process replays one stream at a time: a
         # newly mapped stream evicts the previous one, which its file
         # re-maps on demand.  Recordings held only in memory cannot be
-        # re-read; they go oldest-first once over DEFAULT_MEMORY_BUDGET.
+        # re-read; they go oldest-first once their columns and memos
+        # (plan and draws, grown by the runs since) exceed
+        # DEFAULT_MEMORY_BUDGET.
         with self._lock:
             if key in self._memory:
                 return
@@ -714,11 +728,11 @@ class TraceStore:
                     del self._memory[old_key]
             else:
                 unmapped = [k for k, old in self._memory.items() if old.path is None]
-                total = data.nbytes() + sum(self._memory[k].nbytes() for k in unmapped)
+                total = _held_bytes(data) + sum(_held_bytes(self._memory[k]) for k in unmapped)
                 for old_key in unmapped:
                     if total <= DEFAULT_MEMORY_BUDGET:
                         break
-                    total -= self._memory.pop(old_key).nbytes()
+                    total -= _held_bytes(self._memory.pop(old_key))
             self._memory[key] = data
 
     def clear_memory(self) -> None:
@@ -732,6 +746,11 @@ class TraceStore:
             "misses": self.misses,
             "records": self.records,
         }
+
+
+def _held_bytes(data: TraceData) -> int:
+    """What holding ``data`` in memory costs: its columns and its memo."""
+    return data.nbytes() + data.memo.nbytes()
 
 
 # ---------------------------------------------------------------------------

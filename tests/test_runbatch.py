@@ -193,6 +193,32 @@ class TestGrouping:
         in_order = [r.key for r in requests if r.key in set(flat)]
         assert sorted(flat) == sorted(in_order)
 
+    def test_units_follow_the_stream_they_replay(self, isolated_stores):
+        # A grid over two workloads lists both workloads' reference runs
+        # first; the units keep each stream's runs together, streams and
+        # units within a stream in order of first appearance.
+        other = WorkloadSpec.from_factory(
+            lambda: TinyWorkload(total_misses=90_000, misses_per_window=30_000), label="other"
+        )
+        spec = ExperimentSpec(
+            workloads=[tiny_spec(), other],
+            policies=[PolicySpec("PACT"), PolicySpec("NoTier")],
+            ratios=RATIOS,
+            seeds=SEEDS,
+        )
+        requests = spec.expand()
+        units = group_requests(requests)
+        firsts = [u[0] if isinstance(u, list) else u for u in units]
+        labels = [r.workload.display for r in firsts]
+        assert labels == sorted(labels, key=["tiny", "other"].index)
+        for label in ("tiny", "other"):
+            mine = [r.key for r in requests if r.workload.display == label]
+            got = [r.key for r in firsts if r.workload.display == label]
+            assert got == [k for k in mine if k in set(got)]
+        assert sorted(r.key for r in requests) == sorted(
+            r.key for u in units for r in (u if isinstance(u, list) else [u])
+        )
+
     def test_trace_and_obs_requests_stay_single(self, isolated_stores):
         base = dict(workload=tiny_spec(), policy=PolicySpec("PACT"))
         requests = [

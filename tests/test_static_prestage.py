@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.common.units import CXL_SPEC, DRAM_SPEC, NUMA_SPEC
 from repro.hw.access import AccessGroup
-from repro.hw.drawplan import StaticSource, build_static_batches
+from repro.hw.drawplan import StaticSource, StreamMemo, build_static_batches
 from repro.mem.topology import TierDef, TierTopology, make_topology
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
@@ -191,6 +191,7 @@ class FakeTrace:
     def __init__(self, columns, labels):
         self.columns = columns
         self.labels = labels
+        self.memo = StreamMemo(0)
 
 
 def fake_trace(rng, zero_counts):

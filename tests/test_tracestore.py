@@ -349,16 +349,37 @@ class TestTraceStore:
         ensure(store, small_workload(), 200_000)
         assert store.stats()["records"] == 3
 
+    def test_memos_count_against_the_memory_budget(self, monkeypatch):
+        # A memory-only store counts each held stream's memo (plan and
+        # draws) with its columns.  The budget fits both streams' columns
+        # but not A's plan on top, so recording B evicts A.
+        a_workload, b_workload = small_workload(), small_workload("gups")
+        b_bytes = tracestore.record_stream(small_workload("gups")).nbytes()
+        store = TraceStore()
+        _, a = ensure(store, a_workload, 200_000)
+        run_policy(ReplayWorkload(a), make_policy("PACT"), ratio="1:4")
+        assert a.memo.plan is not None and a.memo.plan.nbytes() > 0
+        monkeypatch.setattr(tracestore, "DEFAULT_MEMORY_BUDGET", a.nbytes() + b_bytes)
+        ensure(store, b_workload, 200_000)
+        ensure(store, small_workload(), 200_000)
+        assert store.stats()["records"] == 3
+
     def test_one_mapped_stream_is_held(self, tmp_path):
         store = TraceStore(tmp_path)
         _, first = ensure(store, small_workload(), 200_000)
         assert first.path is not None
         held = weakref.ref(first)
+        # A replayed run fills the stream's memo (its plan and draws).
+        run_policy(ReplayWorkload(first), make_policy("PACT"), ratio="1:4")
+        assert first.memo.plan is not None and first.memo.draw_bytes
+        memo = weakref.ref(first.memo)
         del first
-        # Mapping a second stream drops the first: nothing else holds it.
+        # Mapping a second stream drops the first: nothing else holds it
+        # or its memo.
         ensure(store, small_workload("gups", total_misses=400_000), 200_000)
         gc.collect()
         assert held() is None
+        assert memo() is None
         # Its file maps again on the next lookup, without re-recording.
         _, again = ensure(store, small_workload(), 200_000)
         assert again.path is not None
@@ -450,6 +471,48 @@ class TestRunnerIntegration:
         finally:
             tracestore.set_default_trace_store(previous)
         assert len(built) == 1
+
+    def test_one_plan_per_stream_across_workloads(self, tmp_path, monkeypatch):
+        # A grid lists every workload's reference runs before its policy
+        # runs; execution units follow the stream instead, so each of
+        # two mapped streams is mapped and planned once.
+        from repro.exp.runner import run_experiment
+        from repro.exp.spec import ExperimentSpec, WorkloadSpec
+        from repro.hw import drawplan
+
+        built, maps = [], []
+        init, read = drawplan.EntryMetaPlan.__init__, tracestore.read_npt
+
+        def counted(plan, *args, **kwargs):
+            built.append(plan)
+            init(plan, *args, **kwargs)
+
+        def counted_read(*args, **kwargs):
+            maps.append(args)
+            return read(*args, **kwargs)
+
+        spec = ExperimentSpec(
+            workloads={
+                name: WorkloadSpec.registry(name, total_misses=400_000)
+                for name in ("masim", "gups")
+            },
+            policies=["PACT", "Memtis"],
+            ratios=["1:4"],
+        )
+        previous = tracestore.set_default_trace_store(tracestore.TraceStore(tmp_path))
+        try:
+            # Record both streams first, as a warm trace directory has them.
+            run_experiment(spec, jobs=1, use_cache=False)
+            monkeypatch.setattr(drawplan.EntryMetaPlan, "__init__", counted)
+            monkeypatch.setattr(tracestore, "read_npt", counted_read)
+            tracestore.get_default_trace_store().clear_memory()
+            run_experiment(spec, jobs=1, use_cache=False)
+        finally:
+            tracestore.set_default_trace_store(previous)
+        assert len(built) == 2
+        # _prepare_replay maps each stream once, leaving the last one
+        # held; execution maps each once more.
+        assert len(maps) == 4
 
 
 class TestUnpicklableWarning:
